@@ -1,0 +1,34 @@
+"""Seeded CLI outputs pinned byte for byte.
+
+The files under tests/fixtures/golden/ were written by the gate-by-gate
+counting circuit before the factored kernel replaced it. Any change to the
+counting kernel, the search or the CSV writers that alters a single output
+byte fails here, while the determinism check (two runs of the same code)
+would not notice.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from qdca.cli import main
+
+GOLDEN = Path(__file__).parent / "fixtures" / "golden"
+
+RUNS = {
+    "attack_k4n6": (["attack", "-k", "4", "-n", "6", "-c", "4", "--trials", "20",
+                     "--master-seed", "2024"], ("results.csv", "trace.csv")),
+    "both_n5": (["attack", "--mode", "both", "-n", "5", "--trials", "4",
+                 "--master-seed", "99"], ("results.csv", "trace.csv")),
+    "count_n6": (["count", "-n", "6"], ("counts.csv",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_cli_outputs_match_golden_bytes(name, tmp_path, capsys):
+    argv, files = RUNS[name]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for fname in files:
+        assert (tmp_path / fname).read_bytes() == (GOLDEN / name / fname).read_bytes(), \
+            f"{name}/{fname} differs from the golden file"

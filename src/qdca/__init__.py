@@ -20,8 +20,8 @@ from .quantum_counting import (CountEstimate, CountingParams,
                                coherent_counting_distribution,
                                counting_distribution, counting_error_bound,
                                grover_iteration, profile_error_bound,
-                               quantum_count)
-from .max_finding import (DistributionCounter, ExactCounter, MaxFindingConfig,
+                               quantum_count, reference_counting_distribution)
+from .max_finding import (ExactCounter, MaxFindingConfig,
                           MaxFindingResult, QuantumCounter, SearchBudget,
                           ThresholdState, find_max_subkey,
                           grover_search_marked, oracle_o1)

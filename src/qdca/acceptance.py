@@ -18,11 +18,11 @@ from .attack import (AttackConfig, run_count_report, run_quantum_attack,
                      run_scaling_report, run_trials, write_counts_csv,
                      write_results_csv, write_trace_csv)
 from .classical_dca import count_right_pairs, count_table
-from .max_finding import (ExactCounter, MaxFindingConfig, find_max_subkey,
-                          grover_step)
+from .max_finding import ExactCounter, MaxFindingConfig, find_max_subkey
 from .quantum_counting import (CountingParams, counting_distribution,
                                counting_error_bound, estimate_from_outcome,
-                               profile_error_bound, quantum_count)
+                               grover_iteration, profile_error_bound,
+                               quantum_count, reference_counting_distribution)
 from .statevector import Register, StateVector
 from .toy_cipher import (AttackContext, ToyCipher, default_characteristic,
                          gen_pairs, is_right_pair, true_subkey,
@@ -53,25 +53,30 @@ def check_bound_intervals() -> CheckResult:
 
 
 def check_counting_coverage() -> CheckResult:
-    """Exact in-bound probability >= 0.9 for every M in 0..N at n=3."""
+    """Exact in-bound probability >= 0.9 for every M in 0..N at n=3, with
+    each distribution equal to the unfactored circuit's within 1e-12."""
     n = 3
     params = CountingParams.default(n)
     assert params.phase_bits == math.ceil(n / 2) + 4
     space = 1 << (n + 1)
     m_est = np.array([estimate_from_outcome(b, params)[1]
                       for b in range(1 << params.phase_bits)])
-    worst = 1.0
+    worst, drift = 1.0, 0.0
     for m_true in range(0, params.num_pairs + 1):
         marked = np.zeros(space, dtype=bool)
         marked[:m_true] = True
         dist = counting_distribution(marked, params)
+        drift = max(drift, float(np.abs(
+            dist - reference_counting_distribution(marked, params)).max()))
         bound = profile_error_bound(m_true)
         # at this width the profile bound is the general bound over the
         # padded 2N-item space
         assert abs(bound - counting_error_bound(m_true, space, params.accuracy_bits)) < 1e-15
         worst = min(worst, float(dist[np.abs(m_est - m_true) <= bound].sum()))
-    return CheckResult("counting-coverage", worst >= 1 - params.failure_bound,
-                       f"worst exact coverage {worst:.4f} (need >= 0.9)")
+    return CheckResult("counting-coverage",
+                       worst >= 1 - params.failure_bound and drift <= 1e-12,
+                       f"worst exact coverage {worst:.4f} (need >= 0.9), "
+                       f"largest difference from the reference circuit {drift:.1e}")
 
 
 def check_gate_accounting() -> CheckResult:
@@ -166,7 +171,7 @@ def check_grover_micro() -> CheckResult:
     marked[2] = True
     state = StateVector.uniform(2)
     reg = Register("s", 0, 2)
-    grover_step(state, reg, marked)
+    grover_iteration(state, reg, marked)
     prob = float(abs(state.amps[2]) ** 2)
     return CheckResult("grover-micro", abs(prob - 1.0) <= 1e-9,
                        f"marked probability {prob!r}")

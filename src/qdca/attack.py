@@ -25,6 +25,7 @@ from .classical_dca import classical_attack
 from .max_finding import (ExactCounter, MaxFindingConfig, MaxFindingResult,
                           QuantumCounter, find_max_subkey)
 from .quantum_counting import CountingParams, counting_error_bound, quantum_count
+from .statevector import DEFAULT_MAX_QUBITS
 from .toy_cipher import (AttackContext, Characteristic, ToyCipher,
                          characteristic_from_dict, cipher_from_dict,
                          default_characteristic, gen_pairs, true_subkey)
@@ -64,6 +65,8 @@ class AttackConfig:
             raise ConfigError("at least one trial")
         if self.confidence < 1:
             raise ConfigError("confidence must be >= 1")
+        if self.expected_steps is not None and self.expected_steps < 1:
+            raise ConfigError("expected_steps must be >= 1")
         cipher = self.cipher()
         if self.subkey_bits > cipher.block_width:
             raise ConfigError("subkey_bits exceeds block width")
@@ -71,7 +74,10 @@ class AttackConfig:
             raise ConfigError("index_bits outside block capacity")
         if self.planted_key is not None and not 0 <= self.planted_key < cipher.block_size:
             raise ConfigError("planted_key outside block range")
-        self.counting_params()  # raises on a bad (m, epsilon) combination
+        width = self.counting_params().num_qubits  # raises on a bad (m, epsilon)
+        if width > DEFAULT_MAX_QUBITS:
+            raise ConfigError(f"counting needs t+n+1 = {width} simulated qubits, "
+                              f"above the {DEFAULT_MAX_QUBITS}-qubit limit")
 
     def cipher(self) -> ToyCipher:
         try:
@@ -278,6 +284,8 @@ def run_scaling_report(config: AttackConfig, search_bits=(4, 6, 8),
     planted maximum) so the K sizes are not tied to S-box boundaries; the
     counting sweep runs the real cipher-backed circuit.
     """
+    if seeds < 1:
+        raise ConfigError("at least one seed")
     rows: list[dict] = []
     prev_mean = None
     for k in search_bits:

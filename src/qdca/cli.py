@@ -99,12 +99,13 @@ def cmd_count(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    m = args.m_true
-    if args.num_pairs is not None:
-        n_pairs = args.num_pairs
-    else:
+    m, n_pairs, acc = args.m_true, args.num_pairs, args.accuracy_bits
+    if n_pairs is None:
+        if args.index_bits < 0:
+            raise ConfigError("-n must be >= 0")
         n_pairs = 1 << args.index_bits
-    acc = args.accuracy_bits
+    if m < 0 or n_pairs < 1 or (acc is not None and acc < 1):
+        raise ConfigError("bound needs -M >= 0, -N >= 1 and -m >= 1")
     if acc is None:
         acc = math.ceil(math.log2(n_pairs) / 2) + 1
     general = counting_error_bound(m, n_pairs, acc)

@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantum_counting import (CountEstimate, CountingParams,
-                               counting_distribution, estimate_from_outcome,
-                               qft_gate_budget, quantum_count)
+from .quantum_counting import (CountEstimate, CountingParams, grover_iteration,
+                               quantum_count)
 from .statevector import Register, StateVector
 from .toy_cipher import AttackContext
 
@@ -124,51 +123,6 @@ class ExactCounter:
         return int(self.counts[x])
 
 
-class DistributionCounter:
-    """Counting via exact outcome distributions, for Monte Carlo sweeps.
-
-    The counting circuit for each subkey is simulated once by amplitude
-    readout; individual runs then sample the measured phase from that
-    distribution, which is statistically identical to rerunning the circuit
-    (a test asserts the equivalence against QuantumCounter). Memoization and
-    cost accounting match QuantumCounter.
-    """
-
-    def __init__(self, ctx: AttackContext, params: CountingParams,
-                 rng: np.random.Generator, cache: dict | None = None):
-        self.ctx = ctx
-        self.params = params
-        self.rng = rng
-        self._dists = cache if cache is not None else {}
-        self.estimates: dict[int, CountEstimate] = {}
-        self.invocations = 0
-
-    @property
-    def counting_cost(self) -> int:
-        return self.params.counting_cost
-
-    @property
-    def init_width(self) -> int:
-        return self.params.init_steps
-
-    def _distribution(self, x: int) -> np.ndarray:
-        if x not in self._dists:
-            self._dists[x] = counting_distribution(self.ctx.marked_table(x), self.params)
-        return self._dists[x]
-
-    def count(self, x: int) -> int:
-        if x not in self.estimates:
-            dist = self._distribution(x)
-            b = int(self.rng.choice(dist.size, p=dist / dist.sum()))
-            theta, m_est, right = estimate_from_outcome(b, self.params)
-            t = self.params.phase_bits
-            self.estimates[x] = CountEstimate(
-                b, theta, m_est, right, (1 << t) - 1, qft_gate_budget(t),
-                self.params.init_steps)
-            self.invocations += 1
-        return self.estimates[x].right_pairs
-
-
 def oracle_o1(x: int, y: int, counter) -> int:
     """f(x, y): 1 iff the counted value of x strictly exceeds that of y."""
     return int(counter.count(x) > counter.count(y))
@@ -214,7 +168,7 @@ def grover_search_marked(marked, subkey_bits: int,
         state = StateVector.uniform(subkey_bits)
         reinits += 1
         for _ in range(j):
-            grover_step(state, reg, marked)
+            grover_iteration(state, reg, marked)
         iterations += j
         outcome = state.measure(reg, rng)
         measurements += 1
@@ -222,11 +176,6 @@ def grover_search_marked(marked, subkey_bits: int,
             return SearchOutcome(outcome, iterations, reinits, measurements)
         m_cap = min(SEARCH_GROWTH_FACTOR * m_cap, math.sqrt(K))
     return SearchOutcome(None, iterations, reinits, measurements)
-
-
-def grover_step(state: StateVector, reg: Register, marked: np.ndarray) -> None:
-    state.apply_phase_oracle(reg, marked)
-    state.apply_diffusion(reg)
 
 
 @dataclass

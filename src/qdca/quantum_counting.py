@@ -9,6 +9,14 @@ The candidate subkey is consumed classically: the per-x oracle reads its
 subkey register value without ever writing it, so simulating it as a
 parameter cuts the simulated width to t+n+1 qubits. A fully coherent mode
 (superposed subkey register) exists as a cross-check at tiny sizes.
+
+The controlled-G ladder is factored: the phase register starts uniform and G
+acts on the index register alone, so the state after the ladder is
+sum_b |b> (x) G^b|psi0> / sqrt(2**t). G therefore runs 2**t - 1 times on the
+(n+1)-qubit index vector, each power written into its column of the full
+state, and the inverse Fourier transform then runs gate by gate on the full
+state. The gate-by-gate controlled ladder is kept as
+``reference_counting_distribution``, the oracle the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevector import Register, RegisterMap, StateVector
+from .statevector import DEFAULT_MAX_QUBITS, Register, RegisterMap, StateVector
 from .toy_cipher import AttackContext
 
 COHERENT_MAX_SUBKEY_BITS = 2
@@ -59,9 +67,14 @@ class CountingParams:
         return 1 << self.index_bits
 
     @property
+    def num_qubits(self) -> int:
+        """Simulated width of one counting run: t phase + n + 1 index qubits."""
+        return self.phase_bits + self.index_bits + 1
+
+    @property
     def init_steps(self) -> int:
         """Initialization cost: one time step per initialized qubit."""
-        return self.phase_bits + self.index_bits + 1
+        return self.num_qubits
 
     @property
     def counting_cost(self) -> int:
@@ -98,12 +111,6 @@ def grover_iteration(state: StateVector, reg: Register, marked: np.ndarray) -> N
     state.apply_diffusion(reg)
 
 
-def grover_iteration_for_subkey(x: int, state: StateVector, reg: Register,
-                                ctx: AttackContext) -> None:
-    """G parameterized by the (classically read) candidate subkey x."""
-    grover_iteration(state, reg, ctx.marked_table(x))
-
-
 def estimate_from_outcome(b: int, params: CountingParams) -> tuple[float, float, int]:
     """Map a raw phase outcome to (theta, M_est, rounded count)."""
     t = params.phase_bits
@@ -114,23 +121,34 @@ def estimate_from_outcome(b: int, params: CountingParams) -> tuple[float, float,
     return theta, m_est, right
 
 
-def _counting_circuit(marked: np.ndarray, params: CountingParams) -> tuple[StateVector, Register]:
-    t = params.phase_bits
+def _registers(marked: np.ndarray, params: CountingParams) -> RegisterMap:
     n = params.index_bits
-    regs = RegisterMap(("phase", t), ("index", n + 1))
     if marked.size != 1 << (n + 1):
         raise ValueError("marked table must cover the padded 2N index space")
-    state = StateVector.uniform(regs.total_qubits)
-    index_reg = regs["index"]
-    phase_reg = regs["phase"]
+    if params.num_qubits > DEFAULT_MAX_QUBITS:
+        raise ValueError(f"counting needs t+n+1 = {params.num_qubits} qubits, "
+                         f"above the {DEFAULT_MAX_QUBITS}-qubit limit")
+    return RegisterMap(("phase", params.phase_bits), ("index", n + 1))
 
-    def g(sv: StateVector) -> None:
-        grover_iteration(sv, index_reg, marked)
 
-    for j in range(t):
-        state.apply_controlled_unitary_power(phase_reg.offset + j, g, 1 << j)
-    state.inverse_qft(phase_reg)
-    return state, phase_reg
+def _counting_circuit(marked: np.ndarray,
+                      params: CountingParams) -> tuple[StateVector, Register, int]:
+    """Factored phase estimation; returns the state after the inverse QFT,
+    its phase register and the number of G gates the ladder applied."""
+    regs = _registers(marked, params)
+    state = StateVector(regs.total_qubits)
+    index_reg = Register("index", 0, params.index_bits + 1)
+    index = StateVector.uniform(index_reg.width)
+    T = 1 << params.phase_bits
+    # index major, phase minor: column b holds the amplitudes with phase value b
+    columns = state.amps.reshape(index_reg.size, T)
+    scale = 1.0 / math.sqrt(T)
+    np.multiply(index.amps, scale, out=columns[:, 0])
+    for b in range(1, T):
+        grover_iteration(index, index_reg, marked)
+        np.multiply(index.amps, scale, out=columns[:, b])
+    state.inverse_qft(regs["phase"])
+    return state, regs["phase"], index.counters.oracle_calls
 
 
 def quantum_count(x: int, params: CountingParams, ctx: AttackContext,
@@ -144,8 +162,7 @@ def quantum_count(x: int, params: CountingParams, ctx: AttackContext,
 def count_marked(marked: np.ndarray, params: CountingParams,
                  rng: np.random.Generator) -> CountEstimate:
     """Counting circuit over an explicit marked-item table."""
-    state, phase_reg = _counting_circuit(marked, params)
-    g_gates = state.counters.oracle_calls
+    state, phase_reg, g_gates = _counting_circuit(marked, params)
     qft_gates = state.counters.qft_gates
     b = state.measure(phase_reg, rng)
     theta, m_est, right = estimate_from_outcome(b, params)
@@ -156,7 +173,26 @@ def count_marked(marked: np.ndarray, params: CountingParams,
 
 def counting_distribution(marked: np.ndarray, params: CountingParams) -> np.ndarray:
     """Exact outcome distribution over b, by amplitude readout (no sampling)."""
-    state, phase_reg = _counting_circuit(marked, params)
+    state, phase_reg, _ = _counting_circuit(marked, params)
+    return state.probabilities(phase_reg)
+
+
+def reference_counting_distribution(marked: np.ndarray,
+                                    params: CountingParams) -> np.ndarray:
+    """The outcome distribution from the unfactored circuit: 2**t - 1
+    controlled G gates applied to the whole (t+n+1)-qubit state. Slow; the
+    oracle that the factored kernel is tested against."""
+    regs = _registers(marked, params)
+    state = StateVector.uniform(regs.total_qubits)
+    index_reg = regs["index"]
+    phase_reg = regs["phase"]
+
+    def g(sv: StateVector) -> None:
+        grover_iteration(sv, index_reg, marked)
+
+    for j in range(params.phase_bits):
+        state.apply_controlled_unitary_power(phase_reg.offset + j, g, 1 << j)
+    state.inverse_qft(phase_reg)
     return state.probabilities(phase_reg)
 
 

@@ -234,25 +234,30 @@ class StateVector:
         if counted:
             self.counters.qft_gates += 1
 
+    def _pair_view(self, qa: int, qb: int) -> np.ndarray:
+        """(high, 2, mid, 2, low) view: axis 1 is the higher of the two
+        qubits, axis 3 the lower."""
+        lo, hi = sorted((qa, qb))
+        return self.amps.reshape(1 << (self.num_qubits - hi - 1), 2,
+                                 1 << (hi - lo - 1), 2, 1 << lo)
+
     def _controlled_phase(self, qa: int, qb: int, angle: float, counted: bool):
-        sel = ((self._idx >> qa) & 1 == 1) & ((self._idx >> qb) & 1 == 1)
-        cm = self._control_mask()
-        if cm is not None:
-            sel &= cm
-        self.amps[sel] *= np.exp(1j * angle)
+        if self._controls:
+            sel = ((self._idx >> qa) & 1 == 1) & ((self._idx >> qb) & 1 == 1)
+            sel &= self._control_mask()
+            self.amps[sel] *= np.exp(1j * angle)
+        else:
+            self._pair_view(qa, qb)[:, 1, :, 1, :] *= np.exp(1j * angle)
         if counted:
             self.counters.qft_gates += 1
 
     def _swap(self, qa: int, qb: int, counted: bool):
         if self._controls:
             raise ValueError("swap under external control is not supported")
-        a = (self._idx >> qa) & 1
-        b = (self._idx >> qb) & 1
-        sel = (a == 1) & (b == 0)
-        partner = self._idx[sel] - (1 << qa) + (1 << qb)
-        tmp = self.amps[sel].copy()
-        self.amps[sel] = self.amps[partner]
-        self.amps[partner] = tmp
+        view = self._pair_view(qa, qb)
+        tmp = view[:, 1, :, 0, :].copy()
+        view[:, 1, :, 0, :] = view[:, 0, :, 1, :]
+        view[:, 0, :, 1, :] = tmp
         if counted:
             self.counters.qft_gates += 1
 

@@ -22,6 +22,9 @@ from qdca.cli import main
     dict(trials=0),
     dict(confidence=0),
     dict(epsilon=0.7),
+    dict(expected_steps=0),
+    dict(expected_steps=-5),
+    dict(accuracy_bits=20),   # t+n+1 = 30 simulated qubits
 ])
 def test_config_validation(bad):
     with pytest.raises(ConfigError):
@@ -228,6 +231,23 @@ def test_cli_rejects_bad_config(tmp_path):
     cfg_path.write_text(json.dumps({"mode": "sideways"}))
     assert main(["attack", "--config", str(cfg_path)]) == 1
     assert main(["attack", "--config", str(tmp_path / "missing.json")]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "-m", "20"],
+    ["attack", "-m", "30"],
+    ["attack", "--expected-steps", "0"],
+    ["attack", "--expected-steps", "-5"],
+    ["scale", "--seeds", "0"],
+    ["bound", "-M", "-1"],
+    ["bound", "-M", "8", "-N", "0"],
+])
+def test_cli_out_of_range_arguments_are_config_errors(argv, tmp_path, capsys):
+    if argv[0] != "bound":
+        argv = argv + ["--out-dir", str(tmp_path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_random_keys_flag(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qdca.classical_dca import count_table
-from qdca.max_finding import (SEARCH_GROWTH_FACTOR, DistributionCounter, ExactCounter,
+from qdca.max_finding import (SEARCH_GROWTH_FACTOR, ExactCounter,
                               MaxFindingConfig, QuantumCounter, SearchBudget,
                               ThresholdState, find_max_subkey,
                               grover_search_marked, oracle_o1)
@@ -168,11 +168,10 @@ def test_planted_instance_recovery_rate(cipher, planted):
     z = true_subkey(cipher, key, ctx.characteristic)
     assert int(ctx.marked_table(z).sum()) >= 8  # adequate planted signal
     params = CountingParams.default(6)
-    cache = {}
     wins = 0
     for trial in range(100):
         rng = _rng(55, trial)
-        counter = DistributionCounter(ctx, params, rng, cache=cache)
+        counter = QuantumCounter(ctx, params, rng)
         res = find_max_subkey(counter, 4, MaxFindingConfig(confidence=4), rng)
         wins += res.subkey == z
     assert wins >= math.ceil((1 - 1 / 16) * 100)

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qdca import quantum_counting
 from qdca.quantum_counting import (CountingParams, coherent_counting_distribution,
                                    count_marked, counting_distribution,
                                    counting_error_bound, estimate_from_outcome,
                                    grover_iteration, profile_error_bound,
-                                   qft_gate_budget, quantum_count)
+                                   qft_gate_budget, quantum_count,
+                                   reference_counting_distribution)
 from qdca.statevector import Register, StateVector
 from qdca.toy_cipher import true_subkey
 
@@ -205,6 +208,79 @@ def test_quantum_count_checks_index_width(planted):
         quantum_count(0, CountingParams.default(5), ctx, _rng(0))
 
 
+# ---- factored kernel against the unfactored reference circuit -------------------
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_kernel_matches_reference_for_every_count(n):
+    # every M in 0..N, marked pairs drawn at random rather than as a prefix
+    params = CountingParams.default(n)
+    rng = np.random.default_rng(300 + n)
+    for m_true in range((1 << n) + 1):
+        marked = np.zeros(1 << (n + 1), dtype=bool)
+        marked[rng.choice(1 << n, size=m_true, replace=False)] = True
+        kernel = counting_distribution(marked, params)
+        reference = reference_counting_distribution(marked, params)
+        np.testing.assert_allclose(kernel, reference, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 4), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_kernel_matches_reference_on_random_tables(n, m, seed, data):
+    params = CountingParams(n, m, 0.1)
+    space = 1 << (n + 1)
+    marked = np.array(data.draw(st.lists(st.booleans(), min_size=space,
+                                         max_size=space)))
+    kernel = counting_distribution(marked, params)
+    np.testing.assert_allclose(kernel, reference_counting_distribution(marked, params),
+                               rtol=0, atol=1e-12)
+    est = count_marked(marked, params, np.random.default_rng(seed))
+    t = params.phase_bits
+    assert est.g_gate_count == (1 << t) - 1
+    assert est.qft_gate_count == qft_gate_budget(t)
+    assert kernel[est.raw_outcome] > 0
+
+
+def test_gate_counts_are_observed_not_computed(monkeypatch):
+    # the reported counts equal the G steps and Fourier gates actually applied
+    applied = {"g": 0, "qft": 0}
+
+    def counting_g(*args):
+        applied["g"] += 1
+        grover_iteration(*args)
+
+    def counting_gate(name):
+        gate = getattr(StateVector, name)
+
+        def wrapper(self, *args, counted):
+            applied["qft"] += counted
+            gate(self, *args, counted=counted)
+        return wrapper
+
+    monkeypatch.setattr(quantum_counting, "grover_iteration", counting_g)
+    for name in ("_hadamard", "_controlled_phase", "_swap"):
+        monkeypatch.setattr(StateVector, name, counting_gate(name))
+    params = CountingParams.default(5)
+    marked = np.zeros(64, dtype=bool)
+    marked[[3, 17, 30]] = True
+    est = count_marked(marked, params, _rng(12))
+    assert est.g_gate_count == applied["g"] == (1 << params.phase_bits) - 1
+    assert est.qft_gate_count == applied["qft"] == qft_gate_budget(params.phase_bits)
+
+
+def test_width_is_checked_before_the_ladder(monkeypatch):
+    # t = 23, so t+n+1 = 30 qubits: refused before any G step or allocation
+    steps = []
+    monkeypatch.setattr(quantum_counting, "grover_iteration",
+                        lambda *args: steps.append(args))
+    params = CountingParams(6, 20, 0.1)
+    assert params.num_qubits == 30
+    with pytest.raises(ValueError, match="counting needs t\\+n\\+1 = 30 qubits"):
+        count_marked(np.zeros(128, dtype=bool), params, _rng(0))
+    assert steps == []
+
+
 # ---- coherent cross-check ------------------------------------------------------
 
 
@@ -231,6 +307,8 @@ def test_coherent_mode_matches_parameterized_circuit():
         coherent = coherent_counting_distribution(x, params, ctx)
         classical_x = counting_distribution(ctx.marked_table(x), params)
         assert np.allclose(coherent, classical_x, atol=1e-9)
+        assert np.allclose(coherent, reference_counting_distribution(
+            ctx.marked_table(x), params), atol=1e-9)
 
 
 def test_coherent_mode_is_size_capped(planted):

@@ -217,6 +217,59 @@ def test_inverse_qft_recovers_fourier_basis_phase():
     assert probs[3] > 1 - 1e-12
 
 
+def _mask_controlled_phase(amps, qa, qb, angle, control=None):
+    idx = np.arange(amps.size)
+    sel = ((idx >> qa) & 1 == 1) & ((idx >> qb) & 1 == 1)
+    if control is not None:
+        sel &= (idx >> control) & 1 == 1
+    out = amps.copy()
+    out[sel] *= np.exp(1j * angle)
+    return out
+
+
+def _mask_swap(amps, qa, qb):
+    idx = np.arange(amps.size)
+    sel = ((idx >> qa) & 1 == 1) & ((idx >> qb) & 1 == 0)
+    partner = idx[sel] - (1 << qa) + (1 << qb)
+    out = amps.copy()
+    out[sel], out[partner] = amps[partner], amps[sel]
+    return out
+
+
+def _random_state(rng, q):
+    amps = rng.normal(size=1 << q) + 1j * rng.normal(size=1 << q)
+    return amps / np.linalg.norm(amps)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 9])
+def test_pair_gates_bit_identical_to_masked_versions(q):
+    # the reshaped-view gates give exactly the amplitudes of index masks
+    rng = np.random.default_rng(40 + q)
+    for qa in range(q):
+        for qb in range(q):
+            if qa == qb:
+                continue
+            amps = _random_state(rng, q)
+            angle = float(rng.uniform(-math.pi, math.pi))
+            s = StateVector.from_amplitudes(amps)
+            s._controlled_phase(qa, qb, angle, counted=False)
+            assert np.array_equal(s.amps, _mask_controlled_phase(amps, qa, qb, angle))
+            s = StateVector.from_amplitudes(amps)
+            s._swap(qa, qb, counted=False)
+            assert np.array_equal(s.amps, _mask_swap(amps, qa, qb))
+
+
+def test_controlled_phase_under_external_control_keeps_mask_path():
+    rng = np.random.default_rng(7)
+    amps = _random_state(rng, 4)
+    s = StateVector.from_amplitudes(amps)
+    s.apply_controlled_unitary_power(
+        3, lambda sv: sv._controlled_phase(0, 2, 0.7, counted=False), 1)
+    assert np.array_equal(s.amps, _mask_controlled_phase(amps, 0, 2, 0.7, control=3))
+    with pytest.raises(ValueError):
+        s.apply_controlled_unitary_power(3, lambda sv: sv._swap(0, 2, counted=False), 1)
+
+
 def test_qft_gate_count_exact():
     for t in (1, 2, 3, 6, 8):
         s = new_uniform(t)

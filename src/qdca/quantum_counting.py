@@ -122,6 +122,8 @@ def estimate_from_outcome(b: int, params: CountingParams) -> tuple[float, float,
 
 
 def _registers(marked: np.ndarray, params: CountingParams) -> RegisterMap:
+    """Phase register on the low qubits, index register above it; refuses a
+    table of the wrong size or a width above the simulator limit."""
     n = params.index_bits
     if marked.size != 1 << (n + 1):
         raise ValueError("marked table must cover the padded 2N index space")

@@ -235,6 +235,10 @@ def test_kernel_matches_reference_on_random_tables(n, m, seed, data):
     kernel = counting_distribution(marked, params)
     np.testing.assert_allclose(kernel, reference_counting_distribution(marked, params),
                                rtol=0, atol=1e-12)
+    # G and the start state are real, so outcomes b and -b are equally likely
+    T = 1 << params.phase_bits
+    assert kernel.sum() == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(kernel, kernel[(-np.arange(T)) % T], rtol=0, atol=1e-12)
     est = count_marked(marked, params, np.random.default_rng(seed))
     t = params.phase_bits
     assert est.g_gate_count == (1 << t) - 1

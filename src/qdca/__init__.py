@@ -10,12 +10,12 @@ for every estimate, bound and counter.
 from .toy_cipher import (AttackContext, Characteristic, CiphertextDependentDifference,
                          ConstantDifference, PairSet, ToyCipher,
                          default_characteristic, difference_distribution_table,
-                         expected_output_difference, find_characteristic,
-                         gen_pairs, is_right_pair, make_characteristic,
-                         measure_probability, right_pair_table, true_subkey)
+                         find_characteristic, gen_pairs, is_right_pair,
+                         make_characteristic, measure_probability,
+                         right_pair_table, true_subkey)
 from .classical_dca import CountTable, classical_attack, count_right_pairs, count_table
 from .statevector import (CorruptedStateError, GateCounters, Register,
-                          RegisterMap, StateVector, new_uniform)
+                          RegisterMap, StateVector)
 from .quantum_counting import (CountEstimate, CountingParams,
                                coherent_counting_distribution,
                                counting_distribution, counting_error_bound,

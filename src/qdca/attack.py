@@ -23,7 +23,8 @@ import numpy as np
 from . import toy_cipher
 from .classical_dca import classical_attack
 from .max_finding import (ExactCounter, MaxFindingConfig, MaxFindingResult,
-                          QuantumCounter, find_max_subkey)
+                          QuantumCounter, SearchBudget, find_max_subkey,
+                          threshold_pass_cost)
 from .quantum_counting import CountingParams, counting_error_bound, quantum_count
 from .statevector import DEFAULT_MAX_QUBITS
 from .toy_cipher import (AttackContext, Characteristic, ToyCipher,
@@ -65,8 +66,6 @@ class AttackConfig:
             raise ConfigError("at least one trial")
         if self.confidence < 1:
             raise ConfigError("confidence must be >= 1")
-        if self.expected_steps is not None and self.expected_steps < 1:
-            raise ConfigError("expected_steps must be >= 1")
         cipher = self.cipher()
         if self.subkey_bits > cipher.block_width:
             raise ConfigError("subkey_bits exceeds block width")
@@ -74,10 +73,18 @@ class AttackConfig:
             raise ConfigError("index_bits outside block capacity")
         if self.planted_key is not None and not 0 <= self.planted_key < cipher.block_size:
             raise ConfigError("planted_key outside block range")
-        width = self.counting_params().num_qubits  # raises on a bad (m, epsilon)
-        if width > DEFAULT_MAX_QUBITS:
-            raise ConfigError(f"counting needs t+n+1 = {width} simulated qubits, "
-                              f"above the {DEFAULT_MAX_QUBITS}-qubit limit")
+        params = self.counting_params()  # raises on a bad (m, epsilon)
+        if params.num_qubits > DEFAULT_MAX_QUBITS:
+            raise ConfigError(f"counting needs t+n+1 = {params.num_qubits} simulated "
+                              f"qubits, above the {DEFAULT_MAX_QUBITS}-qubit limit")
+        if self.expected_steps is not None:
+            k = self.subkey_bits
+            need = k + threshold_pass_cost(k, params.init_steps, params.counting_cost)
+            limit = SearchBudget(self.confidence, self.expected_steps).limit
+            if limit < need:
+                raise ConfigError(f"expected_steps {self.expected_steps} gives a budget "
+                                  f"of {limit} steps, below the {need} that the initial "
+                                  f"threshold and one threshold pass need")
 
     def cipher(self) -> ToyCipher:
         try:
@@ -286,6 +293,13 @@ def run_scaling_report(config: AttackConfig, search_bits=(4, 6, 8),
     """
     if seeds < 1:
         raise ConfigError("at least one seed")
+    # validate every counting width before the search sweep spends any time
+    subs = [AttackConfig(subkey_bits=config.subkey_bits, index_bits=n,
+                         master_seed=config.master_seed, trials=1,
+                         planted_key=config.planted_key,
+                         cipher_doc=config.cipher_doc,
+                         characteristic_doc=config.characteristic_doc)
+            for n in counting_index_bits]
     rows: list[dict] = []
     prev_mean = None
     for k in search_bits:
@@ -307,18 +321,13 @@ def run_scaling_report(config: AttackConfig, search_bits=(4, 6, 8),
             "g_gates": "", "g_gates_expected": "", "qft_gates": "", "seeds": seeds,
         })
         prev_mean = mean
-    for n in counting_index_bits:
-        params = CountingParams.default(n)
-        sub = AttackConfig(subkey_bits=config.subkey_bits, index_bits=n,
-                           master_seed=config.master_seed, trials=1,
-                           planted_key=config.planted_key,
-                           cipher_doc=config.cipher_doc,
-                           characteristic_doc=config.characteristic_doc)
+    for sub in subs:
+        params = sub.counting_params()
         ctx, _, _ = plant_instance(sub, 0)
         rng = _trial_rng(config.master_seed, 0, purpose=99)
         est = quantum_count(0, params, ctx, rng)
         rows.append({
-            "sweep": "counting", "size": "", "index_bits": n,
+            "sweep": "counting", "size": "", "index_bits": sub.index_bits,
             "phase_bits": params.phase_bits, "mean_search_steps": "",
             "ratio_vs_prev": "",
             "g_gates": est.g_gate_count,
@@ -371,19 +380,10 @@ def _write_csv(path, schema: str, fields: list[str], rows: list[dict]):
 def write_results_csv(path, results: list[AttackResult]):
     rows = []
     for r in results:
-        rows.append({
-            "trial": r.trial, "mode": r.mode,
-            "recovered_subkey_hex": f"{r.recovered_subkey:02x}",
-            "ground_truth_hex": f"{r.ground_truth:02x}", "success": r.success,
-            "steps_init": r.steps_init, "steps_counting": r.steps_counting,
-            "steps_oracle": r.steps_oracle, "steps_search": r.steps_search,
-            "steps_observe": r.steps_observe, "steps_total": r.steps_total,
-            "counting_invocations": r.counting_invocations,
-            "g_gates_total": r.g_gates_total, "bound_hit_rate": r.bound_hit_rate,
-            "loop_iterations": r.loop_iterations, "budget_spent": r.budget_spent,
-            "budget_limit": r.budget_limit, "qubits_model": r.qubits_model,
-            "qubits_simulated": r.qubits_simulated,
-        })
+        row = {f: getattr(r, f) for f in RESULTS_FIELDS if not f.endswith("_hex")}
+        row["recovered_subkey_hex"] = f"{r.recovered_subkey:02x}"
+        row["ground_truth_hex"] = f"{r.ground_truth:02x}"
+        rows.append(row)
     _write_csv(path, "results-v1", RESULTS_FIELDS, rows)
 
 

@@ -7,7 +7,6 @@ Counting is exact and cheap at desk scale, so the memory-heavy variant
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +30,6 @@ class CountTable:
     def winner(self) -> int:
         """Argmax candidate; ties break toward the smallest subkey value."""
         return int(np.argmax(self.counts))
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            fh.write("# schema=counts-table-v1\n")
-            w.writerow(["subkey_hex", "count"])
-            for x, c in enumerate(self.counts):
-                w.writerow([f"{x:02x}", int(c)])
 
 
 def count_right_pairs(x: int, pairs: PairSet, cipher: ToyCipher,

@@ -116,10 +116,20 @@ def cmd_bound(args) -> int:
     return 0
 
 
+def _bit_list(flag: str, text: str) -> tuple[int, ...]:
+    try:
+        bits = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ConfigError(f"{flag} needs comma-separated integers, got {text!r}") from None
+    if min(bits) < 0:
+        raise ConfigError(f"{flag} needs non-negative bit counts, got {text!r}")
+    return bits
+
+
 def cmd_scale(args) -> int:
     config = _config_from_args(args)
-    search_bits = tuple(int(x) for x in args.search_bits.split(","))
-    counting_bits = tuple(int(x) for x in args.counting_bits.split(","))
+    search_bits = _bit_list("--search-bits", args.search_bits)
+    counting_bits = _bit_list("--counting-bits", args.counting_bits)
     rows = run_scaling_report(config, search_bits, counting_bits, seeds=args.seeds)
     out = Path(config.out_dir)
     write_scale_csv(out / "scale.csv", rows)

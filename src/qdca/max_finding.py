@@ -123,6 +123,13 @@ class ExactCounter:
         return int(self.counts[x])
 
 
+def threshold_pass_cost(subkey_bits: int, init_width: int, counting_cost: int) -> int:
+    """Steps a threshold pass is charged before its search: two subkey
+    registers and the counting register initialized, then one counting, one
+    oracle and one observation run."""
+    return 2 * subkey_bits + init_width + 3 * counting_cost
+
+
 def oracle_o1(x: int, y: int, counter) -> int:
     """f(x, y): 1 iff the counted value of x strictly exceeds that of y."""
     return int(counter.count(x) > counter.count(y))
@@ -132,7 +139,6 @@ def oracle_o1(x: int, y: int, counter) -> int:
 class SearchOutcome:
     found: int | None
     iterations: int
-    reinits: int
     measurements: int
 
 
@@ -152,9 +158,9 @@ def grover_search_marked(marked, subkey_bits: int,
     marked = np.asarray(marked, dtype=bool)
     if marked.size != K:
         raise ValueError("marked table size must be 2**subkey_bits")
-    iterations = reinits = measurements = 0
+    iterations = measurements = 0
     if K == 1:
-        return SearchOutcome(0 if marked[0] else None, 0, 0, 0)
+        return SearchOutcome(0 if marked[0] else None, 0, 0)
     reg = Register("subkey", 0, subkey_bits)
     max_measurements = 4 * math.ceil(4.5 * math.sqrt(K))
     m_cap = 1.0
@@ -166,16 +172,15 @@ def grover_search_marked(marked, subkey_bits: int,
             stages.init += subkey_bits
             stages.search += j + 1
         state = StateVector.uniform(subkey_bits)
-        reinits += 1
         for _ in range(j):
             grover_iteration(state, reg, marked)
         iterations += j
         outcome = state.measure(reg, rng)
         measurements += 1
         if marked[outcome]:
-            return SearchOutcome(outcome, iterations, reinits, measurements)
+            return SearchOutcome(outcome, iterations, measurements)
         m_cap = min(SEARCH_GROWTH_FACTOR * m_cap, math.sqrt(K))
-    return SearchOutcome(None, iterations, reinits, measurements)
+    return SearchOutcome(None, iterations, measurements)
 
 
 @dataclass
@@ -220,6 +225,12 @@ def find_max_subkey(counter, subkey_bits: int, config: MaxFindingConfig,
         return MaxFindingResult(0, ThresholdState(0, r0, [(0, r0)]), stages,
                                 budget, 0, trace)
 
+    pass_fixed_cost = threshold_pass_cost(subkey_bits, counter.init_width,
+                                          counter.counting_cost)
+    if budget.limit < subkey_bits + pass_fixed_cost:
+        raise ValueError(f"budget limit {budget.limit} cannot pay for the initial "
+                         f"threshold and one pass ({subkey_bits + pass_fixed_cost} steps)")
+
     # random initial threshold: prepared by measuring a uniform subkey register
     y = int(rng.integers(K))
     if budget.try_charge(subkey_bits):
@@ -230,8 +241,6 @@ def find_max_subkey(counter, subkey_bits: int, config: MaxFindingConfig,
     loop = 0
     search_steps_to_max = 0
     while True:
-        pass_fixed_cost = ((2 * subkey_bits + counter.init_width)
-                           + 3 * counter.counting_cost)
         if not budget.try_charge(pass_fixed_cost):
             break
         stages.init += 2 * subkey_bits + counter.init_width

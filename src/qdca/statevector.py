@@ -9,6 +9,12 @@ transforms (the predicates are classical), not synthesized to elementary
 gates; the inverse Fourier transform IS applied gate by gate so its gate
 count can be reported exactly.
 
+Every gate addresses amplitudes through a reshaped view of the state, with
+the register on one axis; under an external control (the phase-estimation
+ladder) each control qubit's axis is fixed at |1>, so only that branch is
+in the view. The Fourier transform and measurement refuse an external
+control.
+
 A StateVector is owned by one execution context while it mutates.
 Measurement probabilities are accumulated in a fixed reduction order, so
 seeded runs are bit-reproducible.
@@ -16,7 +22,6 @@ seeded runs are bit-reproducible.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -78,10 +83,6 @@ class GateCounters:
     qft_gates: int = 0
     phase_gates: int = 0
 
-    def snapshot(self) -> "GateCounters":
-        return GateCounters(self.oracle_calls, self.diffusion_calls,
-                            self.qft_gates, self.phase_gates)
-
 
 class StateVector:
     """2**q complex amplitudes with a norm-preservation invariant."""
@@ -94,7 +95,6 @@ class StateVector:
         self.amps[0] = 1.0
         self.counters = GateCounters()
         self._controls: list[int] = []
-        self._idx = np.arange(1 << num_qubits)
 
     @classmethod
     def uniform(cls, num_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> "StateVector":
@@ -130,16 +130,28 @@ class StateVector:
             if c in reg.qubits:
                 raise ValueError(f"register {reg.name!r} overlaps control qubit {c}")
 
-    def _control_mask(self):
-        if not self._controls:
-            return None
-        mask = np.ones(self.amps.size, dtype=bool)
-        for c in self._controls:
-            mask &= (self._idx >> c) & 1 == 1
-        return mask
+    def _refuse_controls(self, what: str):
+        if self._controls:
+            raise ValueError(f"{what} under an external control is not supported")
 
-    def _register_values(self, reg: Register) -> np.ndarray:
-        return (self._idx >> reg.offset) & (reg.size - 1)
+    def _reg_view(self, reg: Register) -> tuple[np.ndarray, int]:
+        """A view of the amplitudes whose control qubits are all |1>, with the
+        register on one axis; returns (view, register axis)."""
+        if not self._controls:
+            high = 1 << (self.num_qubits - reg.offset - reg.width)
+            return self.amps.reshape(high, reg.size, 1 << reg.offset), 1
+        # one axis per run of qubits between cuts, most significant first
+        cuts = {0, self.num_qubits, reg.offset, reg.offset + reg.width}
+        for c in self._controls:
+            cuts |= {c, c + 1}
+        bounds = sorted(cuts, reverse=True)
+        shape, index = [], []
+        for hi, lo in zip(bounds, bounds[1:]):
+            if lo == reg.offset:
+                axis = index.count(slice(None))
+            shape.append(1 << (hi - lo))
+            index.append(1 if lo in self._controls else slice(None))
+        return self.amps.reshape(shape)[tuple(index)], axis
 
     @staticmethod
     def _predicate_table(reg: Register, pred) -> np.ndarray:
@@ -157,11 +169,8 @@ class StateVector:
         satisfies pred (a callable on [0, 2**width) or a boolean table)."""
         self._check_register(reg)
         table = self._predicate_table(reg, pred)
-        sel = table[self._register_values(reg)]
-        cm = self._control_mask()
-        if cm is not None:
-            sel &= cm
-        self.amps[sel] *= -1.0
+        view, axis = self._reg_view(reg)
+        view[(slice(None),) * axis + (table,)] *= -1.0
         self.counters.oracle_calls += 1
         self._assert_norm()
 
@@ -169,30 +178,16 @@ class StateVector:
         """Multiply satisfying basis states by exp(i*angle)."""
         self._check_register(reg)
         table = self._predicate_table(reg, pred)
-        sel = table[self._register_values(reg)]
-        cm = self._control_mask()
-        if cm is not None:
-            sel &= cm
-        self.amps[sel] *= np.exp(1j * angle)
+        view, axis = self._reg_view(reg)
+        view[(slice(None),) * axis + (table,)] *= np.exp(1j * angle)
         self.counters.phase_gates += 1
         self._assert_norm()
-
-    def _reg_view(self, reg: Register) -> np.ndarray:
-        high = 1 << (self.num_qubits - reg.offset - reg.width)
-        low = 1 << reg.offset
-        return self.amps.reshape(high, reg.size, low)
 
     def apply_diffusion(self, reg: Register):
         """Inversion about the register's uniform state: 2|u><u| - I."""
         self._check_register(reg)
-        view = self._reg_view(reg)
-        cm = self._control_mask()
-        if cm is None:
-            view[...] = 2.0 * view.mean(axis=1, keepdims=True) - view
-        else:
-            mask = cm.reshape(view.shape)[:, :1, :]
-            reflected = 2.0 * view.mean(axis=1, keepdims=True) - view
-            view[...] = np.where(mask, reflected, view)
+        view, axis = self._reg_view(reg)
+        view[...] = 2.0 * view.mean(axis=axis, keepdims=True) - view
         self.counters.diffusion_calls += 1
         self._assert_norm()
 
@@ -223,14 +218,8 @@ class StateVector:
         a0 = view[:, 0, :].copy()
         a1 = view[:, 1, :]
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        cm = self._control_mask()
-        if cm is None:
-            view[:, 0, :] = (a0 + a1) * inv_sqrt2
-            view[:, 1, :] = (a0 - a1) * inv_sqrt2
-        else:
-            mask = cm.reshape(high, 2, 1 << qubit)[:, 0, :]
-            view[:, 0, :] = np.where(mask, (a0 + a1) * inv_sqrt2, view[:, 0, :])
-            view[:, 1, :] = np.where(mask, (a0 - a1) * inv_sqrt2, view[:, 1, :])
+        view[:, 0, :] = (a0 + a1) * inv_sqrt2
+        view[:, 1, :] = (a0 - a1) * inv_sqrt2
         if counted:
             self.counters.qft_gates += 1
 
@@ -242,18 +231,11 @@ class StateVector:
                                  1 << (hi - lo - 1), 2, 1 << lo)
 
     def _controlled_phase(self, qa: int, qb: int, angle: float, counted: bool):
-        if self._controls:
-            sel = ((self._idx >> qa) & 1 == 1) & ((self._idx >> qb) & 1 == 1)
-            sel &= self._control_mask()
-            self.amps[sel] *= np.exp(1j * angle)
-        else:
-            self._pair_view(qa, qb)[:, 1, :, 1, :] *= np.exp(1j * angle)
+        self._pair_view(qa, qb)[:, 1, :, 1, :] *= np.exp(1j * angle)
         if counted:
             self.counters.qft_gates += 1
 
     def _swap(self, qa: int, qb: int, counted: bool):
-        if self._controls:
-            raise ValueError("swap under external control is not supported")
         view = self._pair_view(qa, qb)
         tmp = view[:, 1, :, 0, :].copy()
         view[:, 1, :, 0, :] = view[:, 0, :, 1, :]
@@ -268,6 +250,7 @@ class StateVector:
         + floor(width/2) swaps.
         """
         self._check_register(reg)
+        self._refuse_controls("the Fourier transform")
         qs = list(reg.qubits)
         t = len(qs)
         ops = []
@@ -302,7 +285,8 @@ class StateVector:
     def probabilities(self, reg: Register) -> np.ndarray:
         """Marginal outcome distribution of the register (no collapse)."""
         self._check_register(reg)
-        view = self._reg_view(reg)
+        self._refuse_controls("reading the register")
+        view, _ = self._reg_view(reg)
         return np.einsum("irj,irj->r", view, view.conj()).real
 
     def measure(self, reg: Register, rng: np.random.Generator) -> int:
@@ -312,26 +296,12 @@ class StateVector:
         probs = self.probabilities(reg)
         total = probs.sum()
         outcome = int(rng.choice(reg.size, p=probs / total))
-        sel = self._register_values(reg) != outcome
         p_outcome = probs[outcome]
         if p_outcome <= 0:
             raise CorruptedStateError("sampled zero-probability outcome")
-        self.amps[sel] = 0.0
+        view, _ = self._reg_view(reg)
+        view[:, :outcome] = 0.0
+        view[:, outcome + 1:] = 0.0
         self.amps /= math.sqrt(p_outcome)
         self._assert_norm()
         return outcome
-
-    # ---- debugging -------------------------------------------------------
-
-    def write_amplitudes_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("# schema=amplitudes-v1\n")
-            w = csv.writer(fh)
-            w.writerow(["index", "re", "im"])
-            for i, a in enumerate(self.amps):
-                w.writerow([i, f"{a.real:.17g}", f"{a.imag:.17g}"])
-
-
-def new_uniform(num_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
-    """Equal-superposition initialization (H on every qubit of |0...0>)."""
-    return StateVector.uniform(num_qubits, max_qubits)

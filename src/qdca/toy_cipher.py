@@ -261,10 +261,6 @@ def gen_pairs(cipher: ToyCipher, key: int, plaintext_diff: int, index_bits: int)
     return PairSet(index_bits, plaintext_diff, entries)
 
 
-def expected_output_difference(ch: Characteristic, ct_pair: tuple[int, int]) -> int:
-    return ch.expected_difference(ct_pair)
-
-
 def _split_subkey(ch: Characteristic, x: int) -> dict[int, int]:
     # 4 bits of x per active S-box, lowest position first
     out = {}

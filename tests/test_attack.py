@@ -25,6 +25,7 @@ from qdca.cli import main
     dict(expected_steps=0),
     dict(expected_steps=-5),
     dict(accuracy_bits=20),   # t+n+1 = 30 simulated qubits
+    dict(confidence=1, expected_steps=1),   # budget 2 < one threshold pass
 ])
 def test_config_validation(bad):
     with pytest.raises(ConfigError):
@@ -241,6 +242,10 @@ def test_cli_rejects_bad_config(tmp_path):
     ["scale", "--seeds", "0"],
     ["bound", "-M", "-1"],
     ["bound", "-M", "8", "-N", "0"],
+    ["attack", "-c", "1", "--expected-steps", "1", "--trials", "1"],
+    ["scale", "--search-bits", "x"],
+    ["scale", "--search-bits", "-1"],
+    ["scale", "--counting-bits", "0"],
 ])
 def test_cli_out_of_range_arguments_are_config_errors(argv, tmp_path, capsys):
     if argv[0] != "bound":

@@ -81,14 +81,3 @@ def test_true_count_tracks_signal_across_keys(cipher):
         diffs.append(count - pairs.num_pairs * ch.probability)
     assert len(diffs) >= 20
     assert abs(np.mean(diffs)) < 1.0
-
-
-def test_count_table_csv(tmp_path, cipher, planted):
-    _, ch, pairs, _ = planted
-    _, table = classical_attack(pairs, cipher, ch)
-    path = tmp_path / "table.csv"
-    table.write_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# schema=counts-table-v1"
-    assert lines[1] == "subkey_hex,count"
-    assert lines[2] == "00,8"

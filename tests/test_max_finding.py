@@ -118,6 +118,21 @@ def test_default_budget_formula(planted):
     assert exact_budget.expected_steps == math.ceil(22.5 * 4)
 
 
+def test_budget_below_one_pass_refused_before_any_count(planted):
+    # limit 2 cannot pay for the threshold (4) plus one pass (8 + 3 counting runs)
+    _, _, _, ctx = planted
+    counter = QuantumCounter(ctx, CountingParams.default(6), _rng(4))
+    rng = _rng(4, 1)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="cannot pay"):
+        find_max_subkey(counter, 4, MaxFindingConfig(confidence=1, expected_steps=1), rng)
+    assert counter.invocations == 0 and not counter.estimates
+    assert rng.bit_generator.state == state
+    need = 4 + 8 + counter.init_width + 3 * counter.counting_cost
+    res = find_max_subkey(counter, 4, MaxFindingConfig(1, math.ceil(need / 2)), rng)
+    assert res.loop_iterations == 1 and res.budget.spent <= res.budget.limit
+
+
 def test_threshold_state_rejects_non_increasing():
     state = ThresholdState(0, 2, [(0, 2)])
     state.accept(3, 5)

@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from qdca.statevector import (CorruptedStateError, Register, RegisterMap,
-                              StateVector, new_uniform)
+from qdca.statevector import CorruptedStateError, Register, RegisterMap, StateVector
 
 
 def test_uniform_one_qubit():
-    s = new_uniform(1)
+    s = StateVector.uniform(1)
     assert np.allclose(s.amps, [1 / math.sqrt(2)] * 2)
 
 
 def test_uniform_three_qubits_normalized():
-    s = new_uniform(3)
+    s = StateVector.uniform(3)
     assert np.allclose(s.amps, [1 / math.sqrt(8)] * 8)
     assert abs(s.norm_squared() - 1.0) < 1e-12
 
@@ -24,7 +23,7 @@ def test_uniform_measurement_frequencies():
     rng = np.random.default_rng(424242)
     counts = np.zeros(4, dtype=int)
     for _ in range(10_000):
-        s = new_uniform(2)
+        s = StateVector.uniform(2)
         counts[s.measure(reg, rng)] += 1
     sigma = math.sqrt(10_000 * 0.25 * 0.75)
     assert np.all(np.abs(counts - 2500) <= 3 * sigma)
@@ -44,7 +43,7 @@ def test_qubit_count_bounds():
 
 
 def test_oracle_always_false_is_identity():
-    s = new_uniform(3)
+    s = StateVector.uniform(3)
     before = s.amps.copy()
     s.apply_phase_oracle(Register("r", 0, 3), lambda v: False)
     assert np.array_equal(s.amps, before)
@@ -52,7 +51,7 @@ def test_oracle_always_false_is_identity():
 
 def test_oracle_is_involution():
     reg = Register("r", 0, 3)
-    s = new_uniform(3)
+    s = StateVector.uniform(3)
     before = s.amps.copy()
     marked = np.array([v % 3 == 0 for v in range(8)])
     s.apply_phase_oracle(reg, marked)
@@ -62,14 +61,14 @@ def test_oracle_is_involution():
 
 
 def test_oracle_marks_single_index():
-    s = new_uniform(2)
+    s = StateVector.uniform(2)
     s.apply_phase_oracle(Register("r", 0, 2), lambda v: v == 3)
     assert np.allclose(s.amps, [0.5, 0.5, 0.5, -0.5])
 
 
 def test_oracle_acts_on_subregister():
     # marking value 1 of the low 1-bit register flips every odd index
-    s = new_uniform(3)
+    s = StateVector.uniform(3)
     s.apply_phase_oracle(Register("low", 0, 1), lambda v: v == 1)
     signs = np.sign(s.amps.real)
     assert np.array_equal(signs, [1, -1, 1, -1, 1, -1, 1, -1])
@@ -79,7 +78,7 @@ def test_oracle_acts_on_subregister():
 
 
 def test_diffusion_fixes_uniform_state():
-    s = new_uniform(3)
+    s = StateVector.uniform(3)
     before = s.amps.copy()
     s.apply_diffusion(Register("r", 0, 3))
     assert np.allclose(s.amps, before, atol=1e-12)
@@ -128,7 +127,7 @@ def test_controlled_unitary_zero_control_branch_unchanged():
 
 
 def test_controlled_power_one_equals_conditioned_oracle():
-    s = new_uniform(2)
+    s = StateVector.uniform(2)
     reg = Register("t", 0, 1)
     s.apply_controlled_unitary_power(1, lambda sv: sv.apply_phase_oracle(reg, lambda v: v == 1), 1)
     # only |11> picks up the sign
@@ -139,7 +138,7 @@ def test_controlled_power_one_equals_conditioned_oracle():
 def test_controlled_phase_kickback(power):
     # eigenphase pi/4: control |+> accumulates e^{i pi/4 power} on its |1> branch
     reg = Register("t", 0, 1)
-    s = new_uniform(2)
+    s = StateVector.uniform(2)
 
     def u(sv):
         sv.apply_conditional_phase(reg, lambda v: True, math.pi / 4)
@@ -150,7 +149,7 @@ def test_controlled_phase_kickback(power):
 
 
 def test_controlled_power_validation():
-    s = new_uniform(2)
+    s = StateVector.uniform(2)
     with pytest.raises(ValueError):
         s.apply_controlled_unitary_power(0, lambda sv: None, 3)
     with pytest.raises(ValueError):
@@ -158,7 +157,7 @@ def test_controlled_power_validation():
 
 
 def test_register_overlapping_control_rejected():
-    s = new_uniform(3)
+    s = StateVector.uniform(3)
     reg = Register("r", 0, 2)
 
     def u(sv):
@@ -166,6 +165,81 @@ def test_register_overlapping_control_rejected():
 
     with pytest.raises(ValueError):
         s.apply_controlled_unitary_power(1, u, 1)  # control inside reg
+
+
+def _controls_on(size, controls):
+    idx = np.arange(size)
+    on = np.ones(size, dtype=bool)
+    for c in controls:
+        on &= (idx >> c) & 1 == 1
+    return on
+
+
+def _mask_phase(amps, reg, controls, table, factor):
+    # index-mask oracle: scale the marked values of reg where every control is |1>
+    values = (np.arange(amps.size) >> reg.offset) & (reg.size - 1)
+    out = amps.copy()
+    out[_controls_on(amps.size, controls) & table[values]] *= factor
+    return out
+
+
+def _mask_diffusion(amps, reg, controls):
+    # index-mask oracle: 2*mean - a over each group of indices that differ
+    # only in reg, where every control is |1>
+    rest = np.arange(amps.size) & ~((reg.size - 1) << reg.offset)
+    means = (np.bincount(rest, amps.real, amps.size)
+             + 1j * np.bincount(rest, amps.imag, amps.size)) / reg.size
+    on = _controls_on(amps.size, controls)
+    out = amps.copy()
+    out[on] = 2.0 * means[rest][on] - amps[on]
+    return out
+
+
+def _under_controls(state, controls, gate):
+    if not controls:
+        gate(state)
+        return
+    state.apply_controlled_unitary_power(
+        controls[0], lambda sv: _under_controls(sv, controls[1:], gate), 1)
+
+
+@pytest.mark.parametrize("reg, controls", [
+    (Register("r", 1, 3), (5,)),      # control above the register
+    (Register("r", 2, 3), (0,)),      # control below it
+    (Register("r", 1, 2), (5, 0)),    # nested: one above, one below
+    (Register("r", 0, 3), (5, 4)),    # nested, adjacent, both above
+    (Register("r", 3, 3), (1, 0)),    # nested, adjacent, both below
+])
+def test_controlled_gates_match_index_masks(reg, controls):
+    rng = np.random.default_rng(60 + reg.offset + sum(controls))
+    for _ in range(3):
+        amps = _random_state(rng, 6)
+        table = rng.random(reg.size) < 0.5
+        angle = float(rng.uniform(-math.pi, math.pi))
+        cases = [
+            (lambda sv: sv.apply_phase_oracle(reg, table),
+             _mask_phase(amps, reg, controls, table, -1.0)),
+            (lambda sv: sv.apply_conditional_phase(reg, table, angle),
+             _mask_phase(amps, reg, controls, table, np.exp(1j * angle))),
+            (lambda sv: sv.apply_diffusion(reg), _mask_diffusion(amps, reg, controls)),
+        ]
+        for gate, expect in cases:
+            s = StateVector.from_amplitudes(amps)
+            _under_controls(s, controls, gate)
+            np.testing.assert_allclose(s.amps, expect, rtol=0, atol=1e-15)
+
+
+def test_fourier_transform_and_measurement_refuse_an_external_control():
+    reg = Register("r", 0, 2)
+    rng = np.random.default_rng(11)
+    for op in (lambda sv: sv.inverse_qft(reg), lambda sv: sv.forward_qft(reg),
+               lambda sv: sv.probabilities(reg), lambda sv: sv.measure(reg, rng)):
+        s = StateVector.uniform(3)
+        before = s.amps.copy()
+        with pytest.raises(ValueError, match="external control"):
+            s.apply_controlled_unitary_power(2, op, 1)
+        assert np.array_equal(s.amps, before) and s.counters.qft_gates == 0
+        s.inverse_qft(reg)  # the control is released after the refusal
 
 
 # ---- Fourier transforms ------------------------------------------------------
@@ -217,11 +291,9 @@ def test_inverse_qft_recovers_fourier_basis_phase():
     assert probs[3] > 1 - 1e-12
 
 
-def _mask_controlled_phase(amps, qa, qb, angle, control=None):
+def _mask_controlled_phase(amps, qa, qb, angle):
     idx = np.arange(amps.size)
     sel = ((idx >> qa) & 1 == 1) & ((idx >> qb) & 1 == 1)
-    if control is not None:
-        sel &= (idx >> control) & 1 == 1
     out = amps.copy()
     out[sel] *= np.exp(1j * angle)
     return out
@@ -259,20 +331,9 @@ def test_pair_gates_bit_identical_to_masked_versions(q):
             assert np.array_equal(s.amps, _mask_swap(amps, qa, qb))
 
 
-def test_controlled_phase_under_external_control_keeps_mask_path():
-    rng = np.random.default_rng(7)
-    amps = _random_state(rng, 4)
-    s = StateVector.from_amplitudes(amps)
-    s.apply_controlled_unitary_power(
-        3, lambda sv: sv._controlled_phase(0, 2, 0.7, counted=False), 1)
-    assert np.array_equal(s.amps, _mask_controlled_phase(amps, 0, 2, 0.7, control=3))
-    with pytest.raises(ValueError):
-        s.apply_controlled_unitary_power(3, lambda sv: sv._swap(0, 2, counted=False), 1)
-
-
 def test_qft_gate_count_exact():
     for t in (1, 2, 3, 6, 8):
-        s = new_uniform(t)
+        s = StateVector.uniform(t)
         s.inverse_qft(Register("r", 0, t))
         assert s.counters.qft_gates == t * (t + 1) // 2 + t // 2
 
@@ -291,7 +352,7 @@ def test_measure_basis_state_certain():
 def test_measure_is_projective():
     reg = Register("low", 0, 2)
     rng = np.random.default_rng(9)
-    s = new_uniform(4)
+    s = StateVector.uniform(4)
     first = s.measure(reg, rng)
     for _ in range(3):
         assert s.measure(reg, rng) == first
@@ -304,7 +365,7 @@ def test_measure_seeded_replay():
         rng = np.random.default_rng(1234)
         run = []
         for _ in range(20):
-            s = new_uniform(2)
+            s = StateVector.uniform(2)
             run.append(s.measure(reg, rng))
         outcomes.append(run)
     assert outcomes[0] == outcomes[1]
@@ -312,7 +373,7 @@ def test_measure_seeded_replay():
 
 def test_measure_collapses_and_renormalizes():
     reg = Register("low", 0, 1)
-    s = new_uniform(3)
+    s = StateVector.uniform(3)
     outcome = s.measure(reg, np.random.default_rng(3))
     values = (np.arange(8) >> 0) & 1
     assert np.allclose(np.abs(s.amps[values != outcome]), 0)
@@ -320,14 +381,14 @@ def test_measure_collapses_and_renormalizes():
 
 
 def test_measure_corrupted_state_rejected():
-    s = new_uniform(2)
+    s = StateVector.uniform(2)
     s.amps[:] = 0
     with pytest.raises(CorruptedStateError):
         s.measure(Register("r", 0, 2), np.random.default_rng(0))
 
 
 def test_gate_norm_check_catches_drift():
-    s = new_uniform(2)
+    s = StateVector.uniform(2)
     s.amps *= 2.0
     with pytest.raises(CorruptedStateError):
         s.apply_phase_oracle(Register("r", 0, 2), lambda v: True)
@@ -347,7 +408,7 @@ def test_register_map_layout():
 
 
 def test_register_outside_state_rejected():
-    s = new_uniform(2)
+    s = StateVector.uniform(2)
     with pytest.raises(ValueError):
         s.apply_diffusion(Register("big", 0, 3))
 
@@ -358,12 +419,3 @@ def test_from_amplitudes_validates():
     with pytest.raises(CorruptedStateError):
         StateVector.from_amplitudes([0.5, 0.5, 0.5, 0.5 + 0.3])
 
-
-def test_amplitude_csv_dump(tmp_path):
-    s = new_uniform(2)
-    path = tmp_path / "amps.csv"
-    s.write_amplitudes_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# schema=amplitudes-v1"
-    assert len(lines) == 2 + 4
-    assert float(lines[2].split(",")[1]) == pytest.approx(0.5)

@@ -3,13 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdca.toy_cipher import (Characteristic, CiphertextDependentDifference,
                              ConstantDifference, PairSet, ToyCipher,
                              cipher_from_dict, characteristic_from_dict,
                              default_characteristic,
                              difference_distribution_table,
-                             expected_output_difference, find_characteristic,
+                             find_characteristic,
                              gen_pairs, is_right_pair, make_characteristic,
                              measure_probability, right_pair_table, rotl,
                              true_subkey, DEFAULT_PLANTED_KEY, DEFAULT_SBOX)
@@ -54,6 +55,23 @@ def test_encrypt_decrypt_roundtrip_all_blocks(cipher):
     for key in (0x00, 0x09, 0x42, 0xA5, 0xFF):
         pts = np.arange(256)
         assert np.array_equal(cipher.decrypt(key, cipher.encrypt(key, pts)), pts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), width=st.sampled_from([4, 8, 12]),
+       sbox=st.permutations(range(16)), rounds=st.integers(1, 6),
+       schedule=st.sampled_from(["rotate", "zero"]))
+def test_encrypt_decrypt_roundtrip_random_spn(data, width, sbox, rounds, schedule):
+    pbox = data.draw(st.permutations(range(width)))
+    c = ToyCipher(sbox=tuple(sbox), pbox=tuple(pbox), rounds=rounds,
+                  key_schedule=schedule, block_width=width)
+    key = data.draw(st.integers(0, c.block_size - 1))
+    pts = np.arange(c.block_size)
+    cts = c.encrypt(key, pts)
+    assert np.array_equal(np.sort(cts), pts)  # a permutation of the block space
+    assert np.array_equal(c.decrypt(key, cts), pts)
+    pt = data.draw(st.integers(0, c.block_size - 1))
+    assert c.decrypt(key, c.encrypt(key, pt)) == pt
 
 
 def test_single_round_zero_schedule_is_sbox_layer():
@@ -130,8 +148,8 @@ def test_planted_count_in_binomial_central_range(cipher, planted):
 
 def test_constant_expression_ignores_ciphertexts(planted):
     _, ch, _, _ = planted
-    d1 = expected_output_difference(ch, (0x12, 0x34))
-    d2 = expected_output_difference(ch, (0xAB, 0xCD))
+    d1 = ch.expected_difference((0x12, 0x34))
+    d2 = ch.expected_difference((0xAB, 0xCD))
     assert d1 == d2 == ch.expr.delta
 
 
@@ -139,7 +157,7 @@ def test_ciphertext_dependent_expression():
     expr = CiphertextDependentDifference(mask=0x3)
     ch = Characteristic(0x0B, expr, 0.5, active_sboxes=(0,))
     # left half of (0xF0 ^ 0x0F) = 0xF, masked with 0x3
-    assert expected_output_difference(ch, (0xF0, 0x0F)) == 0xC
+    assert ch.expected_difference((0xF0, 0x0F)) == 0xC
 
 
 def test_characteristic_validation():
@@ -177,6 +195,33 @@ def test_right_pair_table_agrees_with_scalar(cipher, planted):
         assert len(table) == 2 * pairs.num_pairs
         for j in range(2 * pairs.num_pairs):
             assert bool(table[j]) == bool(is_right_pair(cipher, ch, x, j, pairs))
+
+
+@st.composite
+def _characteristics(draw):
+    nibble = st.integers(1, 15)
+    if draw(st.booleans()):
+        active = tuple(sorted(draw(st.sets(st.integers(0, 1), min_size=1))))
+        delta = sum(draw(nibble) << (4 * pos) for pos in active)
+        expr = ConstantDifference(delta)
+    else:
+        active = (draw(st.integers(0, 1)),)
+        expr = CiphertextDependentDifference(draw(st.integers(0, 15)))
+    return Characteristic(draw(st.integers(1, 255)), expr, 0.5, active)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), sbox=st.permutations(range(16)),
+       pbox=st.permutations(range(8)), key=st.integers(0, 255),
+       index_bits=st.integers(1, 5), ch=_characteristics())
+def test_right_pair_table_agrees_with_scalar_on_random_instances(
+        data, sbox, pbox, key, index_bits, ch):
+    c = ToyCipher(sbox=tuple(sbox), pbox=tuple(pbox))
+    pairs = gen_pairs(c, key, ch.plaintext_diff, index_bits)
+    x = data.draw(st.integers(0, (1 << ch.subkey_bits) - 1))
+    table = right_pair_table(c, ch, x, pairs)
+    scalar = [is_right_pair(c, ch, x, j, pairs) for j in range(2 * pairs.num_pairs)]
+    assert table.tolist() == [bool(e) for e in scalar]
 
 
 def test_right_pair_status_invariant_under_pair_swap(cipher, planted):

@@ -1,10 +1,11 @@
 """Seeded CLI outputs pinned byte for byte.
 
 The files under tests/fixtures/golden/ were written by the gate-by-gate
-counting circuit before the factored kernel replaced it. Any change to the
-counting kernel, the search or the CSV writers that alters a single output
-byte fails here, while the determinism check (two runs of the same code)
-would not notice.
+counting circuit before the factored kernel replaced it; the n = 8 runs
+(attack_k4n8, count_n8) by the factored kernel before the phase estimation
+was reduced to the two index classes. Any change to the counting kernel, the
+search or the CSV writers that alters a single output byte fails here, while
+the determinism check (two runs of the same code) would not notice.
 """
 
 from pathlib import Path
@@ -21,6 +22,9 @@ RUNS = {
     "both_n5": (["attack", "--mode", "both", "-n", "5", "--trials", "4",
                  "--master-seed", "99"], ("results.csv", "trace.csv")),
     "count_n6": (["count", "-n", "6"], ("counts.csv",)),
+    "attack_k4n8": (["attack", "-k", "4", "-n", "8", "-c", "4", "--trials", "3",
+                     "--master-seed", "2024"], ("results.csv", "trace.csv")),
+    "count_n8": (["count", "-n", "8"], ("counts.csv",)),
 }
 
 

@@ -154,13 +154,13 @@ def grover_search_marked(marked, subkey_bits: int,
     Grover iterations plus one step for the query that verifies the measured
     item. Returns the found marked item or None.
     """
+    if subkey_bits < 1:
+        raise ValueError("search needs at least one subkey bit")
     K = 1 << subkey_bits
     marked = np.asarray(marked, dtype=bool)
     if marked.size != K:
         raise ValueError("marked table size must be 2**subkey_bits")
     iterations = measurements = 0
-    if K == 1:
-        return SearchOutcome(0 if marked[0] else None, 0, 0)
     reg = Register("subkey", 0, subkey_bits)
     max_measurements = 4 * math.ceil(4.5 * math.sqrt(K))
     m_cap = 1.0
@@ -216,15 +216,12 @@ class MaxFindingResult:
 def find_max_subkey(counter, subkey_bits: int, config: MaxFindingConfig,
                     rng: np.random.Generator) -> MaxFindingResult:
     """The full threshold loop; returns the final threshold subkey."""
+    if subkey_bits < 1:
+        raise ValueError("maximum finding needs at least one subkey bit")
     K = 1 << subkey_bits
     stages = StageSteps()
     budget = config.budget_for(subkey_bits, counter)
     trace: list[dict] = []
-    if K == 1:
-        r0 = counter.count(0)
-        return MaxFindingResult(0, ThresholdState(0, r0, [(0, r0)]), stages,
-                                budget, 0, trace)
-
     pass_fixed_cost = threshold_pass_cost(subkey_bits, counter.init_width,
                                           counter.counting_cost)
     if budget.limit < subkey_bits + pass_fixed_cost:

@@ -13,10 +13,19 @@ parameter cuts the simulated width to t+n+1 qubits. A fully coherent mode
 The controlled-G ladder is factored: the phase register starts uniform and G
 acts on the index register alone, so the state after the ladder is
 sum_b |b> (x) G^b|psi0> / sqrt(2**t). G therefore runs 2**t - 1 times on the
-(n+1)-qubit index vector, each power written into its column of the full
-state, and the inverse Fourier transform then runs gate by gate on the full
-state. The gate-by-gate controlled ladder is kept as
-``reference_counting_distribution``, the oracle the kernel is tested against.
+(n+1)-qubit index vector, each power G^b|psi0> stored as row b of a (T, 2N)
+array, which has the size of the unreduced t+n+1-qubit state.
+
+The inverse Fourier transform runs gate by gate on t+1 qubits. G keeps the
+uniform start inside the span of |u_M> and |u_U>, the uniform states over the
+M marked and the 2N - M unmarked indices (Brassard-Hoyer-Mosca-Tapp,
+quant-ph/0005055), so every power holds one amplitude per class. After
+checking that exactly, the kernel builds |0> (x) sum_b sqrt((2N-M)/T) u_b|b>
++ |1> (x) sum_b sqrt(M/T) m_b|b>. The full state is its image under the
+isometry |0> -> |u_U>, |1> -> |u_M>, and the transform acts on the phase
+register alone, so the phase outcome distribution is unchanged. The
+gate-by-gate controlled ladder is kept as ``reference_counting_distribution``,
+the oracle the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -26,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevector import DEFAULT_MAX_QUBITS, Register, RegisterMap, StateVector
+from .statevector import (DEFAULT_MAX_QUBITS, CorruptedStateError, Register, RegisterMap,
+                          StateVector)
 from .toy_cipher import AttackContext
 
 COHERENT_MAX_SUBKEY_BITS = 2
@@ -135,22 +145,38 @@ def _registers(marked: np.ndarray, params: CountingParams) -> RegisterMap:
 
 def _counting_circuit(marked: np.ndarray,
                       params: CountingParams) -> tuple[StateVector, Register, int]:
-    """Factored phase estimation; returns the state after the inverse QFT,
-    its phase register and the number of G gates the ladder applied."""
+    """Phase estimation reduced to the two index classes; returns the state
+    after the inverse QFT, its phase register and the number of G gates the
+    ladder applied."""
     regs = _registers(marked, params)
-    state = StateVector(regs.total_qubits)
+    phase_reg = regs["phase"]
     index_reg = Register("index", 0, params.index_bits + 1)
     index = StateVector.uniform(index_reg.width)
     T = 1 << params.phase_bits
-    # index major, phase minor: column b holds the amplitudes with phase value b
-    columns = state.amps.reshape(index_reg.size, T)
-    scale = 1.0 / math.sqrt(T)
-    np.multiply(index.amps, scale, out=columns[:, 0])
+    # row b holds G^b|psi0>
+    powers = np.empty((T, index_reg.size), dtype=np.complex128)
+    powers[0] = index.amps
     for b in range(1, T):
         grover_iteration(index, index_reg, marked)
-        np.multiply(index.amps, scale, out=columns[:, b])
-    state.inverse_qft(regs["phase"])
-    return state, regs["phase"], index.counters.oracle_calls
+        powers[b] = index.amps
+    is_marked = np.asarray(marked, dtype=bool)
+    # first member of each class; index 0 for an empty class, whose row is
+    # then scaled by zero
+    first_unmarked, first_marked = int(np.argmin(is_marked)), int(np.argmax(is_marked))
+    same_class = np.where(is_marked, powers == powers[:, first_marked, None],
+                          powers == powers[:, first_unmarked, None])
+    if not same_class.all():
+        raise CorruptedStateError("a Grover power is not constant on the marked "
+                                  "and unmarked index classes")
+    M = int(np.count_nonzero(is_marked))
+    state = StateVector(phase_reg.width + 1)
+    # class major, phase minor: row 0 the unmarked class, row 1 the marked one
+    rows = state.amps.reshape(2, T)
+    np.multiply(powers[:, first_unmarked], math.sqrt((index_reg.size - M) / T),
+                out=rows[0])
+    np.multiply(powers[:, first_marked], math.sqrt(M / T), out=rows[1])
+    state.inverse_qft(phase_reg)
+    return state, phase_reg, index.counters.oracle_calls
 
 
 def quantum_count(x: int, params: CountingParams, ctx: AttackContext,

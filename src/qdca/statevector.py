@@ -117,11 +117,12 @@ class StateVector:
     # ---- invariants ----------------------------------------------------
 
     def norm_squared(self) -> float:
-        return float(np.real(np.vdot(self.amps, self.amps)))
+        return np.vdot(self.amps, self.amps).real
 
     def _assert_norm(self):
-        if abs(self.norm_squared() - 1.0) > NORM_TOL:
-            raise CorruptedStateError(f"norm drift: |amps|^2 = {self.norm_squared()!r}")
+        norm = self.norm_squared()
+        if abs(norm - 1.0) > NORM_TOL:
+            raise CorruptedStateError(f"norm drift: |amps|^2 = {float(norm)!r}")
 
     def _check_register(self, reg: Register):
         if reg.offset < 0 or reg.offset + reg.width > self.num_qubits:
@@ -158,7 +159,7 @@ class StateVector:
         if isinstance(pred, np.ndarray):
             if pred.size != reg.size:
                 raise ValueError("predicate table length must be 2**width")
-            return pred.astype(bool)
+            return pred if pred.dtype == bool else pred.astype(bool)
         return np.fromiter((bool(pred(v)) for v in range(reg.size)),
                            dtype=bool, count=reg.size)
 
@@ -170,7 +171,8 @@ class StateVector:
         self._check_register(reg)
         table = self._predicate_table(reg, pred)
         view, axis = self._reg_view(reg)
-        view[(slice(None),) * axis + (table,)] *= -1.0
+        where = table.reshape((1,) * axis + (-1,) + (1,) * (view.ndim - axis - 1))
+        np.negative(view, out=view, where=where)
         self.counters.oracle_calls += 1
         self._assert_norm()
 
@@ -187,7 +189,10 @@ class StateVector:
         """Inversion about the register's uniform state: 2|u><u| - I."""
         self._check_register(reg)
         view, axis = self._reg_view(reg)
-        view[...] = 2.0 * view.mean(axis=axis, keepdims=True) - view
+        # 2*sum/size - view; bit-identical to 2*mean - view, as size is 2**width
+        total = view.sum(axis=axis, keepdims=True)
+        total *= 2.0 / reg.size
+        np.subtract(total, view, out=view)
         self.counters.diffusion_calls += 1
         self._assert_norm()
 

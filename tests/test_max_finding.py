@@ -143,11 +143,20 @@ def test_threshold_state_rejects_non_increasing():
 # ---- the full loop ----------------------------------------------------------------
 
 
-def test_single_candidate_returns_without_search():
-    res = find_max_subkey(ExactCounter([7]), 0, MaxFindingConfig(4), _rng(5))
-    assert res.subkey == 0
-    assert res.loop_iterations == 0
-    assert res.stages.search == 0
+def test_single_candidate_refused_before_any_count(planted):
+    # K = 1 has nothing to search: refused before any count or rng draw
+    _, _, _, ctx = planted
+    counter = QuantumCounter(ctx, CountingParams.default(6), _rng(4))
+    rng = _rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="at least one subkey bit"):
+        find_max_subkey(counter, 0, MaxFindingConfig(1, 1), rng)
+    assert counter.invocations == 0 and not counter.estimates
+    budget = SearchBudget(confidence=1, expected_steps=100)
+    with pytest.raises(ValueError, match="at least one subkey bit"):
+        grover_search_marked(np.ones(1, dtype=bool), 0, rng, budget)
+    assert budget.spent == 0
+    assert rng.bit_generator.state == state
 
 
 def test_exact_counts_recover_argmax_with_monotone_history(cipher, planted):

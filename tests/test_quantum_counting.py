@@ -11,7 +11,7 @@ from qdca.quantum_counting import (CountingParams, coherent_counting_distributio
                                    grover_iteration, profile_error_bound,
                                    qft_gate_budget, quantum_count,
                                    reference_counting_distribution)
-from qdca.statevector import Register, StateVector
+from qdca.statevector import CorruptedStateError, Register, StateVector
 from qdca.toy_cipher import true_subkey
 
 
@@ -244,6 +244,57 @@ def test_kernel_matches_reference_on_random_tables(n, m, seed, data):
     assert est.g_gate_count == (1 << t) - 1
     assert est.qft_gate_count == qft_gate_budget(t)
     assert kernel[est.raw_outcome] > 0
+
+
+# ---- phase estimation on the two index classes ----------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_class_reduction_with_an_empty_class_matches_reference(n):
+    # M = 0 leaves the marked row zero, all 2N marked leaves the unmarked row zero
+    params = CountingParams.default(n)
+    space = 1 << (n + 1)
+    for marked in (np.zeros(space, dtype=bool), np.ones(space, dtype=bool)):
+        np.testing.assert_allclose(counting_distribution(marked, params),
+                                   reference_counting_distribution(marked, params),
+                                   rtol=0, atol=1e-12)
+
+
+def test_integer_table_counts_like_its_bool_twin():
+    params = CountingParams.default(4)
+    twin = np.random.default_rng(400).random(32) < 0.3
+    table = twin.astype(np.int64)
+    kernel = counting_distribution(table, params)
+    np.testing.assert_allclose(kernel, reference_counting_distribution(table, params),
+                               rtol=0, atol=1e-12)
+    assert np.array_equal(kernel, counting_distribution(twin, params))
+    assert count_marked(table, params, _rng(9)) == count_marked(twin, params, _rng(9))
+
+
+def test_amplitude_off_its_class_is_refused_before_the_fourier_transform(monkeypatch):
+    # one marked amplitude turned by a small phase: the norm holds, the class breaks
+    gates = []
+
+    def perturbed_g(state, reg, marked):
+        grover_iteration(state, reg, marked)
+        state.amps[np.flatnonzero(marked)[0]] *= np.exp(1e-6j)
+
+    def recording_gate(name):
+        gate = getattr(StateVector, name)
+
+        def wrapper(self, *args, counted):
+            gates.append(name)
+            gate(self, *args, counted=counted)
+        return wrapper
+
+    monkeypatch.setattr(quantum_counting, "grover_iteration", perturbed_g)
+    for name in ("_hadamard", "_controlled_phase", "_swap"):
+        monkeypatch.setattr(StateVector, name, recording_gate(name))
+    marked = np.zeros(32, dtype=bool)
+    marked[[2, 9, 20]] = True
+    with pytest.raises(CorruptedStateError, match="index classes"):
+        count_marked(marked, CountingParams.default(4), _rng(13))
+    assert gates == []
 
 
 def test_gate_counts_are_observed_not_computed(monkeypatch):

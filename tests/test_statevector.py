@@ -229,6 +229,42 @@ def test_controlled_gates_match_index_masks(reg, controls):
             np.testing.assert_allclose(s.amps, expect, rtol=0, atol=1e-15)
 
 
+def _old_phase_oracle(sv, reg, table):
+    # the boolean fancy-index formula the oracle used before np.negative
+    view, axis = sv._reg_view(reg)
+    view[(slice(None),) * axis + (table,)] *= -1.0
+
+
+def _old_diffusion(sv, reg):
+    # the 2*mean - a formula the diffusion used before the scaled sum
+    view, axis = sv._reg_view(reg)
+    view[...] = 2.0 * view.mean(axis=axis, keepdims=True) - view
+
+
+@pytest.mark.parametrize("reg, controls", [
+    (Register("r", 1, 3), ()),        # no control
+    (Register("r", 1, 3), (5,)),      # control above the register
+    (Register("r", 2, 3), (0,)),      # control below it
+    (Register("r", 1, 2), (5, 0)),    # nested: one above, one below
+])
+def test_oracle_and_diffusion_bit_identical_to_old_formulas(reg, controls):
+    rng = np.random.default_rng(80 + reg.offset + sum(controls))
+    for _ in range(5):
+        amps = _random_state(rng, 6)
+        table = rng.random(reg.size) < 0.5
+        cases = [
+            (lambda sv: sv.apply_phase_oracle(reg, table),
+             lambda sv: _old_phase_oracle(sv, reg, table)),
+            (lambda sv: sv.apply_diffusion(reg), lambda sv: _old_diffusion(sv, reg)),
+        ]
+        for gate, old in cases:
+            new_s, old_s = StateVector.from_amplitudes(amps), StateVector.from_amplitudes(amps)
+            _under_controls(new_s, controls, gate)
+            _under_controls(old_s, controls, old)
+            assert np.array_equal(new_s.amps, old_s.amps)
+            assert not np.array_equal(new_s.amps, amps)
+
+
 def test_fourier_transform_and_measurement_refuse_an_external_control():
     reg = Register("r", 0, 2)
     rng = np.random.default_rng(11)

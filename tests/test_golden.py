@@ -3,7 +3,9 @@
 The files under tests/fixtures/golden/ were written by the gate-by-gate
 counting circuit before the factored kernel replaced it; the n = 8 runs
 (attack_k4n8, count_n8) by the factored kernel before the phase estimation
-was reduced to the two index classes. Any change to the counting kernel, the
+was reduced to the two index classes; the random-key runs (random_both_n5,
+random_classical_n8), which redraw keys that carry no signal, before the pair
+data became array columns. Any change to the counting kernel, the
 search or the CSV writers that alters a single output byte fails here, while
 the determinism check (two runs of the same code) would not notice.
 """
@@ -25,6 +27,11 @@ RUNS = {
     "attack_k4n8": (["attack", "-k", "4", "-n", "8", "-c", "4", "--trials", "3",
                      "--master-seed", "2024"], ("results.csv", "trace.csv")),
     "count_n8": (["count", "-n", "8"], ("counts.csv",)),
+    "random_both_n5": (["attack", "--mode", "both", "--random-keys", "-n", "5",
+                        "--trials", "20", "--master-seed", "2024"],
+                       ("results.csv", "trace.csv")),
+    "random_classical_n8": (["attack", "--mode", "classical", "--random-keys", "-n", "8",
+                             "--trials", "50", "--master-seed", "2024"], ("results.csv",)),
 }
 
 

@@ -27,9 +27,9 @@ from .max_finding import (ExactCounter, MaxFindingConfig, MaxFindingResult,
                           threshold_pass_cost)
 from .quantum_counting import CountingParams, counting_error_bound, quantum_count
 from .statevector import DEFAULT_MAX_QUBITS
-from .toy_cipher import (AttackContext, Characteristic, ToyCipher,
-                         characteristic_from_dict, cipher_from_dict,
-                         default_characteristic, gen_pairs, true_subkey)
+from .toy_cipher import (AttackContext, Characteristic, ToyCipher, ZeroProbabilityError,
+                         characteristic_from_dict, cipher_from_dict, gen_pairs,
+                         true_subkey)
 
 MODES = ("classical", "quantum", "both")
 
@@ -107,6 +107,8 @@ class AttackConfig:
             raise ConfigError("subkey_bits=8 needs an explicit characteristic")
         try:
             ch = characteristic_from_dict(doc, cipher, key)
+        except ZeroProbabilityError:
+            raise   # a property of the key, not of the configuration
         except ValueError as err:
             raise ConfigError(str(err)) from err
         if ch.subkey_bits != self.subkey_bits:
@@ -162,26 +164,21 @@ def _trial_rng(master_seed: int, trial: int, purpose: int = 0) -> np.random.Gene
 def plant_instance(config: AttackConfig, trial: int):
     """Planted instance of one trial: (context, master key, true subkey)."""
     cipher = config.cipher()
-
-    def build(key):
-        if config.characteristic_doc or config.subkey_bits != 4:
-            return config.characteristic(cipher, key)
-        return default_characteristic(cipher, key)
-
     if config.planted_key is not None:
         key = config.planted_key
-        ch = build(key)
+        try:
+            ch = config.characteristic(cipher, key)
+        except ZeroProbabilityError as err:
+            raise ConfigError(f"planted key {key:#04x}: {err}") from err
     else:
         # some keys carry no signal under the configured differential; redraw
         rng = _trial_rng(config.master_seed, trial, purpose=1)
         for _ in range(4 * cipher.block_size):
             key = int(rng.integers(cipher.block_size))
             try:
-                ch = build(key)
+                ch = config.characteristic(cipher, key)
                 break
-            except ConfigError:
-                raise
-            except ValueError:
+            except ZeroProbabilityError:
                 continue
         else:
             raise ConfigError("no key with a usable characteristic found")
@@ -293,13 +290,14 @@ def run_scaling_report(config: AttackConfig, search_bits=(4, 6, 8),
     """
     if seeds < 1:
         raise ConfigError("at least one seed")
-    # validate every counting width before the search sweep spends any time
+    # validate and plant every counting instance before the search sweep spends any time
     subs = [AttackConfig(subkey_bits=config.subkey_bits, index_bits=n,
                          master_seed=config.master_seed, trials=1,
                          planted_key=config.planted_key,
                          cipher_doc=config.cipher_doc,
                          characteristic_doc=config.characteristic_doc)
             for n in counting_index_bits]
+    contexts = [plant_instance(sub, 0)[0] for sub in subs]
     rows: list[dict] = []
     prev_mean = None
     for k in search_bits:
@@ -321,9 +319,8 @@ def run_scaling_report(config: AttackConfig, search_bits=(4, 6, 8),
             "g_gates": "", "g_gates_expected": "", "qft_gates": "", "seeds": seeds,
         })
         prev_mean = mean
-    for sub in subs:
+    for sub, ctx in zip(subs, contexts):
         params = sub.counting_params()
-        ctx, _, _ = plant_instance(sub, 0)
         rng = _trial_rng(config.master_seed, 0, purpose=99)
         est = quantum_count(0, params, ctx, rng)
         rows.append({

@@ -35,8 +35,6 @@ class CountTable:
 def count_right_pairs(x: int, pairs: PairSet, cipher: ToyCipher,
                       ch: Characteristic) -> int:
     """Exact number of pairs j < N with e(x, j) = 1."""
-    if not pairs.entries:
-        return 0
     table = right_pair_table(cipher, ch, x, pairs)
     return int(table[:pairs.num_pairs].sum())
 

@@ -87,9 +87,9 @@ class GateCounters:
 class StateVector:
     """2**q complex amplitudes with a norm-preservation invariant."""
 
-    def __init__(self, num_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS):
-        if not 1 <= num_qubits <= max_qubits:
-            raise ValueError(f"qubit count {num_qubits} outside [1, {max_qubits}]")
+    def __init__(self, num_qubits: int):
+        if not 1 <= num_qubits <= DEFAULT_MAX_QUBITS:
+            raise ValueError(f"qubit count {num_qubits} outside [1, {DEFAULT_MAX_QUBITS}]")
         self.num_qubits = num_qubits
         self.amps = np.zeros(1 << num_qubits, dtype=np.complex128)
         self.amps[0] = 1.0
@@ -97,19 +97,19 @@ class StateVector:
         self._controls: list[int] = []
 
     @classmethod
-    def uniform(cls, num_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> "StateVector":
+    def uniform(cls, num_qubits: int) -> "StateVector":
         """Equal superposition of all 2**q basis states."""
-        s = cls(num_qubits, max_qubits)
+        s = cls(num_qubits)
         s.amps[:] = 1.0 / math.sqrt(1 << num_qubits)
         return s
 
     @classmethod
-    def from_amplitudes(cls, amps, max_qubits: int = DEFAULT_MAX_QUBITS) -> "StateVector":
+    def from_amplitudes(cls, amps) -> "StateVector":
         amps = np.asarray(amps, dtype=np.complex128)
         q = int(amps.size).bit_length() - 1
         if 1 << q != amps.size:
             raise ValueError("amplitude array length must be a power of two")
-        s = cls(q, max_qubits)
+        s = cls(q)
         s.amps = amps.copy()
         s._assert_norm()
         return s
@@ -217,7 +217,7 @@ class StateVector:
 
     # ---- Fourier transforms (gate-by-gate, counted) ---------------------
 
-    def _hadamard(self, qubit: int, counted: bool):
+    def _hadamard(self, qubit: int):
         high = 1 << (self.num_qubits - qubit - 1)
         view = self.amps.reshape(high, 2, 1 << qubit)
         a0 = view[:, 0, :].copy()
@@ -225,8 +225,7 @@ class StateVector:
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
         view[:, 0, :] = (a0 + a1) * inv_sqrt2
         view[:, 1, :] = (a0 - a1) * inv_sqrt2
-        if counted:
-            self.counters.qft_gates += 1
+        self.counters.qft_gates += 1
 
     def _pair_view(self, qa: int, qb: int) -> np.ndarray:
         """(high, 2, mid, 2, low) view: axis 1 is the higher of the two
@@ -235,18 +234,16 @@ class StateVector:
         return self.amps.reshape(1 << (self.num_qubits - hi - 1), 2,
                                  1 << (hi - lo - 1), 2, 1 << lo)
 
-    def _controlled_phase(self, qa: int, qb: int, angle: float, counted: bool):
+    def _controlled_phase(self, qa: int, qb: int, angle: float):
         self._pair_view(qa, qb)[:, 1, :, 1, :] *= np.exp(1j * angle)
-        if counted:
-            self.counters.qft_gates += 1
+        self.counters.qft_gates += 1
 
-    def _swap(self, qa: int, qb: int, counted: bool):
+    def _swap(self, qa: int, qb: int):
         view = self._pair_view(qa, qb)
         tmp = view[:, 1, :, 0, :].copy()
         view[:, 1, :, 0, :] = view[:, 0, :, 1, :]
         view[:, 0, :, 1, :] = tmp
-        if counted:
-            self.counters.qft_gates += 1
+        self.counters.qft_gates += 1
 
     def _qft_gates(self, reg: Register, inverse: bool):
         """Textbook QFT circuit on the register (little-endian value order).
@@ -269,12 +266,12 @@ class StateVector:
             sequence = [(op[0], *op[1:]) for op in reversed(sequence)]
         for op in sequence:
             if op[0] == "h":
-                self._hadamard(qs[op[1]], counted=True)
+                self._hadamard(qs[op[1]])
             elif op[0] == "cp":
                 angle = -op[3] if inverse else op[3]
-                self._controlled_phase(qs[op[1]], qs[op[2]], angle, counted=True)
+                self._controlled_phase(qs[op[1]], qs[op[2]], angle)
             else:
-                self._swap(qs[op[1]], qs[op[2]], counted=True)
+                self._swap(qs[op[1]], qs[op[2]])
         self._assert_norm()
 
     def forward_qft(self, reg: Register):

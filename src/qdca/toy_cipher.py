@@ -225,25 +225,34 @@ class Characteristic:
         return self.expr.expected(ct_pair)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairSet:
-    """The chosen-plaintext pairs (P_i, P_i ^ P') with their ciphertexts."""
+    """The chosen-plaintext pairs (P_i, P_i ^ P') with their ciphertexts, as
+    read-only int64 copies of the given columns; pair j is row j."""
 
     index_bits: int
     plaintext_diff: int
-    entries: tuple[tuple[int, int, int, int], ...]
+    p1: np.ndarray
+    p2: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
 
     @property
     def num_pairs(self) -> int:
-        return len(self.entries)
+        return len(self.p1)
 
     def __post_init__(self):
+        for name in ("p1", "p2", "c1", "c2"):
+            col = np.array(getattr(self, name), dtype=np.int64)
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        if self.p1.ndim != 1 or {self.p2.shape, self.c1.shape, self.c2.shape} != {self.p1.shape}:
+            raise ValueError("pair columns must be 1-D and of equal length")
         # N is a power of two; an entirely empty set is allowed as a degenerate input
-        if self.entries and len(self.entries) != 1 << self.index_bits:
-            raise ValueError("entry count must equal 2**index_bits")
-        for p1, p2, _, _ in self.entries:
-            if p1 ^ p2 != self.plaintext_diff:
-                raise ValueError("entry plaintext difference mismatch")
+        if self.num_pairs and self.num_pairs != 1 << self.index_bits:
+            raise ValueError("pair count must equal 2**index_bits")
+        if np.any(self.p1 ^ self.p2 != self.plaintext_diff):
+            raise ValueError("pair plaintext difference mismatch")
 
 
 def gen_pairs(cipher: ToyCipher, key: int, plaintext_diff: int, index_bits: int) -> PairSet:
@@ -255,10 +264,8 @@ def gen_pairs(cipher: ToyCipher, key: int, plaintext_diff: int, index_bits: int)
         raise ValueError(f"index_bits {index_bits} outside block capacity")
     p1 = np.arange(1 << index_bits)
     p2 = p1 ^ plaintext_diff
-    c1 = cipher.encrypt(key, p1)
-    c2 = cipher.encrypt(key, p2)
-    entries = tuple(zip(p1.tolist(), p2.tolist(), c1.tolist(), c2.tolist()))
-    return PairSet(index_bits, plaintext_diff, entries)
+    return PairSet(index_bits, plaintext_diff, p1, p2,
+                   cipher.encrypt(key, p1), cipher.encrypt(key, p2))
 
 
 def _split_subkey(ch: Characteristic, x: int) -> dict[int, int]:
@@ -324,16 +331,14 @@ def is_right_pair(cipher: ToyCipher, ch: Characteristic, x: int, j: int,
         raise ValueError(f"subkey {x} outside [0, {1 << ch.subkey_bits})")
     if j >= n_pairs:
         return 0
-    _, _, c1, c2 = pairs.entries[j]
-    return int(_pair_is_right(cipher, ch, x, (c1, c2)))
+    return int(_pair_is_right(cipher, ch, x, (int(pairs.c1[j]), int(pairs.c2[j]))))
 
 
 def right_pair_table(cipher: ToyCipher, ch: Characteristic, x: int,
                      pairs: PairSet) -> np.ndarray:
     """Boolean e(x, .) over the padded index space [0, 2N), vectorized."""
     n_pairs = pairs.num_pairs
-    c1 = np.fromiter((e[2] for e in pairs.entries), dtype=np.int64, count=n_pairs)
-    c2 = np.fromiter((e[3] for e in pairs.entries), dtype=np.int64, count=n_pairs)
+    c1, c2 = pairs.c1, pairs.c2
     guesses = _split_subkey(ch, x)
     inv_s = np.asarray(_inv_sbox(cipher))
     ok = np.ones(n_pairs, dtype=bool)
@@ -394,15 +399,13 @@ def difference_distribution_table(sbox: Sequence[int]) -> np.ndarray:
 
 def measure_probability(cipher: ToyCipher, key: int, ch: Characteristic) -> float:
     """Exact right-pair frequency of the true subkey over the full codebook."""
-    pts = np.arange(cipher.block_size)
-    c1 = cipher.encrypt(key, pts)
-    c2 = cipher.encrypt(key, pts ^ ch.plaintext_diff)
-    z = true_subkey(cipher, key, ch)
-    pairs = PairSet(cipher.block_width, ch.plaintext_diff,
-                    tuple(zip(pts.tolist(), (pts ^ ch.plaintext_diff).tolist(),
-                              c1.tolist(), c2.tolist())))
-    table = right_pair_table(cipher, ch, z, pairs)
+    pairs = gen_pairs(cipher, key, ch.plaintext_diff, cipher.block_width)
+    table = right_pair_table(cipher, ch, true_subkey(cipher, key, ch), pairs)
     return float(table[:cipher.block_size].sum()) / cipher.block_size
+
+
+class ZeroProbabilityError(ValueError):
+    """The characteristic has no right pair of the true subkey under this key."""
 
 
 def make_characteristic(cipher: ToyCipher, key: int, plaintext_diff: int,
@@ -411,7 +414,7 @@ def make_characteristic(cipher: ToyCipher, key: int, plaintext_diff: int,
     probe = Characteristic(plaintext_diff, ConstantDifference(delta), 1.0, active_sboxes)
     p = measure_probability(cipher, key, probe)
     if p == 0:
-        raise ValueError("characteristic has zero probability for this key")
+        raise ZeroProbabilityError("characteristic has zero probability for this key")
     return Characteristic(plaintext_diff, ConstantDifference(delta), p, active_sboxes)
 
 

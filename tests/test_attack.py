@@ -1,13 +1,18 @@
 import json
+from pathlib import Path
 
 import pytest
 
+import qdca.attack
 from qdca.attack import (AttackConfig, ConfigError, plant_instance,
                          run_classical_attack, run_count_report,
                          run_quantum_attack, run_scaling_report, run_trials,
                          write_counts_csv, write_results_csv, write_scale_csv,
                          write_trace_csv)
 from qdca.cli import main
+
+# the stock characteristic (P' = 0x0A, delta = 0x02) written out as a config doc
+STOCK_DOC = Path(__file__).parent / "fixtures" / "stock_characteristic.json"
 
 
 # ---- configuration ---------------------------------------------------------
@@ -133,6 +138,14 @@ def test_random_key_mode_varies_instances():
     assert len(results) == 4
 
 
+def test_random_key_draw_does_not_hide_a_bad_characteristic():
+    # only a zero-probability key is redrawn; a malformed doc fails at once
+    cfg = AttackConfig(planted_key=None, trials=1,
+                       characteristic_doc={"output_diff": "20", "active_sboxes": [0]})
+    with pytest.raises(ConfigError, match="zero expected difference"):
+        plant_instance(cfg, 0)
+
+
 def test_run_trials_both_modes():
     cfg = AttackConfig(index_bits=5, trials=2, mode="both", master_seed=77)
     results, trace = run_trials(cfg)
@@ -161,6 +174,17 @@ def test_scaling_report_shapes():
     assert [r["size"] for r in search] == [16, 64]
     assert search[1]["ratio_vs_prev"] != ""
     assert counting[0]["g_gates"] == counting[0]["g_gates_expected"] == 63
+
+
+def test_scaling_report_plants_before_the_search_sweep(monkeypatch):
+    # a planted key without signal is refused before any search seed runs
+    def no_search(*args):
+        raise AssertionError("search sweep ran before the instances were planted")
+
+    monkeypatch.setattr(qdca.attack, "find_max_subkey", no_search)
+    with pytest.raises(ConfigError, match="planted key 0x04"):
+        run_scaling_report(AttackConfig(trials=1, planted_key=0x04), search_bits=(4,),
+                           counting_index_bits=(4,), seeds=1)
 
 
 # ---- CSV emission ------------------------------------------------------------------
@@ -246,6 +270,8 @@ def test_cli_rejects_bad_config(tmp_path):
     ["scale", "--search-bits", "x"],
     ["scale", "--search-bits", "-1"],
     ["scale", "--counting-bits", "0"],
+    ["attack", "--planted-key", "0x04", "--trials", "1"],
+    ["attack", "--planted-key", "0x04", "--trials", "1", "--config", str(STOCK_DOC)],
 ])
 def test_cli_out_of_range_arguments_are_config_errors(argv, tmp_path, capsys):
     if argv[0] != "bound":
@@ -253,6 +279,18 @@ def test_cli_out_of_range_arguments_are_config_errors(argv, tmp_path, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("configuration error: ")
     assert not any(tmp_path.iterdir())
+
+
+def test_cli_random_keys_same_with_and_without_stock_doc(tmp_path, capsys):
+    # trial 3 at this seed draws a key without signal first and redraws it
+    argv = ["attack", "--mode", "both", "--random-keys", "-n", "4", "--trials", "4",
+            "--master-seed", "2024"]
+    assert main(argv + ["--out-dir", str(tmp_path / "flags")]) == 0
+    assert main(argv + ["--config", str(STOCK_DOC), "--out-dir", str(tmp_path / "doc")]) == 0
+    capsys.readouterr()
+    for fname in ("results.csv", "trace.csv"):
+        assert (tmp_path / "flags" / fname).read_bytes() == \
+            (tmp_path / "doc" / fname).read_bytes()
 
 
 def test_cli_random_keys_flag(tmp_path):

@@ -34,9 +34,8 @@ def test_qubit_count_bounds():
         StateVector(0)
     with pytest.raises(ValueError):
         StateVector(25)
-    StateVector(3, max_qubits=3)
     with pytest.raises(ValueError):
-        StateVector(4, max_qubits=3)
+        StateVector.uniform(25)
 
 
 # ---- phase oracle ---------------------------------------------------------
@@ -360,10 +359,10 @@ def test_pair_gates_bit_identical_to_masked_versions(q):
             amps = _random_state(rng, q)
             angle = float(rng.uniform(-math.pi, math.pi))
             s = StateVector.from_amplitudes(amps)
-            s._controlled_phase(qa, qb, angle, counted=False)
+            s._controlled_phase(qa, qb, angle)
             assert np.array_equal(s.amps, _mask_controlled_phase(amps, qa, qb, angle))
             s = StateVector.from_amplitudes(amps)
-            s._swap(qa, qb, counted=False)
+            s._swap(qa, qb)
             assert np.array_equal(s.amps, _mask_swap(amps, qa, qb))
 
 

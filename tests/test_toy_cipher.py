@@ -114,13 +114,41 @@ def test_key_schedule_rotates(cipher):
 
 def test_gen_pairs_plaintext_layout(cipher):
     ps = gen_pairs(cipher, 0x09, 0x0B, 2)
-    assert [(e[0], e[1]) for e in ps.entries] == [(0, 0x0B), (1, 0x0A), (2, 0x09), (3, 0x08)]
+    assert list(zip(ps.p1.tolist(), ps.p2.tolist())) == [(0, 0x0B), (1, 0x0A), (2, 0x09),
+                                                         (3, 0x08)]
 
 
 def test_gen_pairs_difference_invariant(cipher):
     ps = gen_pairs(cipher, 0x31, 0x1A, 5)
-    assert all(p1 ^ p2 == 0x1A for p1, p2, _, _ in ps.entries)
-    assert all(cipher.encrypt(0x31, p1) == c1 for p1, _, c1, _ in ps.entries)
+    assert all(p1 ^ p2 == 0x1A for p1, p2 in zip(ps.p1.tolist(), ps.p2.tolist()))
+    for p, c in ((ps.p1, ps.c1), (ps.p2, ps.c2)):
+        assert all(cipher.encrypt(0x31, pt) == ct for pt, ct in zip(p.tolist(), c.tolist()))
+
+
+def test_pair_columns_are_read_only_copies(cipher):
+    p1 = np.arange(4)
+    ps = PairSet(2, 0x0B, p1, p1 ^ 0x0B, p1, p1)
+    p1[0] = 7
+    assert ps.p1[0] == 0
+    for col in (ps.p1, ps.p2, ps.c1, ps.c2):
+        assert col.dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            col[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        gen_pairs(cipher, 0x09, 0x0B, 2).c1[0] = 1
+
+
+@pytest.mark.parametrize("columns, match", [
+    ((range(4), [11, 10, 9, 8], range(4), range(3)), "equal length"),
+    ((range(4), [11, 10, 9], range(4), range(4)), "equal length"),
+    (([[0, 1], [2, 3]], [[11, 10], [9, 8]], range(4), range(4)), "1-D"),
+    ((range(4), [11, 10, 9, 9], range(4), range(4)), "difference"),
+    ((range(2), [11, 10], range(2), range(2)), "2\\*\\*index_bits"),
+    ((range(8), [v ^ 11 for v in range(8)], range(8), range(8)), "2\\*\\*index_bits"),
+])
+def test_pair_set_refuses_malformed_columns(columns, match):
+    with pytest.raises(ValueError, match=match):
+        PairSet(2, 0x0B, *columns)
 
 
 def test_gen_pairs_rejects_degenerate_inputs(cipher):
@@ -227,7 +255,7 @@ def test_right_pair_table_agrees_with_scalar_on_random_instances(
 def test_right_pair_status_invariant_under_pair_swap(cipher, planted):
     _, ch, pairs, _ = planted
     swapped = PairSet(pairs.index_bits, pairs.plaintext_diff,
-                      tuple((p2, p1, c2, c1) for p1, p2, c1, c2 in pairs.entries))
+                      pairs.p2, pairs.p1, pairs.c2, pairs.c1)
     for x in range(16):
         assert np.array_equal(right_pair_table(cipher, ch, x, pairs),
                               right_pair_table(cipher, ch, x, swapped))

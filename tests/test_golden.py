@@ -5,9 +5,12 @@ counting circuit before the factored kernel replaced it; the n = 8 runs
 (attack_k4n8, count_n8) by the factored kernel before the phase estimation
 was reduced to the two index classes; the random-key runs (random_both_n5,
 random_classical_n8), which redraw keys that carry no signal, before the pair
-data became array columns. Any change to the counting kernel, the
-search or the CSV writers that alters a single output byte fails here, while
-the determinism check (two runs of the same code) would not notice.
+data became array columns; the quantum k = 8 run (attack_k8n8, with the
+characteristic doc P' = 01, delta = 11; its quantum trial 0 recovers 90 and
+trial 1 recovers c1) before the Grover steps ran on the two-class state.
+Any change to the counting kernel, the search or the CSV writers that alters
+a single output byte fails here, while the determinism check (two runs of the
+same code) would not notice.
 """
 
 from pathlib import Path
@@ -16,7 +19,8 @@ import pytest
 
 from qdca.cli import main
 
-GOLDEN = Path(__file__).parent / "fixtures" / "golden"
+FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = FIXTURES / "golden"
 
 RUNS = {
     "attack_k4n6": (["attack", "-k", "4", "-n", "6", "-c", "4", "--trials", "20",
@@ -32,6 +36,10 @@ RUNS = {
                        ("results.csv", "trace.csv")),
     "random_classical_n8": (["attack", "--mode", "classical", "--random-keys", "-n", "8",
                              "--trials", "50", "--master-seed", "2024"], ("results.csv",)),
+    "attack_k8n8": (["attack", "-k", "8", "-n", "8", "--mode", "both", "--trials", "2",
+                     "--master-seed", "2024", "--planted-key", "0x09",
+                     "--config", str(FIXTURES / "k8_characteristic.json")],
+                    ("results.csv", "trace.csv")),
 }
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .quantum_counting import (CountEstimate, CountingParams, grover_iteration,
                                quantum_count)
-from .statevector import Register, StateVector
+from .statevector import ClassState, Register
 from .toy_cipher import AttackContext
 
 SEARCH_GROWTH_FACTOR = 6.0 / 5.0
@@ -171,11 +171,11 @@ def grover_search_marked(marked, subkey_bits: int,
         if stages is not None:
             stages.init += subkey_bits
             stages.search += j + 1
-        state = StateVector.uniform(subkey_bits)
+        state = ClassState(reg, marked)
         for _ in range(j):
             grover_iteration(state, reg, marked)
         iterations += j
-        outcome = state.measure(reg, rng)
+        outcome = state.measure(rng)
         measurements += 1
         if marked[outcome]:
             return SearchOutcome(outcome, iterations, measurements)
@@ -246,8 +246,8 @@ def find_max_subkey(counter, subkey_bits: int, config: MaxFindingConfig,
         stages.observe += counter.counting_cost
         loop += 1
 
-        marked = np.fromiter((oracle_o1(x, threshold.subkey, counter)
-                              for x in range(K)), dtype=bool, count=K)
+        # oracle_o1(x, y) for every x, by one ascending sweep of the memoized counts
+        marked = np.array([counter.count(x) for x in range(K)]) > threshold.right_pairs
         outcome = grover_search_marked(marked, subkey_bits, rng, budget, stages)
         y_prime = outcome.found
         r_prime = counter.count(y_prime) if y_prime is not None else None

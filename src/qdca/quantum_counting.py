@@ -12,20 +12,19 @@ parameter cuts the simulated width to t+n+1 qubits. A fully coherent mode
 
 The controlled-G ladder is factored: the phase register starts uniform and G
 acts on the index register alone, so the state after the ladder is
-sum_b |b> (x) G^b|psi0> / sqrt(2**t). G therefore runs 2**t - 1 times on the
-(n+1)-qubit index vector, each power G^b|psi0> stored as row b of a (T, 2N)
-array, which has the size of the unreduced t+n+1-qubit state.
+sum_b |b> (x) G^b|psi0> / sqrt(2**t). G keeps the uniform start inside the
+span of |u_M> and |u_U>, the uniform states over the M marked and the 2N - M
+unmarked indices (Brassard-Hoyer-Mosca-Tapp, quant-ph/0005055), so the index
+register is a ``ClassState``. G runs on it 2**t - 1 times, counted, and row b
+of a (T, 2) array holds the class amplitudes u_b, m_b of G^b|psi0>.
 
-The inverse Fourier transform runs gate by gate on t+1 qubits. G keeps the
-uniform start inside the span of |u_M> and |u_U>, the uniform states over the
-M marked and the 2N - M unmarked indices (Brassard-Hoyer-Mosca-Tapp,
-quant-ph/0005055), so every power holds one amplitude per class. After
-checking that exactly, the kernel builds |0> (x) sum_b sqrt((2N-M)/T) u_b|b>
-+ |1> (x) sum_b sqrt(M/T) m_b|b>. The full state is its image under the
-isometry |0> -> |u_U>, |1> -> |u_M>, and the transform acts on the phase
-register alone, so the phase outcome distribution is unchanged. The
-gate-by-gate controlled ladder is kept as ``reference_counting_distribution``,
-the oracle the kernel is tested against.
+The inverse Fourier transform runs gate by gate on t+1 qubits, on
+|0> (x) sum_b sqrt((2N-M)/T) u_b|b> + |1> (x) sum_b sqrt(M/T) m_b|b>, whose
+image under the isometry |0> -> |u_U>, |1> -> |u_M> is the full state; the
+transform acts on the phase register alone, so the phase outcome
+distribution is unchanged. t+n+1 is the width of the parameterized circuit
+these states represent exactly. The full-vector controlled ladder is kept as
+``reference_counting_distribution``, the oracle the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevector import (DEFAULT_MAX_QUBITS, CorruptedStateError, Register, RegisterMap,
-                          StateVector)
+from .statevector import DEFAULT_MAX_QUBITS, ClassState, Register, RegisterMap, StateVector
 from .toy_cipher import AttackContext
 
 COHERENT_MAX_SUBKEY_BITS = 2
@@ -78,7 +76,7 @@ class CountingParams:
 
     @property
     def num_qubits(self) -> int:
-        """Simulated width of one counting run: t phase + n + 1 index qubits."""
+        """Width of one counting run's parameterized circuit: t phase + n + 1 index."""
         return self.phase_bits + self.index_bits + 1
 
     @property
@@ -115,7 +113,7 @@ class CountEstimate:
         return self.init_steps + self.g_gate_count + self.qft_gate_count
 
 
-def grover_iteration(state: StateVector, reg: Register, marked: np.ndarray) -> None:
+def grover_iteration(state: StateVector | ClassState, reg: Register, marked: np.ndarray) -> None:
     """One Grover step on the index register: phase oracle, then diffusion."""
     state.apply_phase_oracle(reg, marked)
     state.apply_diffusion(reg)
@@ -151,30 +149,18 @@ def _counting_circuit(marked: np.ndarray,
     regs = _registers(marked, params)
     phase_reg = regs["phase"]
     index_reg = Register("index", 0, params.index_bits + 1)
-    index = StateVector.uniform(index_reg.width)
+    index = ClassState(index_reg, marked)
     T = 1 << params.phase_bits
-    # row b holds G^b|psi0>
-    powers = np.empty((T, index_reg.size), dtype=np.complex128)
-    powers[0] = index.amps
-    for b in range(1, T):
+    # row b holds G^b|psi0> as its (unmarked, marked) class amplitudes
+    powers = [(index.amp_unmarked, index.amp_marked)]
+    for _ in range(1, T):
         grover_iteration(index, index_reg, marked)
-        powers[b] = index.amps
-    is_marked = np.asarray(marked, dtype=bool)
-    # first member of each class; index 0 for an empty class, whose row is
-    # then scaled by zero
-    first_unmarked, first_marked = int(np.argmin(is_marked)), int(np.argmax(is_marked))
-    same_class = np.where(is_marked, powers == powers[:, first_marked, None],
-                          powers == powers[:, first_unmarked, None])
-    if not same_class.all():
-        raise CorruptedStateError("a Grover power is not constant on the marked "
-                                  "and unmarked index classes")
-    M = int(np.count_nonzero(is_marked))
+        powers.append((index.amp_unmarked, index.amp_marked))
     state = StateVector(phase_reg.width + 1)
     # class major, phase minor: row 0 the unmarked class, row 1 the marked one
-    rows = state.amps.reshape(2, T)
-    np.multiply(powers[:, first_unmarked], math.sqrt((index_reg.size - M) / T),
-                out=rows[0])
-    np.multiply(powers[:, first_marked], math.sqrt(M / T), out=rows[1])
+    scale = [[math.sqrt(index.n_unmarked / T)], [math.sqrt(index.n_marked / T)]]
+    np.multiply(np.array(powers, dtype=np.complex128).T, scale,
+                out=state.amps.reshape(2, T))
     state.inverse_qft(phase_reg)
     return state, phase_reg, index.counters.oracle_calls
 

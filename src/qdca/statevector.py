@@ -18,6 +18,13 @@ control.
 A StateVector is owned by one execution context while it mutates.
 Measurement probabilities are accumulated in a fixed reduction order, so
 seeded runs are bit-reproducible.
+
+A ClassState holds a register under Grover steps over one marked table as
+one amplitude per class: the phase oracle and the diffusion keep the uniform
+start in the span of |u_M> and |u_U>, the uniform states over the marked and
+the unmarked values (Boyer-Brassard-Hoyer-Tapp, quant-ph/9605034). Its gates
+are counted and norm-checked like a StateVector's and refuse any register or
+table but its own; it measures over every register value.
 """
 
 from __future__ import annotations
@@ -306,4 +313,60 @@ class StateVector:
         view[:, outcome + 1:] = 0.0
         self.amps /= math.sqrt(p_outcome)
         self._assert_norm()
+        return outcome
+
+
+class ClassState:
+    """A register's uniform state under Grover steps, one amplitude per class."""
+
+    def __init__(self, reg: Register, marked: np.ndarray):
+        if marked.size != reg.size:
+            raise ValueError("predicate table length must be 2**width")
+        self.reg, self.marked = reg, marked
+        self.n_marked = int(np.count_nonzero(marked))
+        self.n_unmarked = reg.size - self.n_marked
+        # Python scalars: numpy's per-call cost would dominate at two amplitudes
+        self.amp_unmarked = self.amp_marked = complex(1.0 / math.sqrt(reg.size))
+        self.counters = GateCounters()
+
+    def _check(self, reg: Register, table=None):
+        if reg != self.reg or (table is not None and table is not self.marked):
+            raise ValueError("a class state takes only its own register and table")
+
+    def norm_squared(self) -> float:
+        return (self.n_unmarked * abs(self.amp_unmarked) ** 2
+                + self.n_marked * abs(self.amp_marked) ** 2)
+
+    _assert_norm = StateVector._assert_norm
+
+    def apply_phase_oracle(self, reg: Register, table: np.ndarray):
+        """Negate the marked class; ``table`` must be the state's own."""
+        self._check(reg, table)
+        self.amp_marked = -self.amp_marked
+        self.counters.oracle_calls += 1
+        self._assert_norm()
+
+    def apply_diffusion(self, reg: Register):
+        """2|u><u| - I, in the operation order of StateVector's."""
+        self._check(reg)
+        total = (self.n_unmarked * self.amp_unmarked
+                 + self.n_marked * self.amp_marked) * (2.0 / reg.size)
+        self.amp_unmarked, self.amp_marked = total - self.amp_unmarked, total - self.amp_marked
+        self.counters.diffusion_calls += 1
+        self._assert_norm()
+
+    def probabilities(self) -> np.ndarray:
+        """Outcome distribution over all 2**width register values."""
+        return np.where(self.marked, (self.amp_marked * self.amp_marked.conjugate()).real,
+                        (self.amp_unmarked * self.amp_unmarked.conjugate()).real)
+
+    def measure(self, rng: np.random.Generator) -> int:
+        """Draw the register as StateVector.measure does, over all 2**width values;
+        no collapse (a basis state has no two-class form): the caller discards it."""
+        if self.norm_squared() < 1e-12:
+            raise CorruptedStateError("state norm below 1e-12 before measurement")
+        probs = self.probabilities()
+        outcome = int(rng.choice(self.reg.size, p=probs / probs.sum()))
+        if probs[outcome] <= 0:
+            raise CorruptedStateError("sampled zero-probability outcome")
         return outcome

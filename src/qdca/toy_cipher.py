@@ -484,16 +484,17 @@ def cipher_from_dict(doc: dict) -> ToyCipher:
 
 
 def characteristic_from_dict(doc: dict, cipher: ToyCipher, key: int) -> Characteristic:
-    """Characteristic from a config document; p is re-measured unless given."""
+    """Characteristic from a config document; p is measured, and a stated p must match."""
     p_diff = _parse_hex(doc.get("plaintext_diff", DEFAULT_PLAINTEXT_DIFF))
     delta = _parse_hex(doc.get("output_diff", DEFAULT_OUTPUT_DIFF))
     active = tuple(doc.get("active_sboxes",
                            [pos for pos in range(cipher.num_sboxes)
                             if (delta >> (NIBBLE_BITS * pos)) & 0xF]))
-    if "probability" in doc:
-        return Characteristic(p_diff, ConstantDifference(delta),
-                              float(doc["probability"]), active)
-    return make_characteristic(cipher, key, p_diff, delta, active)
+    ch = make_characteristic(cipher, key, p_diff, delta, active)
+    if "probability" in doc and float(doc["probability"]) != ch.probability:
+        raise ValueError(f"stated probability {doc['probability']} differs from the "
+                         f"measured {ch.probability} for key {key:#04x}")
+    return ch
 
 
 def _parse_hex(value) -> int:

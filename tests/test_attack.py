@@ -13,6 +13,9 @@ from qdca.cli import main
 
 # the stock characteristic (P' = 0x0A, delta = 0x02) written out as a config doc
 STOCK_DOC = Path(__file__).parent / "fixtures" / "stock_characteristic.json"
+# the same doc stating p = 1/16, the measured p at key 0x09, and stating p = 1/2
+STATED_P_DOC = STOCK_DOC.with_name("stated_probability.json")
+WRONG_P_DOC = STOCK_DOC.with_name("wrong_probability.json")
 
 
 # ---- configuration ---------------------------------------------------------
@@ -272,6 +275,8 @@ def test_cli_rejects_bad_config(tmp_path):
     ["scale", "--counting-bits", "0"],
     ["attack", "--planted-key", "0x04", "--trials", "1"],
     ["attack", "--planted-key", "0x04", "--trials", "1", "--config", str(STOCK_DOC)],
+    ["attack", "--planted-key", "0x04", "--trials", "1", "--config", str(STATED_P_DOC)],
+    ["attack", "--planted-key", "0x09", "--trials", "1", "--config", str(WRONG_P_DOC)],
 ])
 def test_cli_out_of_range_arguments_are_config_errors(argv, tmp_path, capsys):
     if argv[0] != "bound":

@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qdca import max_finding
 from qdca.classical_dca import count_table
 from qdca.max_finding import (SEARCH_GROWTH_FACTOR, ExactCounter,
                               MaxFindingConfig, QuantumCounter, SearchBudget,
-                              ThresholdState, find_max_subkey,
+                              SearchOutcome, ThresholdState, find_max_subkey,
                               grover_search_marked, oracle_o1)
 from qdca.quantum_counting import (CountingParams, count_marked,
                                    counting_distribution,
-                                   estimate_from_outcome)
+                                   estimate_from_outcome, grover_iteration)
+from qdca.statevector import Register, StateVector
 from qdca.toy_cipher import true_subkey
 
 
@@ -31,6 +34,27 @@ def test_oracle_marks_strictly_larger_counts():
     counter = ExactCounter([1, 5, 5, 0])
     marked = [x for x in range(4) if oracle_o1(x, 0, counter)]
     assert marked == [1, 2]  # ties with the threshold stay unmarked
+
+
+def test_pass_table_is_oracle_o1_for_every_candidate(planted, monkeypatch):
+    # each threshold pass marks x iff oracle_o1(x, y) for that pass's threshold y
+    _, _, _, ctx = planted
+    tables = []
+
+    def recording_search(marked, *args):
+        tables.append(marked)
+        return grover_search_marked(marked, *args)
+
+    monkeypatch.setattr(max_finding, "grover_search_marked", recording_search)
+    rng = _rng(31)
+    for counter in (ExactCounter(rng.permutation(16)),
+                    QuantumCounter(ctx, CountingParams.default(6), _rng(32))):
+        tables.clear()
+        res = find_max_subkey(counter, 4, MaxFindingConfig(4), rng)
+        assert len(tables) == len(res.trace) >= 2
+        for marked, row in zip(tables, res.trace):
+            assert marked.tolist() == [bool(oracle_o1(x, row["y"], counter))
+                                       for x in range(16)]
 
 
 def test_true_subkey_marked_against_any_wrong_threshold(cipher, planted):
@@ -91,6 +115,36 @@ def test_search_respects_caller_budget():
 
 def test_growth_factor_pinned():
     assert SEARCH_GROWTH_FACTOR == pytest.approx(1.2)
+
+
+def _full_vector_search(marked, subkey_bits, rng):
+    """The search loop on a full StateVector, as it ran before the two-class
+    state; no budget."""
+    K = 1 << subkey_bits
+    reg = Register("subkey", 0, subkey_bits)
+    iterations = measurements = 0
+    m_cap = 1.0
+    while measurements < 4 * math.ceil(4.5 * math.sqrt(K)):
+        j = int(rng.integers(0, max(1, int(m_cap))))
+        state = StateVector.uniform(subkey_bits)
+        for _ in range(j):
+            grover_iteration(state, reg, marked)
+        iterations += j
+        outcome = state.measure(reg, rng)
+        measurements += 1
+        if marked[outcome]:
+            return SearchOutcome(outcome, iterations, measurements)
+        m_cap = min(SEARCH_GROWTH_FACTOR * m_cap, math.sqrt(K))
+    return SearchOutcome(None, iterations, measurements)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_search_draws_as_the_full_vector_loop(k, seed, data):
+    marked = np.array(data.draw(st.lists(st.booleans(), min_size=1 << k, max_size=1 << k)))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert grover_search_marked(marked, k, rng) == _full_vector_search(marked, k, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # ---- budget ---------------------------------------------------------------------

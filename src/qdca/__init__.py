@@ -13,7 +13,7 @@ from .toy_cipher import (AttackContext, Characteristic, CiphertextDependentDiffe
                          find_characteristic, gen_pairs, is_right_pair,
                          make_characteristic, measure_probability,
                          right_pair_table, true_subkey)
-from .classical_dca import CountTable, classical_attack, count_right_pairs, count_table
+from .classical_dca import CountTable, classical_attack, count_table
 from .statevector import (ClassState, CorruptedStateError, GateCounters, Register,
                           RegisterMap, StateVector)
 from .quantum_counting import (CountEstimate, CountingParams,

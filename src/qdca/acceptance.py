@@ -17,7 +17,7 @@ import numpy as np
 from .attack import (AttackConfig, run_count_report, run_quantum_attack,
                      run_scaling_report, run_trials, write_counts_csv,
                      write_results_csv, write_trace_csv)
-from .classical_dca import count_right_pairs, count_table
+from .classical_dca import count_table
 from .max_finding import ExactCounter, MaxFindingConfig, find_max_subkey
 from .quantum_counting import (CountingParams, counting_distribution,
                                counting_error_bound, estimate_from_outcome,
@@ -140,10 +140,11 @@ def check_oracle_equivalence() -> CheckResult:
     ok = True
     for n in (4, 8):
         pairs = gen_pairs(cipher, key, ch.plaintext_diff, n)
+        counts = count_table(pairs, cipher, ch).counts
         for x in range(1 << ch.subkey_bits):
             s = sum(is_right_pair(cipher, ch, x, j, pairs)
                     for j in range(2 * pairs.num_pairs))
-            ok &= s == count_right_pairs(x, pairs, cipher, ch)
+            ok &= s == counts[x]
     return CheckResult("oracle-equivalence", bool(ok),
                        "sum_j e(x,j) == classical count for all x at n in {4,8}")
 

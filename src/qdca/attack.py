@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,6 +60,16 @@ class AttackConfig:
         self.validate()
 
     def validate(self):
+        integer, optional = numbers.Integral, (numbers.Integral, type(None))
+        for name, kind in (("subkey_bits", integer), ("index_bits", integer),
+                           ("accuracy_bits", optional), ("epsilon", numbers.Real),
+                           ("confidence", integer), ("master_seed", integer),
+                           ("trials", integer), ("planted_key", optional),
+                           ("expected_steps", optional), ("out_dir", (str, os.PathLike)),
+                           ("cipher_doc", dict), ("characteristic_doc", dict)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{name} has the wrong type: {value!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
         if self.subkey_bits not in (4, 8):
@@ -89,7 +101,7 @@ class AttackConfig:
     def cipher(self) -> ToyCipher:
         try:
             return cipher_from_dict(self.cipher_doc)
-        except ValueError as err:
+        except (TypeError, ValueError) as err:
             raise ConfigError(str(err)) from err
 
     def counting_params(self) -> CountingParams:
@@ -109,7 +121,7 @@ class AttackConfig:
             ch = characteristic_from_dict(doc, cipher, key)
         except ZeroProbabilityError:
             raise   # a property of the key, not of the configuration
-        except ValueError as err:
+        except (TypeError, ValueError) as err:
             raise ConfigError(str(err)) from err
         if ch.subkey_bits != self.subkey_bits:
             raise ConfigError("characteristic does not target subkey_bits key bits")

@@ -32,18 +32,10 @@ class CountTable:
         return int(np.argmax(self.counts))
 
 
-def count_right_pairs(x: int, pairs: PairSet, cipher: ToyCipher,
-                      ch: Characteristic) -> int:
-    """Exact number of pairs j < N with e(x, j) = 1."""
-    table = right_pair_table(cipher, ch, x, pairs)
-    return int(table[:pairs.num_pairs].sum())
-
-
 def count_table(pairs: PairSet, cipher: ToyCipher, ch: Characteristic) -> CountTable:
-    k = ch.subkey_bits
-    counts = np.array([count_right_pairs(x, pairs, cipher, ch) for x in range(1 << k)],
-                      dtype=np.int64)
-    return CountTable(counts, k)
+    """counts[x] = number of pairs j < N with e(x, j) = 1, for every x at once."""
+    table = right_pair_table(cipher, ch, pairs)
+    return CountTable(table[:, :pairs.num_pairs].sum(axis=1), ch.subkey_bits)
 
 
 def classical_attack(pairs: PairSet, cipher: ToyCipher,

@@ -59,6 +59,8 @@ def _config_from_args(args) -> AttackConfig:
         fields["planted_key"] = args.planted_key
     if args.config is not None:
         doc = json.loads(Path(args.config).read_text())
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{args.config} must hold a JSON object")
         fields.update(doc)
     return AttackConfig.from_dict(fields)
 
@@ -104,8 +106,8 @@ def cmd_bound(args) -> int:
         if args.index_bits < 0:
             raise ConfigError("-n must be >= 0")
         n_pairs = 1 << args.index_bits
-    if m < 0 or n_pairs < 1 or (acc is not None and acc < 1):
-        raise ConfigError("bound needs -M >= 0, -N >= 1 and -m >= 1")
+    if not math.isfinite(m) or m < 0 or n_pairs < 1 or (acc is not None and acc < 1):
+        raise ConfigError("bound needs a finite -M >= 0, -N >= 1 and -m >= 1")
     if acc is None:
         acc = math.ceil(math.log2(n_pairs) / 2) + 1
     general = counting_error_bound(m, n_pairs, acc)

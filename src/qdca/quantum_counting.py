@@ -228,9 +228,7 @@ def coherent_counting_distribution(x: int, params: CountingParams,
     joint = Register("index+subkey", regs["index"].offset, (n + 1) + k)
 
     pair_space = 1 << (n + 1)
-    table = np.zeros(1 << joint.width, dtype=bool)
-    for xv in range(1 << k):
-        table[xv * pair_space:(xv + 1) * pair_space] = ctx.marked_table(xv)
+    table = np.concatenate([ctx.marked_table(xv) for xv in range(1 << k)])
 
     # phase and index registers uniform, subkey register pinned to |x>
     uniform = np.full(pair_space * (1 << t), 1.0 / math.sqrt(pair_space * (1 << t)),

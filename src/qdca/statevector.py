@@ -162,31 +162,28 @@ class StateVector:
         return self.amps.reshape(shape)[tuple(index)], axis
 
     @staticmethod
-    def _predicate_table(reg: Register, pred) -> np.ndarray:
-        if isinstance(pred, np.ndarray):
-            if pred.size != reg.size:
-                raise ValueError("predicate table length must be 2**width")
-            return pred if pred.dtype == bool else pred.astype(bool)
-        return np.fromiter((bool(pred(v)) for v in range(reg.size)),
-                           dtype=bool, count=reg.size)
+    def _predicate_table(reg: Register, table: np.ndarray) -> np.ndarray:
+        if table.size != reg.size:
+            raise ValueError("predicate table length must be 2**width")
+        return table if table.dtype == bool else table.astype(bool)
 
     # ---- gates ---------------------------------------------------------
 
-    def apply_phase_oracle(self, reg: Register, pred):
-        """Negate the amplitude of basis states whose register content
-        satisfies pred (a callable on [0, 2**width) or a boolean table)."""
+    def apply_phase_oracle(self, reg: Register, table: np.ndarray):
+        """Negate the amplitude of basis states whose register value v has
+        table[v] set (a boolean table over [0, 2**width))."""
         self._check_register(reg)
-        table = self._predicate_table(reg, pred)
+        table = self._predicate_table(reg, table)
         view, axis = self._reg_view(reg)
         where = table.reshape((1,) * axis + (-1,) + (1,) * (view.ndim - axis - 1))
         np.negative(view, out=view, where=where)
         self.counters.oracle_calls += 1
         self._assert_norm()
 
-    def apply_conditional_phase(self, reg: Register, pred, angle: float):
-        """Multiply satisfying basis states by exp(i*angle)."""
+    def apply_conditional_phase(self, reg: Register, table: np.ndarray, angle: float):
+        """Multiply the basis states marked in table by exp(i*angle)."""
         self._check_register(reg)
-        table = self._predicate_table(reg, pred)
+        table = self._predicate_table(reg, table)
         view, axis = self._reg_view(reg)
         view[(slice(None),) * axis + (table,)] *= np.exp(1j * angle)
         self.counters.phase_gates += 1

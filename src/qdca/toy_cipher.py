@@ -12,7 +12,8 @@ pure function, safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -97,18 +98,6 @@ class ToyCipher:
     @property
     def block_size(self) -> int:
         return 1 << self.block_width
-
-    def sub_layer(self, block):
-        return self._sub[block]
-
-    def inv_sub_layer(self, block):
-        return self._isub[block]
-
-    def permute(self, block):
-        return self._perm[block]
-
-    def inv_permute(self, block):
-        return self._iperm[block]
 
     def round_keys(self, master: int) -> tuple[int, ...]:
         self._check_block(master, "key")
@@ -285,19 +274,12 @@ def true_subkey(cipher: ToyCipher, key: int, ch: Characteristic) -> int:
     return z
 
 
-def _inv_sbox(cipher: ToyCipher) -> tuple[int, ...]:
-    inv = [0] * 16
-    for i, v in enumerate(cipher.sbox):
-        inv[v] = i
-    return tuple(inv)
-
-
 def _pair_is_right(cipher: ToyCipher, ch: Characteristic, x: int,
                    ct_pair: tuple[int, int]) -> bool:
     """One-round trial decryption check of a ciphertext pair under guess x."""
     c1, c2 = ct_pair
     guesses = _split_subkey(ch, x)
-    inv_s = _inv_sbox(cipher)
+    inv_s = np.argsort(cipher.sbox)
     if isinstance(ch.expr, ConstantDifference):
         delta = ch.expr.delta
         for pos in range(cipher.num_sboxes):
@@ -334,31 +316,37 @@ def is_right_pair(cipher: ToyCipher, ch: Characteristic, x: int, j: int,
     return int(_pair_is_right(cipher, ch, x, (int(pairs.c1[j]), int(pairs.c2[j]))))
 
 
-def right_pair_table(cipher: ToyCipher, ch: Characteristic, x: int,
-                     pairs: PairSet) -> np.ndarray:
-    """Boolean e(x, .) over the padded index space [0, 2N), vectorized."""
-    n_pairs = pairs.num_pairs
-    c1, c2 = pairs.c1, pairs.c2
-    guesses = _split_subkey(ch, x)
-    inv_s = np.asarray(_inv_sbox(cipher))
-    ok = np.ones(n_pairs, dtype=bool)
-    if isinstance(ch.expr, ConstantDifference):
-        delta = ch.expr.delta
-        for pos in range(cipher.num_sboxes):
-            shift = NIBBLE_BITS * pos
-            n1, n2 = (c1 >> shift) & 0xF, (c2 >> shift) & 0xF
-            want = (delta >> shift) & 0xF
-            if pos in guesses:
-                ok &= (inv_s[n1 ^ guesses[pos]] ^ inv_s[n2 ^ guesses[pos]]) == want
-            else:
-                ok &= (n1 ^ n2) == 0
-    else:
-        pos = ch.active_sboxes[0]
+def _last_round_differences(cipher: ToyCipher, active: Sequence[int],
+                            pairs: PairSet) -> tuple[np.ndarray, np.ndarray]:
+    """Trial decryption of the last S-box layer under every subkey guess x:
+    (K, N) inverse-S-box differences of the active S-boxes, packed at their
+    nibble positions, and the (N,) mask of pairs quiet on every other S-box."""
+    inv_s = np.argsort(cipher.sbox).astype(np.uint16)
+    guesses = np.arange(16)[:, None]
+    diff = np.zeros((1, pairs.num_pairs), dtype=np.uint16)
+    quiet = np.ones(pairs.num_pairs, dtype=bool)
+    for pos in range(cipher.num_sboxes):
         shift = NIBBLE_BITS * pos
-        want = ((c1 ^ c2) >> ch.expr.half_width) ^ ch.expr.mask
-        n1, n2 = (c1 >> shift) & 0xF, (c2 >> shift) & 0xF
-        ok &= (inv_s[n1 ^ guesses[pos]] ^ inv_s[n2 ^ guesses[pos]]) == (want & 0xF)
-    return np.concatenate([ok, np.zeros(n_pairs, dtype=bool)])
+        n1, n2 = (pairs.c1 >> shift) & 0xF, (pairs.c2 >> shift) & 0xF
+        if pos in active:
+            nib = (inv_s[n1 ^ guesses] ^ inv_s[n2 ^ guesses]) << shift
+            # the guess for a higher S-box is the more significant nibble of x
+            diff = (nib[:, None, :] | diff[None, :, :]).reshape(16 * len(diff), pairs.num_pairs)
+        else:
+            quiet &= n1 == n2
+    return diff, quiet
+
+
+def right_pair_table(cipher: ToyCipher, ch: Characteristic, pairs: PairSet) -> np.ndarray:
+    """Boolean e(x, j) for every subkey x (rows) over the padded index space
+    [0, 2N) (columns), from one trial decryption of all pairs."""
+    diff, quiet = _last_round_differences(cipher, ch.active_sboxes, pairs)
+    if isinstance(ch.expr, ConstantDifference):
+        right = (diff == ch.expr.delta) & quiet
+    else:
+        want = ((pairs.c1 ^ pairs.c2) >> ch.expr.half_width) ^ ch.expr.mask
+        right = diff == (want & 0xF) << (NIBBLE_BITS * ch.active_sboxes[0])
+    return np.concatenate([right, np.zeros_like(right)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -368,12 +356,16 @@ class AttackContext:
     cipher: ToyCipher
     characteristic: Characteristic
     pairs: PairSet
-    _tables: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        table = right_pair_table(self.cipher, self.characteristic, self.pairs)
+        table.flags.writeable = False
+        return table
 
     def marked_table(self, x: int) -> np.ndarray:
-        if x not in self._tables:
-            self._tables[x] = right_pair_table(self.cipher, self.characteristic, x, self.pairs)
-        return self._tables[x]
+        """Row x of the read-only right-pair table: e(x, .) over [0, 2N)."""
+        return self._table[x]
 
     @property
     def subkey_bits(self) -> int:
@@ -400,8 +392,8 @@ def difference_distribution_table(sbox: Sequence[int]) -> np.ndarray:
 def measure_probability(cipher: ToyCipher, key: int, ch: Characteristic) -> float:
     """Exact right-pair frequency of the true subkey over the full codebook."""
     pairs = gen_pairs(cipher, key, ch.plaintext_diff, cipher.block_width)
-    table = right_pair_table(cipher, ch, true_subkey(cipher, key, ch), pairs)
-    return float(table[:cipher.block_size].sum()) / cipher.block_size
+    row = right_pair_table(cipher, ch, pairs)[true_subkey(cipher, key, ch)]
+    return float(row[:cipher.block_size].sum()) / cipher.block_size
 
 
 class ZeroProbabilityError(ValueError):
@@ -430,36 +422,39 @@ def find_characteristic(cipher: ToyCipher, key: int, subkey_bits: int = 4,
 
     Ranks (P', delta) by count separation (true subkey count minus best
     wrong-subkey count) on the canonical n-bit pair set, breaking ties by
-    the true count. Only differences reachable per the S-box DDT are tried.
+    the true count; only delta with a nonzero true count are ranked. Only
+    differences reachable per the S-box DDT are tried: delta = lo | hi << 4
+    over ascending reachable nibbles, lo-major (just lo when subkey_bits is
+    4). Among equal scores the first P' (ascending) wins, then the first
+    delta in that order.
     """
     if subkey_bits not in (4, 8) or subkey_bits > cipher.block_width:
         raise ValueError("subkey_bits must be 4 or 8 and fit the block")
     active = (0,) if subkey_bits == 4 else (0, 1)
+    K = 1 << subkey_bits
     ddt = difference_distribution_table(cipher.sbox)
-    reachable = {d for d in range(1, 16) if ddt[:, d].sum() > ddt[0, d]}
+    reachable = [d for d in range(1, 16) if ddt[:, d].sum() > ddt[0, d]]
+    deltas = np.array(reachable if subkey_bits == 4 else
+                      [lo | hi << NIBBLE_BITS for lo in reachable for hi in reachable])
+    z = cipher.last_round_key(key) & (K - 1)   # the active S-boxes are the low ones
+    N = 1 << index_bits
     best = None
     for p_diff in range(1, cipher.block_size):
         pairs = gen_pairs(cipher, key, p_diff, index_bits)
-        for delta in _candidate_deltas(cipher, active, reachable):
-            probe = Characteristic(p_diff, ConstantDifference(delta), 1.0, active)
-            counts = np.array([right_pair_table(cipher, probe, x, pairs).sum()
-                               for x in range(1 << subkey_bits)])
-            z = true_subkey(cipher, key, probe)
-            wrong = np.delete(counts, z)
-            score = (counts[z] - wrong.max(), counts[z])
-            if counts[z] > 0 and (best is None or score > best[0]):
-                best = (score, p_diff, delta)
+        diff, quiet = _last_round_differences(cipher, active, pairs)
+        # counts[x, d]: right pairs of subkey x under the expected difference d
+        counts = np.bincount((np.arange(K)[:, None] * K + diff[:, quiet]).ravel(),
+                             minlength=K * K).reshape(K, K)[:, deltas]
+        true = counts[z]
+        sep = true - np.delete(counts, z, axis=0).max(axis=0)
+        # (sep, true) in lexicographic order, as 0 <= true <= N; argmax takes the first
+        i = int(np.argmax(np.where(true > 0, sep * (N + 1) + true, -(N + 1) ** 2)))
+        if true[i] > 0 and (best is None or (sep[i], true[i]) > best[0]):
+            best = ((sep[i], true[i]), p_diff, int(deltas[i]))
     if best is None:
         raise ValueError("no usable characteristic found")
     _, p_diff, delta = best
     return make_characteristic(cipher, key, p_diff, delta, active)
-
-
-def _candidate_deltas(cipher, active, reachable):
-    if len(active) == 1:
-        shift = NIBBLE_BITS * active[0]
-        return [d << shift for d in sorted(reachable)]
-    return [lo | (hi << NIBBLE_BITS) for lo in sorted(reachable) for hi in sorted(reachable)]
 
 
 # ---- JSON-style configuration -----------------------------------------

@@ -277,13 +277,30 @@ def test_cli_rejects_bad_config(tmp_path):
     ["attack", "--planted-key", "0x04", "--trials", "1", "--config", str(STOCK_DOC)],
     ["attack", "--planted-key", "0x04", "--trials", "1", "--config", str(STATED_P_DOC)],
     ["attack", "--planted-key", "0x09", "--trials", "1", "--config", str(WRONG_P_DOC)],
+    # a config document (written out by the test) holding a value of the wrong type
+    ["attack", "--trials", "1", "--config", {"trials": "5"}],
+    ["attack", "--trials", "1", "--config", {"index_bits": "6"}],
+    ["attack", "--trials", "1", "--config", {"planted_key": "0x09"}],
+    ["attack", "--trials", "1", "--config", {"epsilon": "x"}],
+    ["attack", "--trials", "1", "--config", {"cipher_doc": {"sbox": 5}}],
+    ["attack", "--trials", "1", "--config", {"cipher_doc": {"rounds": "4"}}],
+    ["attack", "--trials", "1", "--config", {"characteristic_doc": {"active_sboxes": 3}}],
+    ["attack", "--trials", "1", "--config", {"out_dir": 5}],
+    ["attack", "--trials", "1", "--config", [1, 2]],
+    ["bound", "-M", "nan"],
+    ["bound", "-M", "inf"],
 ])
 def test_cli_out_of_range_arguments_are_config_errors(argv, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    if not isinstance(argv[-1], str):
+        doc_path = tmp_path / "config.json"
+        doc_path.write_text(json.dumps(argv[-1]))
+        argv = argv[:-1] + [str(doc_path)]
     if argv[0] != "bound":
-        argv = argv + ["--out-dir", str(tmp_path)]
+        argv = argv + ["--out-dir", str(out_dir)]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("configuration error: ")
-    assert not any(tmp_path.iterdir())
+    assert not out_dir.exists()
 
 
 def test_cli_random_keys_same_with_and_without_stock_doc(tmp_path, capsys):

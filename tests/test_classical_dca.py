@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from qdca.classical_dca import (CountTable, classical_attack, count_right_pairs,
-                                count_table)
+from qdca.classical_dca import CountTable, classical_attack, count_table
 from qdca.toy_cipher import (PairSet, default_characteristic, gen_pairs,
                              is_right_pair, measure_probability, true_subkey)
 
@@ -14,7 +13,7 @@ PLANTED_COUNTS_N6 = [8, 2, 0, 2, 2, 2, 2, 2, 0, 2, 0, 0, 0, 0, 2, 0]
 def test_empty_pair_set_counts_zero(cipher, planted):
     _, ch, _, _ = planted
     empty = PairSet(0, ch.plaintext_diff, (), (), (), ())
-    assert count_right_pairs(3, empty, cipher, ch) == 0
+    assert count_table(empty, cipher, ch).counts[3] == 0
 
 
 def test_planted_count_table_pinned(cipher, planted):
@@ -32,10 +31,11 @@ def test_classical_attack_recovers_planted_subkey(cipher, planted, planted_alt):
 
 def test_counts_equal_padded_predicate_sums(cipher, planted, planted_alt):
     for _, ch, pairs, _ in (planted, planted_alt):
+        counts = count_table(pairs, cipher, ch).counts
         for x in range(1 << ch.subkey_bits):
             s = sum(is_right_pair(cipher, ch, x, j, pairs)
                     for j in range(2 * pairs.num_pairs))
-            assert s == count_right_pairs(x, pairs, cipher, ch)
+            assert s == counts[x]
 
 
 def test_counts_equal_predicate_sums_full_width_subkey(cipher):
@@ -43,10 +43,11 @@ def test_counts_equal_predicate_sums_full_width_subkey(cipher):
     from qdca.toy_cipher import make_characteristic
     ch = make_characteristic(cipher, 0x7D, 0x10, 0x28, active_sboxes=(0, 1))
     pairs = gen_pairs(cipher, 0x7D, ch.plaintext_diff, 6)
+    counts = count_table(pairs, cipher, ch).counts
     for x in range(256):
         s = sum(is_right_pair(cipher, ch, x, j, pairs)
                 for j in range(2 * pairs.num_pairs))
-        assert s == count_right_pairs(x, pairs, cipher, ch)
+        assert s == counts[x]
 
 
 def test_single_candidate_table_wins_zero():
@@ -76,7 +77,7 @@ def test_true_count_tracks_signal_across_keys(cipher):
             continue  # this key has no signal under the stock differential
         pairs = gen_pairs(cipher, key, ch.plaintext_diff, 6)
         z = true_subkey(cipher, key, ch)
-        count = count_right_pairs(z, pairs, cipher, ch)
+        count = count_table(pairs, cipher, ch).counts[z]
         assert measure_probability(cipher, key, ch) == ch.probability
         diffs.append(count - pairs.num_pairs * ch.probability)
     assert len(diffs) >= 20

@@ -44,7 +44,7 @@ def test_qubit_count_bounds():
 def test_oracle_always_false_is_identity():
     s = StateVector.uniform(3)
     before = s.amps.copy()
-    s.apply_phase_oracle(Register("r", 0, 3), lambda v: False)
+    s.apply_phase_oracle(Register("r", 0, 3), np.zeros(8, dtype=bool))
     assert np.array_equal(s.amps, before)
 
 
@@ -61,14 +61,14 @@ def test_oracle_is_involution():
 
 def test_oracle_marks_single_index():
     s = StateVector.uniform(2)
-    s.apply_phase_oracle(Register("r", 0, 2), lambda v: v == 3)
+    s.apply_phase_oracle(Register("r", 0, 2), np.arange(4) == 3)
     assert np.allclose(s.amps, [0.5, 0.5, 0.5, -0.5])
 
 
 def test_oracle_acts_on_subregister():
     # marking value 1 of the low 1-bit register flips every odd index
     s = StateVector.uniform(3)
-    s.apply_phase_oracle(Register("low", 0, 1), lambda v: v == 1)
+    s.apply_phase_oracle(Register("low", 0, 1), np.array([False, True]))
     signs = np.sign(s.amps.real)
     assert np.array_equal(signs, [1, -1, 1, -1, 1, -1, 1, -1])
 
@@ -119,7 +119,7 @@ def test_controlled_unitary_zero_control_branch_unchanged():
     # control qubit in |0>: conditioned operation must do nothing
     s = StateVector(2)  # |00>
     reg = Register("t", 0, 1)
-    s.apply_controlled_unitary_power(1, lambda sv: sv.apply_phase_oracle(reg, lambda v: True), 4)
+    s.apply_controlled_unitary_power(1, lambda sv: sv.apply_phase_oracle(reg, np.ones(2, dtype=bool)), 4)
     expect = np.zeros(4, dtype=complex)
     expect[0] = 1
     assert np.allclose(s.amps, expect)
@@ -128,7 +128,7 @@ def test_controlled_unitary_zero_control_branch_unchanged():
 def test_controlled_power_one_equals_conditioned_oracle():
     s = StateVector.uniform(2)
     reg = Register("t", 0, 1)
-    s.apply_controlled_unitary_power(1, lambda sv: sv.apply_phase_oracle(reg, lambda v: v == 1), 1)
+    s.apply_controlled_unitary_power(1, lambda sv: sv.apply_phase_oracle(reg, np.array([False, True])), 1)
     # only |11> picks up the sign
     assert np.allclose(s.amps, [0.5, 0.5, 0.5, -0.5])
 
@@ -140,7 +140,7 @@ def test_controlled_phase_kickback(power):
     s = StateVector.uniform(2)
 
     def u(sv):
-        sv.apply_conditional_phase(reg, lambda v: True, math.pi / 4)
+        sv.apply_conditional_phase(reg, np.ones(2, dtype=bool), math.pi / 4)
 
     s.apply_controlled_unitary_power(1, u, power)
     phase = np.exp(1j * math.pi / 4 * power)
@@ -160,7 +160,7 @@ def test_register_overlapping_control_rejected():
     reg = Register("r", 0, 2)
 
     def u(sv):
-        sv.apply_phase_oracle(reg, lambda v: True)
+        sv.apply_phase_oracle(reg, np.ones(4, dtype=bool))
 
     with pytest.raises(ValueError):
         s.apply_controlled_unitary_power(1, u, 1)  # control inside reg
@@ -426,7 +426,7 @@ def test_gate_norm_check_catches_drift():
     s = StateVector.uniform(2)
     s.amps *= 2.0
     with pytest.raises(CorruptedStateError):
-        s.apply_phase_oracle(Register("r", 0, 2), lambda v: True)
+        s.apply_phase_oracle(Register("r", 0, 2), np.ones(4, dtype=bool))
 
 
 # ---- registers and misc --------------------------------------------------------

@@ -1,4 +1,6 @@
 import csv
+import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -164,7 +166,7 @@ def test_planted_count_in_binomial_central_range(cipher, planted):
     # true-subkey count over the N chosen pairs is a binomial(N, p) draw
     key, ch, pairs, _ = planted
     z = true_subkey(cipher, key, ch)
-    count = int(right_pair_table(cipher, ch, z, pairs)[:pairs.num_pairs].sum())
+    count = int(right_pair_table(cipher, ch, pairs)[z][:pairs.num_pairs].sum())
     n_pairs = pairs.num_pairs
     mean = n_pairs * ch.probability
     sigma = (n_pairs * ch.probability * (1 - ch.probability)) ** 0.5
@@ -219,7 +221,7 @@ def test_padding_indices_never_mark(cipher, planted):
 def test_right_pair_table_agrees_with_scalar(cipher, planted):
     _, ch, pairs, _ = planted
     for x in range(16):
-        table = right_pair_table(cipher, ch, x, pairs)
+        table = right_pair_table(cipher, ch, pairs)[x]
         assert len(table) == 2 * pairs.num_pairs
         for j in range(2 * pairs.num_pairs):
             assert bool(table[j]) == bool(is_right_pair(cipher, ch, x, j, pairs))
@@ -239,17 +241,17 @@ def _characteristics(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), sbox=st.permutations(range(16)),
-       pbox=st.permutations(range(8)), key=st.integers(0, 255),
-       index_bits=st.integers(1, 5), ch=_characteristics())
+@given(sbox=st.permutations(range(16)), pbox=st.permutations(range(8)),
+       key=st.integers(0, 255), index_bits=st.integers(1, 5), ch=_characteristics())
 def test_right_pair_table_agrees_with_scalar_on_random_instances(
-        data, sbox, pbox, key, index_bits, ch):
+        sbox, pbox, key, index_bits, ch):
+    # every row x of the (K, 2N) table against the scalar e(x, j)
     c = ToyCipher(sbox=tuple(sbox), pbox=tuple(pbox))
     pairs = gen_pairs(c, key, ch.plaintext_diff, index_bits)
-    x = data.draw(st.integers(0, (1 << ch.subkey_bits) - 1))
-    table = right_pair_table(c, ch, x, pairs)
-    scalar = [is_right_pair(c, ch, x, j, pairs) for j in range(2 * pairs.num_pairs)]
-    assert table.tolist() == [bool(e) for e in scalar]
+    table = right_pair_table(c, ch, pairs)
+    scalar = [[bool(is_right_pair(c, ch, x, j, pairs)) for j in range(2 * pairs.num_pairs)]
+              for x in range(1 << ch.subkey_bits)]
+    assert table.tolist() == scalar
 
 
 def test_right_pair_status_invariant_under_pair_swap(cipher, planted):
@@ -257,8 +259,16 @@ def test_right_pair_status_invariant_under_pair_swap(cipher, planted):
     swapped = PairSet(pairs.index_bits, pairs.plaintext_diff,
                       pairs.p2, pairs.p1, pairs.c2, pairs.c1)
     for x in range(16):
-        assert np.array_equal(right_pair_table(cipher, ch, x, pairs),
-                              right_pair_table(cipher, ch, x, swapped))
+        assert np.array_equal(right_pair_table(cipher, ch, pairs)[x],
+                              right_pair_table(cipher, ch, swapped)[x])
+
+
+def test_marked_table_is_read_only(planted):
+    # one table is shared by every count of the instance
+    _, _, _, ctx = planted
+    row = ctx.marked_table(3)
+    with pytest.raises(ValueError):
+        row[0] = True
 
 
 def test_measured_probability_matches_stored_exactly(cipher, planted, planted_alt):
@@ -270,7 +280,7 @@ def test_wrong_subkeys_count_far_below_true(cipher, planted):
     # the attack premise: wrong-key counts sit near zero relative to N*p
     key, ch, pairs, _ = planted
     z = true_subkey(cipher, key, ch)
-    counts = [int(right_pair_table(cipher, ch, x, pairs)[:pairs.num_pairs].sum())
+    counts = [int(right_pair_table(cipher, ch, pairs)[x][:pairs.num_pairs].sum())
               for x in range(16)]
     wrong = [c for x, c in enumerate(counts) if x != z]
     assert max(wrong) < counts[z]
@@ -292,7 +302,7 @@ def test_k8_characteristic_covers_both_nibbles(cipher):
     z = true_subkey(cipher, 0x7D, ch)
     assert z == cipher.last_round_key(0x7D)
     pairs = gen_pairs(cipher, 0x7D, ch.plaintext_diff, 6)
-    counts = [int(right_pair_table(cipher, ch, x, pairs)[:64].sum()) for x in range(256)]
+    counts = [int(right_pair_table(cipher, ch, pairs)[x][:64].sum()) for x in range(256)]
     assert counts[z] == 18 == max(counts)
     assert counts.count(18) == 1
 
@@ -304,12 +314,57 @@ def test_ddt_row_sums(cipher):
     assert np.all(ddt[1:, :].max(axis=1) <= 8)
 
 
+def _find_characteristic_by_loop(cipher, key, subkey_bits, index_bits):
+    """The search as one loop per (P', delta): a probe characteristic per
+    delta, its K counts read from right_pair_table; (P', delta) of the winner."""
+    active = (0,) if subkey_bits == 4 else (0, 1)
+    ddt = difference_distribution_table(cipher.sbox)
+    reachable = sorted(d for d in range(1, 16) if ddt[:, d].sum() > ddt[0, d])
+    deltas = (reachable if subkey_bits == 4 else
+              [lo | (hi << 4) for lo in reachable for hi in reachable])
+    best = None
+    for p_diff in range(1, cipher.block_size):
+        pairs = gen_pairs(cipher, key, p_diff, index_bits)
+        for delta in deltas:
+            probe = Characteristic(p_diff, ConstantDifference(delta), 1.0, active)
+            counts = right_pair_table(cipher, probe, pairs)[:, :pairs.num_pairs].sum(axis=1)
+            z = true_subkey(cipher, key, probe)
+            score = (counts[z] - np.delete(counts, z).max(), counts[z])
+            if counts[z] > 0 and (best is None or score > best[0]):
+                best = (score, p_diff, delta)
+    return best[1], best[2]
+
+
+# Of all k = 4 instances at n <= 8, only key 0x45 at n = 8 picks another
+# (P', delta) when ranked by separation + true count instead of (separation,
+# true count); key 0x88 at k = 8, n = 1 picks another one when delta runs
+# hi-major instead of lo-major.
+@pytest.mark.parametrize("subkey_bits, key, index_bits",
+                         [(4, key, n) for key in (0x09, 0x33, 0x5A, 0xC4) for n in (4, 5, 6)]
+                         + [(4, 0x45, 8), (8, 0x88, 1)])
+def test_find_characteristic_equals_the_per_delta_loop(cipher, subkey_bits, key, index_bits):
+    ch = find_characteristic(cipher, key, subkey_bits=subkey_bits, index_bits=index_bits)
+    assert ch.active_sboxes == ((0,) if subkey_bits == 4 else (0, 1))
+    assert (ch.plaintext_diff, ch.expr.delta) == _find_characteristic_by_loop(
+        cipher, key, subkey_bits, index_bits)
+
+
+def test_find_characteristic_at_k8_returns_the_pinned_doc():
+    doc = json.loads((FIXTURES / "k8_characteristic.json").read_text())["characteristic_doc"]
+    t0 = time.perf_counter()
+    ch = find_characteristic(ToyCipher(), DEFAULT_PLANTED_KEY, subkey_bits=8, index_bits=8)
+    assert time.perf_counter() - t0 < 10.0
+    assert ch.active_sboxes == (0, 1)
+    assert (ch.plaintext_diff, ch.expr.delta) == (int(doc["plaintext_diff"], 16),
+                                                  int(doc["output_diff"], 16)) == (0x01, 0x11)
+
+
 def test_find_characteristic_recovers_a_working_differential(cipher):
     ch = find_characteristic(cipher, DEFAULT_PLANTED_KEY, subkey_bits=4, index_bits=5)
     assert 0 < ch.probability <= 1
     pairs = gen_pairs(cipher, DEFAULT_PLANTED_KEY, ch.plaintext_diff, 5)
     z = true_subkey(cipher, DEFAULT_PLANTED_KEY, ch)
-    counts = [int(right_pair_table(cipher, ch, x, pairs)[:32].sum()) for x in range(16)]
+    counts = [int(right_pair_table(cipher, ch, pairs)[x][:32].sum()) for x in range(16)]
     assert counts[z] == max(counts)
 
 

@@ -19,7 +19,7 @@ from .statevector import (ClassState, CorruptedStateError, GateCounters, Registe
 from .quantum_counting import (CountEstimate, CountingParams,
                                coherent_counting_distribution,
                                counting_distribution, counting_error_bound,
-                               grover_iteration, profile_error_bound,
+                               grover_iteration, grover_ladder, profile_error_bound,
                                quantum_count, reference_counting_distribution)
 from .max_finding import (ExactCounter, MaxFindingConfig,
                           MaxFindingResult, QuantumCounter, SearchBudget,

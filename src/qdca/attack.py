@@ -89,6 +89,10 @@ class AttackConfig:
         if params.num_qubits > DEFAULT_MAX_QUBITS:
             raise ConfigError(f"counting needs t+n+1 = {params.num_qubits} simulated "
                               f"qubits, above the {DEFAULT_MAX_QUBITS}-qubit limit")
+        lane_width = params.phase_bits + 1 + self.subkey_bits
+        if lane_width > DEFAULT_MAX_QUBITS:
+            raise ConfigError(f"counting all 2**k subkeys as lanes needs t+1+k = {lane_width} "
+                              f"qubits, above the {DEFAULT_MAX_QUBITS}-qubit limit")
         if self.expected_steps is not None:
             k = self.subkey_bits
             need = k + threshold_pass_cost(k, params.init_steps, params.counting_cost)
@@ -276,9 +280,11 @@ def run_count_report(config: AttackConfig, trial: int = 0) -> list[dict]:
     ctx, _, _ = plant_instance(config, trial)
     params = config.counting_params()
     rng = _trial_rng(config.master_seed, trial)
+    counter = QuantumCounter(ctx, params, rng)
     rows = []
     for x in range(1 << config.subkey_bits):
-        est = quantum_count(x, params, ctx, rng)
+        counter.count(x)
+        est = counter.estimates[x]
         m_true = int(ctx.marked_table(x).sum())
         bound = counting_error_bound(m_true, params.num_pairs, params.accuracy_bits)
         rows.append({

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantum_counting import (CountEstimate, CountingParams, grover_iteration,
-                               quantum_count)
+from .quantum_counting import (CountEstimate, CountingParams, Ladder, count_marked,
+                               grover_iteration, grover_ladder)
 from .statevector import ClassState, Register
 from .toy_cipher import AttackContext
 
@@ -83,7 +83,11 @@ class StageSteps:
 
 
 class QuantumCounter:
-    """Memoized quantum counting: one sampled estimate per subkey per run."""
+    """Memoized quantum counting: one sampled estimate per subkey per run.
+
+    The first count runs one Grover ladder over every subkey's table as a
+    lane; each subkey's estimate is drawn from its lane on first demand, so
+    the draws follow the demand order."""
 
     def __init__(self, ctx: AttackContext, params: CountingParams,
                  rng: np.random.Generator):
@@ -92,6 +96,7 @@ class QuantumCounter:
         self.rng = rng
         self.estimates: dict[int, CountEstimate] = {}
         self.invocations = 0
+        self._ladder: Ladder | None = None
 
     @property
     def counting_cost(self) -> int:
@@ -103,7 +108,10 @@ class QuantumCounter:
 
     def count(self, x: int) -> int:
         if x not in self.estimates:
-            self.estimates[x] = quantum_count(x, self.params, self.ctx, self.rng)
+            if self._ladder is None:
+                self._ladder = grover_ladder(self.ctx.table, self.params)
+            self.estimates[x] = count_marked(self.ctx.marked_table(x), self.params, self.rng,
+                                             ladder=self._ladder.lane(x))
             self.invocations += 1
         return self.estimates[x].right_pairs
 

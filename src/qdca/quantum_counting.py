@@ -15,16 +15,22 @@ acts on the index register alone, so the state after the ladder is
 sum_b |b> (x) G^b|psi0> / sqrt(2**t). G keeps the uniform start inside the
 span of |u_M> and |u_U>, the uniform states over the M marked and the 2N - M
 unmarked indices (Brassard-Hoyer-Mosca-Tapp, quant-ph/0005055), so the index
-register is a ``ClassState``. G runs on it 2**t - 1 times, counted, and row b
-of a (T, 2) array holds the class amplitudes u_b, m_b of G^b|psi0>.
+register is a ``ClassState`` with real amplitudes. ``grover_ladder`` runs G
+on it 2**t - 1 times, counted, and row b of a (T, 2) array holds the class
+amplitudes u_b, m_b of G^b|psi0>. Given an (L, 2N) stack of tables it runs
+one ladder over all L lanes at once: each G step is applied to every lane
+and counted once, and the record is (T, 2, L). The attack's counter runs one
+ladder over all K subkeys and hands each subkey's lane to ``count_marked``.
 
 The inverse Fourier transform runs gate by gate on t+1 qubits, on
 |0> (x) sum_b sqrt((2N-M)/T) u_b|b> + |1> (x) sum_b sqrt(M/T) m_b|b>, whose
 image under the isometry |0> -> |u_U>, |1> -> |u_M> is the full state; the
 transform acts on the phase register alone, so the phase outcome
 distribution is unchanged. t+n+1 is the width of the parameterized circuit
-these states represent exactly. The full-vector controlled ladder is kept as
-``reference_counting_distribution``, the oracle the kernel is tested against.
+these states represent exactly. The transform runs once per estimate, so the
+QFT gates counted at the gates are the ones each estimate reports. The
+full-vector controlled ladder is kept as ``reference_counting_distribution``,
+the oracle the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -131,9 +137,10 @@ def estimate_from_outcome(b: int, params: CountingParams) -> tuple[float, float,
 
 def _registers(marked: np.ndarray, params: CountingParams) -> RegisterMap:
     """Phase register on the low qubits, index register above it; refuses a
-    table of the wrong size or a width above the simulator limit."""
+    table (or a stack's rows) of the wrong size or a width above the simulator
+    limit."""
     n = params.index_bits
-    if marked.size != 1 << (n + 1):
+    if marked.shape[-1:] != (1 << (n + 1),):
         raise ValueError("marked table must cover the padded 2N index space")
     if params.num_qubits > DEFAULT_MAX_QUBITS:
         raise ValueError(f"counting needs t+n+1 = {params.num_qubits} qubits, "
@@ -141,28 +148,63 @@ def _registers(marked: np.ndarray, params: CountingParams) -> RegisterMap:
     return RegisterMap(("phase", params.phase_bits), ("index", n + 1))
 
 
-def _counting_circuit(marked: np.ndarray,
-                      params: CountingParams) -> tuple[StateVector, Register, int]:
-    """Phase estimation reduced to the two index classes; returns the state
-    after the inverse QFT, its phase register and the number of G gates the
-    ladder applied."""
-    regs = _registers(marked, params)
-    phase_reg = regs["phase"]
+@dataclass(frozen=True)
+class Ladder:
+    """Row b of ``amps`` holds G^b|psi0> as its (unmarked, marked) class
+    amplitudes, for b < 2**t; a stack of tables adds a trailing lane axis,
+    and ``n_marked`` is then its per-lane float64 marked-class sizes."""
+
+    n_marked: int | np.ndarray
+    amps: np.ndarray
+    g_gates: int   # G steps applied to every lane, counted at the gates
+
+    def lane(self, x: int) -> "Ladder":
+        """Lane x of a stack's ladder, as the ladder of its own table."""
+        return Ladder(int(self.n_marked[x]), self.amps[:, :, x], self.g_gates)
+
+
+def grover_ladder(tables: np.ndarray, params: CountingParams) -> Ladder:
+    """Apply G 2**t - 1 times to the uniform index state of one (2N,) table, or
+    to all L lanes of an (L, 2N) stack at once, recording every power.
+
+    The (T, 2, L) record is a (t+1+log2 L)-qubit object: a stack wider than
+    the simulator limit is refused before the first G step."""
+    _registers(tables, params)
+    lanes = len(tables) if tables.ndim == 2 else 1
+    lane_bits = (lanes - 1).bit_length()
+    if params.phase_bits + 1 + lane_bits > DEFAULT_MAX_QUBITS:
+        raise ValueError(f"a ladder over {lanes} lanes needs t+1+{lane_bits} = "
+                         f"{params.phase_bits + 1 + lane_bits} qubits, above the "
+                         f"{DEFAULT_MAX_QUBITS}-qubit limit")
     index_reg = Register("index", 0, params.index_bits + 1)
-    index = ClassState(index_reg, marked)
+    index = ClassState(index_reg, tables)
     T = 1 << params.phase_bits
-    # row b holds G^b|psi0> as its (unmarked, marked) class amplitudes
-    powers = [(index.amp_unmarked, index.amp_marked)]
-    for _ in range(1, T):
-        grover_iteration(index, index_reg, marked)
-        powers.append((index.amp_unmarked, index.amp_marked))
+    amps = np.empty((T, 2) + tables.shape[:-1])
+    amps[0, 0], amps[0, 1] = index.amp_unmarked, index.amp_marked
+    for b in range(1, T):
+        grover_iteration(index, index_reg, tables)
+        amps[b, 0], amps[b, 1] = index.amp_unmarked, index.amp_marked
+    return Ladder(index.n_marked, amps, index.counters.oracle_calls)
+
+
+def _counting_circuit(marked: np.ndarray, params: CountingParams,
+                      ladder: Ladder | None) -> tuple[StateVector, Register, int]:
+    """Phase estimation reduced to the two index classes, over the given ladder
+    of ``marked`` or a new one; returns the state after the inverse QFT, its
+    phase register and the number of G gates the ladder applied."""
+    phase_reg = _registers(marked, params)["phase"]
+    if ladder is None:
+        ladder = grover_ladder(marked, params)
+    elif ladder.n_marked != np.count_nonzero(marked):
+        raise ValueError("the ladder's class sizes are not those of the table")
+    T = 1 << params.phase_bits
     state = StateVector(phase_reg.width + 1)
     # class major, phase minor: row 0 the unmarked class, row 1 the marked one
-    scale = [[math.sqrt(index.n_unmarked / T)], [math.sqrt(index.n_marked / T)]]
-    np.multiply(np.array(powers, dtype=np.complex128).T, scale,
-                out=state.amps.reshape(2, T))
+    scale = [[math.sqrt((marked.size - ladder.n_marked) / T)],
+             [math.sqrt(ladder.n_marked / T)]]
+    np.multiply(ladder.amps.T, scale, out=state.amps.reshape(2, T))
     state.inverse_qft(phase_reg)
-    return state, phase_reg, index.counters.oracle_calls
+    return state, phase_reg, ladder.g_gates
 
 
 def quantum_count(x: int, params: CountingParams, ctx: AttackContext,
@@ -174,9 +216,10 @@ def quantum_count(x: int, params: CountingParams, ctx: AttackContext,
 
 
 def count_marked(marked: np.ndarray, params: CountingParams,
-                 rng: np.random.Generator) -> CountEstimate:
-    """Counting circuit over an explicit marked-item table."""
-    state, phase_reg, g_gates = _counting_circuit(marked, params)
+                 rng: np.random.Generator, *, ladder: Ladder | None = None) -> CountEstimate:
+    """Counting circuit over an explicit marked-item table; ``ladder`` is the
+    table's lane of a ladder already run (default: run one for it)."""
+    state, phase_reg, g_gates = _counting_circuit(marked, params, ladder)
     qft_gates = state.counters.qft_gates
     b = state.measure(phase_reg, rng)
     theta, m_est, right = estimate_from_outcome(b, params)
@@ -187,7 +230,7 @@ def count_marked(marked: np.ndarray, params: CountingParams,
 
 def counting_distribution(marked: np.ndarray, params: CountingParams) -> np.ndarray:
     """Exact outcome distribution over b, by amplitude readout (no sampling)."""
-    state, phase_reg, _ = _counting_circuit(marked, params)
+    state, phase_reg, _ = _counting_circuit(marked, params, None)
     return state.probabilities(phase_reg)
 
 

@@ -22,13 +22,17 @@ seeded runs are bit-reproducible.
 A ClassState holds a register under Grover steps over one marked table as
 one amplitude per class: the phase oracle and the diffusion keep the uniform
 start in the span of |u_M> and |u_U>, the uniform states over the marked and
-the unmarked values (Boyer-Brassard-Hoyer-Tapp, quant-ph/9605034). Its gates
-are counted and norm-checked like a StateVector's and refuse any register or
-table but its own; it measures over every register value.
+the unmarked values (Boyer-Brassard-Hoyer-Tapp, quant-ph/9605034). G is real,
+so the amplitudes are real floats. Given an (L, 2**width) stack of tables it
+holds one (unmarked, marked) pair per lane, and each gate acts on every lane
+at once. Its gates are counted and norm-checked like a StateVector's and
+refuse any register or table but its own; a single table's state measures
+over every register value.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,6 +93,25 @@ class GateCounters:
     diffusion_calls: int = 0
     qft_gates: int = 0
     phase_gates: int = 0
+
+
+@functools.lru_cache(maxsize=None)   # keys are bounded by the qubit limit
+def _qft_plan(offset: int, width: int, inverse: bool) -> tuple[tuple, ...]:
+    """The (gate method, *arguments) ops of the QFT on qubits offset..offset+width-1,
+    each controlled phase with its factor exp(i*angle).
+
+    Gate count: width Hadamards + width*(width-1)/2 controlled phases
+    + floor(width/2) swaps.
+    """
+    ops = []
+    for i in reversed(range(width)):
+        ops.append(("_hadamard", offset + i))
+        for j in range(i):
+            angle = math.pi / (1 << (i - j))
+            ops.append(("_controlled_phase", offset + i, offset + j,
+                        np.exp(1j * (-angle if inverse else angle))))
+    ops += [("_swap", offset + i, offset + width - 1 - i) for i in range(width // 2)]
+    return tuple(reversed(ops) if inverse else ops)
 
 
 class StateVector:
@@ -238,8 +261,9 @@ class StateVector:
         return self.amps.reshape(1 << (self.num_qubits - hi - 1), 2,
                                  1 << (hi - lo - 1), 2, 1 << lo)
 
-    def _controlled_phase(self, qa: int, qb: int, angle: float):
-        self._pair_view(qa, qb)[:, 1, :, 1, :] *= np.exp(1j * angle)
+    def _controlled_phase(self, qa: int, qb: int, phase: complex):
+        """Multiply the states with both qubits |1> by the unit factor ``phase``."""
+        self._pair_view(qa, qb)[:, 1, :, 1, :] *= phase
         self.counters.qft_gates += 1
 
     def _swap(self, qa: int, qb: int):
@@ -250,32 +274,12 @@ class StateVector:
         self.counters.qft_gates += 1
 
     def _qft_gates(self, reg: Register, inverse: bool):
-        """Textbook QFT circuit on the register (little-endian value order).
-
-        Gate count: width Hadamards + width*(width-1)/2 controlled phases
-        + floor(width/2) swaps.
-        """
+        """Textbook QFT circuit on the register (little-endian value order),
+        one counted gate method call per gate of ``_qft_plan``."""
         self._check_register(reg)
         self._refuse_controls("the Fourier transform")
-        qs = list(reg.qubits)
-        t = len(qs)
-        ops = []
-        for i in reversed(range(t)):
-            ops.append(("h", i))
-            for j in range(i):
-                ops.append(("cp", i, j, math.pi / (1 << (i - j))))
-        swaps = [("swap", i, t - 1 - i) for i in range(t // 2)]
-        sequence = ops + swaps
-        if inverse:
-            sequence = [(op[0], *op[1:]) for op in reversed(sequence)]
-        for op in sequence:
-            if op[0] == "h":
-                self._hadamard(qs[op[1]])
-            elif op[0] == "cp":
-                angle = -op[3] if inverse else op[3]
-                self._controlled_phase(qs[op[1]], qs[op[2]], angle)
-            else:
-                self._swap(qs[op[1]], qs[op[2]])
+        for gate, *args in _qft_plan(reg.offset, reg.width, inverse):
+            getattr(self, gate)(*args)
         self._assert_norm()
 
     def forward_qft(self, reg: Register):
@@ -314,27 +318,47 @@ class StateVector:
 
 
 class ClassState:
-    """A register's uniform state under Grover steps, one amplitude per class."""
+    """A register's uniform state under Grover steps, one amplitude per class.
+
+    ``marked`` is one table over the register's values, or an (L, 2**width)
+    stack of L tables: the state then holds L lanes, one per table, as float64
+    arrays of length L, and n_marked/n_unmarked are per-lane arrays.
+    """
 
     def __init__(self, reg: Register, marked: np.ndarray):
-        if marked.size != reg.size:
+        if marked.shape[-1:] != (reg.size,) or marked.ndim > 2:
             raise ValueError("predicate table length must be 2**width")
         self.reg, self.marked = reg, marked
-        self.n_marked = int(np.count_nonzero(marked))
+        self.lanes = len(marked) if marked.ndim == 2 else None
+        amp = 1.0 / math.sqrt(reg.size)
+        if self.lanes is None:
+            self.n_marked = int(np.count_nonzero(marked))
+            # Python floats: numpy's per-call cost would dominate at two amplitudes
+            self.amp_unmarked = self.amp_marked = amp
+        else:
+            # float64 counts (exact below 2**53): the per-gate products need no cast
+            self.n_marked = np.count_nonzero(marked, axis=1).astype(np.float64)
+            self.amp_unmarked, self.amp_marked = np.full(self.lanes, amp), np.full(self.lanes, amp)
         self.n_unmarked = reg.size - self.n_marked
-        # Python scalars: numpy's per-call cost would dominate at two amplitudes
-        self.amp_unmarked = self.amp_marked = complex(1.0 / math.sqrt(reg.size))
         self.counters = GateCounters()
 
     def _check(self, reg: Register, table=None):
-        if reg != self.reg or (table is not None and table is not self.marked):
+        if ((reg is not self.reg and reg != self.reg)
+                or (table is not None and table is not self.marked)):
             raise ValueError("a class state takes only its own register and table")
 
-    def norm_squared(self) -> float:
-        return (self.n_unmarked * abs(self.amp_unmarked) ** 2
-                + self.n_marked * abs(self.amp_marked) ** 2)
+    def norm_squared(self):
+        """The weighted norm, per lane for a stack."""
+        return (self.n_unmarked * (self.amp_unmarked * self.amp_unmarked)
+                + self.n_marked * (self.amp_marked * self.amp_marked))
 
-    _assert_norm = StateVector._assert_norm
+    def _assert_norm(self):
+        norm = self.norm_squared()
+        if self.lanes is not None:   # the worst lane is the smallest or the largest
+            low, high = float(norm[norm.argmin()]), float(norm[norm.argmax()])
+            norm = low if 1.0 - low > high - 1.0 else high
+        if abs(norm - 1.0) > NORM_TOL:
+            raise CorruptedStateError(f"norm drift: |amps|^2 = {norm!r}")
 
     def apply_phase_oracle(self, reg: Register, table: np.ndarray):
         """Negate the marked class; ``table`` must be the state's own."""
@@ -354,15 +378,17 @@ class ClassState:
 
     def probabilities(self) -> np.ndarray:
         """Outcome distribution over all 2**width register values."""
-        return np.where(self.marked, (self.amp_marked * self.amp_marked.conjugate()).real,
-                        (self.amp_unmarked * self.amp_unmarked.conjugate()).real)
+        if self.lanes is not None:
+            raise ValueError("a lane stack has one outcome distribution per lane")
+        return np.where(self.marked, self.amp_marked * self.amp_marked,
+                        self.amp_unmarked * self.amp_unmarked)
 
     def measure(self, rng: np.random.Generator) -> int:
         """Draw the register as StateVector.measure does, over all 2**width values;
         no collapse (a basis state has no two-class form): the caller discards it."""
+        probs = self.probabilities()
         if self.norm_squared() < 1e-12:
             raise CorruptedStateError("state norm below 1e-12 before measurement")
-        probs = self.probabilities()
         outcome = int(rng.choice(self.reg.size, p=probs / probs.sum()))
         if probs[outcome] <= 0:
             raise CorruptedStateError("sampled zero-probability outcome")

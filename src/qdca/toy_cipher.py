@@ -358,14 +358,15 @@ class AttackContext:
     pairs: PairSet
 
     @cached_property
-    def _table(self) -> np.ndarray:
+    def table(self) -> np.ndarray:
+        """The read-only (K, 2N) right-pair table, built on first use."""
         table = right_pair_table(self.cipher, self.characteristic, self.pairs)
         table.flags.writeable = False
         return table
 
     def marked_table(self, x: int) -> np.ndarray:
         """Row x of the read-only right-pair table: e(x, .) over [0, 2N)."""
-        return self._table[x]
+        return self.table[x]
 
     @property
     def subkey_bits(self) -> int:
@@ -403,6 +404,10 @@ class ZeroProbabilityError(ValueError):
 def make_characteristic(cipher: ToyCipher, key: int, plaintext_diff: int,
                         delta: int, active_sboxes: tuple[int, ...] = (0,)) -> Characteristic:
     """Build a constant-expression characteristic and measure its exact p."""
+    for pos in active_sboxes:
+        if pos not in range(cipher.num_sboxes):
+            raise ValueError(f"active S-box {pos} is outside the {cipher.num_sboxes} "
+                             f"S-boxes of the {cipher.block_width}-bit block")
     probe = Characteristic(plaintext_diff, ConstantDifference(delta), 1.0, active_sboxes)
     p = measure_probability(cipher, key, probe)
     if p == 0:

@@ -16,6 +16,8 @@ STOCK_DOC = Path(__file__).parent / "fixtures" / "stock_characteristic.json"
 # the same doc stating p = 1/16, the measured p at key 0x09, and stating p = 1/2
 STATED_P_DOC = STOCK_DOC.with_name("stated_probability.json")
 WRONG_P_DOC = STOCK_DOC.with_name("wrong_probability.json")
+# the golden k = 8 doc: P' = 01, delta = 11
+K8_DOC = STOCK_DOC.with_name("k8_characteristic.json")
 
 
 # ---- configuration ---------------------------------------------------------
@@ -38,6 +40,17 @@ WRONG_P_DOC = STOCK_DOC.with_name("wrong_probability.json")
 def test_config_validation(bad):
     with pytest.raises(ConfigError):
         AttackConfig(**bad)
+
+
+@pytest.mark.parametrize("fields,width", [
+    (dict(subkey_bits=8, index_bits=4, accuracy_bits=14), 26),   # t = 17
+    (dict(index_bits=2, accuracy_bits=18), 26),                  # t = 21, t+n+1 = 24
+])
+def test_config_refuses_lanes_above_the_qubit_limit(fields, width):
+    with pytest.raises(ConfigError, match=f"as lanes needs t\\+1\\+k = {width} qubits"):
+        AttackConfig(**fields)
+    # the widest accepted stack: t = 15 and k = 8 give t+1+k = 24
+    AttackConfig(subkey_bits=8, index_bits=8, accuracy_bits=12)
 
 
 def test_config_rejects_unknown_keys():
@@ -289,6 +302,9 @@ def test_cli_rejects_bad_config(tmp_path):
     ["attack", "--trials", "1", "--config", [1, 2]],
     ["bound", "-M", "nan"],
     ["bound", "-M", "inf"],
+    # t+1+k above the limit: at least 33M G steps per trial if accepted
+    ["attack", "-k", "8", "-n", "4", "-m", "14", "--trials", "1", "--config", str(K8_DOC)],
+    ["count", "-n", "2", "-m", "18"],
 ])
 def test_cli_out_of_range_arguments_are_config_errors(argv, tmp_path, capsys):
     out_dir = tmp_path / "out"
@@ -300,6 +316,21 @@ def test_cli_out_of_range_arguments_are_config_errors(argv, tmp_path, capsys):
         argv = argv + ["--out-dir", str(out_dir)]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("active", [[0, 2], [-1], [5]])
+def test_cli_active_sbox_outside_the_block_is_named(active, tmp_path, capsys):
+    doc = {"characteristic_doc": {"plaintext_diff": "0A", "output_diff": "202",
+                                  "active_sboxes": active}}
+    doc_path = tmp_path / "config.json"
+    doc_path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert main(["attack", "--trials", "1", "--config", str(doc_path),
+                 "--out-dir", str(out_dir)]) == 1
+    bad = next(pos for pos in active if pos not in (0, 1))
+    assert capsys.readouterr().err == (f"configuration error: active S-box {bad} is outside "
+                                       "the 2 S-boxes of the 8-bit block\n")
     assert not out_dir.exists()
 
 

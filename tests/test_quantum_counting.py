@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdca import quantum_counting
-from qdca.quantum_counting import (CountingParams, coherent_counting_distribution,
-                                   count_marked, counting_distribution,
-                                   counting_error_bound, estimate_from_outcome,
-                                   grover_iteration, profile_error_bound,
-                                   qft_gate_budget, quantum_count,
+from qdca.max_finding import QuantumCounter
+from qdca.quantum_counting import (CountingParams, _counting_circuit,
+                                   coherent_counting_distribution, count_marked,
+                                   counting_distribution, counting_error_bound,
+                                   estimate_from_outcome, grover_iteration, grover_ladder,
+                                   profile_error_bound, qft_gate_budget, quantum_count,
                                    reference_counting_distribution)
 from qdca.statevector import (ClassState, CorruptedStateError, GateCounters, Register,
                               StateVector)
-from qdca.toy_cipher import true_subkey
+from qdca.toy_cipher import (AttackContext, default_characteristic, gen_pairs,
+                             make_characteristic, true_subkey)
 
 
 def _rng(entropy, *key):
@@ -331,7 +333,7 @@ def test_class_state_gates_check_the_weighted_norm():
         state.apply_diffusion(reg)
 
 
-def test_gate_counts_are_observed_not_computed(monkeypatch):
+def test_gate_counts_are_observed_not_computed(monkeypatch, planted):
     # the reported counts equal the G steps and Fourier gates actually applied
     applied = {"g": 0, "qft": 0}
 
@@ -357,6 +359,21 @@ def test_gate_counts_are_observed_not_computed(monkeypatch):
     assert est.g_gate_count == applied["g"] == (1 << params.phase_bits) - 1
     assert est.qft_gate_count == applied["qft"] == qft_gate_budget(params.phase_bits)
 
+    # the counter: one 16-lane ladder, then one Fourier transform per estimate
+    _, _, _, ctx = planted
+    params = CountingParams.default(6)
+    t = params.phase_bits
+    applied.update(g=0, qft=0)
+    counter = QuantumCounter(ctx, params, _rng(13))
+    for x in range(16):
+        counter.count(x)
+    assert applied["g"] == (1 << t) - 1
+    assert len(counter.estimates) == 16
+    for est in counter.estimates.values():
+        assert est.g_gate_count == (1 << t) - 1
+        assert est.qft_gate_count == qft_gate_budget(t)
+    assert applied["qft"] == 16 * qft_gate_budget(t)
+
 
 def test_width_is_checked_before_the_ladder(monkeypatch):
     # t = 23, so t+n+1 = 30 qubits: refused before any G step or allocation
@@ -367,7 +384,115 @@ def test_width_is_checked_before_the_ladder(monkeypatch):
     assert params.num_qubits == 30
     with pytest.raises(ValueError, match="counting needs t\\+n\\+1 = 30 qubits"):
         count_marked(np.zeros(128, dtype=bool), params, _rng(0))
+    # t = 17, so t+n+1 = 19 fits, but 256 lanes make the record t+1+8 = 26 qubits
+    params = CountingParams(1, 14, 0.1)
+    assert params.phase_bits == 17
+    with pytest.raises(ValueError, match="256 lanes needs t\\+1\\+8 = 26 qubits"):
+        grover_ladder(np.zeros((256, 4), dtype=bool), params)
     assert steps == []
+
+
+# ---- one ladder over a stack of tables -------------------------------------------
+
+
+def _lane_states(tables, params):
+    """The post-QFT state of each lane of one ladder over the stack."""
+    ladder = grover_ladder(tables, params)
+    return [_counting_circuit(table, params, ladder.lane(x))[0]
+            for x, table in enumerate(tables)]
+
+
+def _assert_lanes_equal_single_tables(tables, params):
+    for table, lane in zip(tables, _lane_states(tables, params)):
+        single, phase_reg, _ = _counting_circuit(table, params, None)
+        assert np.array_equal(lane.amps, single.amps)
+        assert np.array_equal(lane.probabilities(phase_reg), counting_distribution(table, params))
+
+
+@pytest.mark.parametrize("key", [0x09, 0x33, 0x5A])
+@pytest.mark.parametrize("n", [1, 3, 6, 8])
+def test_lanes_equal_the_single_table_path(cipher, key, n):
+    ch = default_characteristic(cipher, key)
+    ctx = AttackContext(cipher, ch, gen_pairs(cipher, key, ch.plaintext_diff, n))
+    _assert_lanes_equal_single_tables(ctx.table, CountingParams.default(n))
+
+
+def test_lanes_equal_the_single_table_path_at_k8(cipher):
+    # the golden attack_k8n8 instance: P' = 01, delta = 11, key 0x09
+    ch = make_characteristic(cipher, 0x09, 0x01, 0x11, (0, 1))
+    ctx = AttackContext(cipher, ch, gen_pairs(cipher, 0x09, 0x01, 8))
+    assert ctx.table.shape == (256, 512)
+    _assert_lanes_equal_single_tables(ctx.table, CountingParams.default(8))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 5), m=st.integers(1, 3), lanes=st.sampled_from([1, 4, 16]),
+       data=st.data())
+def test_lanes_equal_the_single_table_path_on_random_stacks(n, m, lanes, data):
+    # rows 0 and 1 (when there are two or more) are all unmarked and all marked
+    space = 1 << (n + 1)
+    rows = [[False] * space, [True] * space][:lanes]
+    rows += [data.draw(st.lists(st.booleans(), min_size=space, max_size=space))
+             for _ in range(lanes - len(rows))]
+    _assert_lanes_equal_single_tables(np.array(rows), CountingParams(n, m, 0.1))
+
+
+def test_counter_draws_in_demand_order(planted):
+    # one ladder for all 16 subkeys; the estimates and the rng stream are
+    # those of one count_marked call per newly demanded subkey, in that order
+    _, _, _, ctx = planted
+    params = CountingParams.default(6)
+    order = [11, *range(16), 11, 3]
+    counter = QuantumCounter(ctx, params, _rng(14))
+    counts = [counter.count(x) for x in order]
+    rng = _rng(14)
+    expected = {}
+    for x in order:
+        if x not in expected:
+            expected[x] = count_marked(ctx.marked_table(x), params, rng)
+    assert list(counter.estimates.items()) == list(expected.items())
+    assert counts == [expected[x].right_pairs for x in order]
+    assert counter.invocations == 16
+    assert counter.rng.bit_generator.state == rng.bit_generator.state
+
+
+def test_a_lane_of_another_table_is_refused(planted):
+    _, _, _, ctx = planted
+    params = CountingParams.default(6)
+    ladder = grover_ladder(ctx.table, params)
+    m = [int(ctx.marked_table(x).sum()) for x in range(16)]
+    x, y = next((x, y) for x in range(16) for y in range(16) if m[x] != m[y])
+    with pytest.raises(ValueError, match="class sizes"):
+        count_marked(ctx.marked_table(x), params, _rng(0), ladder=ladder.lane(y))
+
+
+def test_lane_class_state_refuses_other_registers_tables_and_drift():
+    reg = Register("index", 0, 3)
+    stack = np.zeros((4, 8), dtype=bool)
+    stack[1, [2, 5]] = stack[2, :] = stack[3, 6] = True
+    state = ClassState(reg, stack)
+    assert state.lanes == 4
+    assert list(state.n_marked) == [0, 2, 8, 1]
+    for other in (Register("index", 0, 4), Register("other", 0, 3)):
+        with pytest.raises(ValueError, match="own register and table"):
+            state.apply_phase_oracle(other, stack)
+        with pytest.raises(ValueError, match="own register and table"):
+            state.apply_diffusion(other)
+    # a row of the stack, or an equal copy of it, is another table
+    for table in (stack[1], stack.copy()):
+        with pytest.raises(ValueError, match="own register and table"):
+            state.apply_phase_oracle(reg, table)
+    with pytest.raises(ValueError, match="lane"):
+        state.measure(_rng(0))
+    assert state.counters == GateCounters()
+    with pytest.raises(ValueError, match="2\\*\\*width"):
+        ClassState(reg, np.zeros((4, 16), dtype=bool))
+    # one lane nudged off the unit sphere fails the next gate; the others are fine
+    grover_iteration(state, reg, stack)
+    state.amp_marked[3] *= 1.01
+    with pytest.raises(CorruptedStateError, match="norm drift"):
+        grover_iteration(state, reg, stack)
+    assert state.counters.oracle_calls == 2 and state.counters.diffusion_calls == 1
 
 
 # ---- coherent cross-check ------------------------------------------------------

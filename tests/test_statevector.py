@@ -359,7 +359,7 @@ def test_pair_gates_bit_identical_to_masked_versions(q):
             amps = _random_state(rng, q)
             angle = float(rng.uniform(-math.pi, math.pi))
             s = StateVector.from_amplitudes(amps)
-            s._controlled_phase(qa, qb, angle)
+            s._controlled_phase(qa, qb, np.exp(1j * angle))
             assert np.array_equal(s.amps, _mask_controlled_phase(amps, qa, qb, angle))
             s = StateVector.from_amplitudes(amps)
             s._swap(qa, qb)

@@ -20,7 +20,7 @@ from .quantum_counting import (CountEstimate, CountingParams,
                                coherent_counting_distribution,
                                counting_distribution, counting_error_bound,
                                grover_iteration, grover_ladder, profile_error_bound,
-                               quantum_count, reference_counting_distribution)
+                               reference_counting_distribution)
 from .max_finding import (ExactCounter, MaxFindingConfig,
                           MaxFindingResult, QuantumCounter, SearchBudget,
                           ThresholdState, find_max_subkey,

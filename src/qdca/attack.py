@@ -27,7 +27,7 @@ from .classical_dca import classical_attack
 from .max_finding import (ExactCounter, MaxFindingConfig, MaxFindingResult,
                           QuantumCounter, SearchBudget, find_max_subkey,
                           threshold_pass_cost)
-from .quantum_counting import CountingParams, counting_error_bound, quantum_count
+from .quantum_counting import CountEstimate, CountingParams, counting_error_bound
 from .statevector import DEFAULT_MAX_QUBITS
 from .toy_cipher import (AttackContext, Characteristic, ToyCipher, ZeroProbabilityError,
                          characteristic_from_dict, cipher_from_dict, gen_pairs,
@@ -220,7 +220,7 @@ def run_quantum_attack(config: AttackConfig, trial: int = 0) -> tuple[AttackResu
         steps_init=mf.stages.init, steps_counting=mf.stages.counting,
         steps_oracle=mf.stages.oracle, steps_search=mf.stages.search,
         steps_observe=mf.stages.observe,
-        counting_invocations=counter.invocations,
+        counting_invocations=len(counter.estimates),
         g_gates_total=sum(e.g_gate_count for e in counter.estimates.values()),
         bound_hit_rate=_bound_hit_rate(ctx, params, counter),
         loop_iterations=mf.loop_iterations,
@@ -233,12 +233,17 @@ def run_quantum_attack(config: AttackConfig, trial: int = 0) -> tuple[AttackResu
     return result, mf
 
 
+def _check_estimate(ctx: AttackContext, params: CountingParams, x: int,
+                    est: CountEstimate) -> tuple[int, bool]:
+    """Subkey x's true right-pair count, and whether ``est`` is within its bound."""
+    m_true = int(ctx.marked_table(x).sum())
+    bound = counting_error_bound(m_true, params.num_pairs, params.accuracy_bits)
+    return m_true, abs(est.m_estimate - m_true) <= bound
+
+
 def _bound_hit_rate(ctx: AttackContext, params: CountingParams, counter) -> float:
-    hits = 0
-    for x, est in counter.estimates.items():
-        m_true = int(ctx.marked_table(x).sum())
-        bound = counting_error_bound(m_true, params.num_pairs, params.accuracy_bits)
-        hits += abs(est.m_estimate - m_true) <= bound
+    hits = sum(_check_estimate(ctx, params, x, est)[1]
+               for x, est in counter.estimates.items())
     return hits / len(counter.estimates) if counter.estimates else 0.0
 
 
@@ -285,12 +290,11 @@ def run_count_report(config: AttackConfig, trial: int = 0) -> list[dict]:
     for x in range(1 << config.subkey_bits):
         counter.count(x)
         est = counter.estimates[x]
-        m_true = int(ctx.marked_table(x).sum())
-        bound = counting_error_bound(m_true, params.num_pairs, params.accuracy_bits)
+        m_true, in_bound = _check_estimate(ctx, params, x, est)
         rows.append({
             "x_hex": f"{x:02x}", "b": est.raw_outcome, "theta": est.theta,
             "m_est": est.m_estimate, "right_pairs": est.right_pairs,
-            "m_true": m_true, "in_bound": abs(est.m_estimate - m_true) <= bound,
+            "m_true": m_true, "in_bound": in_bound,
         })
     return rows
 
@@ -308,6 +312,8 @@ def run_scaling_report(config: AttackConfig, search_bits=(4, 6, 8),
     """
     if seeds < 1:
         raise ConfigError("at least one seed")
+    if not all(1 <= k <= DEFAULT_MAX_QUBITS for k in search_bits):
+        raise ConfigError(f"search bits {list(search_bits)} outside [1, {DEFAULT_MAX_QUBITS}]")
     # validate and plant every counting instance before the search sweep spends any time
     subs = [AttackConfig(subkey_bits=config.subkey_bits, index_bits=n,
                          master_seed=config.master_seed, trials=1,
@@ -339,8 +345,9 @@ def run_scaling_report(config: AttackConfig, search_bits=(4, 6, 8),
         prev_mean = mean
     for sub, ctx in zip(subs, contexts):
         params = sub.counting_params()
-        rng = _trial_rng(config.master_seed, 0, purpose=99)
-        est = quantum_count(0, params, ctx, rng)
+        counter = QuantumCounter(ctx, params, _trial_rng(config.master_seed, 0, purpose=99))
+        counter.count(0)
+        est = counter.estimates[0]
         rows.append({
             "sweep": "counting", "size": "", "index_bits": sub.index_bits,
             "phase_bits": params.phase_bits, "mean_search_steps": "",

@@ -123,8 +123,6 @@ def _bit_list(flag: str, text: str) -> tuple[int, ...]:
         bits = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ConfigError(f"{flag} needs comma-separated integers, got {text!r}") from None
-    if min(bits) < 0:
-        raise ConfigError(f"{flag} needs non-negative bit counts, got {text!r}")
     return bits
 
 

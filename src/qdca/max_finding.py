@@ -6,9 +6,9 @@ threshold's, a Grover search with unknown marked count proposes a
 candidate, and the threshold moves when the proposal counts higher. The
 loop stops when the time-step budget 2*c*m0 would be exceeded.
 
-Estimated counts are memoized per run: each candidate is counted once on
-first demand and the value reused, so the marking function f(x, y) is a
-fixed function during one run and accepted thresholds increase strictly.
+Each run draws one count vector, the random threshold's count first and then
+the rest in ascending order. Every pass marks against it, so the marking
+function f(x, y) is fixed during one run and accepted thresholds increase strictly.
 
 Time-step accounting: initializing q qubits costs q steps, one search
 iteration costs one step, one counting run costs its init + Grover-gate +
@@ -91,20 +91,15 @@ class QuantumCounter:
 
     def __init__(self, ctx: AttackContext, params: CountingParams,
                  rng: np.random.Generator):
+        if ctx.index_bits != params.index_bits:
+            raise ValueError("params and context disagree on the index width")
         self.ctx = ctx
         self.params = params
         self.rng = rng
         self.estimates: dict[int, CountEstimate] = {}
-        self.invocations = 0
         self._ladder: Ladder | None = None
-
-    @property
-    def counting_cost(self) -> int:
-        return self.params.counting_cost
-
-    @property
-    def init_width(self) -> int:
-        return self.params.init_steps
+        self.counting_cost = params.counting_cost
+        self.init_width = params.init_steps
 
     def count(self, x: int) -> int:
         if x not in self.estimates:
@@ -112,7 +107,6 @@ class QuantumCounter:
                 self._ladder = grover_ladder(self.ctx.table, self.params)
             self.estimates[x] = count_marked(self.ctx.marked_table(x), self.params, self.rng,
                                              ladder=self._ladder.lane(x))
-            self.invocations += 1
         return self.estimates[x].right_pairs
 
 
@@ -122,7 +116,6 @@ class ExactCounter:
     def __init__(self, counts):
         self.counts = np.asarray(counts, dtype=np.int64)
         self.estimates: dict[int, int] = {}
-        self.invocations = 0
         self.counting_cost = 0
         self.init_width = 0
 
@@ -242,6 +235,10 @@ def find_max_subkey(counter, subkey_bits: int, config: MaxFindingConfig,
         stages.init += subkey_bits
     r_y = counter.count(y)
     threshold = ThresholdState(y, r_y, [(y, r_y)])
+    # oracle_o1(x, y) for every x reads these counts. Drawing them here keeps the
+    # rng order of a sweep in the first pass: the guard above makes the first
+    # pass always run, and it draws nothing from rng before its sweep.
+    counts = np.array([counter.count(x) for x in range(K)])
 
     loop = 0
     search_steps_to_max = 0
@@ -254,11 +251,10 @@ def find_max_subkey(counter, subkey_bits: int, config: MaxFindingConfig,
         stages.observe += counter.counting_cost
         loop += 1
 
-        # oracle_o1(x, y) for every x, by one ascending sweep of the memoized counts
-        marked = np.array([counter.count(x) for x in range(K)]) > threshold.right_pairs
+        marked = counts > threshold.right_pairs
         outcome = grover_search_marked(marked, subkey_bits, rng, budget, stages)
         y_prime = outcome.found
-        r_prime = counter.count(y_prime) if y_prime is not None else None
+        r_prime = int(counts[y_prime]) if y_prime is not None else None
         accepted = y_prime is not None and r_prime > threshold.right_pairs
         trace.append({
             "loop_iter": loop, "y": threshold.subkey, "r_y": threshold.right_pairs,

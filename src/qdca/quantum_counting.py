@@ -15,12 +15,12 @@ acts on the index register alone, so the state after the ladder is
 sum_b |b> (x) G^b|psi0> / sqrt(2**t). G keeps the uniform start inside the
 span of |u_M> and |u_U>, the uniform states over the M marked and the 2N - M
 unmarked indices (Brassard-Hoyer-Mosca-Tapp, quant-ph/0005055), so the index
-register is a ``ClassState`` with real amplitudes. ``grover_ladder`` runs G
-on it 2**t - 1 times, counted, and row b of a (T, 2) array holds the class
-amplitudes u_b, m_b of G^b|psi0>. Given an (L, 2N) stack of tables it runs
-one ladder over all L lanes at once: each G step is applied to every lane
-and counted once, and the record is (T, 2, L). The attack's counter runs one
-ladder over all K subkeys and hands each subkey's lane to ``count_marked``.
+register is a ``ClassState`` with real amplitudes. ``grover_ladder`` takes
+an (L, 2N) stack of tables and runs G 2**t - 1 times on all L lanes at once,
+each step applied to every lane and counted once; row b of its (T, 2, L)
+record holds each lane's class amplitudes u_b, m_b of G^b|psi0>. The
+attack's counter runs one ladder over all K subkeys and hands each subkey's
+lane to ``count_marked``; a table counted on its own is a one-lane stack.
 
 The inverse Fourier transform runs gate by gate on t+1 qubits, on
 |0> (x) sum_b sqrt((2N-M)/T) u_b|b> + |1> (x) sum_b sqrt(M/T) m_b|b>, whose
@@ -150,27 +150,29 @@ def _registers(marked: np.ndarray, params: CountingParams) -> RegisterMap:
 
 @dataclass(frozen=True)
 class Ladder:
-    """Row b of ``amps`` holds G^b|psi0> as its (unmarked, marked) class
-    amplitudes, for b < 2**t; a stack of tables adds a trailing lane axis,
-    and ``n_marked`` is then its per-lane float64 marked-class sizes."""
+    """Row b of the (T, 2, L) ``amps`` holds G^b|psi0> of each lane as its
+    (unmarked, marked) class amplitudes, for b < 2**t; ``n_marked`` holds the
+    per-lane float64 marked-class sizes."""
 
-    n_marked: int | np.ndarray
+    n_marked: np.ndarray
     amps: np.ndarray
     g_gates: int   # G steps applied to every lane, counted at the gates
 
     def lane(self, x: int) -> "Ladder":
-        """Lane x of a stack's ladder, as the ladder of its own table."""
-        return Ladder(int(self.n_marked[x]), self.amps[:, :, x], self.g_gates)
+        """Lane x as a one-lane ladder."""
+        return Ladder(self.n_marked[x:x + 1], self.amps[:, :, x:x + 1], self.g_gates)
 
 
 def grover_ladder(tables: np.ndarray, params: CountingParams) -> Ladder:
-    """Apply G 2**t - 1 times to the uniform index state of one (2N,) table, or
-    to all L lanes of an (L, 2N) stack at once, recording every power.
+    """Apply G 2**t - 1 times to the uniform index state of all L lanes of an
+    (L, 2N) stack at once, recording every power.
 
     The (T, 2, L) record is a (t+1+log2 L)-qubit object: a stack wider than
     the simulator limit is refused before the first G step."""
+    if tables.ndim != 2:
+        raise ValueError("a ladder runs over an (L, 2N) stack of tables")
     _registers(tables, params)
-    lanes = len(tables) if tables.ndim == 2 else 1
+    lanes = len(tables)
     lane_bits = (lanes - 1).bit_length()
     if params.phase_bits + 1 + lane_bits > DEFAULT_MAX_QUBITS:
         raise ValueError(f"a ladder over {lanes} lanes needs t+1+{lane_bits} = "
@@ -179,7 +181,7 @@ def grover_ladder(tables: np.ndarray, params: CountingParams) -> Ladder:
     index_reg = Register("index", 0, params.index_bits + 1)
     index = ClassState(index_reg, tables)
     T = 1 << params.phase_bits
-    amps = np.empty((T, 2) + tables.shape[:-1])
+    amps = np.empty((T, 2, lanes))
     amps[0, 0], amps[0, 1] = index.amp_unmarked, index.amp_marked
     for b in range(1, T):
         grover_iteration(index, index_reg, tables)
@@ -189,36 +191,29 @@ def grover_ladder(tables: np.ndarray, params: CountingParams) -> Ladder:
 
 def _counting_circuit(marked: np.ndarray, params: CountingParams,
                       ladder: Ladder | None) -> tuple[StateVector, Register, int]:
-    """Phase estimation reduced to the two index classes, over the given ladder
-    of ``marked`` or a new one; returns the state after the inverse QFT, its
-    phase register and the number of G gates the ladder applied."""
+    """Phase estimation reduced to the two index classes, over the given
+    one-lane ladder of ``marked`` or a new one; returns the post-QFT state,
+    its phase register and the number of G gates the ladder applied."""
     phase_reg = _registers(marked, params)["phase"]
     if ladder is None:
-        ladder = grover_ladder(marked, params)
-    elif ladder.n_marked != np.count_nonzero(marked):
+        ladder = grover_ladder(marked[None], params)
+    if ladder.n_marked.tolist() != [np.count_nonzero(marked)]:
         raise ValueError("the ladder's class sizes are not those of the table")
+    n_marked = int(ladder.n_marked[0])
     T = 1 << params.phase_bits
     state = StateVector(phase_reg.width + 1)
     # class major, phase minor: row 0 the unmarked class, row 1 the marked one
-    scale = [[math.sqrt((marked.size - ladder.n_marked) / T)],
-             [math.sqrt(ladder.n_marked / T)]]
-    np.multiply(ladder.amps.T, scale, out=state.amps.reshape(2, T))
+    scale = [[math.sqrt((marked.size - n_marked) / T)], [math.sqrt(n_marked / T)]]
+    np.multiply(ladder.amps[:, :, 0].T, scale, out=state.amps.reshape(2, T))
     state.inverse_qft(phase_reg)
     return state, phase_reg, ladder.g_gates
-
-
-def quantum_count(x: int, params: CountingParams, ctx: AttackContext,
-                  rng: np.random.Generator) -> CountEstimate:
-    """Estimate the number of right pairs of subkey x by phase estimation."""
-    if ctx.index_bits != params.index_bits:
-        raise ValueError("params and context disagree on the index width")
-    return count_marked(ctx.marked_table(x), params, rng)
 
 
 def count_marked(marked: np.ndarray, params: CountingParams,
                  rng: np.random.Generator, *, ladder: Ladder | None = None) -> CountEstimate:
     """Counting circuit over an explicit marked-item table; ``ladder`` is the
-    table's lane of a ladder already run (default: run one for it)."""
+    table's lane of a ladder already run (default: run one for the table as a
+    one-lane stack)."""
     state, phase_reg, g_gates = _counting_circuit(marked, params, ladder)
     qft_gates = state.counters.qft_gates
     b = state.measure(phase_reg, rng)

@@ -285,7 +285,12 @@ def test_cli_rejects_bad_config(tmp_path):
     ["attack", "-c", "1", "--expected-steps", "1", "--trials", "1"],
     ["scale", "--search-bits", "x"],
     ["scale", "--search-bits", "-1"],
+    # no candidate to search, or 2**25 of them
+    ["scale", "--search-bits", "0"],
+    ["scale", "--search-bits", "25"],
+    ["scale", "--search-bits", "4,25"],
     ["scale", "--counting-bits", "0"],
+    ["scale", "--counting-bits", "4,-1"],
     ["attack", "--planted-key", "0x04", "--trials", "1"],
     ["attack", "--planted-key", "0x04", "--trials", "1", "--config", str(STOCK_DOC)],
     ["attack", "--planted-key", "0x04", "--trials", "1", "--config", str(STATED_P_DOC)],

@@ -7,7 +7,9 @@ was reduced to the two index classes; the random-key runs (random_both_n5,
 random_classical_n8), which redraw keys that carry no signal, before the pair
 data became array columns; the quantum k = 8 run (attack_k8n8, with the
 characteristic doc P' = 01, delta = 11; its quantum trial 0 recovers 90 and
-trial 1 recovers c1) before the Grover steps ran on the two-class state.
+trial 1 recovers c1) before the Grover steps ran on the two-class state; the
+scaling sweep (scale_small) before its counting rows came from the counter's
+lane ladder.
 Any change to the counting kernel, the search or the CSV writers that alters
 a single output byte fails here, while the determinism check (two runs of the
 same code) would not notice.
@@ -40,6 +42,8 @@ RUNS = {
                      "--master-seed", "2024", "--planted-key", "0x09",
                      "--config", str(FIXTURES / "k8_characteristic.json")],
                     ("results.csv", "trace.csv")),
+    "scale_small": (["scale", "--search-bits", "4,6", "--counting-bits", "4,6,8",
+                     "--seeds", "5", "--master-seed", "2024"], ("scale.csv",)),
 }
 
 

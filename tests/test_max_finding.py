@@ -180,7 +180,7 @@ def test_budget_below_one_pass_refused_before_any_count(planted):
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match="cannot pay"):
         find_max_subkey(counter, 4, MaxFindingConfig(confidence=1, expected_steps=1), rng)
-    assert counter.invocations == 0 and not counter.estimates
+    assert len(counter.estimates) == 0
     assert rng.bit_generator.state == state
     need = 4 + 8 + counter.init_width + 3 * counter.counting_cost
     res = find_max_subkey(counter, 4, MaxFindingConfig(1, math.ceil(need / 2)), rng)
@@ -205,7 +205,7 @@ def test_single_candidate_refused_before_any_count(planted):
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match="at least one subkey bit"):
         find_max_subkey(counter, 0, MaxFindingConfig(1, 1), rng)
-    assert counter.invocations == 0 and not counter.estimates
+    assert len(counter.estimates) == 0
     budget = SearchBudget(confidence=1, expected_steps=100)
     with pytest.raises(ValueError, match="at least one subkey bit"):
         grover_search_marked(np.ones(1, dtype=bool), 0, rng, budget)
@@ -272,7 +272,34 @@ def test_quantum_counter_memoizes(planted):
     counter = QuantumCounter(ctx, CountingParams.default(6), _rng(6))
     first = counter.count(3)
     assert counter.count(3) == first
-    assert counter.invocations == 1
+    assert len(counter.estimates) == 1
+
+
+class _RecordingCounter:
+    """Forwards to a counter and records the subkey of every count call."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, []
+        self.counting_cost, self.init_width = inner.counting_cost, inner.init_width
+
+    def count(self, x):
+        self.calls.append(x)
+        return self.inner.count(x)
+
+
+@pytest.mark.parametrize("kind", ["exact", "quantum"])
+def test_one_count_vector_per_run(kind, planted):
+    # the threshold's count, then every candidate's in ascending order; no
+    # count after that, however many passes the run makes
+    _, _, _, ctx = planted
+    for trial in range(10):
+        rng = _rng(41, trial)
+        inner = (ExactCounter(_rng(42, trial).permutation(16)) if kind == "exact"
+                 else QuantumCounter(ctx, CountingParams.default(6), rng))
+        counter = _RecordingCounter(inner)
+        res = find_max_subkey(counter, 4, MaxFindingConfig(4), rng)
+        assert res.loop_iterations > 1
+        assert counter.calls == [res.threshold.history[0][0], *range(16)]
 
 
 def test_per_loop_step_accounting(planted):

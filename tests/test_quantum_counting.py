@@ -10,7 +10,7 @@ from qdca.quantum_counting import (CountingParams, _counting_circuit,
                                    coherent_counting_distribution, count_marked,
                                    counting_distribution, counting_error_bound,
                                    estimate_from_outcome, grover_iteration, grover_ladder,
-                                   profile_error_bound, qft_gate_budget, quantum_count,
+                                   profile_error_bound, qft_gate_budget,
                                    reference_counting_distribution)
 from qdca.statevector import (ClassState, CorruptedStateError, GateCounters, Register,
                               StateVector)
@@ -192,23 +192,24 @@ def test_planted_instance_estimates_within_bound(cipher, planted):
 
     hits = 0
     for seed in range(200):
-        est = quantum_count(z, params, ctx, _rng(42, seed))
-        hits += abs(est.m_estimate - m_true) <= bound
+        counter = QuantumCounter(ctx, params, _rng(42, seed))
+        counter.count(z)
+        hits += abs(counter.estimates[z].m_estimate - m_true) <= bound
     assert hits >= 180
 
 
-def test_quantum_count_is_seed_deterministic(planted):
+def test_counter_is_seed_deterministic(planted):
     _, _, _, ctx = planted
     params = CountingParams.default(6)
-    a = quantum_count(0, params, ctx, _rng(7))
-    b = quantum_count(0, params, ctx, _rng(7))
-    assert a == b
+    a, b = QuantumCounter(ctx, params, _rng(7)), QuantumCounter(ctx, params, _rng(7))
+    assert [a.count(x) for x in range(16)] == [b.count(x) for x in range(16)]
+    assert a.estimates == b.estimates
 
 
-def test_quantum_count_checks_index_width(planted):
+def test_counter_checks_index_width(planted):
     _, _, _, ctx = planted
-    with pytest.raises(ValueError):
-        quantum_count(0, CountingParams.default(5), ctx, _rng(0))
+    with pytest.raises(ValueError, match="index width"):
+        QuantumCounter(ctx, CountingParams.default(5), _rng(0))
 
 
 # ---- factored kernel against the unfactored reference circuit -------------------
@@ -281,21 +282,35 @@ def test_class_state_equals_the_full_state_after_every_step(n, steps, data):
     # and a full marked class included. The full diffusion sums 2N amplitudes
     # pairwise, the class form two products, so they may part by about a
     # rounding per step: 1e-15 plus two ulps per step (4000 random tables
-    # over 64 steps reached at most 0.82 of 1e-15 plus one ulp per step)
+    # over 64 steps reached at most 0.82 of 1e-15 plus one ulp per step).
+    # The lane form runs on a two-lane stack, the table and its complement,
+    # each lane against a full vector of its own table
     reg = Register("index", 0, n + 1)
     marked = np.array(data.draw(st.one_of(
         st.sampled_from([[False] * reg.size, [True] * reg.size]),
         st.lists(st.booleans(), min_size=reg.size, max_size=reg.size))))
     full, cls = StateVector.uniform(reg.width), ClassState(reg, marked)
+    stack = np.array([marked, ~marked])
+    fulls, lanes = [full, StateVector.uniform(reg.width)], ClassState(reg, stack)
     for step in range(1, steps + 1):
         grover_iteration(full, reg, marked)
         grover_iteration(cls, reg, marked)
+        grover_iteration(fulls[1], reg, stack[1])
+        grover_iteration(lanes, reg, stack)
         tol = 1e-15 + 2 * step * np.finfo(float).eps
         np.testing.assert_allclose(full.amps[marked], cls.amp_marked, rtol=0, atol=tol)
         np.testing.assert_allclose(full.amps[~marked], cls.amp_unmarked, rtol=0, atol=tol)
         np.testing.assert_allclose(cls.probabilities(), full.probabilities(reg),
                                    rtol=0, atol=tol)
-    assert cls.counters == full.counters
+        for lane, (state, table) in enumerate(zip(fulls, stack)):
+            np.testing.assert_allclose(state.amps[table], lanes.amp_marked[lane],
+                                       rtol=0, atol=tol)
+            np.testing.assert_allclose(state.amps[~table], lanes.amp_unmarked[lane],
+                                       rtol=0, atol=tol)
+        # lane 0 makes the single-table form's float operations
+        assert (lanes.amp_unmarked[0], lanes.amp_marked[0]) == (cls.amp_unmarked,
+                                                                cls.amp_marked)
+    assert cls.counters == full.counters == lanes.counters
     assert cls.counters.oracle_calls == cls.counters.diffusion_calls == steps
 
 
@@ -452,7 +467,7 @@ def test_counter_draws_in_demand_order(planted):
             expected[x] = count_marked(ctx.marked_table(x), params, rng)
     assert list(counter.estimates.items()) == list(expected.items())
     assert counts == [expected[x].right_pairs for x in order]
-    assert counter.invocations == 16
+    assert len(counter.estimates) == 16
     assert counter.rng.bit_generator.state == rng.bit_generator.state
 
 
@@ -464,6 +479,20 @@ def test_a_lane_of_another_table_is_refused(planted):
     x, y = next((x, y) for x in range(16) for y in range(16) if m[x] != m[y])
     with pytest.raises(ValueError, match="class sizes"):
         count_marked(ctx.marked_table(x), params, _rng(0), ladder=ladder.lane(y))
+    # the whole ladder is not one table's lane
+    with pytest.raises(ValueError, match="class sizes"):
+        count_marked(ctx.marked_table(x), params, _rng(0), ladder=ladder)
+
+
+def test_ladder_takes_only_a_stack():
+    params = CountingParams.default(3)
+    with pytest.raises(ValueError, match="stack"):
+        grover_ladder(np.zeros(16, dtype=bool), params)
+    with pytest.raises(ValueError, match="stack"):
+        grover_ladder(np.zeros((1, 1, 16), dtype=bool), params)
+    ladder = grover_ladder(np.zeros((1, 16), dtype=bool), params)
+    assert ladder.amps.shape == (1 << params.phase_bits, 2, 1)
+    assert ladder.n_marked.tolist() == [0]
 
 
 def test_lane_class_state_refuses_other_registers_tables_and_drift():

@@ -18,8 +18,8 @@ from .attack import (AttackConfig, run_count_report, run_quantum_attack,
                      run_scaling_report, run_trials, write_counts_csv,
                      write_results_csv, write_trace_csv)
 from .classical_dca import count_table
-from .max_finding import ExactCounter, MaxFindingConfig, QuantumCounter, find_max_subkey
-from .quantum_counting import (CountingParams, counting_distribution,
+from .max_finding import ExactCounter, MaxFindingConfig, find_max_subkey
+from .quantum_counting import (CountingParams, count_marked, counting_distribution,
                                counting_error_bound, estimate_from_outcome,
                                grover_iteration, profile_error_bound,
                                reference_counting_distribution)
@@ -89,9 +89,7 @@ def check_gate_accounting() -> CheckResult:
         params = CountingParams.default(n)
         pairs = gen_pairs(cipher, DEFAULT_PLANTED_KEY, ch.plaintext_diff, n)
         ctx = AttackContext(cipher, ch, pairs)
-        counter = QuantumCounter(ctx, params, np.random.default_rng(11))
-        counter.count(1)
-        est = counter.estimates[1]
+        est = count_marked(ctx.marked_table(1), params, np.random.default_rng(11))
         t = params.phase_bits
         ok &= est.g_gate_count == (1 << t) - 1
         ok &= est.qft_gate_count <= t * (t + 1) // 2 + t // 2

@@ -27,7 +27,8 @@ from .classical_dca import classical_attack
 from .max_finding import (ExactCounter, MaxFindingConfig, MaxFindingResult,
                           QuantumCounter, SearchBudget, find_max_subkey,
                           threshold_pass_cost)
-from .quantum_counting import CountEstimate, CountingParams, counting_error_bound
+from .quantum_counting import (CountEstimate, CountingParams, count_marked,
+                               counting_error_bound)
 from .statevector import DEFAULT_MAX_QUBITS
 from .toy_cipher import (AttackContext, Characteristic, ToyCipher, ZeroProbabilityError,
                          characteristic_from_dict, cipher_from_dict, gen_pairs,
@@ -345,9 +346,8 @@ def run_scaling_report(config: AttackConfig, search_bits=(4, 6, 8),
         prev_mean = mean
     for sub, ctx in zip(subs, contexts):
         params = sub.counting_params()
-        counter = QuantumCounter(ctx, params, _trial_rng(config.master_seed, 0, purpose=99))
-        counter.count(0)
-        est = counter.estimates[0]
+        est = count_marked(ctx.marked_table(0), params,
+                           _trial_rng(config.master_seed, 0, purpose=99))
         rows.append({
             "sweep": "counting", "size": "", "index_bits": sub.index_bits,
             "phase_bits": params.phase_bits, "mean_search_steps": "",

@@ -10,6 +10,11 @@ Each run draws one count vector, the random threshold's count first and then
 the rest in ascending order. Every pass marks against it, so the marking
 function f(x, y) is fixed during one run and accepted thresholds increase strictly.
 
+A pass's marked table is fixed for its whole search, so each Grover power
+G^j|u> is a fixed state: the search takes each step once, on one two-class
+state per pass, and keeps each power's two class amplitudes for every round
+that draws it. Each round is still charged its own j steps.
+
 Time-step accounting: initializing q qubits costs q steps, one search
 iteration costs one step, one counting run costs its init + Grover-gate +
 Fourier-gate total. The oracle is charged one counting cost per
@@ -25,7 +30,7 @@ import numpy as np
 
 from .quantum_counting import (CountEstimate, CountingParams, Ladder, count_marked,
                                grover_iteration, grover_ladder)
-from .statevector import ClassState, Register
+from .statevector import ClassState, Register, draw_outcome
 from .toy_cipher import AttackContext
 
 SEARCH_GROWTH_FACTOR = 6.0 / 5.0
@@ -154,6 +159,10 @@ def grover_search_marked(marked, subkey_bits: int,
     (or earlier when the caller's budget runs out). A round is charged its
     Grover iterations plus one step for the query that verifies the measured
     item. Returns the found marked item or None.
+
+    One ClassState takes each Grover step once per call, the first time a
+    round draws j or more; the class amplitudes of G^j|u> serve every round
+    that draws j, each building its outcome distribution from them.
     """
     if subkey_bits < 1:
         raise ValueError("search needs at least one subkey bit")
@@ -163,6 +172,8 @@ def grover_search_marked(marked, subkey_bits: int,
         raise ValueError("marked table size must be 2**subkey_bits")
     iterations = measurements = 0
     reg = Register("subkey", 0, subkey_bits)
+    state = ClassState(reg, marked)
+    powers = [(state.amp_unmarked, state.amp_marked)]   # entry j: G^j|u>'s amplitudes
     max_measurements = 4 * math.ceil(4.5 * math.sqrt(K))
     m_cap = 1.0
     while measurements < max_measurements:
@@ -172,11 +183,11 @@ def grover_search_marked(marked, subkey_bits: int,
         if stages is not None:
             stages.init += subkey_bits
             stages.search += j + 1
-        state = ClassState(reg, marked)
-        for _ in range(j):
+        while len(powers) <= j:
             grover_iteration(state, reg, marked)
+            powers.append((state.amp_unmarked, state.amp_marked))
         iterations += j
-        outcome = state.measure(rng)
+        outcome = draw_outcome(state.probabilities(powers[j]), rng)
         measurements += 1
         if marked[outcome]:
             return SearchOutcome(outcome, iterations, measurements)

@@ -17,7 +17,9 @@ control.
 
 A StateVector is owned by one execution context while it mutates.
 Measurement probabilities are accumulated in a fixed reduction order, so
-seeded runs are bit-reproducible.
+seeded runs are bit-reproducible. Every measurement draws through
+``draw_outcome``, which makes the one uniform draw ``Generator.choice`` makes
+for a probability vector, without its per-call argument checks.
 
 A ClassState holds a register under Grover steps over one marked table as
 one amplitude per class: the phase oracle and the diffusion keep the uniform
@@ -26,8 +28,9 @@ the unmarked values (Boyer-Brassard-Hoyer-Tapp, quant-ph/9605034). G is real,
 so the amplitudes are real floats. Given an (L, 2**width) stack of tables it
 holds one (unmarked, marked) pair per lane, and each gate acts on every lane
 at once. Its gates are counted and norm-checked like a StateVector's and
-refuse any register or table but its own; a single table's state measures
-over every register value.
+refuse any register or table but its own; a single table's state gives an
+outcome distribution over every register value, now or at any earlier
+(unmarked, marked) amplitude pair it held.
 """
 
 from __future__ import annotations
@@ -83,6 +86,24 @@ class RegisterMap:
 
     def __iter__(self):
         return iter(self._regs.values())
+
+
+def draw_outcome(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw an outcome of the distribution ``probs`` (not yet normalized).
+
+    Returns what ``rng.choice(probs.size, p=probs / probs.sum())`` returns and
+    advances ``rng`` as it does: one ``rng.random()`` placed in the
+    normalized cumulative sum.
+    """
+    total = probs.sum()
+    if total < 1e-12:
+        raise CorruptedStateError("state norm below 1e-12 before measurement")
+    cdf = (probs / total).cumsum()
+    cdf /= cdf[-1]
+    outcome = int(cdf.searchsorted(rng.random(), side="right"))
+    if probs[outcome] <= 0:
+        raise CorruptedStateError("sampled zero-probability outcome")
+    return outcome
 
 
 @dataclass
@@ -301,14 +322,9 @@ class StateVector:
 
     def measure(self, reg: Register, rng: np.random.Generator) -> int:
         """Sample the register, collapse and renormalize. Deterministic per seed."""
-        if self.norm_squared() < 1e-12:
-            raise CorruptedStateError("state norm below 1e-12 before measurement")
         probs = self.probabilities(reg)
-        total = probs.sum()
-        outcome = int(rng.choice(reg.size, p=probs / total))
+        outcome = draw_outcome(probs, rng)
         p_outcome = probs[outcome]
-        if p_outcome <= 0:
-            raise CorruptedStateError("sampled zero-probability outcome")
         view, _ = self._reg_view(reg)
         view[:, :outcome] = 0.0
         view[:, outcome + 1:] = 0.0
@@ -376,20 +392,10 @@ class ClassState:
         self.counters.diffusion_calls += 1
         self._assert_norm()
 
-    def probabilities(self) -> np.ndarray:
-        """Outcome distribution over all 2**width register values."""
+    def probabilities(self, amps: tuple[float, float] | None = None) -> np.ndarray:
+        """Outcome distribution over all 2**width register values, of the state
+        now or of an (unmarked, marked) amplitude pair it held earlier."""
         if self.lanes is not None:
             raise ValueError("a lane stack has one outcome distribution per lane")
-        return np.where(self.marked, self.amp_marked * self.amp_marked,
-                        self.amp_unmarked * self.amp_unmarked)
-
-    def measure(self, rng: np.random.Generator) -> int:
-        """Draw the register as StateVector.measure does, over all 2**width values;
-        no collapse (a basis state has no two-class form): the caller discards it."""
-        probs = self.probabilities()
-        if self.norm_squared() < 1e-12:
-            raise CorruptedStateError("state norm below 1e-12 before measurement")
-        outcome = int(rng.choice(self.reg.size, p=probs / probs.sum()))
-        if probs[outcome] <= 0:
-            raise CorruptedStateError("sampled zero-probability outcome")
-        return outcome
+        unmarked, marked = (self.amp_unmarked, self.amp_marked) if amps is None else amps
+        return np.where(self.marked, marked * marked, unmarked * unmarked)

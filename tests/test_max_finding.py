@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,12 @@ from qdca import max_finding
 from qdca.classical_dca import count_table
 from qdca.max_finding import (SEARCH_GROWTH_FACTOR, ExactCounter,
                               MaxFindingConfig, QuantumCounter, SearchBudget,
-                              SearchOutcome, ThresholdState, find_max_subkey,
+                              SearchOutcome, StageSteps, ThresholdState, find_max_subkey,
                               grover_search_marked, oracle_o1)
 from qdca.quantum_counting import (CountingParams, count_marked,
                                    counting_distribution,
                                    estimate_from_outcome, grover_iteration)
-from qdca.statevector import Register, StateVector
+from qdca.statevector import ClassState, Register, StateVector
 from qdca.toy_cipher import true_subkey
 
 
@@ -117,15 +118,17 @@ def test_growth_factor_pinned():
     assert SEARCH_GROWTH_FACTOR == pytest.approx(1.2)
 
 
-def _full_vector_search(marked, subkey_bits, rng):
+def _full_vector_search(marked, subkey_bits, rng, draws=None):
     """The search loop on a full StateVector, as it ran before the two-class
-    state; no budget."""
+    state; no budget. Each round's j is appended to ``draws`` if given."""
     K = 1 << subkey_bits
     reg = Register("subkey", 0, subkey_bits)
     iterations = measurements = 0
     m_cap = 1.0
     while measurements < 4 * math.ceil(4.5 * math.sqrt(K)):
         j = int(rng.integers(0, max(1, int(m_cap))))
+        if draws is not None:
+            draws.append(j)
         state = StateVector.uniform(subkey_bits)
         for _ in range(j):
             grover_iteration(state, reg, marked)
@@ -145,6 +148,61 @@ def test_search_draws_as_the_full_vector_loop(k, seed, data):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     assert grover_search_marked(marked, k, rng) == _full_vector_search(marked, k, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("k, marked_items", [(4, []), (6, [9]), (8, [3, 200])])
+def test_one_search_applies_each_grover_step_once(monkeypatch, k, marked_items):
+    # one ClassState per call, taken through max(j) counted Grover steps,
+    # while each round is still charged its own j
+    states = []
+
+    class Recorded(ClassState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            states.append(self)
+
+    monkeypatch.setattr(max_finding, "ClassState", Recorded)
+    marked = np.zeros(1 << k, dtype=bool)
+    marked[marked_items] = True
+    for seed in range(5):
+        states.clear()
+        draws = []
+        expected = _full_vector_search(marked, k, _rng(4, seed), draws)
+        stages = StageSteps()
+        out = grover_search_marked(marked, k, _rng(4, seed), stages=stages)
+        assert out == expected
+        assert len(states) == 1
+        assert states[0].counters.oracle_calls == states[0].counters.diffusion_calls == max(draws)
+        assert out.iterations == sum(draws)
+        assert stages.search == sum(draws) + len(draws)
+
+
+def test_search_memory_does_not_grow_with_the_rounds(monkeypatch):
+    # a pass that finds nothing draws j up to about sqrt(K); its peak memory
+    # stays a few K-entry arrays, not one outcome distribution per power
+    states = []
+
+    class Recorded(ClassState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            states.append(self)
+
+    monkeypatch.setattr(max_finding, "ClassState", Recorded)
+    k = 12
+    K = 1 << k
+    marked = np.zeros(K, dtype=bool)
+    grover_search_marked(marked, k, _rng(5))   # first-call allocations are not the search's
+    states.clear()
+    tracemalloc.start()
+    try:
+        out = grover_search_marked(marked, k, _rng(6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.found is None
+    powers = states[0].counters.oracle_calls
+    assert powers >= 32
+    assert peak < 8 * K * 8 < powers * K * 8
 
 
 # ---- budget ---------------------------------------------------------------------

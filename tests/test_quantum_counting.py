@@ -512,7 +512,7 @@ def test_lane_class_state_refuses_other_registers_tables_and_drift():
         with pytest.raises(ValueError, match="own register and table"):
             state.apply_phase_oracle(reg, table)
     with pytest.raises(ValueError, match="lane"):
-        state.measure(_rng(0))
+        state.probabilities()
     assert state.counters == GateCounters()
     with pytest.raises(ValueError, match="2\\*\\*width"):
         ClassState(reg, np.zeros((4, 16), dtype=bool))

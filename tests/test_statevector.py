@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qdca.statevector import CorruptedStateError, Register, RegisterMap, StateVector
+from qdca.statevector import (CorruptedStateError, Register, RegisterMap, StateVector,
+                              draw_outcome)
 
 
 def test_uniform_one_qubit():
@@ -413,6 +415,38 @@ def test_measure_collapses_and_renormalizes():
     values = (np.arange(8) >> 0) & 1
     assert np.allclose(np.abs(s.amps[values != outcome]), 0)
     assert abs(s.norm_squared() - 1) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.sampled_from([2, 16, 256]), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_draw_outcome_is_generator_choice(size, seed, data):
+    # the draw every measurement makes is Generator.choice's, outcome and
+    # stream alike; a numpy that changes choice fails here by name
+    weights = st.one_of(st.just(0.0), st.floats(1e-9, 1.0))
+    probs = np.array(data.draw(st.lists(weights, min_size=size, max_size=size).filter(any)))
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(4):
+        outcome = draw_outcome(probs, rng)
+        assert outcome == int(ref.choice(size, p=probs / probs.sum()))
+        assert probs[outcome] > 0
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class _FixedDraw:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_draw_outcome_refuses_a_null_state_and_a_zero_probability_draw():
+    with pytest.raises(CorruptedStateError, match="norm below"):
+        draw_outcome(np.zeros(4), np.random.default_rng(0))
+    # a uniform below [0, 1) lands on the leading zero-probability outcome
+    with pytest.raises(CorruptedStateError, match="zero-probability"):
+        draw_outcome(np.array([0.0, 1.0, 0.0, 0.0]), _FixedDraw(-0.5))
+    assert draw_outcome(np.array([0.0, 1.0, 0.0, 0.0]), _FixedDraw(0.0)) == 1
 
 
 def test_measure_corrupted_state_rejected():

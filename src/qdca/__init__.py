@@ -24,7 +24,7 @@ from .quantum_counting import (CountEstimate, CountingParams,
 from .max_finding import (ExactCounter, MaxFindingConfig,
                           MaxFindingResult, QuantumCounter, SearchBudget,
                           ThresholdState, find_max_subkey,
-                          grover_search_marked, oracle_o1)
+                          grover_search_marked)
 from .attack import (AttackConfig, AttackResult, ConfigError,
                      run_classical_attack, run_count_report, run_quantum_attack,
                      run_scaling_report, run_trials)

@@ -136,11 +136,6 @@ def threshold_pass_cost(subkey_bits: int, init_width: int, counting_cost: int) -
     return 2 * subkey_bits + init_width + 3 * counting_cost
 
 
-def oracle_o1(x: int, y: int, counter) -> int:
-    """f(x, y): 1 iff the counted value of x strictly exceeds that of y."""
-    return int(counter.count(x) > counter.count(y))
-
-
 @dataclass
 class SearchOutcome:
     found: int | None
@@ -246,9 +241,9 @@ def find_max_subkey(counter, subkey_bits: int, config: MaxFindingConfig,
         stages.init += subkey_bits
     r_y = counter.count(y)
     threshold = ThresholdState(y, r_y, [(y, r_y)])
-    # oracle_o1(x, y) for every x reads these counts. Drawing them here keeps the
-    # rng order of a sweep in the first pass: the guard above makes the first
-    # pass always run, and it draws nothing from rng before its sweep.
+    # Every pass marks x iff counts[x] exceeds the threshold's count. Drawing them
+    # here keeps the rng order of a sweep in the first pass: the guard above makes
+    # the first pass always run, and it draws nothing from rng before its sweep.
     counts = np.array([counter.count(x) for x in range(K)])
 
     loop = 0

@@ -6,9 +6,9 @@ the Grover step G (phase oracle then diffusion) yields an outcome b whose
 angle theta = 2*pi*b/2**t maps to the estimate F(theta) = 2N*sin^2(theta/2).
 
 The candidate subkey is consumed classically: the per-x oracle reads its
-subkey register value without ever writing it, so simulating it as a
-parameter cuts the simulated width to t+n+1 qubits. A fully coherent mode
-(superposed subkey register) exists as a cross-check at tiny sizes.
+subkey register value without ever writing it, so it is a parameter of a
+t+n+1-qubit circuit. A fully coherent mode (superposed subkey register)
+exists as a cross-check at tiny sizes.
 
 The controlled-G ladder is factored: the phase register starts uniform and G
 acts on the index register alone, so the state after the ladder is
@@ -26,8 +26,9 @@ The inverse Fourier transform runs gate by gate on t+1 qubits, on
 |0> (x) sum_b sqrt((2N-M)/T) u_b|b> + |1> (x) sum_b sqrt(M/T) m_b|b>, whose
 image under the isometry |0> -> |u_U>, |1> -> |u_M> is the full state; the
 transform acts on the phase register alone, so the phase outcome
-distribution is unchanged. t+n+1 is the width of the parameterized circuit
-these states represent exactly. The transform runs once per estimate, so the
+distribution is unchanged. These states represent the t+n+1-qubit circuit
+exactly, and no array has its width: the widest is the ladder's record,
+bounded by t+1+log2(L) <= 24. The transform runs once per estimate, so the
 QFT gates counted at the gates are the ones each estimate reports. The
 full-vector controlled ladder is kept as ``reference_counting_distribution``,
 the oracle the kernel is tested against.
@@ -81,14 +82,10 @@ class CountingParams:
         return 1 << self.index_bits
 
     @property
-    def num_qubits(self) -> int:
-        """Width of one counting run's parameterized circuit: t phase + n + 1 index."""
-        return self.phase_bits + self.index_bits + 1
-
-    @property
     def init_steps(self) -> int:
-        """Initialization cost: one time step per initialized qubit."""
-        return self.num_qubits
+        """Initialization cost: one time step per qubit of the counting run's
+        parameterized circuit, t phase + n + 1 index qubits."""
+        return self.phase_bits + self.index_bits + 1
 
     @property
     def counting_cost(self) -> int:
@@ -137,14 +134,10 @@ def estimate_from_outcome(b: int, params: CountingParams) -> tuple[float, float,
 
 def _registers(marked: np.ndarray, params: CountingParams) -> RegisterMap:
     """Phase register on the low qubits, index register above it; refuses a
-    table (or a stack's rows) of the wrong size or a width above the simulator
-    limit."""
+    table (or a stack's rows) of the wrong size."""
     n = params.index_bits
     if marked.shape[-1:] != (1 << (n + 1),):
         raise ValueError("marked table must cover the padded 2N index space")
-    if params.num_qubits > DEFAULT_MAX_QUBITS:
-        raise ValueError(f"counting needs t+n+1 = {params.num_qubits} qubits, "
-                         f"above the {DEFAULT_MAX_QUBITS}-qubit limit")
     return RegisterMap(("phase", params.phase_bits), ("index", n + 1))
 
 

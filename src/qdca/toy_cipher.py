@@ -1,10 +1,11 @@
 """Toy SPN block cipher, differential characteristics and the right-pair predicate.
 
-The cipher is a classic substitution-permutation network on an 8-bit block
-(two parallel 4-bit S-boxes, low nibble = bits 0..3). Each round XORs a
-round key and applies the S-box layer; every round except the last is
-followed by a bit permutation, and a final whitening key is XORed after
-the last round. The last round key (the whitening key) is the attack target.
+The cipher is a classic substitution-permutation network on a 4- to 16-bit
+block, 8 by default, of parallel 4-bit S-boxes (low nibble = bits 0..3).
+Each round XORs a round key and applies the S-box layer; every round except
+the last is followed by a bit permutation, and a final whitening key is
+XORed after the last round. The last round key (the whitening key) is the
+attack target.
 
 All objects here are immutable after construction; every operation is a
 pure function, safe to call concurrently.
@@ -20,13 +21,21 @@ import numpy as np
 
 NIBBLE_BITS = 4
 
-# Widely studied tutorial S-box, and a nibble-interleaving bit transpose
-# (bit i -> (i mod 4)*2 + i div 4) so each S-box output feeds both next-round
-# S-boxes. A pure nibble-local pbox would split the cipher into two
-# independent 4-bit threads and ruin the counting statistics.
+# Widely studied tutorial S-box.
 DEFAULT_SBOX = (0xE, 0x4, 0xD, 0x1, 0x2, 0xF, 0xB, 0x8,
                 0x3, 0xA, 0x6, 0xC, 0x5, 0x9, 0x0, 0x7)
-DEFAULT_PBOX = tuple((i % 4) * 2 + i // 4 for i in range(8))
+
+
+def default_pbox(block_width: int) -> tuple[int, ...]:
+    """Nibble-interleaving bit transpose, bit i -> (i mod 4)*S + i div 4 for S
+    S-boxes, so each S-box output feeds every next-round S-box. A pure
+    nibble-local pbox would split the cipher into independent 4-bit threads
+    and ruin the counting statistics."""
+    s = block_width // NIBBLE_BITS
+    return tuple((i % NIBBLE_BITS) * s + i // NIBBLE_BITS for i in range(block_width))
+
+
+DEFAULT_PBOX = default_pbox(8)
 
 # Default planted attack instance (found by exhaustive search over all
 # plaintext differences, single-nibble output differences and master keys):
@@ -60,7 +69,7 @@ class ToyCipher:
     """SPN instance: S-box table, bit permutation, round count, key schedule."""
 
     sbox: tuple[int, ...] = DEFAULT_SBOX
-    pbox: tuple[int, ...] = DEFAULT_PBOX
+    pbox: tuple[int, ...] | None = None   # None: default_pbox(block_width)
     rounds: int = 4
     key_schedule: str = "rotate"
     block_width: int = 8
@@ -68,6 +77,8 @@ class ToyCipher:
     def __post_init__(self):
         if self.block_width % NIBBLE_BITS != 0 or not 4 <= self.block_width <= 16:
             raise ValueError(f"unsupported block width {self.block_width}")
+        if self.pbox is None:
+            object.__setattr__(self, "pbox", default_pbox(self.block_width))
         if sorted(self.sbox) != list(range(16)):
             raise ValueError("sbox must be a bijection on [0, 16)")
         if sorted(self.pbox) != list(range(self.block_width)):

@@ -34,8 +34,9 @@ K8_DOC = STOCK_DOC.with_name("k8_characteristic.json")
     dict(epsilon=0.7),
     dict(expected_steps=0),
     dict(expected_steps=-5),
-    dict(accuracy_bits=20),   # t+n+1 = 30 simulated qubits
+    dict(accuracy_bits=20),   # t = 23: the lane record is t+1+k = 28 qubits
     dict(confidence=1, expected_steps=1),   # budget 2 < one threshold pass
+    dict(index_bits=17, cipher_doc={"block_width": 16}),
 ])
 def test_config_validation(bad):
     with pytest.raises(ConfigError):
@@ -44,13 +45,25 @@ def test_config_validation(bad):
 
 @pytest.mark.parametrize("fields,width", [
     (dict(subkey_bits=8, index_bits=4, accuracy_bits=14), 26),   # t = 17
-    (dict(index_bits=2, accuracy_bits=18), 26),                  # t = 21, t+n+1 = 24
+    (dict(index_bits=2, accuracy_bits=18), 26),                  # t = 21
 ])
 def test_config_refuses_lanes_above_the_qubit_limit(fields, width):
     with pytest.raises(ConfigError, match=f"as lanes needs t\\+1\\+k = {width} qubits"):
         AttackConfig(**fields)
     # the widest accepted stack: t = 15 and k = 8 give t+1+k = 24
     AttackConfig(subkey_bits=8, index_bits=8, accuracy_bits=12)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(index_bits=8, accuracy_bits=13),                   # t = 16: t+1+k = 21
+    dict(index_bits=16, cipher_doc={"block_width": 16}),    # t = 12: t+1+k = 17
+    dict(subkey_bits=8, index_bits=16, accuracy_bits=12,    # t = 15: t+1+k = 24
+         cipher_doc={"block_width": 16}),
+])
+def test_config_accepts_counting_circuits_wider_than_the_qubit_limit(fields):
+    # no array spans the t+n+1-qubit circuit; only the lane record is bounded
+    params = AttackConfig(**fields).counting_params()
+    assert params.phase_bits + params.index_bits + 1 > 24
 
 
 def test_config_rejects_unknown_keys():

@@ -9,7 +9,10 @@ data became array columns; the quantum k = 8 run (attack_k8n8, with the
 characteristic doc P' = 01, delta = 11; its quantum trial 0 recovers 90 and
 trial 1 recovers c1) before the Grover steps ran on the two-class state; the
 scaling sweep (scale_small) before its counting rows came from the counter's
-lane ladder.
+lane ladder; the 16-bit run (attack_w16k4n16: the default pbox of a 16-bit
+block, the characteristic doc P' = 80C8, delta = 2, and n = 16, so t+n+1 = 29;
+quantum recovers 4 of 5 trials and classical 5 of 5) when the width limit
+became the lane record's t+1+k alone.
 Any change to the counting kernel, the search or the CSV writers that alters
 a single output byte fails here, while the determinism check (two runs of the
 same code) would not notice.
@@ -42,6 +45,10 @@ RUNS = {
                      "--master-seed", "2024", "--planted-key", "0x09",
                      "--config", str(FIXTURES / "k8_characteristic.json")],
                     ("results.csv", "trace.csv")),
+    "attack_w16k4n16": (["attack", "--mode", "both", "-k", "4", "-n", "16", "--trials", "5",
+                         "--master-seed", "2024", "--planted-key", "0x09",
+                         "--config", str(FIXTURES / "w16_k4_characteristic.json")],
+                        ("results.csv", "trace.csv")),
     "scale_small": (["scale", "--search-bits", "4,6", "--counting-bits", "4,6,8",
                      "--seeds", "5", "--master-seed", "2024"], ("scale.csv",)),
 }

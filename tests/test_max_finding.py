@@ -10,7 +10,7 @@ from qdca.classical_dca import count_table
 from qdca.max_finding import (SEARCH_GROWTH_FACTOR, ExactCounter,
                               MaxFindingConfig, QuantumCounter, SearchBudget,
                               SearchOutcome, StageSteps, ThresholdState, find_max_subkey,
-                              grover_search_marked, oracle_o1)
+                              grover_search_marked)
 from qdca.quantum_counting import (CountingParams, count_marked,
                                    counting_distribution,
                                    estimate_from_outcome, grover_iteration)
@@ -22,23 +22,12 @@ def _rng(entropy, *key):
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy, spawn_key=key))
 
 
-# ---- threshold oracle -------------------------------------------------------
+# ---- threshold passes -------------------------------------------------------
 
 
-def test_oracle_never_marks_the_threshold_itself():
-    counter = ExactCounter([3, 1, 4, 1])
-    for x in range(4):
-        assert oracle_o1(x, x, counter) == 0
-
-
-def test_oracle_marks_strictly_larger_counts():
-    counter = ExactCounter([1, 5, 5, 0])
-    marked = [x for x in range(4) if oracle_o1(x, 0, counter)]
-    assert marked == [1, 2]  # ties with the threshold stay unmarked
-
-
-def test_pass_table_is_oracle_o1_for_every_candidate(planted, monkeypatch):
-    # each threshold pass marks x iff oracle_o1(x, y) for that pass's threshold y
+def test_pass_table_marks_strictly_larger_counts(planted, monkeypatch):
+    # each threshold pass marks x iff the counter's memoized count of x strictly
+    # exceeds that of the pass's threshold y: ties stay unmarked, and so does y
     _, _, _, ctx = planted
     tables = []
 
@@ -48,14 +37,18 @@ def test_pass_table_is_oracle_o1_for_every_candidate(planted, monkeypatch):
 
     monkeypatch.setattr(max_finding, "grover_search_marked", recording_search)
     rng = _rng(31)
-    for counter in (ExactCounter(rng.permutation(16)),
+    # every count is held by at least two subkeys, so every threshold has a tie
+    for counter in (ExactCounter([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 9, 2, 6, 4, 9]),
                     QuantumCounter(ctx, CountingParams.default(6), _rng(32))):
         tables.clear()
         res = find_max_subkey(counter, 4, MaxFindingConfig(4), rng)
         assert len(tables) == len(res.trace) >= 2
+        assert len(counter.estimates) == 16   # every count drawn: count() reads the memo
+        counts = [counter.count(x) for x in range(16)]
         for marked, row in zip(tables, res.trace):
-            assert marked.tolist() == [bool(oracle_o1(x, row["y"], counter))
-                                       for x in range(16)]
+            y = row["y"]
+            assert not marked[y]
+            assert marked.tolist() == [counts[x] > counts[y] for x in range(16)]
 
 
 def test_true_subkey_marked_against_any_wrong_threshold(cipher, planted):

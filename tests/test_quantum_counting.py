@@ -391,20 +391,31 @@ def test_gate_counts_are_observed_not_computed(monkeypatch, planted):
 
 
 def test_width_is_checked_before_the_ladder(monkeypatch):
-    # t = 23, so t+n+1 = 30 qubits: refused before any G step or allocation
+    # t = 17: 256 lanes make the record t+1+8 = 26 qubits, refused before any G step
     steps = []
     monkeypatch.setattr(quantum_counting, "grover_iteration",
                         lambda *args: steps.append(args))
-    params = CountingParams(6, 20, 0.1)
-    assert params.num_qubits == 30
-    with pytest.raises(ValueError, match="counting needs t\\+n\\+1 = 30 qubits"):
-        count_marked(np.zeros(128, dtype=bool), params, _rng(0))
-    # t = 17, so t+n+1 = 19 fits, but 256 lanes make the record t+1+8 = 26 qubits
     params = CountingParams(1, 14, 0.1)
     assert params.phase_bits == 17
     with pytest.raises(ValueError, match="256 lanes needs t\\+1\\+8 = 26 qubits"):
         grover_ladder(np.zeros((256, 4), dtype=bool), params)
     assert steps == []
+
+
+def test_counting_wider_than_the_qubit_limit_runs():
+    # t = 12 and n = 16: the t+n+1 = 29-qubit circuit is never allocated, and
+    # its one-lane record is t+1 = 13 qubits wide
+    params = CountingParams(16, 9, 0.1)
+    assert params.init_steps == 29
+    marked = np.zeros(1 << 17, dtype=bool)
+    marked[:1 << 10] = True
+    est = count_marked(marked, params, _rng(0))
+    assert est.g_gate_count == (1 << 12) - 1
+    assert est.qft_gate_count == qft_gate_budget(12)
+    # the most likely outcome estimates M within the bound
+    b = int(np.argmax(counting_distribution(marked, params)))
+    m_est = estimate_from_outcome(b, params)[1]
+    assert abs(m_est - (1 << 10)) <= counting_error_bound(1 << 10, 1 << 16, 9)
 
 
 # ---- one ladder over a stack of tables -------------------------------------------

@@ -15,7 +15,8 @@ from qdca.toy_cipher import (Characteristic, CiphertextDependentDifference,
                              find_characteristic,
                              gen_pairs, is_right_pair, make_characteristic,
                              measure_probability, right_pair_table, rotl,
-                             true_subkey, DEFAULT_PLANTED_KEY, DEFAULT_SBOX)
+                             true_subkey, DEFAULT_PBOX, DEFAULT_PLANTED_KEY,
+                             DEFAULT_SBOX)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -98,10 +99,23 @@ def test_encrypt_rejects_out_of_range(cipher):
     dict(rounds=0),
     dict(key_schedule="nope"),
     dict(block_width=7),
+    dict(block_width=12, pbox=DEFAULT_PBOX),
 ])
 def test_cipher_validation(bad):
     with pytest.raises(ValueError):
         ToyCipher(**bad)
+
+
+def test_default_pbox_follows_the_block_width():
+    # bit i -> (i mod 4)*S + i div 4 for S S-boxes; at 8 bits the stock transpose
+    assert ToyCipher().pbox == DEFAULT_PBOX == (0, 2, 4, 6, 1, 3, 5, 7)
+    assert ToyCipher(block_width=8) == ToyCipher(pbox=DEFAULT_PBOX)
+    for width in (4, 12, 16):
+        c = cipher_from_dict({"block_width": width})
+        assert sorted(c.pbox) == list(range(width))
+        # each S-box's four output bits reach every next-round S-box
+        for box in range(c.num_sboxes):
+            assert {c.pbox[4 * box + j] // 4 for j in range(4)} == set(range(c.num_sboxes))
 
 
 def test_key_schedule_rotates(cipher):

@@ -25,10 +25,8 @@ def _rng(entropy, *key):
 # ---- threshold passes -------------------------------------------------------
 
 
-def test_pass_table_marks_strictly_larger_counts(planted, monkeypatch):
-    # each threshold pass marks x iff the counter's memoized count of x strictly
-    # exceeds that of the pass's threshold y: ties stay unmarked, and so does y
-    _, _, _, ctx = planted
+def _pass_tables(monkeypatch, counter, subkey_bits, rng):
+    """Run the threshold loop; return (marked table, trace row) for every pass."""
     tables = []
 
     def recording_search(marked, *args):
@@ -36,16 +34,49 @@ def test_pass_table_marks_strictly_larger_counts(planted, monkeypatch):
         return grover_search_marked(marked, *args)
 
     monkeypatch.setattr(max_finding, "grover_search_marked", recording_search)
+    res = find_max_subkey(counter, subkey_bits, MaxFindingConfig(4), rng)
+    assert len(tables) == len(res.trace) >= 1
+    return list(zip(tables, res.trace))
+
+
+def test_oracle_never_marks_the_threshold_itself(monkeypatch):
+    # the pass's oracle O1(x, y) = [count(x) > count(y)] is 0 at x = y, so no
+    # pass marks its own threshold, whichever subkey the threshold is
+    counter = ExactCounter([3, 1, 4, 1])
+    thresholds = set()
+    for seed in range(16):
+        for marked, row in _pass_tables(monkeypatch, counter, 2, _rng(30, seed)):
+            thresholds.add(row["y"])
+            assert not marked[row["y"]]
+    assert thresholds == set(range(4))
+
+
+def test_oracle_marks_strictly_larger_counts(monkeypatch):
+    # ties with the threshold stay unmarked: against y = 0 (count 1) only the
+    # two count-5 subkeys are marked
+    counter = ExactCounter([1, 5, 5, 0])
+    expected = {0: [1, 2], 1: [], 2: [], 3: [0, 1, 2]}
+    thresholds = set()
+    for seed in range(16):
+        for marked, row in _pass_tables(monkeypatch, counter, 2, _rng(33, seed)):
+            thresholds.add(row["y"])
+            assert np.flatnonzero(marked).tolist() == expected[row["y"]]
+    assert 0 in thresholds
+
+
+def test_pass_table_is_oracle_o1_for_every_candidate(planted, monkeypatch):
+    # each threshold pass marks x iff O1(x, y) = [count(x) > count(y)] for the
+    # pass's threshold y, read from the counter's memoized counts
+    _, _, _, ctx = planted
     rng = _rng(31)
     # every count is held by at least two subkeys, so every threshold has a tie
     for counter in (ExactCounter([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 9, 2, 6, 4, 9]),
                     QuantumCounter(ctx, CountingParams.default(6), _rng(32))):
-        tables.clear()
-        res = find_max_subkey(counter, 4, MaxFindingConfig(4), rng)
-        assert len(tables) == len(res.trace) >= 2
+        passes = _pass_tables(monkeypatch, counter, 4, rng)
+        assert len(passes) >= 2
         assert len(counter.estimates) == 16   # every count drawn: count() reads the memo
         counts = [counter.count(x) for x in range(16)]
-        for marked, row in zip(tables, res.trace):
+        for marked, row in passes:
             y = row["y"]
             assert not marked[y]
             assert marked.tolist() == [counts[x] > counts[y] for x in range(16)]

@@ -13,7 +13,9 @@ function f(x, y) is fixed during one run and accepted thresholds increase strict
 A pass's marked table is fixed for its whole search, so each Grover power
 G^j|u> is a fixed state: the search takes each step once, on one two-class
 state per pass, and keeps each power's two class amplitudes for every round
-that draws it. Each round is still charged its own j steps.
+that draws it. Each round is still charged its own j steps. A pass that
+marks nothing (the threshold is already the maximum) builds no outcome
+distribution: every round fails, and spends the one uniform its draw takes.
 
 Time-step accounting: initializing q qubits costs q steps, one search
 iteration costs one step, one counting run costs its init + Grover-gate +
@@ -28,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantum_counting import (CountEstimate, CountingParams, Ladder, count_marked,
-                               grover_iteration, grover_ladder)
+from .quantum_counting import (CountEstimate, CountingParams, Ladder, PhaseBlock, count_marked,
+                               grover_iteration, grover_ladder, lane_block_size, phase_block)
 from .statevector import ClassState, Register, draw_outcome
 from .toy_cipher import AttackContext
 
@@ -91,8 +93,11 @@ class QuantumCounter:
     """Memoized quantum counting: one sampled estimate per subkey per run.
 
     The first count runs one Grover ladder over every subkey's table as a
-    lane; each subkey's estimate is drawn from its lane on first demand, so
-    the draws follow the demand order."""
+    lane. The lanes are cut into blocks of ``lane_block_size`` lanes; a
+    block's inverse QFT runs when one of its subkeys is first demanded, and
+    its distributions are dropped once every lane in it has an estimate.
+    Each subkey's estimate is drawn from its lane on first demand, so the
+    draws follow the demand order."""
 
     def __init__(self, ctx: AttackContext, params: CountingParams,
                  rng: np.random.Generator):
@@ -103,6 +108,9 @@ class QuantumCounter:
         self.rng = rng
         self.estimates: dict[int, CountEstimate] = {}
         self._ladder: Ladder | None = None
+        self._block_lanes = lane_block_size(params)
+        # first lane of a block -> (the block, its lanes not drawn yet)
+        self._blocks: dict[int, tuple[PhaseBlock, set[int]]] = {}
         self.counting_cost = params.counting_cost
         self.init_width = params.init_steps
 
@@ -110,8 +118,17 @@ class QuantumCounter:
         if x not in self.estimates:
             if self._ladder is None:
                 self._ladder = grover_ladder(self.ctx.table, self.params)
+            first = x - x % self._block_lanes
+            if first not in self._blocks:
+                block = phase_block(self._ladder, slice(first, first + self._block_lanes),
+                                    self.params)
+                self._blocks[first] = block, set(range(first, first + len(block.n_marked)))
+            block, pending = self._blocks[first]
             self.estimates[x] = count_marked(self.ctx.marked_table(x), self.params, self.rng,
-                                             ladder=self._ladder.lane(x))
+                                             block=block.lane(x - first))
+            pending.remove(x)
+            if not pending:
+                del self._blocks[first]
         return self.estimates[x].right_pairs
 
 
@@ -157,7 +174,9 @@ def grover_search_marked(marked, subkey_bits: int,
 
     One ClassState takes each Grover step once per call, the first time a
     round draws j or more; the class amplitudes of G^j|u> serve every round
-    that draws j, each building its outcome distribution from them.
+    that draws j, each building its outcome distribution from them. A table
+    that marks nothing builds no distribution: every outcome fails, so a round
+    only spends the one uniform its draw would place.
     """
     if subkey_bits < 1:
         raise ValueError("search needs at least one subkey bit")
@@ -182,9 +201,10 @@ def grover_search_marked(marked, subkey_bits: int,
             grover_iteration(state, reg, marked)
             powers.append((state.amp_unmarked, state.amp_marked))
         iterations += j
-        outcome = draw_outcome(state.probabilities(powers[j]), rng)
         measurements += 1
-        if marked[outcome]:
+        if not state.n_marked:
+            rng.random()   # the draw's one uniform; no outcome of this table is marked
+        elif marked[outcome := draw_outcome(state.probabilities(powers[j]), rng)]:
             return SearchOutcome(outcome, iterations, measurements)
         m_cap = min(SEARCH_GROWTH_FACTOR * m_cap, math.sqrt(K))
     return SearchOutcome(None, iterations, measurements)

@@ -18,20 +18,23 @@ unmarked indices (Brassard-Hoyer-Mosca-Tapp, quant-ph/0005055), so the index
 register is a ``ClassState`` with real amplitudes. ``grover_ladder`` takes
 an (L, 2N) stack of tables and runs G 2**t - 1 times on all L lanes at once,
 each step applied to every lane and counted once; row b of its (T, 2, L)
-record holds each lane's class amplitudes u_b, m_b of G^b|psi0>. The
-attack's counter runs one ladder over all K subkeys and hands each subkey's
-lane to ``count_marked``; a table counted on its own is a one-lane stack.
+record holds each lane's class amplitudes u_b, m_b of G^b|psi0>.
 
 The inverse Fourier transform runs gate by gate on t+1 qubits, on
 |0> (x) sum_b sqrt((2N-M)/T) u_b|b> + |1> (x) sum_b sqrt(M/T) m_b|b>, whose
 image under the isometry |0> -> |u_U>, |1> -> |u_M> is the full state; the
 transform acts on the phase register alone, so the phase outcome
-distribution is unchanged. These states represent the t+n+1-qubit circuit
-exactly, and no array has its width: the widest is the ladder's record,
-bounded by t+1+log2(L) <= 24. The transform runs once per estimate, so the
-QFT gates counted at the gates are the ones each estimate reports. The
-full-vector controlled ladder is kept as ``reference_counting_distribution``,
-the oracle the kernel is tested against.
+distribution is unchanged. ``phase_block`` stacks a run of ladder lanes as
+the lanes of one StateVector and transforms them at once: each gate counts
+once per lane it acts on, so every estimate reports the QFT gates applied
+to its lane. The attack's counter cuts its ladder into blocks of
+``lane_block_size`` lanes, transforms each block once and draws each
+subkey's estimate from its row; a table counted on its own is a one-lane
+block. These states represent the t+n+1-qubit circuit exactly, and no
+array has its width: the widest is the ladder's record, bounded by
+t+1+log2(L) <= 24. The full-vector controlled ladder is kept as
+``reference_counting_distribution``, the oracle the kernel is tested
+against.
 """
 
 from __future__ import annotations
@@ -41,11 +44,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevector import DEFAULT_MAX_QUBITS, ClassState, Register, RegisterMap, StateVector
+from .statevector import (DEFAULT_MAX_QUBITS, ClassState, Register, RegisterMap, StateVector,
+                          draw_outcome)
 from .toy_cipher import AttackContext
 
 COHERENT_MAX_SUBKEY_BITS = 2
 COHERENT_MAX_INDEX_BITS = 2
+# amplitudes of one inverse-QFT block (256 KiB of complex128): in a sweep of
+# block sizes, blocks of 12 to 15 qubits ran the transform fastest per lane
+LANE_BLOCK_AMPS = 1 << 14
 
 
 def qft_gate_budget(width: int) -> int:
@@ -151,10 +158,6 @@ class Ladder:
     amps: np.ndarray
     g_gates: int   # G steps applied to every lane, counted at the gates
 
-    def lane(self, x: int) -> "Ladder":
-        """Lane x as a one-lane ladder."""
-        return Ladder(self.n_marked[x:x + 1], self.amps[:, :, x:x + 1], self.g_gates)
-
 
 def grover_ladder(tables: np.ndarray, params: CountingParams) -> Ladder:
     """Apply G 2**t - 1 times to the uniform index state of all L lanes of an
@@ -182,44 +185,71 @@ def grover_ladder(tables: np.ndarray, params: CountingParams) -> Ladder:
     return Ladder(index.n_marked, amps, index.counters.oracle_calls)
 
 
-def _counting_circuit(marked: np.ndarray, params: CountingParams,
-                      ladder: Ladder | None) -> tuple[StateVector, Register, int]:
-    """Phase estimation reduced to the two index classes, over the given
-    one-lane ladder of ``marked`` or a new one; returns the post-QFT state,
-    its phase register and the number of G gates the ladder applied."""
-    phase_reg = _registers(marked, params)["phase"]
-    if ladder is None:
-        ladder = grover_ladder(marked[None], params)
-    if ladder.n_marked.tolist() != [np.count_nonzero(marked)]:
-        raise ValueError("the ladder's class sizes are not those of the table")
-    n_marked = int(ladder.n_marked[0])
-    T = 1 << params.phase_bits
-    state = StateVector(phase_reg.width + 1)
-    # class major, phase minor: row 0 the unmarked class, row 1 the marked one
-    scale = [[math.sqrt((marked.size - n_marked) / T)], [math.sqrt(n_marked / T)]]
-    np.multiply(ladder.amps[:, :, 0].T, scale, out=state.amps.reshape(2, T))
+def lane_block_size(params: CountingParams) -> int:
+    """Lanes per inverse-QFT block: the largest power of two B with
+    B * 2**(t+1) <= LANE_BLOCK_AMPS, at least 1."""
+    return max(1, LANE_BLOCK_AMPS >> (params.phase_bits + 1))
+
+
+@dataclass(frozen=True)
+class PhaseBlock:
+    """Row i of the (B, T) ``probs`` is the phase outcome distribution of
+    lane i of a block of ladder lanes, after the block's inverse QFT;
+    ``n_marked`` holds the lanes' marked-class sizes."""
+
+    n_marked: np.ndarray
+    probs: np.ndarray
+    g_gates: int     # G steps applied to every lane, counted at the gates
+    qft_gates: int   # Fourier gates applied to every lane, counted at the gates
+
+    def lane(self, i: int) -> "PhaseBlock":
+        """Lane i as a one-lane block."""
+        return PhaseBlock(self.n_marked[i:i + 1], self.probs[i:i + 1], self.g_gates,
+                          self.qft_gates)
+
+
+def phase_block(ladder: Ladder, lanes: slice, params: CountingParams) -> PhaseBlock:
+    """Phase estimation reduced to the two index classes, for a run of the
+    ladder's lanes at once: one lane-stacked (t+1)-qubit state, one
+    gate-by-gate inverse QFT, one distribution per lane."""
+    t = params.phase_bits
+    T = 1 << t
+    n_marked = ladder.n_marked[lanes]
+    state = StateVector(t + 1, len(n_marked))
+    phase_reg = Register("phase", 0, t)
+    # lane major, then class (row 0 the unmarked class, row 1 the marked one), phase minor
+    scale = np.sqrt(np.stack([2 * params.num_pairs - n_marked, n_marked], axis=1) / T)
+    np.multiply(ladder.amps[:, :, lanes].transpose(2, 1, 0), scale[:, :, None],
+                out=state.amps.reshape(-1, 2, T))
     state.inverse_qft(phase_reg)
-    return state, phase_reg, ladder.g_gates
+    return PhaseBlock(n_marked, state.probabilities(phase_reg).reshape(-1, T),
+                      ladder.g_gates, state.counters.qft_gates // state.lanes)
+
+
+def _one_lane_block(marked: np.ndarray, params: CountingParams) -> PhaseBlock:
+    return phase_block(grover_ladder(marked[None], params), slice(0, 1), params)
 
 
 def count_marked(marked: np.ndarray, params: CountingParams,
-                 rng: np.random.Generator, *, ladder: Ladder | None = None) -> CountEstimate:
-    """Counting circuit over an explicit marked-item table; ``ladder`` is the
-    table's lane of a ladder already run (default: run one for the table as a
-    one-lane stack)."""
-    state, phase_reg, g_gates = _counting_circuit(marked, params, ladder)
-    qft_gates = state.counters.qft_gates
-    b = state.measure(phase_reg, rng)
+                 rng: np.random.Generator, *, block: PhaseBlock | None = None) -> CountEstimate:
+    """Counting circuit over an explicit marked-item table; ``block`` is the
+    table's lane of a block already transformed (default: run the table as a
+    one-lane block)."""
+    _registers(marked, params)
+    if block is None:
+        block = _one_lane_block(marked, params)
+    if block.n_marked.tolist() != [np.count_nonzero(marked)]:
+        raise ValueError("the block's class sizes are not those of the table")
+    b = draw_outcome(block.probs[0], rng)
     theta, m_est, right = estimate_from_outcome(b, params)
-    assert g_gates == (1 << params.phase_bits) - 1
-    return CountEstimate(b, theta, m_est, right, g_gates, qft_gates,
+    assert block.g_gates == (1 << params.phase_bits) - 1
+    return CountEstimate(b, theta, m_est, right, block.g_gates, block.qft_gates,
                          params.init_steps)
 
 
 def counting_distribution(marked: np.ndarray, params: CountingParams) -> np.ndarray:
     """Exact outcome distribution over b, by amplitude readout (no sampling)."""
-    state, phase_reg, _ = _counting_circuit(marked, params, None)
-    return state.probabilities(phase_reg)
+    return _one_lane_block(marked, params).probs[0]
 
 
 def reference_counting_distribution(marked: np.ndarray,

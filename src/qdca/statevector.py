@@ -15,6 +15,11 @@ ladder) each control qubit's axis is fixed at |1>, so only that branch is
 in the view. The Fourier transform and measurement refuse an external
 control.
 
+A StateVector may hold a stack of independent lanes of the same width,
+lane major: each gate then acts on every lane and its Fourier gates count
+once per lane, the norm is checked per lane and the outcome distribution
+is one row per lane.
+
 A StateVector is owned by one execution context while it mutates.
 Measurement probabilities are accumulated in a fixed reduction order, so
 seeded runs are bit-reproducible. Every measurement draws through
@@ -88,6 +93,16 @@ class RegisterMap:
         return iter(self._regs.values())
 
 
+def _assert_unit_norm(norm) -> None:
+    """Raise CorruptedStateError unless the squared norm, or every lane's, is
+    within NORM_TOL of 1."""
+    if np.ndim(norm):   # the worst lane is the smallest or the largest
+        low, high = float(norm[norm.argmin()]), float(norm[norm.argmax()])
+        norm = low if 1.0 - low > high - 1.0 else high
+    if abs(norm - 1.0) > NORM_TOL:
+        raise CorruptedStateError(f"norm drift: |amps|^2 = {float(norm)!r}")
+
+
 def draw_outcome(probs: np.ndarray, rng: np.random.Generator) -> int:
     """Draw an outcome of the distribution ``probs`` (not yet normalized).
 
@@ -136,14 +151,23 @@ def _qft_plan(offset: int, width: int, inverse: bool) -> tuple[tuple, ...]:
 
 
 class StateVector:
-    """2**q complex amplitudes with a norm-preservation invariant."""
+    """2**q complex amplitudes with a norm-preservation invariant.
 
-    def __init__(self, num_qubits: int):
+    With ``lanes`` > 1 it is a stack of that many independent q-qubit states,
+    lane major, each starting in |0>: every gate acts on each lane, the
+    Fourier gates are counted once per lane, the norm is checked per lane and
+    ``probabilities`` gives one distribution per lane."""
+
+    def __init__(self, num_qubits: int, lanes: int = 1):
         if not 1 <= num_qubits <= DEFAULT_MAX_QUBITS:
             raise ValueError(f"qubit count {num_qubits} outside [1, {DEFAULT_MAX_QUBITS}]")
+        if lanes < 1 or num_qubits + (lanes - 1).bit_length() > DEFAULT_MAX_QUBITS:
+            raise ValueError(f"{lanes} lanes of {num_qubits} qubits exceed the "
+                             f"{DEFAULT_MAX_QUBITS}-qubit limit")
         self.num_qubits = num_qubits
-        self.amps = np.zeros(1 << num_qubits, dtype=np.complex128)
-        self.amps[0] = 1.0
+        self.lanes = lanes
+        self.amps = np.zeros(lanes << num_qubits, dtype=np.complex128)
+        self.amps[::1 << num_qubits] = 1.0
         self.counters = GateCounters()
         self._controls: list[int] = []
 
@@ -167,13 +191,15 @@ class StateVector:
 
     # ---- invariants ----------------------------------------------------
 
-    def norm_squared(self) -> float:
-        return np.vdot(self.amps, self.amps).real
+    def norm_squared(self):
+        """The squared norm, per lane for a stack."""
+        if self.lanes == 1:
+            return np.vdot(self.amps, self.amps).real
+        lanes = self.amps.reshape(self.lanes, -1)
+        return np.einsum("li,li->l", lanes, lanes.conj()).real
 
     def _assert_norm(self):
-        norm = self.norm_squared()
-        if abs(norm - 1.0) > NORM_TOL:
-            raise CorruptedStateError(f"norm drift: |amps|^2 = {float(norm)!r}")
+        _assert_unit_norm(self.norm_squared())
 
     def _check_register(self, reg: Register):
         if reg.offset < 0 or reg.offset + reg.width > self.num_qubits:
@@ -190,14 +216,15 @@ class StateVector:
         """A view of the amplitudes whose control qubits are all |1>, with the
         register on one axis; returns (view, register axis)."""
         if not self._controls:
-            high = 1 << (self.num_qubits - reg.offset - reg.width)
+            high = self.lanes << (self.num_qubits - reg.offset - reg.width)
             return self.amps.reshape(high, reg.size, 1 << reg.offset), 1
-        # one axis per run of qubits between cuts, most significant first
+        # a lane axis, then one axis per run of qubits between cuts, most
+        # significant first
         cuts = {0, self.num_qubits, reg.offset, reg.offset + reg.width}
         for c in self._controls:
             cuts |= {c, c + 1}
         bounds = sorted(cuts, reverse=True)
-        shape, index = [], []
+        shape, index = [self.lanes], [slice(None)]
         for hi, lo in zip(bounds, bounds[1:]):
             if lo == reg.offset:
                 axis = index.count(slice(None))
@@ -266,33 +293,33 @@ class StateVector:
     # ---- Fourier transforms (gate-by-gate, counted) ---------------------
 
     def _hadamard(self, qubit: int):
-        high = 1 << (self.num_qubits - qubit - 1)
+        high = self.lanes << (self.num_qubits - qubit - 1)
         view = self.amps.reshape(high, 2, 1 << qubit)
         a0 = view[:, 0, :].copy()
         a1 = view[:, 1, :]
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
         view[:, 0, :] = (a0 + a1) * inv_sqrt2
         view[:, 1, :] = (a0 - a1) * inv_sqrt2
-        self.counters.qft_gates += 1
+        self.counters.qft_gates += self.lanes
 
     def _pair_view(self, qa: int, qb: int) -> np.ndarray:
         """(high, 2, mid, 2, low) view: axis 1 is the higher of the two
         qubits, axis 3 the lower."""
         lo, hi = sorted((qa, qb))
-        return self.amps.reshape(1 << (self.num_qubits - hi - 1), 2,
+        return self.amps.reshape(self.lanes << (self.num_qubits - hi - 1), 2,
                                  1 << (hi - lo - 1), 2, 1 << lo)
 
     def _controlled_phase(self, qa: int, qb: int, phase: complex):
         """Multiply the states with both qubits |1> by the unit factor ``phase``."""
         self._pair_view(qa, qb)[:, 1, :, 1, :] *= phase
-        self.counters.qft_gates += 1
+        self.counters.qft_gates += self.lanes
 
     def _swap(self, qa: int, qb: int):
         view = self._pair_view(qa, qb)
         tmp = view[:, 1, :, 0, :].copy()
         view[:, 1, :, 0, :] = view[:, 0, :, 1, :]
         view[:, 0, :, 1, :] = tmp
-        self.counters.qft_gates += 1
+        self.counters.qft_gates += self.lanes
 
     def _qft_gates(self, reg: Register, inverse: bool):
         """Textbook QFT circuit on the register (little-endian value order),
@@ -314,14 +341,19 @@ class StateVector:
     # ---- measurement -----------------------------------------------------
 
     def probabilities(self, reg: Register) -> np.ndarray:
-        """Marginal outcome distribution of the register (no collapse)."""
+        """Marginal outcome distribution of the register (no collapse); an
+        (L, 2**width) array of one row per lane for a stack."""
         self._check_register(reg)
         self._refuse_controls("reading the register")
         view, _ = self._reg_view(reg)
-        return np.einsum("irj,irj->r", view, view.conj()).real
+        view = view.reshape(self.lanes, -1, *view.shape[1:])
+        probs = np.einsum("lirj,lirj->lr", view, view.conj()).real
+        return probs if self.lanes > 1 else probs[0]
 
     def measure(self, reg: Register, rng: np.random.Generator) -> int:
         """Sample the register, collapse and renormalize. Deterministic per seed."""
+        if self.lanes > 1:
+            raise ValueError("a lane stack has one outcome distribution per lane")
         probs = self.probabilities(reg)
         outcome = draw_outcome(probs, rng)
         p_outcome = probs[outcome]
@@ -369,12 +401,7 @@ class ClassState:
                 + self.n_marked * (self.amp_marked * self.amp_marked))
 
     def _assert_norm(self):
-        norm = self.norm_squared()
-        if self.lanes is not None:   # the worst lane is the smallest or the largest
-            low, high = float(norm[norm.argmin()]), float(norm[norm.argmax()])
-            norm = low if 1.0 - low > high - 1.0 else high
-        if abs(norm - 1.0) > NORM_TOL:
-            raise CorruptedStateError(f"norm drift: |amps|^2 = {norm!r}")
+        _assert_unit_norm(self.norm_squared())
 
     def apply_phase_oracle(self, reg: Register, table: np.ndarray):
         """Negate the marked class; ``table`` must be the state's own."""

@@ -14,7 +14,7 @@ from qdca.max_finding import (SEARCH_GROWTH_FACTOR, ExactCounter,
 from qdca.quantum_counting import (CountingParams, count_marked,
                                    counting_distribution,
                                    estimate_from_outcome, grover_iteration)
-from qdca.statevector import ClassState, Register, StateVector
+from qdca.statevector import ClassState, Register, StateVector, draw_outcome
 from qdca.toy_cipher import true_subkey
 
 
@@ -172,6 +172,56 @@ def test_search_draws_as_the_full_vector_loop(k, seed, data):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     assert grover_search_marked(marked, k, rng) == _full_vector_search(marked, k, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _search_drawing_every_round(marked, subkey_bits, rng, budget=None, stages=None):
+    """The two-class search loop as it ran before empty tables skipped their
+    distributions: every round builds its outcome distribution and draws."""
+    K = 1 << subkey_bits
+    iterations = measurements = 0
+    reg = Register("subkey", 0, subkey_bits)
+    state = ClassState(reg, marked)
+    powers = [(state.amp_unmarked, state.amp_marked)]
+    m_cap = 1.0
+    while measurements < 4 * math.ceil(4.5 * math.sqrt(K)):
+        j = int(rng.integers(0, max(1, int(m_cap))))
+        if budget is not None and not budget.try_charge(subkey_bits + j + 1):
+            break
+        if stages is not None:
+            stages.init += subkey_bits
+            stages.search += j + 1
+        while len(powers) <= j:
+            grover_iteration(state, reg, marked)
+            powers.append((state.amp_unmarked, state.amp_marked))
+        iterations += j
+        outcome = draw_outcome(state.probabilities(powers[j]), rng)
+        measurements += 1
+        if marked[outcome]:
+            return SearchOutcome(outcome, iterations, measurements)
+        m_cap = min(SEARCH_GROWTH_FACTOR * m_cap, math.sqrt(K))
+    return SearchOutcome(None, iterations, measurements)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.sampled_from([1, 4, 8]), fill=st.sampled_from(["empty", "full", "random"]),
+       limit=st.one_of(st.none(), st.integers(0, 400)), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_search_equals_the_loop_that_draws_every_round(k, fill, limit, seed, data):
+    # a table that marks nothing builds no distribution, yet its outcome, its
+    # charges and the generator state are those of drawing every round
+    K = 1 << k
+    if fill == "random":
+        marked = np.array(data.draw(st.lists(st.booleans(), min_size=K, max_size=K)))
+    else:
+        marked = np.full(K, fill == "full")
+    runs = []
+    for search in (grover_search_marked, _search_drawing_every_round):
+        rng = np.random.default_rng(seed)
+        budget = None if limit is None else SearchBudget(1, limit)
+        stages = StageSteps()
+        out = search(marked, k, rng, budget, stages)
+        runs.append((out, stages, budget and budget.spent, rng.bit_generator.state))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("k, marked_items", [(4, []), (6, [9]), (8, [3, 200])])

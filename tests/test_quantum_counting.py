@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,12 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from qdca import quantum_counting
 from qdca.max_finding import QuantumCounter
-from qdca.quantum_counting import (CountingParams, _counting_circuit,
-                                   coherent_counting_distribution, count_marked,
-                                   counting_distribution, counting_error_bound,
+from qdca.quantum_counting import (CountingParams, coherent_counting_distribution,
+                                   count_marked, counting_distribution, counting_error_bound,
                                    estimate_from_outcome, grover_iteration, grover_ladder,
-                                   profile_error_bound, qft_gate_budget,
-                                   reference_counting_distribution)
+                                   lane_block_size, phase_block, profile_error_bound,
+                                   qft_gate_budget, reference_counting_distribution)
 from qdca.statevector import (ClassState, CorruptedStateError, GateCounters, Register,
                               StateVector)
 from qdca.toy_cipher import (AttackContext, default_characteristic, gen_pairs,
@@ -349,8 +349,9 @@ def test_class_state_gates_check_the_weighted_norm():
 
 
 def test_gate_counts_are_observed_not_computed(monkeypatch, planted):
-    # the reported counts equal the G steps and Fourier gates actually applied
-    applied = {"g": 0, "qft": 0}
+    # the reported counts equal the G steps and Fourier gates actually applied;
+    # a gate method call on a lane stack applies its gate once to every lane
+    applied = {"g": 0, "qft": 0, "calls": 0}
 
     def counting_g(*args):
         applied["g"] += 1
@@ -360,7 +361,8 @@ def test_gate_counts_are_observed_not_computed(monkeypatch, planted):
         gate = getattr(StateVector, name)
 
         def wrapper(self, *args):
-            applied["qft"] += 1
+            applied["qft"] += self.lanes
+            applied["calls"] += 1
             gate(self, *args)
         return wrapper
 
@@ -373,12 +375,16 @@ def test_gate_counts_are_observed_not_computed(monkeypatch, planted):
     est = count_marked(marked, params, _rng(12))
     assert est.g_gate_count == applied["g"] == (1 << params.phase_bits) - 1
     assert est.qft_gate_count == applied["qft"] == qft_gate_budget(params.phase_bits)
+    assert applied["calls"] == qft_gate_budget(params.phase_bits)
 
-    # the counter: one 16-lane ladder, then one Fourier transform per estimate
+    # the counter: one 16-lane ladder, then one Fourier transform per block of
+    # lanes, its gates applied to each of the 16 lanes
     _, _, _, ctx = planted
     params = CountingParams.default(6)
     t = params.phase_bits
-    applied.update(g=0, qft=0)
+    blocks = -(-16 // lane_block_size(params))
+    assert blocks == 1
+    applied.update(g=0, qft=0, calls=0)
     counter = QuantumCounter(ctx, params, _rng(13))
     for x in range(16):
         counter.count(x)
@@ -388,6 +394,7 @@ def test_gate_counts_are_observed_not_computed(monkeypatch, planted):
         assert est.g_gate_count == (1 << t) - 1
         assert est.qft_gate_count == qft_gate_budget(t)
     assert applied["qft"] == 16 * qft_gate_budget(t)
+    assert applied["calls"] == blocks * qft_gate_budget(t)
 
 
 def test_width_is_checked_before_the_ladder(monkeypatch):
@@ -421,23 +428,43 @@ def test_counting_wider_than_the_qubit_limit_runs():
 # ---- one ladder over a stack of tables -------------------------------------------
 
 
-def _lane_states(tables, params):
-    """The post-QFT state of each lane of one ladder over the stack."""
+def _single_table_distribution(marked, params):
+    """The per-estimate circuit as it ran before lane blocks: a one-lane
+    ladder, its own (t+1)-qubit state, one inverse QFT, the one-lane readout."""
+    t = params.phase_bits
+    T = 1 << t
+    ladder = grover_ladder(marked[None], params)
+    n_marked = int(ladder.n_marked[0])
+    state = StateVector(t + 1)
+    scale = [[math.sqrt((marked.size - n_marked) / T)], [math.sqrt(n_marked / T)]]
+    np.multiply(ladder.amps[:, :, 0].T, scale, out=state.amps.reshape(2, T))
+    state.inverse_qft(Register("phase", 0, t))
+    view = state.amps.reshape(2, T, 1)
+    return np.einsum("irj,irj->r", view, view.conj()).real
+
+
+def _lane_distributions(tables, params):
+    """Each lane's distribution from one ladder over the stack, transformed in
+    blocks of ``lane_block_size`` lanes as the counter cuts them."""
     ladder = grover_ladder(tables, params)
-    return [_counting_circuit(table, params, ladder.lane(x))[0]
-            for x, table in enumerate(tables)]
+    B = lane_block_size(params)
+    return np.concatenate([phase_block(ladder, slice(lo, lo + B), params).probs
+                           for lo in range(0, len(tables), B)])
 
 
 def _assert_lanes_equal_single_tables(tables, params):
-    for table, lane in zip(tables, _lane_states(tables, params)):
-        single, phase_reg, _ = _counting_circuit(table, params, None)
-        assert np.array_equal(lane.amps, single.amps)
-        assert np.array_equal(lane.probabilities(phase_reg), counting_distribution(table, params))
+    lanes = _lane_distributions(tables, params)
+    assert lanes.shape == (len(tables), 1 << params.phase_bits)
+    for table, lane in zip(tables, lanes):
+        assert np.array_equal(lane, _single_table_distribution(table, params))
+        assert np.array_equal(lane, counting_distribution(table, params))
 
 
 @pytest.mark.parametrize("key", [0x09, 0x33, 0x5A])
 @pytest.mark.parametrize("n", [1, 3, 6, 8])
 def test_lanes_equal_the_single_table_path(cipher, key, n):
+    # k = 4: one block holds all 16 lanes
+    assert lane_block_size(CountingParams.default(n)) >= 16
     ch = default_characteristic(cipher, key)
     ctx = AttackContext(cipher, ch, gen_pairs(cipher, key, ch.plaintext_diff, n))
     _assert_lanes_equal_single_tables(ctx.table, CountingParams.default(n))
@@ -448,7 +475,18 @@ def test_lanes_equal_the_single_table_path_at_k8(cipher):
     ch = make_characteristic(cipher, 0x09, 0x01, 0x11, (0, 1))
     ctx = AttackContext(cipher, ch, gen_pairs(cipher, 0x09, 0x01, 8))
     assert ctx.table.shape == (256, 512)
+    # eight blocks of 32 lanes
+    assert lane_block_size(CountingParams.default(8)) == 32
     _assert_lanes_equal_single_tables(ctx.table, CountingParams.default(8))
+
+
+def test_lanes_equal_the_single_table_path_one_lane_per_block():
+    # t = 13: a lane's (t+1)-qubit state fills a block on its own
+    params = CountingParams(2, 10, 0.1)
+    assert params.phase_bits == 13 and lane_block_size(params) == 1
+    tables = np.zeros((3, 8), dtype=bool)
+    tables[1, [0, 2, 3]] = tables[2, :4] = True
+    _assert_lanes_equal_single_tables(tables, params)
 
 
 @settings(max_examples=30, deadline=None)
@@ -485,14 +523,89 @@ def test_counter_draws_in_demand_order(planted):
 def test_a_lane_of_another_table_is_refused(planted):
     _, _, _, ctx = planted
     params = CountingParams.default(6)
-    ladder = grover_ladder(ctx.table, params)
+    block = phase_block(grover_ladder(ctx.table, params), slice(0, 16), params)
     m = [int(ctx.marked_table(x).sum()) for x in range(16)]
     x, y = next((x, y) for x in range(16) for y in range(16) if m[x] != m[y])
     with pytest.raises(ValueError, match="class sizes"):
-        count_marked(ctx.marked_table(x), params, _rng(0), ladder=ladder.lane(y))
-    # the whole ladder is not one table's lane
+        count_marked(ctx.marked_table(x), params, _rng(0), block=block.lane(y))
+    # the whole block is not one table's lane
     with pytest.raises(ValueError, match="class sizes"):
-        count_marked(ctx.marked_table(x), params, _rng(0), ladder=ladder)
+        count_marked(ctx.marked_table(x), params, _rng(0), block=block)
+
+
+def test_a_drifted_lane_fails_the_block_transform():
+    # one lane nudged off the unit sphere fails the per-lane norm check; the
+    # same stack without the nudge passes it
+    reg = Register("phase", 0, 3)
+    for nudge, raises in ((1.0, False), (1.01, True)):
+        state = StateVector(4, 8)
+        state.amps.reshape(8, 16)[5] *= nudge
+        if raises:
+            with pytest.raises(CorruptedStateError, match="norm drift"):
+                state.inverse_qft(reg)
+        else:
+            state.inverse_qft(reg)
+            assert state.counters.qft_gates == 8 * qft_gate_budget(3)
+
+
+def test_each_block_is_transformed_once(monkeypatch, cipher):
+    # the golden attack_k8n8 instance, eight blocks of 32 lanes: asked for y
+    # and then every subkey, the counter transforms each block exactly once,
+    # holds at most two blocks at a time and draws what one-lane counts draw
+    ch = make_characteristic(cipher, 0x09, 0x01, 0x11, (0, 1))
+    ctx = AttackContext(cipher, ch, gen_pairs(cipher, 0x09, 0x01, 8))
+    params = CountingParams.default(8)
+    transforms, held = [], []
+    inverse_qft = StateVector.inverse_qft
+
+    def recording_qft(self, reg):
+        transforms.append(self.lanes)
+        inverse_qft(self, reg)
+
+    monkeypatch.setattr(StateVector, "inverse_qft", recording_qft)
+    counter = QuantumCounter(ctx, params, _rng(15))
+    order = [77, *range(256)]
+    for x in order:
+        counter.count(x)
+        held.append(len(counter._blocks))
+    assert transforms == [32] * 8
+    assert max(held) == 2 and held[-1] == 0
+    transforms.clear()
+    rng = _rng(15)
+    expected = {}
+    for x in order:
+        if x not in expected:
+            expected[x] = count_marked(ctx.marked_table(x), params, rng)
+    assert transforms == [1] * 256
+    assert list(counter.estimates.items()) == list(expected.items())
+    assert counter.rng.bit_generator.state == rng.bit_generator.state
+
+
+def test_counter_memory_stays_the_ladder_and_two_blocks(cipher):
+    # k = 8, t = 11: blocks of 4 lanes. A sweep after the threshold's count
+    # holds the ladder record and at most two blocks; a block is its state, the
+    # temporaries its gates and readout make (at most as large again) and its
+    # distributions (the real part of a complex readout). Keeping every lane's
+    # distribution would add at least 4 MiB.
+    ch = make_characteristic(cipher, 0x09, 0x01, 0x11, (0, 1))
+    ctx = AttackContext(cipher, ch, gen_pairs(cipher, 0x09, 0x01, 8))
+    params = CountingParams(8, 8, 0.1)
+    t = params.phase_bits
+    B = lane_block_size(params)
+    assert t == 11 and B == 4
+    ctx.table   # built on first use; not the counter's
+    QuantumCounter(ctx, params, _rng(16)).count(0)   # first-call allocations
+    record = (1 << t) * 2 * 256 * 8
+    block = B * (2 * (16 << (t + 1)) + (16 << t))
+    tracemalloc.start()
+    try:
+        counter = QuantumCounter(ctx, params, _rng(16))
+        for x in [201, *range(256)]:
+            counter.count(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert record < peak < record + 2 * block < record + 256 * (8 << t)
 
 
 def test_ladder_takes_only_a_stack():
@@ -572,6 +685,22 @@ def test_coherent_mode_is_size_capped(planted):
 
 
 # ---- error bounds ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, m_true, coverage", [
+    (6, 1, 0.871), (8, 16, 0.811), (12, 16, 0.825)])
+def test_default_profile_bound_holds_below_its_target(n, m_true, coverage):
+    # the default profile (eps = 0.1) is built for 1 - eps = 0.9, yet the exact
+    # probability of an estimate inside counting_error_bound is lower at n >= 6:
+    # a bound_hit_rate below 0.9 there is what the bound predicts
+    params = CountingParams.default(n)
+    marked = np.zeros(2 << n, dtype=bool)
+    marked[:m_true] = True
+    dist = counting_distribution(marked, params)
+    bound = counting_error_bound(m_true, params.num_pairs, params.accuracy_bits)
+    inside = [abs(estimate_from_outcome(b, params)[1] - m_true) <= bound
+              for b in range(dist.size)]
+    assert dist[inside].sum() == pytest.approx(coverage, abs=1e-3)
 
 
 def test_error_bound_published_values():

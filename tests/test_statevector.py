@@ -463,6 +463,24 @@ def test_gate_norm_check_catches_drift():
         s.apply_phase_oracle(Register("r", 0, 2), np.ones(4, dtype=bool))
 
 
+def test_lane_stack_is_bounded_and_read_per_lane():
+    # the limit holds for the whole stack; each lane starts in |0> and is read
+    # on its own row, and a stack has no single outcome to measure
+    with pytest.raises(ValueError, match="exceed the 24-qubit limit"):
+        StateVector(20, 32)
+    with pytest.raises(ValueError, match="exceed"):
+        StateVector(3, 0)
+    reg = Register("r", 0, 3)
+    s = StateVector(3, 4)
+    s.inverse_qft(reg)
+    assert s.probabilities(reg).shape == (4, 8)
+    assert np.allclose(s.probabilities(reg), 1 / 8)
+    assert s.counters.qft_gates == 4 * (3 * 4 // 2 + 3 // 2)
+    assert np.allclose(s.norm_squared(), [1.0] * 4)
+    with pytest.raises(ValueError, match="lane"):
+        s.measure(reg, np.random.default_rng(0))
+
+
 # ---- registers and misc --------------------------------------------------------
 
 

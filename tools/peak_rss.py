@@ -1,0 +1,31 @@
+"""Run a command and fail when its peak resident set exceeds a limit.
+
+    python3 tools/peak_rss.py LIMIT_MIB COMMAND [ARG...]
+
+Exits with the command's own status when it fails, 1 when it succeeded but
+its peak RSS (getrusage RUSAGE_CHILDREN, the largest of the waited-for
+children) is above LIMIT_MIB, and 0 otherwise. The peak is printed either way.
+"""
+
+from __future__ import annotations
+
+import resource
+import subprocess
+import sys
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) < 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    limit_mib = float(argv[0])
+    status = subprocess.run(argv[1:], check=False).returncode
+    peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024   # KiB on Linux
+    print(f"peak RSS {peak_mib:.1f} MiB (limit {limit_mib:g} MiB)")
+    if status:
+        return status
+    return 0 if peak_mib <= limit_mib else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

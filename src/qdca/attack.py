@@ -1,9 +1,8 @@
 """End-to-end attack drivers, Monte Carlo runner and CSV reports.
 
-Pair generation and characteristic measurement run inside the driver but
-are excluded from the attack's time-step accounting (they are the
-cryptosystem's work, not the attacker's); their wall time is reported
-separately on stdout.
+Pair generation and characteristic measurement are the cryptosystem's work,
+not the attacker's, and stay out of the time-step accounting; stdout reports
+their per-trial wall time, about 0 s for a planted key built with its config.
 
 Reproducibility: trial i draws every random decision from a generator
 seeded by (master_seed, i), so identical configurations produce
@@ -13,11 +12,11 @@ byte-identical CSV outputs. Wall times are therefore kept out of the CSVs.
 from __future__ import annotations
 
 import csv
-import math
 import numbers
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +27,9 @@ from .max_finding import (ExactCounter, MaxFindingConfig, MaxFindingResult,
                           QuantumCounter, SearchBudget, find_max_subkey,
                           threshold_pass_cost)
 from .quantum_counting import (CountEstimate, CountingParams, count_marked,
-                               counting_error_bound)
+                               counting_error_bound, default_accuracy_bits)
 from .statevector import DEFAULT_MAX_QUBITS
-from .toy_cipher import (AttackContext, Characteristic, ToyCipher, ZeroProbabilityError,
+from .toy_cipher import (AttackContext, ToyCipher, ZeroProbabilityError,
                          characteristic_from_dict, cipher_from_dict, gen_pairs,
                          true_subkey)
 
@@ -41,8 +40,11 @@ class ConfigError(ValueError):
     """Invalid attack configuration."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttackConfig:
+    """One run's settings, refused with ConfigError when built if unusable. The
+    cipher and a fixed planted key's instance are built once, for every trial."""
+
     subkey_bits: int = 4
     index_bits: int = 6
     accuracy_bits: int | None = None   # default: ceil(n/2) + 1
@@ -79,7 +81,7 @@ class AttackConfig:
             raise ConfigError("at least one trial")
         if self.confidence < 1:
             raise ConfigError("confidence must be >= 1")
-        cipher = self.cipher()
+        cipher = self.cipher
         if self.subkey_bits > cipher.block_width:
             raise ConfigError("subkey_bits exceeds block width")
         if not 1 <= self.index_bits <= cipher.block_width:
@@ -100,7 +102,12 @@ class AttackConfig:
                 raise ConfigError(f"expected_steps {self.expected_steps} gives a budget "
                                   f"of {limit} steps, below the {need} that the initial "
                                   f"threshold and one threshold pass need")
+        if self.subkey_bits == 8 and not self.characteristic_doc:
+            raise ConfigError("subkey_bits=8 needs an explicit characteristic")
+        if self.planted_key is not None:
+            self.planted_instance   # built now, so a key without signal is refused here
 
+    @cached_property
     def cipher(self) -> ToyCipher:
         try:
             return cipher_from_dict(self.cipher_doc)
@@ -110,25 +117,32 @@ class AttackConfig:
     def counting_params(self) -> CountingParams:
         m = self.accuracy_bits
         if m is None:
-            m = math.ceil(self.index_bits / 2) + 1
+            m = default_accuracy_bits(self.index_bits)
         try:
             return CountingParams(self.index_bits, m, self.epsilon)
         except ValueError as err:
             raise ConfigError(str(err)) from err
 
-    def characteristic(self, cipher: ToyCipher, key: int) -> Characteristic:
-        doc = dict(self.characteristic_doc)
-        if self.subkey_bits == 8 and not doc:
-            raise ConfigError("subkey_bits=8 needs an explicit characteristic")
+    def instance(self, key: int) -> tuple[AttackContext, int, int]:
+        """(context, key, true subkey) under master key ``key``; raises
+        ZeroProbabilityError when the true subkey has no right pair."""
         try:
-            ch = characteristic_from_dict(doc, cipher, key)
+            ch = characteristic_from_dict(self.characteristic_doc, self.cipher, key)
         except ZeroProbabilityError:
             raise   # a property of the key, not of the configuration
         except (TypeError, ValueError) as err:
             raise ConfigError(str(err)) from err
         if ch.subkey_bits != self.subkey_bits:
             raise ConfigError("characteristic does not target subkey_bits key bits")
-        return ch
+        pairs = gen_pairs(self.cipher, key, ch.plaintext_diff, self.index_bits)
+        return AttackContext(self.cipher, ch, pairs), key, true_subkey(self.cipher, key, ch)
+
+    @cached_property
+    def planted_instance(self) -> tuple[AttackContext, int, int]:
+        try:
+            return self.instance(self.planted_key)
+        except ZeroProbabilityError as err:
+            raise ConfigError(f"planted key {self.planted_key:#04x}: {err}") from err
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AttackConfig":
@@ -178,28 +192,16 @@ def _trial_rng(master_seed: int, trial: int, purpose: int = 0) -> np.random.Gene
 
 def plant_instance(config: AttackConfig, trial: int):
     """Planted instance of one trial: (context, master key, true subkey)."""
-    cipher = config.cipher()
     if config.planted_key is not None:
-        key = config.planted_key
+        return config.planted_instance
+    # some keys carry no signal under the configured differential; redraw
+    rng = _trial_rng(config.master_seed, trial, purpose=1)
+    for _ in range(4 * config.cipher.block_size):
         try:
-            ch = config.characteristic(cipher, key)
-        except ZeroProbabilityError as err:
-            raise ConfigError(f"planted key {key:#04x}: {err}") from err
-    else:
-        # some keys carry no signal under the configured differential; redraw
-        rng = _trial_rng(config.master_seed, trial, purpose=1)
-        for _ in range(4 * cipher.block_size):
-            key = int(rng.integers(cipher.block_size))
-            try:
-                ch = config.characteristic(cipher, key)
-                break
-            except ZeroProbabilityError:
-                continue
-        else:
-            raise ConfigError("no key with a usable characteristic found")
-    pairs = gen_pairs(cipher, key, ch.plaintext_diff, config.index_bits)
-    ctx = AttackContext(cipher, ch, pairs)
-    return ctx, key, true_subkey(cipher, key, ch)
+            return config.instance(int(rng.integers(config.cipher.block_size)))
+        except ZeroProbabilityError:
+            continue
+    raise ConfigError("no key with a usable characteristic found")
 
 
 def run_quantum_attack(config: AttackConfig, trial: int = 0) -> tuple[AttackResult, MaxFindingResult]:
@@ -212,8 +214,6 @@ def run_quantum_attack(config: AttackConfig, trial: int = 0) -> tuple[AttackResu
     counter = QuantumCounter(ctx, params, rng)
     mf = find_max_subkey(counter, config.subkey_bits,
                          MaxFindingConfig(config.confidence, config.expected_steps), rng)
-    t = params.phase_bits
-    k, n = config.subkey_bits, config.index_bits
     result = AttackResult(
         trial=trial, mode="quantum", recovered_subkey=mf.subkey, ground_truth=z,
         steps_init=mf.stages.init, steps_counting=mf.stages.counting,
@@ -224,8 +224,8 @@ def run_quantum_attack(config: AttackConfig, trial: int = 0) -> tuple[AttackResu
         bound_hit_rate=_bound_hit_rate(ctx, params, counter),
         loop_iterations=mf.loop_iterations,
         budget_spent=mf.budget.spent, budget_limit=mf.budget.limit,
-        qubits_model=2 * k + n + t + 1,   # four-register layout; see README
-        qubits_simulated=t + n + 1,       # subkey register is read classically
+        qubits_model=2 * config.subkey_bits + params.init_steps,   # 2k+n+t+1; see README
+        qubits_simulated=params.init_steps,   # t+n+1: the subkey register is read classically
         wall_time_s=time.perf_counter() - t0,
         prep_time_s=t0 - prep0,
     )

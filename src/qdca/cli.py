@@ -22,7 +22,8 @@ from . import acceptance
 from .attack import (AttackConfig, ConfigError, run_count_report,
                      run_scaling_report, run_trials, write_counts_csv,
                      write_results_csv, write_scale_csv, write_trace_csv)
-from .quantum_counting import counting_error_bound, profile_error_bound
+from .quantum_counting import (counting_error_bound, default_accuracy_bits,
+                               profile_error_bound)
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
@@ -109,7 +110,7 @@ def cmd_bound(args) -> int:
     if not math.isfinite(m) or m < 0 or n_pairs < 1 or (acc is not None and acc < 1):
         raise ConfigError("bound needs a finite -M >= 0, -N >= 1 and -m >= 1")
     if acc is None:
-        acc = math.ceil(math.log2(n_pairs) / 2) + 1
+        acc = default_accuracy_bits(math.log2(n_pairs))
     general = counting_error_bound(m, n_pairs, acc)
     profile = profile_error_bound(m)
     print(f"M={m} N={n_pairs} m={acc}")

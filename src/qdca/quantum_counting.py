@@ -55,6 +55,12 @@ COHERENT_MAX_INDEX_BITS = 2
 LANE_BLOCK_AMPS = 1 << 14
 
 
+def default_accuracy_bits(index_bits: float) -> int:
+    """The default profile's m = ceil(n/2) + 1 accuracy bits. n = log2 N may be
+    0 or fractional: the bound arithmetic takes any pair count N >= 1."""
+    return math.ceil(index_bits / 2) + 1
+
+
 def qft_gate_budget(width: int) -> int:
     """Exact gate count of the (inverse) Fourier transform as applied here."""
     return width * (width + 1) // 2 + width // 2
@@ -103,7 +109,7 @@ class CountingParams:
     @classmethod
     def default(cls, index_bits: int) -> "CountingParams":
         """m = ceil(n/2) + 1 and epsilon = 1/10, hence t = ceil(n/2) + 4."""
-        return cls(index_bits, math.ceil(index_bits / 2) + 1, 0.1)
+        return cls(index_bits, default_accuracy_bits(index_bits), 0.1)
 
 
 @dataclass(frozen=True)

@@ -204,6 +204,9 @@ class Characteristic:
         if len(set(self.active_sboxes)) != len(self.active_sboxes):
             raise ValueError("duplicate active S-box positions")
         if isinstance(self.expr, ConstantDifference):
+            if not self.active_sboxes:
+                raise ValueError(f"expected difference {self.expr.delta:#04x} "
+                                 "activates no S-box")
             for pos in range(max(self.expr.delta.bit_length() // NIBBLE_BITS + 1,
                                  max(self.active_sboxes) + 1)):
                 nib = (self.expr.delta >> (NIBBLE_BITS * pos)) & 0xF

@@ -1,15 +1,19 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
 import qdca.attack
+import qdca.max_finding
+import qdca.toy_cipher
 from qdca.attack import (AttackConfig, ConfigError, plant_instance,
                          run_classical_attack, run_count_report,
                          run_quantum_attack, run_scaling_report, run_trials,
                          write_counts_csv, write_results_csv, write_scale_csv,
                          write_trace_csv)
 from qdca.cli import main
+from qdca.statevector import StateVector
 
 # the stock characteristic (P' = 0x0A, delta = 0x02) written out as a config doc
 STOCK_DOC = Path(__file__).parent / "fixtures" / "stock_characteristic.json"
@@ -18,6 +22,9 @@ STATED_P_DOC = STOCK_DOC.with_name("stated_probability.json")
 WRONG_P_DOC = STOCK_DOC.with_name("wrong_probability.json")
 # the golden k = 8 doc: P' = 01, delta = 11
 K8_DOC = STOCK_DOC.with_name("k8_characteristic.json")
+# the 16-bit block's committed instances (cipher_doc and characteristic_doc)
+W16_K4 = json.loads(STOCK_DOC.with_name("w16_k4_characteristic.json").read_text())
+W16_K8 = json.loads(STOCK_DOC.with_name("w16_k8_characteristic.json").read_text())
 
 
 # ---- configuration ---------------------------------------------------------
@@ -51,14 +58,15 @@ def test_config_refuses_lanes_above_the_qubit_limit(fields, width):
     with pytest.raises(ConfigError, match=f"as lanes needs t\\+1\\+k = {width} qubits"):
         AttackConfig(**fields)
     # the widest accepted stack: t = 15 and k = 8 give t+1+k = 24
-    AttackConfig(subkey_bits=8, index_bits=8, accuracy_bits=12)
+    AttackConfig(subkey_bits=8, index_bits=8, accuracy_bits=12,
+                 **json.loads(K8_DOC.read_text()))
 
 
 @pytest.mark.parametrize("fields", [
     dict(index_bits=8, accuracy_bits=13),                   # t = 16: t+1+k = 21
-    dict(index_bits=16, cipher_doc={"block_width": 16}),    # t = 12: t+1+k = 17
+    dict(index_bits=16, **W16_K4),                          # t = 12: t+1+k = 17
     dict(subkey_bits=8, index_bits=16, accuracy_bits=12,    # t = 15: t+1+k = 24
-         cipher_doc={"block_width": 16}),
+         **W16_K8),
 ])
 def test_config_accepts_counting_circuits_wider_than_the_qubit_limit(fields):
     # no array spans the t+n+1-qubit circuit; only the lane record is bounded
@@ -72,13 +80,41 @@ def test_config_rejects_unknown_keys():
 
 
 def test_config_k8_requires_characteristic():
-    with pytest.raises(ConfigError):
-        AttackConfig(subkey_bits=8).characteristic(AttackConfig().cipher(), 0x7D)
+    with pytest.raises(ConfigError, match="subkey_bits=8 needs an explicit characteristic"):
+        AttackConfig(subkey_bits=8)
     cfg = AttackConfig(subkey_bits=8, planted_key=0x7D, characteristic_doc={
         "plaintext_diff": "10", "output_diff": "28"})
     ctx, _, z = plant_instance(cfg, 0)
     assert ctx.subkey_bits == 8
     assert 0 <= z < 256
+
+
+# planted configs whose characteristic is unusable, and the refusal of each
+UNUSABLE = [
+    (dict(planted_key=0x04),
+     "planted key 0x04: characteristic has zero probability for this key"),
+    (dict(subkey_bits=8), "subkey_bits=8 needs an explicit characteristic"),
+    (dict(characteristic_doc={"output_diff": "20", "active_sboxes": [0]}),
+     "active S-box 0 has zero expected difference"),
+    # expected differences that leave every S-box of the 8-bit block quiet
+    (dict(characteristic_doc={"output_diff": "00"}),
+     "expected difference 0x00 activates no S-box"),
+    (dict(characteristic_doc={"output_diff": "100"}),
+     "expected difference 0x100 activates no S-box"),
+]
+
+
+@pytest.mark.parametrize("fields,message", UNUSABLE)
+def test_config_refuses_an_unusable_characteristic_when_built(fields, message):
+    with pytest.raises(ConfigError) as err:
+        AttackConfig(**fields)
+    assert str(err.value) == message
+
+
+def test_config_is_frozen():
+    cfg = AttackConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.trials = 5
 
 
 def test_derived_counting_params():
@@ -88,6 +124,64 @@ def test_derived_counting_params():
 
 
 # ---- drivers ------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Record every call of ``module.name`` from now on."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_planted_instance_is_built_once_per_config():
+    cfg = AttackConfig(trials=3)
+    first = plant_instance(cfg, 0)
+    assert all(plant_instance(cfg, trial) is first for trial in range(1, 3))
+
+
+def test_planted_run_builds_cipher_and_characteristic_once(monkeypatch):
+    ciphers = _count_calls(monkeypatch, qdca.attack, "cipher_from_dict")
+    measured = _count_calls(monkeypatch, qdca.toy_cipher, "measure_probability")
+    results, _ = run_trials(AttackConfig(index_bits=5, trials=3, mode="both"))
+    assert [r.mode for r in results] == ["classical", "quantum"] * 3
+    assert len(ciphers) == len(measured) == 1
+
+
+def test_random_keys_build_the_cipher_once(monkeypatch):
+    ciphers = _count_calls(monkeypatch, qdca.attack, "cipher_from_dict")
+    measured = _count_calls(monkeypatch, qdca.toy_cipher, "measure_probability")
+    results, _ = run_trials(AttackConfig(index_bits=4, trials=4, planted_key=None,
+                                         master_seed=2024, mode="classical"))
+    assert len(results) == 4
+    assert len(ciphers) == 1
+    # one measurement per drawn key: trial 3 redraws a key without signal
+    assert len(measured) == 5
+
+
+def test_each_trial_applies_and_counts_its_own_kernel(monkeypatch):
+    ladders = _count_calls(monkeypatch, qdca.max_finding, "grover_ladder")
+    qft_gates = []
+    real_qft = StateVector.inverse_qft
+
+    def counted_qft(self, reg):
+        before = self.counters.qft_gates
+        real_qft(self, reg)
+        qft_gates[-1] += self.counters.qft_gates - before
+
+    monkeypatch.setattr(StateVector, "inverse_qft", counted_qft)
+    cfg = AttackConfig(subkey_bits=4, index_bits=6, planted_key=0x09, trials=2)
+    for trial in range(2):
+        qft_gates.append(0)
+        res, _ = run_quantum_attack(cfg, trial)
+        # 16 estimates of 2**7 - 1 G steps and qft_gate_budget(7) = 31 QFT gates
+        assert res.g_gates_total == 2032
+        assert qft_gates[-1] == 496
+        assert len(ladders) == trial + 1
 
 
 def test_quantum_and_classical_agree_on_seed_42():
@@ -349,6 +443,17 @@ def test_cli_active_sbox_outside_the_block_is_named(active, tmp_path, capsys):
     bad = next(pos for pos in active if pos not in (0, 1))
     assert capsys.readouterr().err == (f"configuration error: active S-box {bad} is outside "
                                        "the 2 S-boxes of the 8-bit block\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("fields,message", UNUSABLE)
+def test_cli_refuses_an_unusable_characteristic(fields, message, tmp_path, capsys):
+    doc_path = tmp_path / "config.json"
+    doc_path.write_text(json.dumps(fields))
+    out_dir = tmp_path / "out"
+    assert main(["attack", "--trials", "1", "--config", str(doc_path),
+                 "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not out_dir.exists()
 
 

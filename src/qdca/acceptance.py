@@ -25,8 +25,7 @@ from .quantum_counting import (CountingParams, count_marked, counting_distributi
                                reference_counting_distribution)
 from .statevector import Register, StateVector
 from .toy_cipher import (AttackContext, ToyCipher, default_characteristic,
-                         gen_pairs, is_right_pair, true_subkey,
-                         DEFAULT_PLANTED_KEY)
+                         gen_pairs, is_right_pair, DEFAULT_PLANTED_KEY)
 
 
 @dataclass

@@ -24,8 +24,7 @@ import numpy as np
 from . import toy_cipher
 from .classical_dca import classical_attack
 from .max_finding import (ExactCounter, MaxFindingConfig, MaxFindingResult,
-                          QuantumCounter, SearchBudget, find_max_subkey,
-                          threshold_pass_cost)
+                          QuantumCounter, find_max_subkey)
 from .quantum_counting import (CountEstimate, CountingParams, count_marked,
                                counting_error_bound, default_accuracy_bits)
 from .statevector import DEFAULT_MAX_QUBITS
@@ -54,7 +53,6 @@ class AttackConfig:
     trials: int = 100
     mode: str = "quantum"
     planted_key: int | None = toy_cipher.DEFAULT_PLANTED_KEY
-    expected_steps: int | None = None  # m0 override
     out_dir: str = "out"
     cipher_doc: dict = field(default_factory=dict)
     characteristic_doc: dict = field(default_factory=dict)
@@ -68,8 +66,8 @@ class AttackConfig:
                            ("accuracy_bits", optional), ("epsilon", numbers.Real),
                            ("confidence", integer), ("master_seed", integer),
                            ("trials", integer), ("planted_key", optional),
-                           ("expected_steps", optional), ("out_dir", (str, os.PathLike)),
-                           ("cipher_doc", dict), ("characteristic_doc", dict)):
+                           ("out_dir", (str, os.PathLike)), ("cipher_doc", dict),
+                           ("characteristic_doc", dict)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ConfigError(f"{name} has the wrong type: {value!r}")
@@ -94,14 +92,6 @@ class AttackConfig:
         if lane_width > DEFAULT_MAX_QUBITS:
             raise ConfigError(f"counting all 2**k subkeys as lanes needs t+1+k = {lane_width} "
                               f"qubits, above the {DEFAULT_MAX_QUBITS}-qubit limit")
-        if self.expected_steps is not None:
-            k = self.subkey_bits
-            need = k + threshold_pass_cost(k, params.init_steps, params.counting_cost)
-            limit = SearchBudget(self.confidence, self.expected_steps).limit
-            if limit < need:
-                raise ConfigError(f"expected_steps {self.expected_steps} gives a budget "
-                                  f"of {limit} steps, below the {need} that the initial "
-                                  f"threshold and one threshold pass need")
         if self.subkey_bits == 8 and not self.characteristic_doc:
             raise ConfigError("subkey_bits=8 needs an explicit characteristic")
         if self.planted_key is not None:
@@ -204,16 +194,17 @@ def plant_instance(config: AttackConfig, trial: int):
     raise ConfigError("no key with a usable characteristic found")
 
 
-def run_quantum_attack(config: AttackConfig, trial: int = 0) -> tuple[AttackResult, MaxFindingResult]:
-    """One quantum attack trial: counting-backed threshold maximum finding."""
+def run_quantum_attack(config: AttackConfig, trial: int = 0,
+                       instance=None) -> tuple[AttackResult, MaxFindingResult]:
+    """One quantum attack trial: counting-backed threshold maximum finding, on
+    ``instance`` (as ``plant_instance`` returns it) if given."""
     prep0 = time.perf_counter()
-    ctx, _, z = plant_instance(config, trial)
+    ctx, _, z = instance or plant_instance(config, trial)
     t0 = time.perf_counter()
     params = config.counting_params()
     rng = _trial_rng(config.master_seed, trial)
     counter = QuantumCounter(ctx, params, rng)
-    mf = find_max_subkey(counter, config.subkey_bits,
-                         MaxFindingConfig(config.confidence, config.expected_steps), rng)
+    mf = find_max_subkey(counter, config.subkey_bits, MaxFindingConfig(config.confidence), rng)
     result = AttackResult(
         trial=trial, mode="quantum", recovered_subkey=mf.subkey, ground_truth=z,
         steps_init=mf.stages.init, steps_counting=mf.stages.counting,
@@ -246,10 +237,10 @@ def _bound_hit_rate(ctx: AttackContext, params: CountingParams, counter) -> floa
     return hits / len(counter.estimates) if counter.estimates else 0.0
 
 
-def run_classical_attack(config: AttackConfig, trial: int = 0) -> AttackResult:
+def run_classical_attack(config: AttackConfig, trial: int = 0, instance=None) -> AttackResult:
     """Exhaustive counting baseline on the same planted instance."""
     prep0 = time.perf_counter()
-    ctx, _, z = plant_instance(config, trial)
+    ctx, _, z = instance or plant_instance(config, trial)
     t0 = time.perf_counter()
     winner, table = classical_attack(ctx.pairs, ctx.cipher, ctx.characteristic)
     evaluations = table.counts.size * ctx.pairs.num_pairs  # exactly K*N
@@ -262,17 +253,23 @@ def run_classical_attack(config: AttackConfig, trial: int = 0) -> AttackResult:
 
 
 def run_trials(config: AttackConfig):
-    """All trials of the configured mode; returns (results, trace rows)."""
+    """All trials of the configured mode; returns (results, trace rows). Each
+    trial's instance is planted once, for both modes under ``both``, and its
+    preparation time is reported by the trial's first mode."""
     results: list[AttackResult] = []
     trace_rows: list[dict] = []
     for trial in range(config.trials):
+        prep0 = time.perf_counter()
+        instance = plant_instance(config, trial)
+        prep_s, first = time.perf_counter() - prep0, len(results)
         if config.mode in ("classical", "both"):
-            results.append(run_classical_attack(config, trial))
+            results.append(run_classical_attack(config, trial, instance))
         if config.mode in ("quantum", "both"):
-            res, mf = run_quantum_attack(config, trial)
+            res, mf = run_quantum_attack(config, trial, instance)
             results.append(res)
             for row in mf.trace:
                 trace_rows.append({"trial": trial, **row})
+        results[first].prep_time_s = prep_s
     return results, trace_rows
 
 

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import acceptance
-from .attack import (AttackConfig, ConfigError, run_count_report,
+from .attack import (MODES, AttackConfig, ConfigError, run_count_report,
                      run_scaling_report, run_trials, write_counts_csv,
                      write_results_csv, write_scale_csv, write_trace_csv)
 from .quantum_counting import (counting_error_bound, default_accuracy_bits,
@@ -27,37 +27,28 @@ from .quantum_counting import (counting_error_bound, default_accuracy_bits,
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
+    """AttackConfig's flags; an omitted flag takes the AttackConfig default."""
     p.add_argument("--config", type=Path, help="JSON config; overrides flags")
-    p.add_argument("-k", "--subkey-bits", type=int, default=4)
-    p.add_argument("-n", "--index-bits", type=int, default=6)
-    p.add_argument("-m", "--accuracy-bits", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("-c", "--confidence", type=int, default=4)
-    p.add_argument("--master-seed", type=int, default=2024)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--mode", choices=("classical", "quantum", "both"),
-                   default="quantum")
-    p.add_argument("--planted-key", type=lambda s: int(s, 0), default=None,
+    p.add_argument("-k", "--subkey-bits", type=int, default=argparse.SUPPRESS)
+    p.add_argument("-n", "--index-bits", type=int, default=argparse.SUPPRESS)
+    p.add_argument("-m", "--accuracy-bits", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--epsilon", type=float, default=argparse.SUPPRESS)
+    p.add_argument("-c", "--confidence", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--master-seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--trials", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--mode", choices=MODES, default=argparse.SUPPRESS)
+    p.add_argument("--planted-key", type=lambda s: int(s, 0), default=argparse.SUPPRESS,
                    help="fixed master key; omit for the stock planted instance")
     p.add_argument("--random-keys", action="store_true",
                    help="derive a fresh master key per trial")
-    p.add_argument("--expected-steps", type=int, default=None,
-                   help="override the m0 budget estimate")
-    p.add_argument("--out-dir", default="out")
+    p.add_argument("--out-dir", default=argparse.SUPPRESS)
 
 
 def _config_from_args(args) -> AttackConfig:
-    fields = dict(
-        subkey_bits=args.subkey_bits, index_bits=args.index_bits,
-        accuracy_bits=args.accuracy_bits, epsilon=args.epsilon,
-        confidence=args.confidence, master_seed=args.master_seed,
-        trials=args.trials, mode=args.mode,
-        expected_steps=args.expected_steps, out_dir=args.out_dir,
-    )
+    fields = {name: value for name, value in vars(args).items()
+              if name in AttackConfig.__dataclass_fields__}
     if args.random_keys:
         fields["planted_key"] = None
-    elif args.planted_key is not None:
-        fields["planted_key"] = args.planted_key
     if args.config is not None:
         doc = json.loads(Path(args.config).read_text())
         if not isinstance(doc, dict):

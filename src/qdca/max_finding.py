@@ -4,7 +4,8 @@ A random threshold subkey y is improved repeatedly: an oracle marks every
 candidate whose (estimated) right-pair count strictly exceeds the
 threshold's, a Grover search with unknown marked count proposes a
 candidate, and the threshold moves when the proposal counts higher. The
-loop stops when the time-step budget 2*c*m0 would be exceeded.
+loop stops when the time-step budget 2*c*m0 would be exceeded; m0 is always
+derived from K and the counter's counting cost.
 
 Each run draws one count vector, the random threshold's count first and then
 the rest in ascending order. Every pass marks against it, so the marking
@@ -21,6 +22,8 @@ Time-step accounting: initializing q qubits costs q steps, one search
 iteration costs one step, one counting run costs its init + Grover-gate +
 Fourier-gate total. The oracle is charged one counting cost per
 application (it needs a single coherent evaluation, not one per candidate).
+Every charge goes through ``SearchBudget.try_charge``, which names the stage
+of each step and either admits them all or refuses them all.
 """
 
 from __future__ import annotations
@@ -55,26 +58,6 @@ class ThresholdState:
 
 
 @dataclass
-class SearchBudget:
-    """Time-step budget: limit = 2 * confidence * expected_steps."""
-
-    confidence: int
-    expected_steps: int
-    spent: int = 0
-
-    @property
-    def limit(self) -> int:
-        return 2 * self.confidence * self.expected_steps
-
-    def try_charge(self, steps: int) -> bool:
-        """Charge if it fits; refuse (and signal exhaustion) otherwise."""
-        if self.spent + steps > self.limit:
-            return False
-        self.spent += steps
-        return True
-
-
-@dataclass
 class StageSteps:
     """Per-stage time-step counters across one maximum-finding run."""
 
@@ -87,6 +70,36 @@ class StageSteps:
     @property
     def total(self) -> int:
         return self.init + self.counting + self.oracle + self.search + self.observe
+
+
+@dataclass
+class SearchBudget:
+    """The one time-step ledger: limit = 2 * confidence * expected_steps (m0),
+    fixed when built. Only ``try_charge`` spends, so ``spent == stages.total``."""
+
+    confidence: int
+    expected_steps: int
+    spent: int = 0
+    stages: StageSteps = field(default_factory=StageSteps)
+    limit: int = field(init=False)
+
+    def __post_init__(self):
+        self.limit = 2 * self.confidence * self.expected_steps   # read on every charge
+
+    def try_charge(self, init: int = 0, counting: int = 0, oracle: int = 0,
+                   search: int = 0, observe: int = 0) -> bool:
+        """Charge every stage's steps if their sum fits; refuse them all otherwise."""
+        steps = init + counting + oracle + search + observe
+        if self.spent + steps > self.limit:
+            return False
+        self.spent += steps
+        st = self.stages
+        st.init += init
+        st.counting += counting
+        st.oracle += oracle
+        st.search += search
+        st.observe += observe
+        return True
 
 
 class QuantumCounter:
@@ -146,13 +159,6 @@ class ExactCounter:
         return int(self.counts[x])
 
 
-def threshold_pass_cost(subkey_bits: int, init_width: int, counting_cost: int) -> int:
-    """Steps a threshold pass is charged before its search: two subkey
-    registers and the counting register initialized, then one counting, one
-    oracle and one observation run."""
-    return 2 * subkey_bits + init_width + 3 * counting_cost
-
-
 @dataclass
 class SearchOutcome:
     found: int | None
@@ -162,15 +168,15 @@ class SearchOutcome:
 
 def grover_search_marked(marked, subkey_bits: int,
                          rng: np.random.Generator,
-                         budget: SearchBudget | None = None,
-                         stages: StageSteps | None = None) -> SearchOutcome:
+                         budget: SearchBudget | None = None) -> SearchOutcome:
     """Search with unknown marked count: exponentially growing iteration cap.
 
     Measures the register after a random number of Grover steps, growing the
     range by 6/5 per failure; gives up after 4*ceil(4.5*sqrt(K)) measurements
     (or earlier when the caller's budget runs out). A round is charged its
-    Grover iterations plus one step for the query that verifies the measured
-    item. Returns the found marked item or None.
+    subkey register's initialization as init steps, and its Grover iterations
+    plus one step for the query that verifies the measured item as search
+    steps. Returns the found marked item or None.
 
     One ClassState takes each Grover step once per call, the first time a
     round draws j or more; the class amplitudes of G^j|u> serve every round
@@ -192,11 +198,8 @@ def grover_search_marked(marked, subkey_bits: int,
     m_cap = 1.0
     while measurements < max_measurements:
         j = int(rng.integers(0, max(1, int(m_cap))))
-        if budget is not None and not budget.try_charge(subkey_bits + j + 1):
+        if budget is not None and not budget.try_charge(init=subkey_bits, search=j + 1):
             break
-        if stages is not None:
-            stages.init += subkey_bits
-            stages.search += j + 1
         while len(powers) <= j:
             grover_iteration(state, reg, marked)
             powers.append((state.amp_unmarked, state.amp_marked))
@@ -213,17 +216,22 @@ def grover_search_marked(marked, subkey_bits: int,
 @dataclass
 class MaxFindingConfig:
     confidence: int = 4
-    expected_steps: int | None = None  # m0; derived from the counter if None
 
     def budget_for(self, subkey_bits: int, counter) -> SearchBudget:
-        # default m0: the threshold-update count is about log2(K), each paid
-        # for with one counting run on top of the search-iteration envelope
+        """The run's budget; refused (ValueError) if it cannot pay for the initial
+        threshold and one pass. m0: about log2(K) threshold updates, each paid
+        for with one counting run, on top of the search-iteration envelope."""
         K = 1 << subkey_bits
-        m0 = self.expected_steps
-        if m0 is None:
-            m0 = max(1, math.ceil(22.5 * math.sqrt(K))
-                     + math.ceil(math.log2(K)) * counter.counting_cost)
-        return SearchBudget(self.confidence, m0)
+        m0 = max(1, math.ceil(22.5 * math.sqrt(K))
+                 + math.ceil(math.log2(K)) * counter.counting_cost)
+        budget = SearchBudget(self.confidence, m0)
+        # a pass: two subkey registers, the counting register, and one counting,
+        # one oracle and one observation run
+        need = 3 * subkey_bits + counter.init_width + 3 * counter.counting_cost
+        if budget.limit < need:
+            raise ValueError(f"budget limit {budget.limit} cannot pay for the initial "
+                             f"threshold and one pass ({need} steps)")
+        return budget
 
 
 @dataclass
@@ -246,39 +254,27 @@ def find_max_subkey(counter, subkey_bits: int, config: MaxFindingConfig,
     if subkey_bits < 1:
         raise ValueError("maximum finding needs at least one subkey bit")
     K = 1 << subkey_bits
-    stages = StageSteps()
     budget = config.budget_for(subkey_bits, counter)
+    cost = counter.counting_cost
     trace: list[dict] = []
-    pass_fixed_cost = threshold_pass_cost(subkey_bits, counter.init_width,
-                                          counter.counting_cost)
-    if budget.limit < subkey_bits + pass_fixed_cost:
-        raise ValueError(f"budget limit {budget.limit} cannot pay for the initial "
-                         f"threshold and one pass ({subkey_bits + pass_fixed_cost} steps)")
 
     # random initial threshold: prepared by measuring a uniform subkey register
     y = int(rng.integers(K))
-    if budget.try_charge(subkey_bits):
-        stages.init += subkey_bits
+    budget.try_charge(init=subkey_bits)
     r_y = counter.count(y)
     threshold = ThresholdState(y, r_y, [(y, r_y)])
     # Every pass marks x iff counts[x] exceeds the threshold's count. Drawing them
-    # here keeps the rng order of a sweep in the first pass: the guard above makes
-    # the first pass always run, and it draws nothing from rng before its sweep.
+    # here keeps the rng order of a sweep in the first pass: budget_for makes the
+    # first pass always run, and it draws nothing from rng before its sweep.
     counts = np.array([counter.count(x) for x in range(K)])
 
     loop = 0
     search_steps_to_max = 0
-    while True:
-        if not budget.try_charge(pass_fixed_cost):
-            break
-        stages.init += 2 * subkey_bits + counter.init_width
-        stages.counting += counter.counting_cost
-        stages.oracle += counter.counting_cost
-        stages.observe += counter.counting_cost
+    while budget.try_charge(init=2 * subkey_bits + counter.init_width,
+                            counting=cost, oracle=cost, observe=cost):
         loop += 1
-
         marked = counts > threshold.right_pairs
-        outcome = grover_search_marked(marked, subkey_bits, rng, budget, stages)
+        outcome = grover_search_marked(marked, subkey_bits, rng, budget)
         y_prime = outcome.found
         r_prime = int(counts[y_prime]) if y_prime is not None else None
         accepted = y_prime is not None and r_prime > threshold.right_pairs
@@ -289,6 +285,6 @@ def find_max_subkey(counter, subkey_bits: int, config: MaxFindingConfig,
         })
         if accepted:
             threshold.accept(y_prime, r_prime)
-            search_steps_to_max = stages.search
-    return MaxFindingResult(threshold.subkey, threshold, stages, budget, loop,
+            search_steps_to_max = budget.stages.search
+    return MaxFindingResult(threshold.subkey, threshold, budget.stages, budget, loop,
                             trace, search_steps_to_max)

@@ -13,6 +13,7 @@ pure function, safe to call concurrently.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
@@ -493,25 +494,35 @@ def cipher_from_dict(doc: dict) -> ToyCipher:
         kwargs["pbox"] = tuple(doc["pbox"])
     for name in ("rounds", "key_schedule", "block_width"):
         if name in doc:
+            if name != "key_schedule" and not _is_integer(doc[name]):
+                raise ValueError(f"{name} must be an integer, got {doc[name]!r}")
             kwargs[name] = doc[name]
     return ToyCipher(**kwargs)
 
 
 def characteristic_from_dict(doc: dict, cipher: ToyCipher, key: int) -> Characteristic:
     """Characteristic from a config document; p is measured, and a stated p must match."""
-    p_diff = _parse_hex(doc.get("plaintext_diff", DEFAULT_PLAINTEXT_DIFF))
-    delta = _parse_hex(doc.get("output_diff", DEFAULT_OUTPUT_DIFF))
-    active = tuple(doc.get("active_sboxes",
-                           [pos for pos in range(cipher.num_sboxes)
-                            if (delta >> (NIBBLE_BITS * pos)) & 0xF]))
-    ch = make_characteristic(cipher, key, p_diff, delta, active)
+    p_diff = _parse_hex(doc, "plaintext_diff", DEFAULT_PLAINTEXT_DIFF)
+    delta = _parse_hex(doc, "output_diff", DEFAULT_OUTPUT_DIFF)
+    active = doc.get("active_sboxes", [pos for pos in range(cipher.num_sboxes)
+                                       if (delta >> (NIBBLE_BITS * pos)) & 0xF])
+    if not isinstance(active, list) or not all(map(_is_integer, active)):
+        raise ValueError(f"active_sboxes must be a list of integers, got {active!r}")
+    ch = make_characteristic(cipher, key, p_diff, delta, tuple(active))
     if "probability" in doc and float(doc["probability"]) != ch.probability:
         raise ValueError(f"stated probability {doc['probability']} differs from the "
                          f"measured {ch.probability} for key {key:#04x}")
     return ch
 
 
-def _parse_hex(value) -> int:
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _parse_hex(doc: dict, name: str, default: int) -> int:
+    value = doc.get(name, default)
     if isinstance(value, str):
         return int(value, 16)
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be a hex string or an integer, got {value!r}")
     return int(value)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,9 @@ from qdca.attack import (AttackConfig, ConfigError, plant_instance,
                          run_quantum_attack, run_scaling_report, run_trials,
                          write_counts_csv, write_results_csv, write_scale_csv,
                          write_trace_csv)
-from qdca.cli import main
+from qdca.cli import _config_from_args, build_parser, main
 from qdca.statevector import StateVector
+from qdca.toy_cipher import ToyCipher
 
 # the stock characteristic (P' = 0x0A, delta = 0x02) written out as a config doc
 STOCK_DOC = Path(__file__).parent / "fixtures" / "stock_characteristic.json"
@@ -39,10 +41,7 @@ W16_K8 = json.loads(STOCK_DOC.with_name("w16_k8_characteristic.json").read_text(
     dict(trials=0),
     dict(confidence=0),
     dict(epsilon=0.7),
-    dict(expected_steps=0),
-    dict(expected_steps=-5),
     dict(accuracy_bits=20),   # t = 23: the lane record is t+1+k = 28 qubits
-    dict(confidence=1, expected_steps=1),   # budget 2 < one threshold pass
     dict(index_bits=17, cipher_doc={"block_width": 16}),
 ])
 def test_config_validation(bad):
@@ -77,6 +76,42 @@ def test_config_accepts_counting_circuits_wider_than_the_qubit_limit(fields):
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         AttackConfig.from_dict({"subkey_bits": 4, "phase_of_moon": "full"})
+    # m0 is always derived from the counter; it has no override
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['expected_steps'\]"):
+        AttackConfig.from_dict({"expected_steps": 1000})
+
+
+# document fields that took a float, a bool or a string as an integer, and the
+# refusal of each, naming the field
+NON_INTEGERS = [
+    (dict(characteristic_doc={"plaintext_diff": 10.7, "output_diff": 2}),
+     "plaintext_diff must be a hex string or an integer, got 10.7"),
+    (dict(characteristic_doc={"plaintext_diff": True}),
+     "plaintext_diff must be a hex string or an integer, got True"),
+    (dict(characteristic_doc={"output_diff": 2.9}),
+     "output_diff must be a hex string or an integer, got 2.9"),
+    (dict(characteristic_doc={"active_sboxes": "0"}),
+     "active_sboxes must be a list of integers, got '0'"),
+    (dict(characteristic_doc={"active_sboxes": [0.0]}),
+     "active_sboxes must be a list of integers, got [0.0]"),
+    (dict(cipher_doc={"rounds": True}), "rounds must be an integer, got True"),
+    (dict(cipher_doc={"block_width": 8.0}), "block_width must be an integer, got 8.0"),
+]
+
+
+@pytest.mark.parametrize("fields,message", NON_INTEGERS)
+def test_config_documents_take_only_integers(fields, message):
+    with pytest.raises(ConfigError) as err:
+        AttackConfig(**fields)
+    assert str(err.value) == message
+
+
+def test_config_documents_take_hex_strings_and_integers():
+    as_hex = AttackConfig(characteristic_doc={"plaintext_diff": "0A", "output_diff": "02",
+                                              "active_sboxes": [0]})
+    as_int = AttackConfig(characteristic_doc={"plaintext_diff": 10, "output_diff": 2})
+    assert as_hex.planted_instance[0].characteristic == as_int.planted_instance[0].characteristic
+    assert AttackConfig(cipher_doc={"rounds": 4, "block_width": 8}).cipher == ToyCipher()
 
 
 def test_config_k8_requires_characteristic():
@@ -161,6 +196,22 @@ def test_random_keys_build_the_cipher_once(monkeypatch):
     assert len(ciphers) == 1
     # one measurement per drawn key: trial 3 redraws a key without signal
     assert len(measured) == 5
+
+
+def test_both_modes_share_each_trials_random_key_instance(monkeypatch):
+    # under --random-keys a trial's key is drawn, measured and its table built
+    # once, for both modes: as many measurements as one mode alone makes
+    measured = {}
+    for mode in ("classical", "quantum", "both"):
+        calls = _count_calls(monkeypatch, qdca.toy_cipher, "measure_probability")
+        results, _ = run_trials(AttackConfig(index_bits=4, trials=4, planted_key=None,
+                                             master_seed=2024, mode=mode))
+        measured[mode] = len(calls)
+        monkeypatch.undo()
+    assert measured == {"classical": 5, "quantum": 5, "both": 5}
+    # the trial's first mode reports the preparation; the second is handed the instance
+    assert [r.mode for r in results] == ["classical", "quantum"] * 4
+    assert all(c.prep_time_s > q.prep_time_s for c, q in zip(results[::2], results[1::2]))
 
 
 def test_each_trial_applies_and_counts_its_own_kernel(monkeypatch):
@@ -384,12 +435,9 @@ def test_cli_rejects_bad_config(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["count", "-m", "20"],
     ["attack", "-m", "30"],
-    ["attack", "--expected-steps", "0"],
-    ["attack", "--expected-steps", "-5"],
     ["scale", "--seeds", "0"],
     ["bound", "-M", "-1"],
     ["bound", "-M", "8", "-N", "0"],
-    ["attack", "-c", "1", "--expected-steps", "1", "--trials", "1"],
     ["scale", "--search-bits", "x"],
     ["scale", "--search-bits", "-1"],
     # no candidate to search, or 2**25 of them
@@ -417,6 +465,13 @@ def test_cli_rejects_bad_config(tmp_path):
     # t+1+k above the limit: at least 33M G steps per trial if accepted
     ["attack", "-k", "8", "-n", "4", "-m", "14", "--trials", "1", "--config", str(K8_DOC)],
     ["count", "-n", "2", "-m", "18"],
+    # integer fields of a config document given a float, a bool or a string
+    ["attack", "--trials", "1", "--config", {"characteristic_doc": {"plaintext_diff": 10.7}}],
+    ["attack", "--trials", "1", "--config", {"characteristic_doc": {"plaintext_diff": True}}],
+    ["attack", "--trials", "1", "--config", {"characteristic_doc": {"output_diff": 2.9}}],
+    ["attack", "--trials", "1", "--config", {"characteristic_doc": {"active_sboxes": "0"}}],
+    ["attack", "--trials", "1", "--config", {"cipher_doc": {"rounds": True}}],
+    ["attack", "--trials", "1", "--config", {"expected_steps": 1000}],
 ])
 def test_cli_out_of_range_arguments_are_config_errors(argv, tmp_path, capsys):
     out_dir = tmp_path / "out"
@@ -429,6 +484,43 @@ def test_cli_out_of_range_arguments_are_config_errors(argv, tmp_path, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("configuration error: ")
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("verb", ["attack", "count", "scale"])
+def test_cli_flags_left_out_take_the_config_defaults(verb):
+    # the flags restate no default: an omitted flag leaves the AttackConfig field alone
+    assert _config_from_args(build_parser().parse_args([verb])) == AttackConfig()
+    args = build_parser().parse_args([verb, "-n", "5", "--random-keys"])
+    assert _config_from_args(args) == AttackConfig(index_bits=5, planted_key=None)
+
+
+def _readme_commands() -> list[list[str]]:
+    """Every ``qdca ...`` line of README's code blocks, comments stripped and
+    backslash continuations joined, as the argv after ``qdca``."""
+    commands, in_block, text = [], False, ""
+    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+            continue
+        if not in_block:
+            continue
+        text += line
+        if text.endswith("\\"):
+            text = text[:-1]
+            continue
+        if text.split()[:1] == ["qdca"]:
+            commands.append(shlex.split(text, comments=True)[1:])
+        text = ""
+    return commands
+
+
+def test_readme_command_lines_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 7
+    assert all(argv and argv[0] in ("attack", "count", "bound", "scale", "selftest")
+               for argv in commands)
+    for argv in commands:
+        build_parser().parse_args(argv)   # exits on a flag the CLI does not have
 
 
 @pytest.mark.parametrize("active", [[0, 2], [-1], [5]])

@@ -174,7 +174,7 @@ def test_search_draws_as_the_full_vector_loop(k, seed, data):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def _search_drawing_every_round(marked, subkey_bits, rng, budget=None, stages=None):
+def _search_drawing_every_round(marked, subkey_bits, rng, budget=None):
     """The two-class search loop as it ran before empty tables skipped their
     distributions: every round builds its outcome distribution and draws."""
     K = 1 << subkey_bits
@@ -185,11 +185,8 @@ def _search_drawing_every_round(marked, subkey_bits, rng, budget=None, stages=No
     m_cap = 1.0
     while measurements < 4 * math.ceil(4.5 * math.sqrt(K)):
         j = int(rng.integers(0, max(1, int(m_cap))))
-        if budget is not None and not budget.try_charge(subkey_bits + j + 1):
+        if budget is not None and not budget.try_charge(init=subkey_bits, search=j + 1):
             break
-        if stages is not None:
-            stages.init += subkey_bits
-            stages.search += j + 1
         while len(powers) <= j:
             grover_iteration(state, reg, marked)
             powers.append((state.amp_unmarked, state.amp_marked))
@@ -214,13 +211,13 @@ def test_search_equals_the_loop_that_draws_every_round(k, fill, limit, seed, dat
         marked = np.array(data.draw(st.lists(st.booleans(), min_size=K, max_size=K)))
     else:
         marked = np.full(K, fill == "full")
+    # (no limit: a budget of 2 * 10**9 steps, which no search reaches)
     runs = []
     for search in (grover_search_marked, _search_drawing_every_round):
         rng = np.random.default_rng(seed)
-        budget = None if limit is None else SearchBudget(1, limit)
-        stages = StageSteps()
-        out = search(marked, k, rng, budget, stages)
-        runs.append((out, stages, budget and budget.spent, rng.bit_generator.state))
+        budget = SearchBudget(1, 10**9 if limit is None else limit)
+        out = search(marked, k, rng, budget)
+        runs.append((out, budget.stages, budget.spent, rng.bit_generator.state))
     assert runs[0] == runs[1]
 
 
@@ -242,13 +239,13 @@ def test_one_search_applies_each_grover_step_once(monkeypatch, k, marked_items):
         states.clear()
         draws = []
         expected = _full_vector_search(marked, k, _rng(4, seed), draws)
-        stages = StageSteps()
-        out = grover_search_marked(marked, k, _rng(4, seed), stages=stages)
+        budget = SearchBudget(1, 10**6)
+        out = grover_search_marked(marked, k, _rng(4, seed), budget)
         assert out == expected
         assert len(states) == 1
         assert states[0].counters.oracle_calls == states[0].counters.diffusion_calls == max(draws)
         assert out.iterations == sum(draws)
-        assert stages.search == sum(draws) + len(draws)
+        assert budget.stages == StageSteps(init=k * len(draws), search=sum(draws) + len(draws))
 
 
 def test_search_memory_does_not_grow_with_the_rounds(monkeypatch):
@@ -285,11 +282,13 @@ def test_search_memory_does_not_grow_with_the_rounds(monkeypatch):
 def test_budget_charge_or_stop():
     budget = SearchBudget(confidence=2, expected_steps=10)
     assert budget.limit == 40
-    assert budget.try_charge(39)
-    assert not budget.try_charge(2)  # would cross: refused, not partially spent
+    assert budget.try_charge(init=9, counting=10, oracle=10, observe=10)
+    # would cross: every stage refused, none partially spent
+    assert not budget.try_charge(init=1, search=1)
     assert budget.spent == 39
-    assert budget.try_charge(1)
-    assert budget.spent == 40
+    assert budget.stages == StageSteps(init=9, counting=10, oracle=10, observe=10)
+    assert budget.try_charge(search=1)
+    assert budget.spent == 40 == budget.stages.total
 
 
 def test_default_budget_formula(planted):
@@ -305,18 +304,22 @@ def test_default_budget_formula(planted):
 
 
 def test_budget_below_one_pass_refused_before_any_count(planted):
-    # limit 2 cannot pay for the threshold (4) plus one pass (8 + 3 counting runs)
+    # At k = 1, c = 1 the derived budget is 2 * (ceil(22.5 * sqrt 2) + cost) =
+    # 64 + 2 * cost, and the initial threshold plus one pass need
+    # 3 + (t+n+1) + 3 * cost: a counting cost above 61 - (t+n+1) outgrows it.
+    # The search reads subkeys 0 and 1 of the counter's instance.
     _, _, _, ctx = planted
     counter = QuantumCounter(ctx, CountingParams.default(6), _rng(4))
+    need = 3 + counter.init_width + 3 * counter.counting_cost
     rng = _rng(4, 1)
     state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="cannot pay"):
-        find_max_subkey(counter, 4, MaxFindingConfig(confidence=1, expected_steps=1), rng)
+    with pytest.raises(ValueError, match=f"budget limit {64 + 2 * counter.counting_cost} "
+                                         f"cannot pay .* one pass \\({need} steps\\)"):
+        find_max_subkey(counter, 1, MaxFindingConfig(confidence=1), rng)
     assert len(counter.estimates) == 0
     assert rng.bit_generator.state == state
-    need = 4 + 8 + counter.init_width + 3 * counter.counting_cost
-    res = find_max_subkey(counter, 4, MaxFindingConfig(1, math.ceil(need / 2)), rng)
-    assert res.loop_iterations == 1 and res.budget.spent <= res.budget.limit
+    res = find_max_subkey(counter, 1, MaxFindingConfig(confidence=2), rng)
+    assert res.loop_iterations >= 1 and res.budget.spent <= res.budget.limit
 
 
 def test_threshold_state_rejects_non_increasing():
@@ -336,7 +339,7 @@ def test_single_candidate_refused_before_any_count(planted):
     rng = _rng(5)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match="at least one subkey bit"):
-        find_max_subkey(counter, 0, MaxFindingConfig(1, 1), rng)
+        find_max_subkey(counter, 0, MaxFindingConfig(1), rng)
     assert len(counter.estimates) == 0
     budget = SearchBudget(confidence=1, expected_steps=100)
     with pytest.raises(ValueError, match="at least one subkey bit"):

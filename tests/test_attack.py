@@ -41,7 +41,10 @@ W16_K8 = json.loads(STOCK_DOC.with_name("w16_k8_characteristic.json").read_text(
     dict(trials=0),
     dict(confidence=0),
     dict(epsilon=0.7),
+    dict(index_bits=True),    # a bool is not an integer field
+    dict(planted_key=-1),
     dict(accuracy_bits=20),   # t = 23: the lane record is t+1+k = 28 qubits
+    dict(subkey_bits=8, **json.loads(STOCK_DOC.read_text())),   # a k = 4 characteristic
     dict(index_bits=17, cipher_doc={"block_width": 16}),
 ])
 def test_config_validation(bad):

@@ -7,8 +7,7 @@ maximum-finding loop. A classical exhaustive attack provides ground truth
 for every estimate, bound and counter.
 """
 
-from .toy_cipher import (AttackContext, Characteristic, CiphertextDependentDifference,
-                         ConstantDifference, PairSet, ToyCipher,
+from .toy_cipher import (AttackContext, Characteristic, PairSet, ToyCipher,
                          default_characteristic, difference_distribution_table,
                          find_characteristic, gen_pairs, is_right_pair,
                          make_characteristic, measure_probability,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -149,84 +149,38 @@ class ToyCipher:
         return int(state) if np.isscalar(ct) or np.ndim(ct) == 0 else state
 
 
-# ---- expected output difference expressions ---------------------------
-
-
-@dataclass(frozen=True)
-class ConstantDifference:
-    """SPN-style expression: a fixed difference at the last S-box layer input."""
-
-    delta: int
-
-    def expected(self, ct_pair: tuple[int, int]) -> int:
-        return self.delta
-
-
-@dataclass(frozen=True)
-class CiphertextDependentDifference:
-    """Expected difference computed from the ciphertext pair itself.
-
-    Mirrors attacks where the predicted value is ``left_half(c1 ^ c2) ^ mask``;
-    the result has ``half_width`` bits and constrains the low (attacked) half.
-    """
-
-    mask: int
-    half_width: int = 4
-
-    def expected(self, ct_pair: tuple[int, int]) -> int:
-        c1, c2 = ct_pair
-        return ((c1 ^ c2) >> self.half_width) ^ self.mask
-
-
-DifferenceExpr = Union[ConstantDifference, CiphertextDependentDifference]
-
-
 @dataclass(frozen=True)
 class Characteristic:
-    """A differential: plaintext difference, expected last-round input
-    difference expression, measured probability and the targeted key bits.
+    """A differential: plaintext difference P', the difference delta a right
+    pair shows at the input of the last S-box layer, and its probability.
 
-    ``active_sboxes`` lists the S-box positions (0 = low nibble) whose last
-    round key bits are recovered; ``subkey_bits`` = 4 * len(active_sboxes).
-    ``probability`` is measured exhaustively for a planted instance and
-    stored, never hand-estimated.
+    delta's nonzero nibbles name the active S-boxes whose last round key bits
+    are recovered; ``subkey_bits`` = 4 * len(active_sboxes). ``probability``
+    is measured exhaustively for a planted instance and stored, never
+    hand-estimated.
     """
 
     plaintext_diff: int
-    expr: DifferenceExpr
+    output_diff: int
     probability: float
-    active_sboxes: tuple[int, ...] = (0,)
 
     def __post_init__(self):
         if not 0 < self.probability <= 1:
             raise ValueError("characteristic probability must be in (0, 1]")
         if self.plaintext_diff == 0:
             raise ValueError("degenerate zero plaintext difference")
-        if len(set(self.active_sboxes)) != len(self.active_sboxes):
-            raise ValueError("duplicate active S-box positions")
-        if isinstance(self.expr, ConstantDifference):
-            if not self.active_sboxes:
-                raise ValueError(f"expected difference {self.expr.delta:#04x} "
-                                 "activates no S-box")
-            for pos in range(max(self.expr.delta.bit_length() // NIBBLE_BITS + 1,
-                                 max(self.active_sboxes) + 1)):
-                nib = (self.expr.delta >> (NIBBLE_BITS * pos)) & 0xF
-                if pos in self.active_sboxes and nib == 0:
-                    raise ValueError(f"active S-box {pos} has zero expected difference")
-                if pos not in self.active_sboxes and nib != 0:
-                    raise ValueError(
-                        f"expected difference touches S-box {pos} whose key bits "
-                        "are not attacked")
-        elif len(self.active_sboxes) != 1:
-            raise ValueError("ciphertext-dependent expression targets one S-box")
+        if self.output_diff <= 0:
+            raise ValueError(f"expected difference {self.output_diff:#04x} activates no S-box")
+
+    @property
+    def active_sboxes(self) -> tuple[int, ...]:
+        """Positions of delta's nonzero nibbles (0 = low nibble), ascending."""
+        return tuple(pos for pos in range(self.output_diff.bit_length() // NIBBLE_BITS + 1)
+                     if (self.output_diff >> (NIBBLE_BITS * pos)) & 0xF)
 
     @property
     def subkey_bits(self) -> int:
         return NIBBLE_BITS * len(self.active_sboxes)
-
-    def expected_difference(self, ct_pair: tuple[int, int]) -> int:
-        """The difference the last round must exhibit for a right pair."""
-        return self.expr.expected(ct_pair)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,7 +229,7 @@ def gen_pairs(cipher: ToyCipher, key: int, plaintext_diff: int, index_bits: int)
 def _split_subkey(ch: Characteristic, x: int) -> dict[int, int]:
     # 4 bits of x per active S-box, lowest position first
     out = {}
-    for i, pos in enumerate(sorted(ch.active_sboxes)):
+    for i, pos in enumerate(ch.active_sboxes):
         out[pos] = (x >> (NIBBLE_BITS * i)) & 0xF
     return out
 
@@ -284,7 +238,7 @@ def true_subkey(cipher: ToyCipher, key: int, ch: Characteristic) -> int:
     """The planted value of the attacked last-round key bits."""
     last = cipher.last_round_key(key)
     z = 0
-    for i, pos in enumerate(sorted(ch.active_sboxes)):
+    for i, pos in enumerate(ch.active_sboxes):
         z |= ((last >> (NIBBLE_BITS * pos)) & 0xF) << (NIBBLE_BITS * i)
     return z
 
@@ -295,24 +249,17 @@ def _pair_is_right(cipher: ToyCipher, ch: Characteristic, x: int,
     c1, c2 = ct_pair
     guesses = _split_subkey(ch, x)
     inv_s = np.argsort(cipher.sbox)
-    if isinstance(ch.expr, ConstantDifference):
-        delta = ch.expr.delta
-        for pos in range(cipher.num_sboxes):
-            shift = NIBBLE_BITS * pos
-            n1, n2 = (c1 >> shift) & 0xF, (c2 >> shift) & 0xF
-            if pos in guesses:
-                if inv_s[n1 ^ guesses[pos]] ^ inv_s[n2 ^ guesses[pos]] != (delta >> shift) & 0xF:
-                    return False
-            elif n1 ^ n2 != 0:
-                # zero expected difference must already show in the ciphertexts
+    delta = ch.output_diff
+    for pos in range(cipher.num_sboxes):
+        shift = NIBBLE_BITS * pos
+        n1, n2 = (c1 >> shift) & 0xF, (c2 >> shift) & 0xF
+        if pos in guesses:
+            if inv_s[n1 ^ guesses[pos]] ^ inv_s[n2 ^ guesses[pos]] != (delta >> shift) & 0xF:
                 return False
-        return True
-    pos = ch.active_sboxes[0]
-    shift = NIBBLE_BITS * pos
-    want = ch.expected_difference(ct_pair) & 0xF
-    u1 = inv_s[((c1 >> shift) & 0xF) ^ guesses[pos]]
-    u2 = inv_s[((c2 >> shift) & 0xF) ^ guesses[pos]]
-    return (u1 ^ u2) == want
+        elif n1 ^ n2 != 0:
+            # zero expected difference must already show in the ciphertexts
+            return False
+    return True
 
 
 def is_right_pair(cipher: ToyCipher, ch: Characteristic, x: int, j: int,
@@ -356,11 +303,7 @@ def right_pair_table(cipher: ToyCipher, ch: Characteristic, pairs: PairSet) -> n
     """Boolean e(x, j) for every subkey x (rows) over the padded index space
     [0, 2N) (columns), from one trial decryption of all pairs."""
     diff, quiet = _last_round_differences(cipher, ch.active_sboxes, pairs)
-    if isinstance(ch.expr, ConstantDifference):
-        right = (diff == ch.expr.delta) & quiet
-    else:
-        want = ((pairs.c1 ^ pairs.c2) >> ch.expr.half_width) ^ ch.expr.mask
-        right = diff == (want & 0xF) << (NIBBLE_BITS * ch.active_sboxes[0])
+    right = (diff == ch.output_diff) & quiet
     return np.concatenate([right, np.zeros_like(right)], axis=1)
 
 
@@ -417,23 +360,18 @@ class ZeroProbabilityError(ValueError):
 
 
 def make_characteristic(cipher: ToyCipher, key: int, plaintext_diff: int,
-                        delta: int, active_sboxes: tuple[int, ...] = (0,)) -> Characteristic:
-    """Build a constant-expression characteristic and measure its exact p."""
-    for pos in active_sboxes:
-        if pos not in range(cipher.num_sboxes):
-            raise ValueError(f"active S-box {pos} is outside the {cipher.num_sboxes} "
-                             f"S-boxes of the {cipher.block_width}-bit block")
-    probe = Characteristic(plaintext_diff, ConstantDifference(delta), 1.0, active_sboxes)
-    p = measure_probability(cipher, key, probe)
+                        delta: int) -> Characteristic:
+    """Build the characteristic (P', delta) and measure its exact p."""
+    cipher._check_block(delta, "expected difference")
+    p = measure_probability(cipher, key, Characteristic(plaintext_diff, delta, 1.0))
     if p == 0:
         raise ZeroProbabilityError("characteristic has zero probability for this key")
-    return Characteristic(plaintext_diff, ConstantDifference(delta), p, active_sboxes)
+    return Characteristic(plaintext_diff, delta, p)
 
 
 def default_characteristic(cipher: ToyCipher, key: int) -> Characteristic:
     """The stock single-S-box characteristic, with p measured for this key."""
-    return make_characteristic(cipher, key, DEFAULT_PLAINTEXT_DIFF,
-                               DEFAULT_OUTPUT_DIFF, (0,))
+    return make_characteristic(cipher, key, DEFAULT_PLAINTEXT_DIFF, DEFAULT_OUTPUT_DIFF)
 
 
 def find_characteristic(cipher: ToyCipher, key: int, subkey_bits: int = 4,
@@ -474,7 +412,7 @@ def find_characteristic(cipher: ToyCipher, key: int, subkey_bits: int = 4,
     if best is None:
         raise ValueError("no usable characteristic found")
     _, p_diff, delta = best
-    return make_characteristic(cipher, key, p_diff, delta, active)
+    return make_characteristic(cipher, key, p_diff, delta)
 
 
 # ---- JSON-style configuration -----------------------------------------
@@ -482,6 +420,8 @@ def find_characteristic(cipher: ToyCipher, key: int, subkey_bits: int = 4,
 
 def cipher_from_dict(doc: dict) -> ToyCipher:
     """Cipher from a config document (sbox as 16 hex digits, pbox index list)."""
+    _refuse_unknown_keys(doc, "cipher_doc", ("sbox", "pbox", "rounds", "key_schedule",
+                                             "block_width"))
     kwargs = {}
     if "sbox" in doc:
         s = doc["sbox"]
@@ -502,17 +442,21 @@ def cipher_from_dict(doc: dict) -> ToyCipher:
 
 def characteristic_from_dict(doc: dict, cipher: ToyCipher, key: int) -> Characteristic:
     """Characteristic from a config document; p is measured, and a stated p must match."""
-    p_diff = _parse_hex(doc, "plaintext_diff", DEFAULT_PLAINTEXT_DIFF)
-    delta = _parse_hex(doc, "output_diff", DEFAULT_OUTPUT_DIFF)
-    active = doc.get("active_sboxes", [pos for pos in range(cipher.num_sboxes)
-                                       if (delta >> (NIBBLE_BITS * pos)) & 0xF])
-    if not isinstance(active, list) or not all(map(_is_integer, active)):
-        raise ValueError(f"active_sboxes must be a list of integers, got {active!r}")
-    ch = make_characteristic(cipher, key, p_diff, delta, tuple(active))
+    _refuse_unknown_keys(doc, "characteristic_doc", ("plaintext_diff", "output_diff",
+                                                     "probability"))
+    ch = make_characteristic(cipher, key,
+                             _parse_hex(doc, "plaintext_diff", DEFAULT_PLAINTEXT_DIFF),
+                             _parse_hex(doc, "output_diff", DEFAULT_OUTPUT_DIFF))
     if "probability" in doc and float(doc["probability"]) != ch.probability:
         raise ValueError(f"stated probability {doc['probability']} differs from the "
                          f"measured {ch.probability} for key {key:#04x}")
     return ch
+
+
+def _refuse_unknown_keys(doc: dict, name: str, known: tuple[str, ...]):
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
 
 
 def _is_integer(value) -> bool:

@@ -28,7 +28,6 @@ def planted(cipher):
 @pytest.fixture(scope="session")
 def planted_alt(cipher):
     """Alternate planted instance (true subkey 1, high nibble attacked)."""
-    ch = make_characteristic(cipher, ALT_KEY, ALT_PLAINTEXT_DIFF,
-                             ALT_OUTPUT_DIFF, active_sboxes=(1,))
+    ch = make_characteristic(cipher, ALT_KEY, ALT_PLAINTEXT_DIFF, ALT_OUTPUT_DIFF)
     pairs = gen_pairs(cipher, ALT_KEY, ch.plaintext_diff, 6)
     return ALT_KEY, ch, pairs, AttackContext(cipher, ch, pairs)

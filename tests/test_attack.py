@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -82,6 +83,14 @@ def test_config_rejects_unknown_keys():
     # m0 is always derived from the counter; it has no override
     with pytest.raises(ConfigError, match=r"unknown config keys: \['expected_steps'\]"):
         AttackConfig.from_dict({"expected_steps": 1000})
+    # in a document, a misspelled key would leave the stock P' = 0x0A, delta = 0x02
+    # or the 8-bit block in force
+    with pytest.raises(ConfigError) as err:
+        AttackConfig(characteristic_doc={"plaintext_dif": "01", "outptu_diff": "11"})
+    assert str(err.value) == "unknown characteristic_doc keys: ['outptu_diff', 'plaintext_dif']"
+    with pytest.raises(ConfigError) as err:
+        AttackConfig(cipher_doc={"block_widht": 16})
+    assert str(err.value) == "unknown cipher_doc keys: ['block_widht']"
 
 
 # document fields that took a float, a bool or a string as an integer, and the
@@ -93,10 +102,11 @@ NON_INTEGERS = [
      "plaintext_diff must be a hex string or an integer, got True"),
     (dict(characteristic_doc={"output_diff": 2.9}),
      "output_diff must be a hex string or an integer, got 2.9"),
+    # the active S-boxes are delta's nonzero nibbles, not a document key
     (dict(characteristic_doc={"active_sboxes": "0"}),
-     "active_sboxes must be a list of integers, got '0'"),
+     "unknown characteristic_doc keys: ['active_sboxes']"),
     (dict(characteristic_doc={"active_sboxes": [0.0]}),
-     "active_sboxes must be a list of integers, got [0.0]"),
+     "unknown characteristic_doc keys: ['active_sboxes']"),
     (dict(cipher_doc={"rounds": True}), "rounds must be an integer, got True"),
     (dict(cipher_doc={"block_width": 8.0}), "block_width must be an integer, got 8.0"),
 ]
@@ -110,8 +120,7 @@ def test_config_documents_take_only_integers(fields, message):
 
 
 def test_config_documents_take_hex_strings_and_integers():
-    as_hex = AttackConfig(characteristic_doc={"plaintext_diff": "0A", "output_diff": "02",
-                                              "active_sboxes": [0]})
+    as_hex = AttackConfig(characteristic_doc={"plaintext_diff": "0A", "output_diff": "02"})
     as_int = AttackConfig(characteristic_doc={"plaintext_diff": 10, "output_diff": 2})
     assert as_hex.planted_instance[0].characteristic == as_int.planted_instance[0].characteristic
     assert AttackConfig(cipher_doc={"rounds": 4, "block_width": 8}).cipher == ToyCipher()
@@ -133,12 +142,12 @@ UNUSABLE = [
      "planted key 0x04: characteristic has zero probability for this key"),
     (dict(subkey_bits=8), "subkey_bits=8 needs an explicit characteristic"),
     (dict(characteristic_doc={"output_diff": "20", "active_sboxes": [0]}),
-     "active S-box 0 has zero expected difference"),
+     "unknown characteristic_doc keys: ['active_sboxes']"),
     # expected differences that leave every S-box of the 8-bit block quiet
     (dict(characteristic_doc={"output_diff": "00"}),
      "expected difference 0x00 activates no S-box"),
     (dict(characteristic_doc={"output_diff": "100"}),
-     "expected difference 0x100 activates no S-box"),
+     "expected difference out of range for 8-bit block"),
 ]
 
 
@@ -317,9 +326,8 @@ def test_random_key_mode_varies_instances():
 
 def test_random_key_draw_does_not_hide_a_bad_characteristic():
     # only a zero-probability key is redrawn; a malformed doc fails at once
-    cfg = AttackConfig(planted_key=None, trials=1,
-                       characteristic_doc={"output_diff": "20", "active_sboxes": [0]})
-    with pytest.raises(ConfigError, match="zero expected difference"):
+    cfg = AttackConfig(planted_key=None, trials=1, characteristic_doc={"output_diff": -2})
+    with pytest.raises(ConfigError, match="expected difference out of range for 8-bit block"):
         plant_instance(cfg, 0)
 
 
@@ -475,6 +483,9 @@ def test_cli_rejects_bad_config(tmp_path):
     ["attack", "--trials", "1", "--config", {"characteristic_doc": {"active_sboxes": "0"}}],
     ["attack", "--trials", "1", "--config", {"cipher_doc": {"rounds": True}}],
     ["attack", "--trials", "1", "--config", {"expected_steps": 1000}],
+    # a misspelled key in either document
+    ["attack", "--trials", "1", "--config", {"characteristic_doc": {"outptu_diff": "11"}}],
+    ["attack", "--trials", "1", "--config", {"cipher_doc": {"block_widht": 16}}],
 ])
 def test_cli_out_of_range_arguments_are_config_errors(argv, tmp_path, capsys):
     out_dir = tmp_path / "out"
@@ -526,18 +537,27 @@ def test_readme_command_lines_parse():
         build_parser().parse_args(argv)   # exits on a flag the CLI does not have
 
 
-@pytest.mark.parametrize("active", [[0, 2], [-1], [5]])
-def test_cli_active_sbox_outside_the_block_is_named(active, tmp_path, capsys):
-    doc = {"characteristic_doc": {"plaintext_diff": "0A", "output_diff": "202",
-                                  "active_sboxes": active}}
+def test_readme_config_documents_build():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    docs = re.findall(r"^```json\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
+    assert len(docs) >= 2
+    for doc in docs:
+        AttackConfig.from_dict(json.loads(doc))   # raises on a key or value it refuses
+
+
+@pytest.mark.parametrize("output_diff, block_width", [(-2, 8), ("100", 8), ("102", 8),
+                                                      ("10000", 16)])
+def test_cli_output_diff_outside_the_block_is_named(output_diff, block_width, tmp_path,
+                                                    capsys):
+    doc = {"cipher_doc": {"block_width": block_width},
+           "characteristic_doc": {"plaintext_diff": "0A", "output_diff": output_diff}}
     doc_path = tmp_path / "config.json"
     doc_path.write_text(json.dumps(doc))
     out_dir = tmp_path / "out"
     assert main(["attack", "--trials", "1", "--config", str(doc_path),
                  "--out-dir", str(out_dir)]) == 1
-    bad = next(pos for pos in active if pos not in (0, 1))
-    assert capsys.readouterr().err == (f"configuration error: active S-box {bad} is outside "
-                                       "the 2 S-boxes of the 8-bit block\n")
+    assert capsys.readouterr().err == ("configuration error: expected difference out of "
+                                       f"range for {block_width}-bit block\n")
     assert not out_dir.exists()
 
 

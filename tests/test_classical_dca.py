@@ -41,7 +41,7 @@ def test_counts_equal_padded_predicate_sums(cipher, planted, planted_alt):
 def test_counts_equal_predicate_sums_full_width_subkey(cipher):
     # both S-boxes attacked: all 256 candidates
     from qdca.toy_cipher import make_characteristic
-    ch = make_characteristic(cipher, 0x7D, 0x10, 0x28, active_sboxes=(0, 1))
+    ch = make_characteristic(cipher, 0x7D, 0x10, 0x28)
     pairs = gen_pairs(cipher, 0x7D, ch.plaintext_diff, 6)
     counts = count_table(pairs, cipher, ch).counts
     for x in range(256):

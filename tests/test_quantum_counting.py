@@ -472,7 +472,7 @@ def test_lanes_equal_the_single_table_path(cipher, key, n):
 
 def test_lanes_equal_the_single_table_path_at_k8(cipher):
     # the golden attack_k8n8 instance: P' = 01, delta = 11, key 0x09
-    ch = make_characteristic(cipher, 0x09, 0x01, 0x11, (0, 1))
+    ch = make_characteristic(cipher, 0x09, 0x01, 0x11)
     ctx = AttackContext(cipher, ch, gen_pairs(cipher, 0x09, 0x01, 8))
     assert ctx.table.shape == (256, 512)
     # eight blocks of 32 lanes
@@ -552,7 +552,7 @@ def test_each_block_is_transformed_once(monkeypatch, cipher):
     # the golden attack_k8n8 instance, eight blocks of 32 lanes: asked for y
     # and then every subkey, the counter transforms each block exactly once,
     # holds at most two blocks at a time and draws what one-lane counts draw
-    ch = make_characteristic(cipher, 0x09, 0x01, 0x11, (0, 1))
+    ch = make_characteristic(cipher, 0x09, 0x01, 0x11)
     ctx = AttackContext(cipher, ch, gen_pairs(cipher, 0x09, 0x01, 8))
     params = CountingParams.default(8)
     transforms, held = [], []
@@ -587,7 +587,7 @@ def test_counter_memory_stays_the_ladder_and_two_blocks(cipher):
     # temporaries its gates and readout make (at most as large again) and its
     # distributions (the real part of a complex readout). Keeping every lane's
     # distribution would add at least 4 MiB.
-    ch = make_characteristic(cipher, 0x09, 0x01, 0x11, (0, 1))
+    ch = make_characteristic(cipher, 0x09, 0x01, 0x11)
     ctx = AttackContext(cipher, ch, gen_pairs(cipher, 0x09, 0x01, 8))
     params = CountingParams(8, 8, 0.1)
     t = params.phase_bits

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdca.toy_cipher import (Characteristic, CiphertextDependentDifference,
-                             ConstantDifference, PairSet, ToyCipher,
+from qdca.toy_cipher import (Characteristic, PairSet, ToyCipher,
                              cipher_from_dict, characteristic_from_dict,
                              default_characteristic,
                              difference_distribution_table,
@@ -187,34 +186,24 @@ def test_planted_count_in_binomial_central_range(cipher, planted):
     assert abs(count - mean) <= 4 * sigma
 
 
-# ---- expected output difference ------------------------------------------
-
-
-def test_constant_expression_ignores_ciphertexts(planted):
-    _, ch, _, _ = planted
-    d1 = ch.expected_difference((0x12, 0x34))
-    d2 = ch.expected_difference((0xAB, 0xCD))
-    assert d1 == d2 == ch.expr.delta
-
-
-def test_ciphertext_dependent_expression():
-    expr = CiphertextDependentDifference(mask=0x3)
-    ch = Characteristic(0x0B, expr, 0.5, active_sboxes=(0,))
-    # left half of (0xF0 ^ 0x0F) = 0xF, masked with 0x3
-    assert ch.expected_difference((0xF0, 0x0F)) == 0xC
+# ---- characteristics -----------------------------------------------------
 
 
 def test_characteristic_validation():
     with pytest.raises(ValueError):
-        Characteristic(0x0A, ConstantDifference(0x02), 0.0)
+        Characteristic(0x0A, 0x02, 0.0)
     with pytest.raises(ValueError):
-        Characteristic(0x00, ConstantDifference(0x02), 0.5)
-    with pytest.raises(ValueError):  # active S-box with zero difference
-        Characteristic(0x0A, ConstantDifference(0x20), 0.5, active_sboxes=(0,))
-    with pytest.raises(ValueError):  # difference in an S-box that is not attacked
-        Characteristic(0x0A, ConstantDifference(0x12), 0.5, active_sboxes=(0,))
-    with pytest.raises(ValueError):  # dependent expression targets one S-box
-        Characteristic(0x0A, CiphertextDependentDifference(0x3), 0.5, (0, 1))
+        Characteristic(0x00, 0x02, 0.5)
+    with pytest.raises(ValueError, match="expected difference 0x00 activates no S-box"):
+        Characteristic(0x0A, 0x00, 0.5)
+
+
+@pytest.mark.parametrize("delta, active", [(0x02, (0,)), (0x20, (1,)), (0x28, (0, 1)),
+                                           (0x2000, (3,))])
+def test_active_sboxes_are_the_nonzero_nibbles_of_delta(delta, active):
+    ch = Characteristic(0x0A, delta, 0.5)
+    assert ch.active_sboxes == active
+    assert ch.subkey_bits == 4 * len(active)
 
 
 # ---- right-pair predicate ------------------------------------------------
@@ -241,22 +230,13 @@ def test_right_pair_table_agrees_with_scalar(cipher, planted):
             assert bool(table[j]) == bool(is_right_pair(cipher, ch, x, j, pairs))
 
 
-@st.composite
-def _characteristics(draw):
-    nibble = st.integers(1, 15)
-    if draw(st.booleans()):
-        active = tuple(sorted(draw(st.sets(st.integers(0, 1), min_size=1))))
-        delta = sum(draw(nibble) << (4 * pos) for pos in active)
-        expr = ConstantDifference(delta)
-    else:
-        active = (draw(st.integers(0, 1)),)
-        expr = CiphertextDependentDifference(draw(st.integers(0, 15)))
-    return Characteristic(draw(st.integers(1, 255)), expr, 0.5, active)
+_characteristics = st.builds(Characteristic, st.integers(1, 255), st.integers(1, 255),
+                             st.just(0.5))
 
 
 @settings(max_examples=40, deadline=None)
 @given(sbox=st.permutations(range(16)), pbox=st.permutations(range(8)),
-       key=st.integers(0, 255), index_bits=st.integers(1, 5), ch=_characteristics())
+       key=st.integers(0, 255), index_bits=st.integers(1, 5), ch=_characteristics)
 def test_right_pair_table_agrees_with_scalar_on_random_instances(
         sbox, pbox, key, index_bits, ch):
     # every row x of the (K, 2N) table against the scalar e(x, j)
@@ -310,7 +290,7 @@ def test_true_subkey_extracts_active_nibbles(cipher, planted_alt):
 def test_k8_characteristic_covers_both_nibbles(cipher):
     ddt = difference_distribution_table(cipher.sbox)
     assert ddt[0xB][0x2] == 8  # strongest single transition
-    ch = make_characteristic(cipher, 0x7D, 0x10, 0x28, active_sboxes=(0, 1))
+    ch = make_characteristic(cipher, 0x7D, 0x10, 0x28)
     assert ch.subkey_bits == 8
     assert ch.probability == 24 / 256
     z = true_subkey(cipher, 0x7D, ch)
@@ -331,7 +311,6 @@ def test_ddt_row_sums(cipher):
 def _find_characteristic_by_loop(cipher, key, subkey_bits, index_bits):
     """The search as one loop per (P', delta): a probe characteristic per
     delta, its K counts read from right_pair_table; (P', delta) of the winner."""
-    active = (0,) if subkey_bits == 4 else (0, 1)
     ddt = difference_distribution_table(cipher.sbox)
     reachable = sorted(d for d in range(1, 16) if ddt[:, d].sum() > ddt[0, d])
     deltas = (reachable if subkey_bits == 4 else
@@ -340,7 +319,7 @@ def _find_characteristic_by_loop(cipher, key, subkey_bits, index_bits):
     for p_diff in range(1, cipher.block_size):
         pairs = gen_pairs(cipher, key, p_diff, index_bits)
         for delta in deltas:
-            probe = Characteristic(p_diff, ConstantDifference(delta), 1.0, active)
+            probe = Characteristic(p_diff, delta, 1.0)
             counts = right_pair_table(cipher, probe, pairs)[:, :pairs.num_pairs].sum(axis=1)
             z = true_subkey(cipher, key, probe)
             score = (counts[z] - np.delete(counts, z).max(), counts[z])
@@ -359,7 +338,7 @@ def _find_characteristic_by_loop(cipher, key, subkey_bits, index_bits):
 def test_find_characteristic_equals_the_per_delta_loop(cipher, subkey_bits, key, index_bits):
     ch = find_characteristic(cipher, key, subkey_bits=subkey_bits, index_bits=index_bits)
     assert ch.active_sboxes == ((0,) if subkey_bits == 4 else (0, 1))
-    assert (ch.plaintext_diff, ch.expr.delta) == _find_characteristic_by_loop(
+    assert (ch.plaintext_diff, ch.output_diff) == _find_characteristic_by_loop(
         cipher, key, subkey_bits, index_bits)
 
 
@@ -369,7 +348,7 @@ def test_find_characteristic_at_k8_returns_the_pinned_doc():
     ch = find_characteristic(ToyCipher(), DEFAULT_PLANTED_KEY, subkey_bits=8, index_bits=8)
     assert time.perf_counter() - t0 < 10.0
     assert ch.active_sboxes == (0, 1)
-    assert (ch.plaintext_diff, ch.expr.delta) == (int(doc["plaintext_diff"], 16),
+    assert (ch.plaintext_diff, ch.output_diff) == (int(doc["plaintext_diff"], 16),
                                                   int(doc["output_diff"], 16)) == (0x01, 0x11)
 
 
@@ -397,7 +376,7 @@ def test_cipher_from_hex_string_document():
 def test_characteristic_from_document(cipher):
     doc = {"plaintext_diff": "0A", "output_diff": "02", "probability": 0.0625}
     ch = characteristic_from_dict(doc, cipher, DEFAULT_PLANTED_KEY)
-    assert ch.plaintext_diff == 0x0A and ch.expr.delta == 0x02
+    assert ch.plaintext_diff == 0x0A and ch.output_diff == 0x02
     assert ch.active_sboxes == (0,)
     remeasured = characteristic_from_dict(
         {"plaintext_diff": "0A", "output_diff": "02"}, cipher, DEFAULT_PLANTED_KEY)

@@ -8,7 +8,8 @@ for every estimate, bound and counter.
 """
 
 from .toy_cipher import (AttackContext, Characteristic, PairSet, ToyCipher,
-                         default_characteristic, difference_distribution_table,
+                         codebook_pairs, default_characteristic,
+                         difference_distribution_table, encrypt_codebook,
                          find_characteristic, gen_pairs, is_right_pair,
                          make_characteristic, measure_probability,
                          right_pair_table, true_subkey)

@@ -29,8 +29,8 @@ from .quantum_counting import (CountEstimate, CountingParams, count_marked,
                                counting_error_bound, default_accuracy_bits)
 from .statevector import DEFAULT_MAX_QUBITS
 from .toy_cipher import (AttackContext, ToyCipher, ZeroProbabilityError,
-                         characteristic_from_dict, cipher_from_dict, gen_pairs,
-                         true_subkey)
+                         characteristic_from_dict, cipher_from_dict, codebook_pairs,
+                         encrypt_codebook, true_subkey)
 
 MODES = ("classical", "quantum", "both")
 
@@ -114,17 +114,20 @@ class AttackConfig:
             raise ConfigError(str(err)) from err
 
     def instance(self, key: int) -> tuple[AttackContext, int, int]:
-        """(context, key, true subkey) under master key ``key``; raises
-        ZeroProbabilityError when the true subkey has no right pair."""
+        """(context, key, true subkey) under master key ``key``, with p and the
+        pairs read from one encryption of its codebook, which is not kept;
+        raises ZeroProbabilityError when the true subkey has no right pair."""
         try:
-            ch = characteristic_from_dict(self.characteristic_doc, self.cipher, key)
+            codebook = encrypt_codebook(self.cipher, key)
+            ch = characteristic_from_dict(self.characteristic_doc, self.cipher, key,
+                                          codebook=codebook)
         except ZeroProbabilityError:
             raise   # a property of the key, not of the configuration
         except (TypeError, ValueError) as err:
             raise ConfigError(str(err)) from err
         if ch.subkey_bits != self.subkey_bits:
             raise ConfigError("characteristic does not target subkey_bits key bits")
-        pairs = gen_pairs(self.cipher, key, ch.plaintext_diff, self.index_bits)
+        pairs = codebook_pairs(self.cipher, codebook, ch.plaintext_diff, self.index_bits)
         return AttackContext(self.cipher, ch, pairs), key, true_subkey(self.cipher, key, ch)
 
     @cached_property

@@ -20,8 +20,9 @@ distribution: every round fails, and spends the one uniform its draw takes.
 
 Time-step accounting: initializing q qubits costs q steps, one search
 iteration costs one step, one counting run costs its init + Grover-gate +
-Fourier-gate total. The oracle is charged one counting cost per
-application (it needs a single coherent evaluation, not one per candidate).
+Fourier-gate total. The oracle is charged one counting cost per threshold
+pass (a single coherent evaluation, not one per candidate), although the
+pass's Grover iterations, sum j over its rounds, each apply it.
 Every charge goes through ``SearchBudget.try_charge``, which names the stage
 of each step and either admits them all or refuses them all.
 """

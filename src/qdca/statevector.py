@@ -95,12 +95,15 @@ class RegisterMap:
 
 def _assert_unit_norm(norm) -> None:
     """Raise CorruptedStateError unless the squared norm, or every lane's, is
-    within NORM_TOL of 1."""
-    if np.ndim(norm):   # the worst lane is the smallest or the largest
-        low, high = float(norm[norm.argmin()]), float(norm[norm.argmax()])
-        norm = low if 1.0 - low > high - 1.0 else high
-    if abs(norm - 1.0) > NORM_TOL:
-        raise CorruptedStateError(f"norm drift: |amps|^2 = {float(norm)!r}")
+    within NORM_TOL of 1; a NaN norm never is."""
+    if isinstance(norm, np.ndarray):   # the worst lane is the smallest or the largest
+        low, high = norm[norm.argmin()], norm[norm.argmax()]   # NaN if any lane's is
+    else:
+        low = high = norm
+    # "not <=", as a NaN compares false either way
+    if not (1.0 - low <= NORM_TOL and high - 1.0 <= NORM_TOL):
+        worst = low if 1.0 - low > high - 1.0 else high
+        raise CorruptedStateError(f"norm drift: |amps|^2 = {float(worst)!r}")
 
 
 def draw_outcome(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -347,7 +350,8 @@ class StateVector:
         self._refuse_controls("reading the register")
         view, _ = self._reg_view(reg)
         view = view.reshape(self.lanes, -1, *view.shape[1:])
-        probs = np.einsum("lirj,lirj->lr", view, view.conj()).real
+        # a real copy: the .real view would keep the complex result alive
+        probs = np.einsum("lirj,lirj->lr", view, view.conj()).real.copy()
         return probs if self.lanes > 1 else probs[0]
 
     def measure(self, reg: Register, rng: np.random.Generator) -> int:

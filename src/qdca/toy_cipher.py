@@ -119,8 +119,12 @@ class ToyCipher:
         return self.round_keys(master)[self.rounds]
 
     def _check_block(self, value, what: str):
-        v = np.asarray(value)
-        if np.any(v < 0) or np.any(v >= self.block_size):
+        if isinstance(value, int):   # a Python int (or bool) needs no array
+            inside = 0 <= value < self.block_size
+        else:
+            v = np.asarray(value)
+            inside = not (np.any(v < 0) or np.any(v >= self.block_size))
+        if not inside:
             raise ValueError(f"{what} out of range for {self.block_width}-bit block")
 
     # ---- encryption ---------------------------------------------------
@@ -213,8 +217,16 @@ class PairSet:
             raise ValueError("pair plaintext difference mismatch")
 
 
-def gen_pairs(cipher: ToyCipher, key: int, plaintext_diff: int, index_bits: int) -> PairSet:
-    """Query the cryptosystem for N = 2**index_bits pairs with difference P'."""
+def encrypt_codebook(cipher: ToyCipher, key: int) -> np.ndarray:
+    """The codebook of one master key, E[p] = encrypt(key, p) for every block
+    p, from one encryption; every pair set of the key is a gather from it."""
+    return cipher.encrypt(key, np.arange(cipher.block_size))
+
+
+def codebook_pairs(cipher: ToyCipher, codebook: np.ndarray, plaintext_diff: int,
+                   index_bits: int) -> PairSet:
+    """The N = 2**index_bits pairs (j, j ^ P'), j < N, with their ciphertexts
+    read from ``codebook`` (the key's ``encrypt_codebook``)."""
     if plaintext_diff == 0:
         raise ValueError("degenerate zero plaintext difference")
     cipher._check_block(plaintext_diff, "plaintext difference")
@@ -222,8 +234,12 @@ def gen_pairs(cipher: ToyCipher, key: int, plaintext_diff: int, index_bits: int)
         raise ValueError(f"index_bits {index_bits} outside block capacity")
     p1 = np.arange(1 << index_bits)
     p2 = p1 ^ plaintext_diff
-    return PairSet(index_bits, plaintext_diff, p1, p2,
-                   cipher.encrypt(key, p1), cipher.encrypt(key, p2))
+    return PairSet(index_bits, plaintext_diff, p1, p2, codebook[:len(p1)], codebook[p2])
+
+
+def gen_pairs(cipher: ToyCipher, key: int, plaintext_diff: int, index_bits: int) -> PairSet:
+    """Query the cryptosystem for N = 2**index_bits pairs with difference P'."""
+    return codebook_pairs(cipher, encrypt_codebook(cipher, key), plaintext_diff, index_bits)
 
 
 def _split_subkey(ch: Characteristic, x: int) -> dict[int, int]:
@@ -348,22 +364,36 @@ def difference_distribution_table(sbox: Sequence[int]) -> np.ndarray:
     return ddt
 
 
-def measure_probability(cipher: ToyCipher, key: int, ch: Characteristic) -> float:
-    """Exact right-pair frequency of the true subkey over the full codebook."""
-    pairs = gen_pairs(cipher, key, ch.plaintext_diff, cipher.block_width)
-    row = right_pair_table(cipher, ch, pairs)[true_subkey(cipher, key, ch)]
-    return float(row[:cipher.block_size].sum()) / cipher.block_size
+def measure_probability(cipher: ToyCipher, key: int, ch: Characteristic, *,
+                        codebook: np.ndarray | None = None) -> float:
+    """Exact right-pair frequency of the true subkey over the full codebook.
+
+    Every pair (p, p ^ P') is trial-decrypted through the last S-box layer
+    under the true last round key alone, which is row z of ``right_pair_table``
+    without the other K - 1 rows: on an S-box that delta leaves quiet, equal
+    inverse S-box outputs need equal ciphertext nibbles under any key.
+    ``codebook`` is the key's ``encrypt_codebook``, if the caller holds it.
+    """
+    cipher._check_block(ch.plaintext_diff, "plaintext difference")
+    if codebook is None:
+        codebook = encrypt_codebook(cipher, key)
+    # inputs of the last S-box layer, each XORed with the same round key
+    u = cipher._isub[codebook ^ cipher.last_round_key(key)]
+    partner = u[np.arange(cipher.block_size) ^ ch.plaintext_diff]
+    return np.count_nonzero((u ^ partner) == ch.output_diff) / cipher.block_size
 
 
 class ZeroProbabilityError(ValueError):
     """The characteristic has no right pair of the true subkey under this key."""
 
 
-def make_characteristic(cipher: ToyCipher, key: int, plaintext_diff: int,
-                        delta: int) -> Characteristic:
-    """Build the characteristic (P', delta) and measure its exact p."""
+def make_characteristic(cipher: ToyCipher, key: int, plaintext_diff: int, delta: int, *,
+                        codebook: np.ndarray | None = None) -> Characteristic:
+    """Build the characteristic (P', delta) and measure its exact p (see
+    ``measure_probability`` for ``codebook``)."""
     cipher._check_block(delta, "expected difference")
-    p = measure_probability(cipher, key, Characteristic(plaintext_diff, delta, 1.0))
+    p = measure_probability(cipher, key, Characteristic(plaintext_diff, delta, 1.0),
+                            codebook=codebook)
     if p == 0:
         raise ZeroProbabilityError("characteristic has zero probability for this key")
     return Characteristic(plaintext_diff, delta, p)
@@ -396,9 +426,10 @@ def find_characteristic(cipher: ToyCipher, key: int, subkey_bits: int = 4,
                       [lo | hi << NIBBLE_BITS for lo in reachable for hi in reachable])
     z = cipher.last_round_key(key) & (K - 1)   # the active S-boxes are the low ones
     N = 1 << index_bits
+    codebook = encrypt_codebook(cipher, key)
     best = None
     for p_diff in range(1, cipher.block_size):
-        pairs = gen_pairs(cipher, key, p_diff, index_bits)
+        pairs = codebook_pairs(cipher, codebook, p_diff, index_bits)
         diff, quiet = _last_round_differences(cipher, active, pairs)
         # counts[x, d]: right pairs of subkey x under the expected difference d
         counts = np.bincount((np.arange(K)[:, None] * K + diff[:, quiet]).ravel(),
@@ -412,7 +443,7 @@ def find_characteristic(cipher: ToyCipher, key: int, subkey_bits: int = 4,
     if best is None:
         raise ValueError("no usable characteristic found")
     _, p_diff, delta = best
-    return make_characteristic(cipher, key, p_diff, delta)
+    return make_characteristic(cipher, key, p_diff, delta, codebook=codebook)
 
 
 # ---- JSON-style configuration -----------------------------------------
@@ -440,13 +471,16 @@ def cipher_from_dict(doc: dict) -> ToyCipher:
     return ToyCipher(**kwargs)
 
 
-def characteristic_from_dict(doc: dict, cipher: ToyCipher, key: int) -> Characteristic:
-    """Characteristic from a config document; p is measured, and a stated p must match."""
+def characteristic_from_dict(doc: dict, cipher: ToyCipher, key: int, *,
+                             codebook: np.ndarray | None = None) -> Characteristic:
+    """Characteristic from a config document; p is measured, and a stated p must
+    match (see ``measure_probability`` for ``codebook``)."""
     _refuse_unknown_keys(doc, "characteristic_doc", ("plaintext_diff", "output_diff",
                                                      "probability"))
     ch = make_characteristic(cipher, key,
                              _parse_hex(doc, "plaintext_diff", DEFAULT_PLAINTEXT_DIFF),
-                             _parse_hex(doc, "output_diff", DEFAULT_OUTPUT_DIFF))
+                             _parse_hex(doc, "output_diff", DEFAULT_OUTPUT_DIFF),
+                             codebook=codebook)
     if "probability" in doc and float(doc["probability"]) != ch.probability:
         raise ValueError(f"stated probability {doc['probability']} differs from the "
                          f"measured {ch.probability} for key {key:#04x}")

@@ -226,6 +226,22 @@ def test_both_modes_share_each_trials_random_key_instance(monkeypatch):
     assert all(c.prep_time_s > q.prep_time_s for c, q in zip(results[::2], results[1::2]))
 
 
+@pytest.mark.parametrize("fields", [
+    dict(),
+    dict(subkey_bits=8, **json.loads(K8_DOC.read_text())),
+    W16_K4,
+    dict(subkey_bits=8, **W16_K8),
+])
+def test_an_instance_encrypts_its_codebook_once(monkeypatch, fields):
+    # p and the N pairs are both read from one encryption of the codebook
+    cfg = AttackConfig(planted_key=None, **fields)
+    encryptions = _count_calls(monkeypatch, ToyCipher, "encrypt")
+    ctx, key, z = cfg.instance(0x09)
+    assert len(encryptions) == 1
+    assert ctx.pairs.num_pairs == 1 << cfg.index_bits and ctx.characteristic.probability > 0
+    assert (key, z) == (0x09, qdca.toy_cipher.true_subkey(cfg.cipher, 0x09, ctx.characteristic))
+
+
 def test_each_trial_applies_and_counts_its_own_kernel(monkeypatch):
     ladders = _count_calls(monkeypatch, qdca.max_finding, "grover_ladder")
     qft_gates = []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdca.statevector import (CorruptedStateError, Register, RegisterMap, StateVector,
-                              draw_outcome)
+                              _assert_unit_norm, draw_outcome)
 
 
 def test_uniform_one_qubit():
@@ -461,6 +461,29 @@ def test_gate_norm_check_catches_drift():
     s.amps *= 2.0
     with pytest.raises(CorruptedStateError):
         s.apply_phase_oracle(Register("r", 0, 2), np.ones(4, dtype=bool))
+
+
+def test_norm_check_refuses_a_nan_norm():
+    # NaN compares false with any tolerance, so the check must not ask "> tol"
+    for norm in (float("nan"), np.float64("nan"), np.array([1.0, np.nan])):
+        with pytest.raises(CorruptedStateError, match="norm drift"):
+            _assert_unit_norm(norm)
+    _assert_unit_norm(np.array([1.0, 1.0 + 1e-12]))
+    s = StateVector.uniform(2)
+    s.amps[1] = np.nan
+    with pytest.raises(CorruptedStateError, match="norm drift"):
+        s.apply_diffusion(Register("r", 0, 2))
+
+
+def test_probabilities_are_a_contiguous_real_copy():
+    # a .real view would keep the complex result, twice the size, alive
+    reg = Register("r", 0, 3)
+    for lanes in (1, 4):
+        s = StateVector(4, lanes)
+        s.inverse_qft(reg)
+        probs = s.probabilities(reg)
+        assert probs.dtype == np.float64 and probs.flags.c_contiguous
+        assert probs.base is None or not np.iscomplexobj(probs.base)
 
 
 def test_lane_stack_is_bounded_and_read_per_lane():

@@ -11,7 +11,7 @@ from qdca.toy_cipher import (Characteristic, PairSet, ToyCipher,
                              cipher_from_dict, characteristic_from_dict,
                              default_characteristic,
                              difference_distribution_table,
-                             find_characteristic,
+                             codebook_pairs, encrypt_codebook, find_characteristic,
                              gen_pairs, is_right_pair, make_characteristic,
                              measure_probability, right_pair_table, rotl,
                              true_subkey, DEFAULT_PBOX, DEFAULT_PLANTED_KEY,
@@ -117,6 +117,25 @@ def test_default_pbox_follows_the_block_width():
             assert {c.pbox[4 * box + j] // 4 for j in range(4)} == set(range(c.num_sboxes))
 
 
+@pytest.mark.parametrize("width", [4, 8, 16])
+def test_range_check_refuses_the_same_values_for_ints_and_arrays(width):
+    # a Python int skips numpy; every value is refused exactly when some entry
+    # of its array falls outside [0, 2**width)
+    c = ToyCipher(block_width=width)
+    top = c.block_size
+    values = [0, 1, top - 1, top, -1, 2 ** 70, -2 ** 70, True, False,
+              np.int64(top - 1), np.int64(top), np.int64(-1), np.uint8(3),
+              np.array(top), np.array([0, top - 1]), np.array([0, top]),
+              np.array([-1, 0]), [0, top], [], 3.5, -0.5]
+    for value in values:
+        v = np.asarray(value)
+        if np.any(v < 0) or np.any(v >= top):
+            with pytest.raises(ValueError, match=f"probe out of range for {width}-bit block"):
+                c._check_block(value, "probe")
+        else:
+            c._check_block(value, "probe")
+
+
 def test_key_schedule_rotates(cipher):
     keys = cipher.round_keys(0xA5)
     assert keys == tuple(rotl(0xA5, r) for r in range(5))
@@ -138,6 +157,34 @@ def test_gen_pairs_difference_invariant(cipher):
     assert np.all(ps.p1 ^ ps.p2 == 0x1A)
     for p, c in ((ps.p1, ps.c1), (ps.p2, ps.c2)):
         assert all(cipher.encrypt(0x31, pt) == ct for pt, ct in zip(p.tolist(), c.tolist()))
+
+
+@pytest.mark.parametrize("width", [4, 8, 12, 16])
+def test_codebook_pairs_equal_two_encryptions(width):
+    # a pair set gathered from one encryption of the codebook holds what
+    # encrypting both plaintext columns gives
+    c = ToyCipher(block_width=width)
+    rng = np.random.default_rng(width)
+    for _ in range(4):
+        key = int(rng.integers(c.block_size))
+        p_diff = int(rng.integers(1, c.block_size))
+        n = int(rng.integers(1, width + 1))
+        p1 = np.arange(1 << n)
+        want = (p1, p1 ^ p_diff, c.encrypt(key, p1), c.encrypt(key, p1 ^ p_diff))
+        for ps in (gen_pairs(c, key, p_diff, n),
+                   codebook_pairs(c, encrypt_codebook(c, key), p_diff, n)):
+            assert (ps.index_bits, ps.plaintext_diff) == (n, p_diff)
+            for col, expected in zip((ps.p1, ps.p2, ps.c1, ps.c2), want):
+                assert np.array_equal(col, expected)
+
+
+def test_find_characteristic_encrypts_the_codebook_once(monkeypatch):
+    calls = []
+    encrypt = ToyCipher.encrypt
+    monkeypatch.setattr(ToyCipher, "encrypt",
+                        lambda self, *args: calls.append(args) or encrypt(self, *args))
+    find_characteristic(ToyCipher(), DEFAULT_PLANTED_KEY, subkey_bits=4, index_bits=6)
+    assert len(calls) == 1
 
 
 def test_pair_columns_are_read_only_copies(cipher):
@@ -268,6 +315,23 @@ def test_marked_table_is_read_only(planted):
 def test_measured_probability_matches_stored_exactly(cipher, planted, planted_alt):
     for key, ch, _, _ in (planted, planted_alt):
         assert measure_probability(cipher, key, ch) == ch.probability
+
+
+@pytest.mark.parametrize("doc", ["stock_characteristic.json", "k8_characteristic.json",
+                                 "w16_k4_characteristic.json", "w16_k8_characteristic.json"])
+def test_measured_probability_is_the_true_subkeys_table_row(doc):
+    # p, trial-decrypted under the true subkey alone, is row z of the (K, 2N)
+    # table over the full codebook, divided by the codebook size
+    fields = json.loads((FIXTURES / doc).read_text())
+    c = cipher_from_dict(fields.get("cipher_doc", {}))
+    d = fields["characteristic_doc"]
+    ch = Characteristic(int(d["plaintext_diff"], 16), int(d["output_diff"], 16), 1.0)
+    for key in (DEFAULT_PLANTED_KEY, int(np.random.default_rng(7).integers(c.block_size))):
+        pairs = gen_pairs(c, key, ch.plaintext_diff, c.block_width)
+        row = right_pair_table(c, ch, pairs)[true_subkey(c, key, ch)]
+        want = int(row.sum()) / c.block_size
+        assert measure_probability(c, key, ch) == want
+        assert measure_probability(c, key, ch, codebook=encrypt_codebook(c, key)) == want
 
 
 def test_wrong_subkeys_count_far_below_true(cipher, planted):

@@ -1,5 +1,9 @@
 """End-to-end attack drivers, Monte Carlo runner and CSV reports.
 
+A run's configuration is checked in full when ``AttackConfig`` is built: the
+cipher document, the characteristic document's (P', delta), which fixes k,
+and a fixed planted key's instance. Only p is measured per key.
+
 Pair generation and characteristic measurement are the cryptosystem's work,
 not the attacker's, and stay out of the time-step accounting; stdout reports
 their per-trial wall time, about 0 s for a planted key built with its config.
@@ -15,7 +19,7 @@ import csv
 import numbers
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -28,9 +32,10 @@ from .max_finding import (ExactCounter, MaxFindingConfig, MaxFindingResult,
 from .quantum_counting import (CountEstimate, CountingParams, count_marked,
                                counting_error_bound, default_accuracy_bits)
 from .statevector import DEFAULT_MAX_QUBITS
-from .toy_cipher import (AttackContext, ToyCipher, ZeroProbabilityError,
-                         characteristic_from_dict, cipher_from_dict, codebook_pairs,
-                         encrypt_codebook, true_subkey)
+from .toy_cipher import (NIBBLE_BITS, AttackContext, ToyCipher, ZeroProbabilityError,
+                         active_sboxes, cipher_from_dict, codebook_pairs,
+                         differential_from_dict, encrypt_codebook, make_characteristic,
+                         true_subkey)
 
 MODES = ("classical", "quantum", "both")
 
@@ -42,9 +47,10 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class AttackConfig:
     """One run's settings, refused with ConfigError when built if unusable. The
-    cipher and a fixed planted key's instance are built once, for every trial."""
+    cipher, the characteristic document's (P', delta) and a fixed planted key's
+    instance are built once, for every trial."""
 
-    subkey_bits: int = 4
+    subkey_bits: int | None = None   # None: 4 per S-box that delta activates
     index_bits: int = 6
     accuracy_bits: int | None = None   # default: ceil(n/2) + 1
     epsilon: float = 0.1
@@ -62,7 +68,7 @@ class AttackConfig:
 
     def validate(self):
         integer, optional = numbers.Integral, (numbers.Integral, type(None))
-        for name, kind in (("subkey_bits", integer), ("index_bits", integer),
+        for name, kind in (("subkey_bits", optional), ("index_bits", integer),
                            ("accuracy_bits", optional), ("epsilon", numbers.Real),
                            ("confidence", integer), ("master_seed", integer),
                            ("trials", integer), ("planted_key", optional),
@@ -73,15 +79,17 @@ class AttackConfig:
                 raise ConfigError(f"{name} has the wrong type: {value!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
-        if self.subkey_bits not in (4, 8):
-            raise ConfigError("subkey_bits must be 4 or 8")
         if self.trials < 1:
             raise ConfigError("at least one trial")
         if self.confidence < 1:
             raise ConfigError("confidence must be >= 1")
         cipher = self.cipher
-        if self.subkey_bits > cipher.block_width:
-            raise ConfigError("subkey_bits exceeds block width")
+        delta = self.differential[1]
+        k = NIBBLE_BITS * len(active_sboxes(delta))
+        if self.subkey_bits is None:
+            object.__setattr__(self, "subkey_bits", k)
+        if self.subkey_bits not in (4, 8):
+            raise ConfigError(f"subkey_bits must be 4 or 8, not {self.subkey_bits}")
         if not 1 <= self.index_bits <= cipher.block_width:
             raise ConfigError("index_bits outside block capacity")
         if self.planted_key is not None and not 0 <= self.planted_key < cipher.block_size:
@@ -92,8 +100,9 @@ class AttackConfig:
         if lane_width > DEFAULT_MAX_QUBITS:
             raise ConfigError(f"counting all 2**k subkeys as lanes needs t+1+k = {lane_width} "
                               f"qubits, above the {DEFAULT_MAX_QUBITS}-qubit limit")
-        if self.subkey_bits == 8 and not self.characteristic_doc:
-            raise ConfigError("subkey_bits=8 needs an explicit characteristic")
+        if self.subkey_bits != k:
+            raise ConfigError(f"subkey_bits={self.subkey_bits}, but expected difference "
+                              f"{delta:#04x} gives k = {k} (4 bits per active S-box)")
         if self.planted_key is not None:
             self.planted_instance   # built now, so a key without signal is refused here
 
@@ -101,6 +110,14 @@ class AttackConfig:
     def cipher(self) -> ToyCipher:
         try:
             return cipher_from_dict(self.cipher_doc)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(str(err)) from err
+
+    @cached_property
+    def differential(self) -> tuple[int, int]:
+        """(P', delta) of the characteristic document, read once per config."""
+        try:
+            return differential_from_dict(self.characteristic_doc, self.cipher)
         except (TypeError, ValueError) as err:
             raise ConfigError(str(err)) from err
 
@@ -114,19 +131,12 @@ class AttackConfig:
             raise ConfigError(str(err)) from err
 
     def instance(self, key: int) -> tuple[AttackContext, int, int]:
-        """(context, key, true subkey) under master key ``key``, with p and the
-        pairs read from one encryption of its codebook, which is not kept;
-        raises ZeroProbabilityError when the true subkey has no right pair."""
-        try:
-            codebook = encrypt_codebook(self.cipher, key)
-            ch = characteristic_from_dict(self.characteristic_doc, self.cipher, key,
-                                          codebook=codebook)
-        except ZeroProbabilityError:
-            raise   # a property of the key, not of the configuration
-        except (TypeError, ValueError) as err:
-            raise ConfigError(str(err)) from err
-        if ch.subkey_bits != self.subkey_bits:
-            raise ConfigError("characteristic does not target subkey_bits key bits")
+        """(context, key, true subkey) under master key ``key``: the config's
+        (P', delta) with p measured, and the pairs read, from one encryption of
+        the key's codebook, which is not kept; raises ZeroProbabilityError when
+        the true subkey has no right pair."""
+        codebook = encrypt_codebook(self.cipher, key)
+        ch = make_characteristic(self.cipher, key, *self.differential, codebook=codebook)
         pairs = codebook_pairs(self.cipher, codebook, ch.plaintext_diff, self.index_bits)
         return AttackContext(self.cipher, ch, pairs), key, true_subkey(self.cipher, key, ch)
 
@@ -166,7 +176,7 @@ class AttackResult:
     qubits_model: int = 0
     qubits_simulated: int = 0
     wall_time_s: float = 0.0   # stdout only; never written to CSV
-    prep_time_s: float = 0.0   # pair generation / characteristic measurement
+    prep_time_s: float = 0.0   # planting the trial's instance; set by run_trials
 
     @property
     def success(self) -> bool:
@@ -201,7 +211,6 @@ def run_quantum_attack(config: AttackConfig, trial: int = 0,
                        instance=None) -> tuple[AttackResult, MaxFindingResult]:
     """One quantum attack trial: counting-backed threshold maximum finding, on
     ``instance`` (as ``plant_instance`` returns it) if given."""
-    prep0 = time.perf_counter()
     ctx, _, z = instance or plant_instance(config, trial)
     t0 = time.perf_counter()
     params = config.counting_params()
@@ -221,7 +230,6 @@ def run_quantum_attack(config: AttackConfig, trial: int = 0,
         qubits_model=2 * config.subkey_bits + params.init_steps,   # 2k+n+t+1; see README
         qubits_simulated=params.init_steps,   # t+n+1: the subkey register is read classically
         wall_time_s=time.perf_counter() - t0,
-        prep_time_s=t0 - prep0,
     )
     return result, mf
 
@@ -242,7 +250,6 @@ def _bound_hit_rate(ctx: AttackContext, params: CountingParams, counter) -> floa
 
 def run_classical_attack(config: AttackConfig, trial: int = 0, instance=None) -> AttackResult:
     """Exhaustive counting baseline on the same planted instance."""
-    prep0 = time.perf_counter()
     ctx, _, z = instance or plant_instance(config, trial)
     t0 = time.perf_counter()
     winner, table = classical_attack(ctx.pairs, ctx.cipher, ctx.characteristic)
@@ -251,7 +258,6 @@ def run_classical_attack(config: AttackConfig, trial: int = 0, instance=None) ->
         trial=trial, mode="classical", recovered_subkey=winner, ground_truth=z,
         steps_counting=evaluations,
         wall_time_s=time.perf_counter() - t0,
-        prep_time_s=t0 - prep0,
     )
 
 
@@ -314,12 +320,7 @@ def run_scaling_report(config: AttackConfig, search_bits=(4, 6, 8),
     if not all(1 <= k <= DEFAULT_MAX_QUBITS for k in search_bits):
         raise ConfigError(f"search bits {list(search_bits)} outside [1, {DEFAULT_MAX_QUBITS}]")
     # validate and plant every counting instance before the search sweep spends any time
-    subs = [AttackConfig(subkey_bits=config.subkey_bits, index_bits=n,
-                         master_seed=config.master_seed, trials=1,
-                         planted_key=config.planted_key,
-                         cipher_doc=config.cipher_doc,
-                         characteristic_doc=config.characteristic_doc)
-            for n in counting_index_bits]
+    subs = [replace(config, index_bits=n, trials=1) for n in counting_index_bits]
     contexts = [plant_instance(sub, 0)[0] for sub in subs]
     rows: list[dict] = []
     prev_mean = None

@@ -6,8 +6,9 @@ selftest (the acceptance checks).
 
 Flags populate an AttackConfig; values from --config (a JSON document with
 the same field names, plus nested "cipher_doc"/"characteristic_doc")
-override flags. Exit codes: 0 success, 1 configuration error, 2 selftest
-failure.
+override flags; --random-keys and a planted_key, from a flag or the
+document, contradict each other and are refused. Exit codes: 0 success,
+1 configuration error, 2 selftest failure.
 """
 
 from __future__ import annotations
@@ -47,13 +48,15 @@ def _add_config_flags(p: argparse.ArgumentParser):
 def _config_from_args(args) -> AttackConfig:
     fields = {name: value for name, value in vars(args).items()
               if name in AttackConfig.__dataclass_fields__}
-    if args.random_keys:
-        fields["planted_key"] = None
     if args.config is not None:
         doc = json.loads(Path(args.config).read_text())
         if not isinstance(doc, dict):
             raise ConfigError(f"{args.config} must hold a JSON object")
         fields.update(doc)
+    if args.random_keys:
+        if fields.get("planted_key") is not None:
+            raise ConfigError("--random-keys draws a key per trial and takes no planted_key")
+        fields["planted_key"] = None
     return AttackConfig.from_dict(fields)
 
 

@@ -4,8 +4,12 @@ The cipher is a classic substitution-permutation network on a 4- to 16-bit
 block, 8 by default, of parallel 4-bit S-boxes (low nibble = bits 0..3).
 Each round XORs a round key and applies the S-box layer; every round except
 the last is followed by a bit permutation, and a final whitening key is
-XORed after the last round. The last round key (the whitening key) is the
-attack target.
+XORed after the last round. Round key r is the master key rotated left by r
+bits. The last round key (the whitening key) is the attack target.
+
+A characteristic document names a differential (P', delta) and nothing else:
+delta's nonzero nibbles are the attacked S-boxes, so they fix k, and p is
+measured for each key from its codebook, never read from the document.
 
 All objects here are immutable after construction; every operation is a
 pure function, safe to call concurrently.
@@ -54,25 +58,13 @@ def rotl(value: int, amount: int, width: int = 8) -> int:
     return ((value << amount) | (value >> (width - amount))) & mask
 
 
-def _schedule_rotate(master: int, rounds: int, width: int) -> tuple[int, ...]:
-    return tuple(rotl(master, r, width) for r in range(rounds + 1))
-
-
-def _schedule_zero(master: int, rounds: int, width: int) -> tuple[int, ...]:
-    return (0,) * (rounds + 1)
-
-
-KEY_SCHEDULES = {"rotate": _schedule_rotate, "zero": _schedule_zero}
-
-
 @dataclass(frozen=True)
 class ToyCipher:
-    """SPN instance: S-box table, bit permutation, round count, key schedule."""
+    """SPN instance: S-box table, bit permutation, round count, block width."""
 
     sbox: tuple[int, ...] = DEFAULT_SBOX
     pbox: tuple[int, ...] | None = None   # None: default_pbox(block_width)
     rounds: int = 4
-    key_schedule: str = "rotate"
     block_width: int = 8
 
     def __post_init__(self):
@@ -86,8 +78,6 @@ class ToyCipher:
             raise ValueError(f"pbox must be a bijection on bit positions [0, {self.block_width})")
         if self.rounds < 1:
             raise ValueError("at least one round required")
-        if self.key_schedule not in KEY_SCHEDULES:
-            raise ValueError(f"unknown key schedule {self.key_schedule!r}")
         size = 1 << self.block_width
         xs = np.arange(size)
         sub = np.zeros(size, dtype=np.int64)
@@ -99,7 +89,6 @@ class ToyCipher:
         object.__setattr__(self, "_sub", sub)
         object.__setattr__(self, "_perm", perm)
         object.__setattr__(self, "_isub", np.argsort(sub))
-        object.__setattr__(self, "_iperm", np.argsort(perm))
 
     # ---- layers -------------------------------------------------------
 
@@ -113,7 +102,7 @@ class ToyCipher:
 
     def round_keys(self, master: int) -> tuple[int, ...]:
         self._check_block(master, "key")
-        return KEY_SCHEDULES[self.key_schedule](master, self.rounds, self.block_width)
+        return tuple(rotl(master, r, self.block_width) for r in range(self.rounds + 1))
 
     def last_round_key(self, master: int) -> int:
         return self.round_keys(master)[self.rounds]
@@ -141,16 +130,12 @@ class ToyCipher:
         state = state ^ keys[self.rounds]
         return int(state) if np.isscalar(pt) or np.ndim(pt) == 0 else state
 
-    def decrypt(self, key: int, ct):
-        self._check_block(ct, "ciphertext")
-        keys = self.round_keys(key)
-        state = np.asarray(ct) ^ keys[self.rounds]
-        for r in range(self.rounds - 1, -1, -1):
-            if r < self.rounds - 1:
-                state = self._iperm[state]
-            state = self._isub[state]
-            state = state ^ keys[r]
-        return int(state) if np.isscalar(ct) or np.ndim(ct) == 0 else state
+
+def active_sboxes(delta: int) -> tuple[int, ...]:
+    """Positions of delta's nonzero nibbles (0 = low nibble), ascending: the
+    S-boxes whose last round key bits a characteristic with delta recovers."""
+    return tuple(pos for pos in range(delta.bit_length() // NIBBLE_BITS + 1)
+                 if (delta >> (NIBBLE_BITS * pos)) & 0xF)
 
 
 @dataclass(frozen=True)
@@ -178,9 +163,7 @@ class Characteristic:
 
     @property
     def active_sboxes(self) -> tuple[int, ...]:
-        """Positions of delta's nonzero nibbles (0 = low nibble), ascending."""
-        return tuple(pos for pos in range(self.output_diff.bit_length() // NIBBLE_BITS + 1)
-                     if (self.output_diff >> (NIBBLE_BITS * pos)) & 0xF)
+        return active_sboxes(self.output_diff)
 
     @property
     def subkey_bits(self) -> int:
@@ -319,8 +302,11 @@ def right_pair_table(cipher: ToyCipher, ch: Characteristic, pairs: PairSet) -> n
     """Boolean e(x, j) for every subkey x (rows) over the padded index space
     [0, 2N) (columns), from one trial decryption of all pairs."""
     diff, quiet = _last_round_differences(cipher, ch.active_sboxes, pairs)
-    right = (diff == ch.output_diff) & quiet
-    return np.concatenate([right, np.zeros_like(right)], axis=1)
+    table = np.zeros((len(diff), 2 * pairs.num_pairs), dtype=bool)
+    right = table[:, :pairs.num_pairs]   # a view: the table is the only (K, .) bool array
+    np.equal(diff, ch.output_diff, out=right)
+    right &= quiet
+    return table
 
 
 @dataclass(frozen=True)
@@ -387,12 +373,19 @@ class ZeroProbabilityError(ValueError):
     """The characteristic has no right pair of the true subkey under this key."""
 
 
+def _probe(cipher: ToyCipher, plaintext_diff: int, delta: int) -> Characteristic:
+    """(P', delta) at p = 1, refused unless both lie in the block, P' is
+    nonzero and delta activates an S-box."""
+    cipher._check_block(delta, "expected difference")
+    cipher._check_block(plaintext_diff, "plaintext difference")
+    return Characteristic(plaintext_diff, delta, 1.0)
+
+
 def make_characteristic(cipher: ToyCipher, key: int, plaintext_diff: int, delta: int, *,
                         codebook: np.ndarray | None = None) -> Characteristic:
     """Build the characteristic (P', delta) and measure its exact p (see
     ``measure_probability`` for ``codebook``)."""
-    cipher._check_block(delta, "expected difference")
-    p = measure_probability(cipher, key, Characteristic(plaintext_diff, delta, 1.0),
+    p = measure_probability(cipher, key, _probe(cipher, plaintext_diff, delta),
                             codebook=codebook)
     if p == 0:
         raise ZeroProbabilityError("characteristic has zero probability for this key")
@@ -451,8 +444,7 @@ def find_characteristic(cipher: ToyCipher, key: int, subkey_bits: int = 4,
 
 def cipher_from_dict(doc: dict) -> ToyCipher:
     """Cipher from a config document (sbox as 16 hex digits, pbox index list)."""
-    _refuse_unknown_keys(doc, "cipher_doc", ("sbox", "pbox", "rounds", "key_schedule",
-                                             "block_width"))
+    _refuse_unknown_keys(doc, "cipher_doc", ("sbox", "pbox", "rounds", "block_width"))
     kwargs = {}
     if "sbox" in doc:
         s = doc["sbox"]
@@ -463,28 +455,21 @@ def cipher_from_dict(doc: dict) -> ToyCipher:
         kwargs["sbox"] = tuple(s)
     if "pbox" in doc:
         kwargs["pbox"] = tuple(doc["pbox"])
-    for name in ("rounds", "key_schedule", "block_width"):
+    for name in ("rounds", "block_width"):
         if name in doc:
-            if name != "key_schedule" and not _is_integer(doc[name]):
+            if not _is_integer(doc[name]):
                 raise ValueError(f"{name} must be an integer, got {doc[name]!r}")
             kwargs[name] = doc[name]
     return ToyCipher(**kwargs)
 
 
-def characteristic_from_dict(doc: dict, cipher: ToyCipher, key: int, *,
-                             codebook: np.ndarray | None = None) -> Characteristic:
-    """Characteristic from a config document; p is measured, and a stated p must
-    match (see ``measure_probability`` for ``codebook``)."""
-    _refuse_unknown_keys(doc, "characteristic_doc", ("plaintext_diff", "output_diff",
-                                                     "probability"))
-    ch = make_characteristic(cipher, key,
-                             _parse_hex(doc, "plaintext_diff", DEFAULT_PLAINTEXT_DIFF),
-                             _parse_hex(doc, "output_diff", DEFAULT_OUTPUT_DIFF),
-                             codebook=codebook)
-    if "probability" in doc and float(doc["probability"]) != ch.probability:
-        raise ValueError(f"stated probability {doc['probability']} differs from the "
-                         f"measured {ch.probability} for key {key:#04x}")
-    return ch
+def differential_from_dict(doc: dict, cipher: ToyCipher) -> tuple[int, int]:
+    """(P', delta) from a characteristic document, checked against the block
+    without a key; ``make_characteristic`` measures p for each key."""
+    _refuse_unknown_keys(doc, "characteristic_doc", ("plaintext_diff", "output_diff"))
+    probe = _probe(cipher, _parse_hex(doc, "plaintext_diff", DEFAULT_PLAINTEXT_DIFF),
+                   _parse_hex(doc, "output_diff", DEFAULT_OUTPUT_DIFF))
+    return probe.plaintext_diff, probe.output_diff
 
 
 def _refuse_unknown_keys(doc: dict, name: str, known: tuple[str, ...]):

@@ -20,7 +20,8 @@ from qdca.toy_cipher import ToyCipher
 
 # the stock characteristic (P' = 0x0A, delta = 0x02) written out as a config doc
 STOCK_DOC = Path(__file__).parent / "fixtures" / "stock_characteristic.json"
-# the same doc stating p = 1/16, the measured p at key 0x09, and stating p = 1/2
+# the same doc stating p = 1/16, the measured p at key 0x09, and stating p = 1/2:
+# p is measured, never a document key, so both are refused as unknown keys
 STATED_P_DOC = STOCK_DOC.with_name("stated_probability.json")
 WRONG_P_DOC = STOCK_DOC.with_name("wrong_probability.json")
 # the golden k = 8 doc: P' = 01, delta = 11
@@ -47,6 +48,9 @@ W16_K8 = json.loads(STOCK_DOC.with_name("w16_k8_characteristic.json").read_text(
     dict(accuracy_bits=20),   # t = 23: the lane record is t+1+k = 28 qubits
     dict(subkey_bits=8, **json.loads(STOCK_DOC.read_text())),   # a k = 4 characteristic
     dict(index_bits=17, cipher_doc={"block_width": 16}),
+    # k is delta's, and three active S-boxes give k = 12
+    dict(planted_key=None, cipher_doc={"block_width": 12},
+         characteristic_doc={"output_diff": "222"}),
 ])
 def test_config_validation(bad):
     with pytest.raises(ConfigError):
@@ -91,6 +95,13 @@ def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError) as err:
         AttackConfig(cipher_doc={"block_widht": 16})
     assert str(err.value) == "unknown cipher_doc keys: ['block_widht']"
+    # p is only ever measured, and round key r is always the master key rotated by r
+    with pytest.raises(ConfigError) as err:
+        AttackConfig(**json.loads(STATED_P_DOC.read_text()))
+    assert str(err.value) == "unknown characteristic_doc keys: ['probability']"
+    with pytest.raises(ConfigError) as err:
+        AttackConfig(planted_key=0, cipher_doc={"key_schedule": "zero"})
+    assert str(err.value) == "unknown cipher_doc keys: ['key_schedule']"
 
 
 # document fields that took a float, a bool or a string as an integer, and the
@@ -127,7 +138,8 @@ def test_config_documents_take_hex_strings_and_integers():
 
 
 def test_config_k8_requires_characteristic():
-    with pytest.raises(ConfigError, match="subkey_bits=8 needs an explicit characteristic"):
+    with pytest.raises(ConfigError, match="subkey_bits=8, but expected difference 0x02 "
+                                          r"gives k = 4 \(4 bits per active S-box\)"):
         AttackConfig(subkey_bits=8)
     cfg = AttackConfig(subkey_bits=8, planted_key=0x7D, characteristic_doc={
         "plaintext_diff": "10", "output_diff": "28"})
@@ -140,7 +152,8 @@ def test_config_k8_requires_characteristic():
 UNUSABLE = [
     (dict(planted_key=0x04),
      "planted key 0x04: characteristic has zero probability for this key"),
-    (dict(subkey_bits=8), "subkey_bits=8 needs an explicit characteristic"),
+    (dict(subkey_bits=8),
+     "subkey_bits=8, but expected difference 0x02 gives k = 4 (4 bits per active S-box)"),
     (dict(characteristic_doc={"output_diff": "20", "active_sboxes": [0]}),
      "unknown characteristic_doc keys: ['active_sboxes']"),
     # expected differences that leave every S-box of the 8-bit block quiet
@@ -148,6 +161,9 @@ UNUSABLE = [
      "expected difference 0x00 activates no S-box"),
     (dict(characteristic_doc={"output_diff": "100"}),
      "expected difference out of range for 8-bit block"),
+    # a k that delta does not give, also under random keys
+    (dict(subkey_bits=4, planted_key=None, **json.loads(K8_DOC.read_text())),
+     "subkey_bits=4, but expected difference 0x11 gives k = 8 (4 bits per active S-box)"),
 ]
 
 
@@ -156,6 +172,23 @@ def test_config_refuses_an_unusable_characteristic_when_built(fields, message):
     with pytest.raises(ConfigError) as err:
         AttackConfig(**fields)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("fields,k", [
+    (dict(), 4),
+    (json.loads(K8_DOC.read_text()), 8),
+    (dict(characteristic_doc={"plaintext_diff": "01", "output_diff": "11"}), 8),
+    (W16_K4, 4),
+    (W16_K8, 8),
+    (dict(planted_key=None, characteristic_doc={"output_diff": "20"}), 4),
+])
+def test_subkey_bits_default_to_four_per_active_sbox(fields, k):
+    # k is delta's: 4 bits per nonzero nibble of the expected difference
+    cfg = AttackConfig(**fields)
+    assert cfg.subkey_bits == k
+    assert cfg == AttackConfig(subkey_bits=k, **fields)
+    if cfg.planted_key is not None:
+        assert cfg.planted_instance[0].subkey_bits == k
 
 
 def test_config_is_frozen():
@@ -193,19 +226,23 @@ def test_planted_instance_is_built_once_per_config():
 
 def test_planted_run_builds_cipher_and_characteristic_once(monkeypatch):
     ciphers = _count_calls(monkeypatch, qdca.attack, "cipher_from_dict")
+    parsed = _count_calls(monkeypatch, qdca.attack, "differential_from_dict")
     measured = _count_calls(monkeypatch, qdca.toy_cipher, "measure_probability")
     results, _ = run_trials(AttackConfig(index_bits=5, trials=3, mode="both"))
     assert [r.mode for r in results] == ["classical", "quantum"] * 3
-    assert len(ciphers) == len(measured) == 1
+    assert len(ciphers) == len(parsed) == len(measured) == 1
 
 
 def test_random_keys_build_the_cipher_once(monkeypatch):
     ciphers = _count_calls(monkeypatch, qdca.attack, "cipher_from_dict")
+    parsed = _count_calls(monkeypatch, qdca.attack, "differential_from_dict")
     measured = _count_calls(monkeypatch, qdca.toy_cipher, "measure_probability")
     results, _ = run_trials(AttackConfig(index_bits=4, trials=4, planted_key=None,
-                                         master_seed=2024, mode="classical"))
+                                         master_seed=2024, mode="classical",
+                                         **json.loads(STOCK_DOC.read_text())))
     assert len(results) == 4
-    assert len(ciphers) == 1
+    # the doc is read once, when the config is built, for every drawn key
+    assert len(ciphers) == len(parsed) == 1
     # one measurement per drawn key: trial 3 redraws a key without signal
     assert len(measured) == 5
 
@@ -341,10 +378,10 @@ def test_random_key_mode_varies_instances():
 
 
 def test_random_key_draw_does_not_hide_a_bad_characteristic():
-    # only a zero-probability key is redrawn; a malformed doc fails at once
-    cfg = AttackConfig(planted_key=None, trials=1, characteristic_doc={"output_diff": -2})
+    # only a zero-probability key is redrawn; a malformed doc is refused when
+    # the config is built, before any key is drawn
     with pytest.raises(ConfigError, match="expected difference out of range for 8-bit block"):
-        plant_instance(cfg, 0)
+        AttackConfig(planted_key=None, trials=1, characteristic_doc={"output_diff": -2})
 
 
 def test_run_trials_both_modes():
@@ -375,6 +412,19 @@ def test_scaling_report_shapes():
     assert [r["size"] for r in search] == [16, 64]
     assert search[1]["ratio_vs_prev"] != ""
     assert counting[0]["g_gates"] == counting[0]["g_gates_expected"] == 63
+
+
+@pytest.mark.parametrize("fields, phase_bits", [
+    (dict(accuracy_bits=2), (5, 5)),   # m = 2 at every n
+    (dict(epsilon=0.25), (5, 6)),      # the default m, two bits on top instead of three
+])
+def test_scaling_report_counts_with_the_configured_accuracy(fields, phase_bits):
+    # the default profile (m = ceil(n/2) + 1, epsilon = 0.1) gives t = 6 and 7
+    cfg = AttackConfig(trials=1, master_seed=31, **fields)
+    rows = run_scaling_report(cfg, search_bits=(4,), counting_index_bits=(4, 6), seeds=1)
+    counting = [r for r in rows if r["sweep"] == "counting"]
+    assert tuple(r["phase_bits"] for r in counting) == phase_bits
+    assert [r["g_gates"] for r in counting] == [(1 << t) - 1 for t in phase_bits]
 
 
 def test_scaling_report_plants_before_the_search_sweep(monkeypatch):
@@ -502,6 +552,9 @@ def test_cli_rejects_bad_config(tmp_path):
     # a misspelled key in either document
     ["attack", "--trials", "1", "--config", {"characteristic_doc": {"outptu_diff": "11"}}],
     ["attack", "--trials", "1", "--config", {"cipher_doc": {"block_widht": 16}}],
+    # a fixed key and a drawn key per trial, from flags or from the document
+    ["attack", "--planted-key", "0x09", "--random-keys", "--trials", "1"],
+    ["attack", "--random-keys", "--trials", "1", "--config", {"planted_key": 9}],
 ])
 def test_cli_out_of_range_arguments_are_config_errors(argv, tmp_path, capsys):
     out_dir = tmp_path / "out"
@@ -598,6 +651,17 @@ def test_cli_random_keys_same_with_and_without_stock_doc(tmp_path, capsys):
     for fname in ("results.csv", "trace.csv"):
         assert (tmp_path / "flags" / fname).read_bytes() == \
             (tmp_path / "doc" / fname).read_bytes()
+
+
+def test_cli_k8_doc_needs_no_k_flag(tmp_path, capsys):
+    # k = 8 comes from delta = 11: the golden k = 8 run without its -k 8
+    assert main(["attack", "-n", "8", "--mode", "both", "--trials", "2", "--master-seed",
+                 "2024", "--planted-key", "0x09", "--config", str(K8_DOC),
+                 "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    golden = STOCK_DOC.with_name("golden") / "attack_k8n8"
+    for fname in ("results.csv", "trace.csv"):
+        assert (tmp_path / fname).read_bytes() == (golden / fname).read_bytes()
 
 
 def test_cli_random_keys_flag(tmp_path):

@@ -1,6 +1,7 @@
 import csv
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdca.toy_cipher import (Characteristic, PairSet, ToyCipher,
-                             cipher_from_dict, characteristic_from_dict,
+                             cipher_from_dict, differential_from_dict,
                              default_characteristic,
                              difference_distribution_table,
                              codebook_pairs, encrypt_codebook, find_characteristic,
@@ -53,31 +54,29 @@ def test_encrypt_matches_reference_everywhere(cipher):
             assert cipher.encrypt(key, pt) == _reference_encrypt(pt, key)
 
 
-def test_encrypt_decrypt_roundtrip_all_blocks(cipher):
+def test_codebook_is_a_permutation_all_blocks(cipher):
     for key in (0x00, 0x09, 0x42, 0xA5, 0xFF):
         pts = np.arange(256)
-        assert np.array_equal(cipher.decrypt(key, cipher.encrypt(key, pts)), pts)
+        assert np.array_equal(np.sort(encrypt_codebook(cipher, key)), pts)
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), width=st.sampled_from([4, 8, 12]),
-       sbox=st.permutations(range(16)), rounds=st.integers(1, 6),
-       schedule=st.sampled_from(["rotate", "zero"]))
-def test_encrypt_decrypt_roundtrip_random_spn(data, width, sbox, rounds, schedule):
+       sbox=st.permutations(range(16)), rounds=st.integers(1, 6))
+def test_codebook_is_a_permutation_random_spn(data, width, sbox, rounds):
     pbox = data.draw(st.permutations(range(width)))
-    c = ToyCipher(sbox=tuple(sbox), pbox=tuple(pbox), rounds=rounds,
-                  key_schedule=schedule, block_width=width)
+    c = ToyCipher(sbox=tuple(sbox), pbox=tuple(pbox), rounds=rounds, block_width=width)
     key = data.draw(st.integers(0, c.block_size - 1))
     pts = np.arange(c.block_size)
     cts = c.encrypt(key, pts)
     assert np.array_equal(np.sort(cts), pts)  # a permutation of the block space
-    assert np.array_equal(c.decrypt(key, cts), pts)
     pt = data.draw(st.integers(0, c.block_size - 1))
-    assert c.decrypt(key, c.encrypt(key, pt)) == pt
+    assert c.encrypt(key, pt) == cts[pt]
 
 
 def test_single_round_zero_schedule_is_sbox_layer():
-    c = ToyCipher(rounds=1, key_schedule="zero", pbox=tuple(range(8)))
+    # master key 0 rotates to round keys that are all 0
+    c = ToyCipher(rounds=1, pbox=tuple(range(8)))
     for pt in range(256):
         expected = (DEFAULT_SBOX[pt >> 4] << 4) | DEFAULT_SBOX[pt & 0xF]
         assert c.encrypt(0x00, pt) == expected
@@ -96,7 +95,7 @@ def test_encrypt_rejects_out_of_range(cipher):
     dict(sbox=(0,) * 16),
     dict(pbox=(0, 0, 2, 3, 4, 5, 6, 7)),
     dict(rounds=0),
-    dict(key_schedule="nope"),
+    dict(sbox=tuple(range(15))),
     dict(block_width=7),
     dict(block_width=12, pbox=DEFAULT_PBOX),
 ])
@@ -139,8 +138,9 @@ def test_range_check_refuses_the_same_values_for_ints_and_arrays(width):
 def test_key_schedule_rotates(cipher):
     keys = cipher.round_keys(0xA5)
     assert keys == tuple(rotl(0xA5, r) for r in range(5))
-    zero = ToyCipher(key_schedule="zero")
-    assert zero.round_keys(0xA5) == (0,) * 5
+    # round key r is the master key rotated by r bits within the block
+    assert ToyCipher(block_width=16).round_keys(0x8001) == (0x8001, 0x0003, 0x0006,
+                                                            0x000C, 0x0018)
 
 
 # ---- pair generation ----------------------------------------------------
@@ -275,6 +275,23 @@ def test_right_pair_table_agrees_with_scalar(cipher, planted):
         assert len(table) == 2 * pairs.num_pairs
         for j in range(2 * pairs.num_pairs):
             assert bool(table[j]) == bool(is_right_pair(cipher, ch, x, j, pairs))
+
+
+def test_right_pair_table_allocates_one_table():
+    # k = 8 on the 16-bit block at n = 12: besides the (K, N) trial-decrypted
+    # differences the build holds the (K, 2N) table itself and little else,
+    # where a concatenated copy of the left half would reach 3 tables
+    c = ToyCipher(block_width=16)
+    ch = Characteristic(0xB0B0, 0x88, 0.5)
+    pairs = gen_pairs(c, DEFAULT_PLANTED_KEY, ch.plaintext_diff, 12)
+    tracemalloc.start()
+    try:
+        table = right_pair_table(c, ch, pairs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (256, 2 * 4096)
+    assert peak < 2.25 * table.nbytes
 
 
 _characteristics = st.builds(Characteristic, st.integers(1, 255), st.integers(1, 255),
@@ -430,7 +447,7 @@ def test_find_characteristic_recovers_a_working_differential(cipher):
 
 def test_cipher_from_hex_string_document():
     c = cipher_from_dict({"sbox": "E4D12FB83A6C5907", "pbox": list(range(8)),
-                          "rounds": 2, "key_schedule": "zero"})
+                          "rounds": 2})
     assert c.sbox == DEFAULT_SBOX
     assert c.rounds == 2
     with pytest.raises(ValueError):
@@ -438,13 +455,21 @@ def test_cipher_from_hex_string_document():
 
 
 def test_characteristic_from_document(cipher):
-    doc = {"plaintext_diff": "0A", "output_diff": "02", "probability": 0.0625}
-    ch = characteristic_from_dict(doc, cipher, DEFAULT_PLANTED_KEY)
-    assert ch.plaintext_diff == 0x0A and ch.output_diff == 0x02
-    assert ch.active_sboxes == (0,)
-    remeasured = characteristic_from_dict(
-        {"plaintext_diff": "0A", "output_diff": "02"}, cipher, DEFAULT_PLANTED_KEY)
-    assert remeasured.probability == 0.0625
+    # the document names (P', delta) alone; p is measured for a key
+    assert differential_from_dict({"plaintext_diff": "0A", "output_diff": "02"},
+                                  cipher) == (0x0A, 0x02)
+    assert differential_from_dict({}, cipher) == (0x0A, 0x02)
+    ch = make_characteristic(cipher, DEFAULT_PLANTED_KEY, 0x0A, 0x02)
+    assert ch.active_sboxes == (0,) and ch.probability == 0.0625
+    with pytest.raises(ValueError, match=r"unknown characteristic_doc keys: \['probability'\]"):
+        differential_from_dict({"plaintext_diff": "0A", "output_diff": "02",
+                                "probability": 0.0625}, cipher)
+    for doc, message in (({"plaintext_diff": "00"}, "degenerate zero plaintext difference"),
+                         ({"plaintext_diff": "100"}, "plaintext difference out of range"),
+                         ({"output_diff": "00"}, "activates no S-box"),
+                         ({"output_diff": -2}, "expected difference out of range")):
+        with pytest.raises(ValueError, match=message):
+            differential_from_dict(doc, cipher)
 
 
 def test_default_characteristic_probability(cipher):

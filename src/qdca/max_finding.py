@@ -14,9 +14,14 @@ function f(x, y) is fixed during one run and accepted thresholds increase strict
 A pass's marked table is fixed for its whole search, so each Grover power
 G^j|u> is a fixed state: the search takes each step once, on one two-class
 state per pass, and keeps each power's two class amplitudes for every round
-that draws it. Each round is still charged its own j steps. A pass that
-marks nothing (the threshold is already the maximum) builds no outcome
-distribution: every round fails, and spends the one uniform its draw takes.
+that draws it, and each power's outcome CDF once. Each round is still
+charged its own j steps. A pass that marks nothing (the threshold is already
+the maximum) builds no outcome distribution: every round fails, so the pass
+replays all its rounds' draws in one generator call and charges the rounds
+the budget admits in one ``try_charge``. The generator ends where the
+round-by-round loop leaves it, because an array of inclusive uint64 bounds
+draws element by element as scalar ``integers`` calls do, and bound 2**64 - 1
+takes the one 64-bit word a discarded ``random()`` takes.
 
 Time-step accounting: initializing q qubits costs q steps, one search
 iteration costs one step, one counting run costs its init + Grover-gate +
@@ -29,6 +34,7 @@ of each step and either admits them all or refuses them all.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -36,7 +42,7 @@ import numpy as np
 
 from .quantum_counting import (CountEstimate, CountingParams, Ladder, PhaseBlock, count_marked,
                                grover_iteration, grover_ladder, lane_block_size, phase_block)
-from .statevector import ClassState, Register, draw_outcome
+from .statevector import ClassState, Register, draw_from_cdf, outcome_cdf
 from .toy_cipher import AttackContext
 
 SEARCH_GROWTH_FACTOR = 6.0 / 5.0
@@ -151,13 +157,14 @@ class ExactCounter:
 
     def __init__(self, counts):
         self.counts = np.asarray(counts, dtype=np.int64)
+        self._count_list = self.counts.tolist()   # Python ints: one list read per count
         self.estimates: dict[int, int] = {}
         self.counting_cost = 0
         self.init_width = 0
 
     def count(self, x: int) -> int:
-        self.estimates[x] = int(self.counts[x])
-        return int(self.counts[x])
+        self.estimates[x] = right_pairs = self._count_list[x]
+        return right_pairs
 
 
 @dataclass
@@ -165,6 +172,25 @@ class SearchOutcome:
     found: int | None
     iterations: int
     measurements: int
+
+
+@functools.lru_cache(maxsize=None)   # one entry per subkey width
+def _round_plan(subkey_bits: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """A pass's rounds: each round's j range max(1, int(m_cap)), and the
+    interleaved inclusive uint64 bounds (range - 1, 2**64 - 1, ...) that draw
+    every round's j and then the words of its one uniform (read-only). The cap
+    grows by 6/5 per round up to sqrt(K) whatever is drawn, so both depend on
+    k alone; there are 4*ceil(4.5*sqrt(K)) rounds."""
+    K = 1 << subkey_bits
+    ranges = []
+    m_cap = 1.0
+    for _ in range(4 * math.ceil(4.5 * math.sqrt(K))):
+        ranges.append(max(1, int(m_cap)))
+        m_cap = min(SEARCH_GROWTH_FACTOR * m_cap, math.sqrt(K))
+    bounds = np.full(2 * len(ranges), np.iinfo(np.uint64).max, dtype=np.uint64)
+    bounds[::2] = np.array(ranges, dtype=np.uint64) - 1
+    bounds.flags.writeable = False
+    return tuple(ranges), bounds
 
 
 def grover_search_marked(marked, subkey_bits: int,
@@ -181,9 +207,19 @@ def grover_search_marked(marked, subkey_bits: int,
 
     One ClassState takes each Grover step once per call, the first time a
     round draws j or more; the class amplitudes of G^j|u> serve every round
-    that draws j, each building its outcome distribution from them. A table
-    that marks nothing builds no distribution: every outcome fails, so a round
-    only spends the one uniform its draw would place.
+    that draws j. Each round draws j with ``rng.integers(0, range)`` and
+    places one ``rng.random()`` in G^j|u>'s outcome CDF, built once per j.
+
+    A table that marks nothing builds no CDF: every outcome fails, so the
+    pass only replays its draws. One ``rng.integers`` call over the round
+    plan's interleaved bounds draws every round's j and, with bound 2**64 - 1,
+    takes the words its discarded uniform would. The budget admits the
+    longest prefix of rounds whose costs fit; when it refuses a round, the
+    generator is rewound and redraws the admitted rounds plus the refused
+    round's j, as the round-by-round loop leaves it. The admitted rounds are
+    charged in one ``try_charge``. This relies on two generator facts,
+    pinned in the tests: an array of bounds draws element by element as the
+    scalar calls do, and one 64-bit word is what ``random()`` takes.
     """
     if subkey_bits < 1:
         raise ValueError("search needs at least one subkey bit")
@@ -191,27 +227,41 @@ def grover_search_marked(marked, subkey_bits: int,
     marked = np.asarray(marked, dtype=bool)
     if marked.size != K:
         raise ValueError("marked table size must be 2**subkey_bits")
-    iterations = measurements = 0
+    ranges, bounds = _round_plan(subkey_bits)
     reg = Register("subkey", 0, subkey_bits)
     state = ClassState(reg, marked)
+    if not state.n_marked:
+        saved = rng.bit_generator.state
+        js = rng.integers(0, bounds, dtype=np.uint64, endpoint=True)[::2].astype(np.int64)
+        rounds = len(ranges)
+        if budget is not None:
+            cost = np.cumsum(js + (subkey_bits + 1))   # round r: k init + j + 1 search
+            rounds = int(cost.searchsorted(budget.limit - budget.spent, side="right"))
+            if rounds < len(ranges):
+                rng.bit_generator.state = saved
+                rng.integers(0, bounds[:2 * rounds + 1], dtype=np.uint64, endpoint=True)
+                js = js[:rounds]
+            budget.try_charge(init=subkey_bits * rounds, search=int(js.sum()) + rounds)
+        for _ in range(int(js.max(initial=0))):
+            grover_iteration(state, reg, marked)
+        return SearchOutcome(None, int(js.sum()), rounds)
+
+    iterations = 0
     powers = [(state.amp_unmarked, state.amp_marked)]   # entry j: G^j|u>'s amplitudes
-    max_measurements = 4 * math.ceil(4.5 * math.sqrt(K))
-    m_cap = 1.0
-    while measurements < max_measurements:
-        j = int(rng.integers(0, max(1, int(m_cap))))
+    cdfs: dict[int, np.ndarray] = {}
+    for measurements, j_range in enumerate(ranges):
+        j = int(rng.integers(0, j_range))
         if budget is not None and not budget.try_charge(init=subkey_bits, search=j + 1):
-            break
+            return SearchOutcome(None, iterations, measurements)
         while len(powers) <= j:
             grover_iteration(state, reg, marked)
             powers.append((state.amp_unmarked, state.amp_marked))
         iterations += j
-        measurements += 1
-        if not state.n_marked:
-            rng.random()   # the draw's one uniform; no outcome of this table is marked
-        elif marked[outcome := draw_outcome(state.probabilities(powers[j]), rng)]:
-            return SearchOutcome(outcome, iterations, measurements)
-        m_cap = min(SEARCH_GROWTH_FACTOR * m_cap, math.sqrt(K))
-    return SearchOutcome(None, iterations, measurements)
+        if (cdf := cdfs.get(j)) is None:
+            cdf = cdfs[j] = outcome_cdf(state.probabilities(powers[j]))
+        if marked[outcome := draw_from_cdf(cdf, rng)]:
+            return SearchOutcome(outcome, iterations, measurements + 1)
+    return SearchOutcome(None, iterations, len(ranges))
 
 
 @dataclass

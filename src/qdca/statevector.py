@@ -24,7 +24,9 @@ A StateVector is owned by one execution context while it mutates.
 Measurement probabilities are accumulated in a fixed reduction order, so
 seeded runs are bit-reproducible. Every measurement draws through
 ``draw_outcome``, which makes the one uniform draw ``Generator.choice`` makes
-for a probability vector, without its per-call argument checks.
+for a probability vector, without its per-call argument checks: it builds the
+normalized CDF (``outcome_cdf``) and places one uniform in it
+(``draw_from_cdf``).
 
 A ClassState holds a register under Grover steps over one marked table as
 one amplitude per class: the phase oracle and the diffusion keep the uniform
@@ -106,22 +108,37 @@ def _assert_unit_norm(norm) -> None:
         raise CorruptedStateError(f"norm drift: |amps|^2 = {float(worst)!r}")
 
 
-def draw_outcome(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw an outcome of the distribution ``probs`` (not yet normalized).
-
-    Returns what ``rng.choice(probs.size, p=probs / probs.sum())`` returns and
-    advances ``rng`` as it does: one ``rng.random()`` placed in the
-    normalized cumulative sum.
-    """
+def outcome_cdf(probs: np.ndarray) -> np.ndarray:
+    """The normalized cumulative sum of the distribution ``probs`` (not yet
+    normalized), as ``Generator.choice`` builds it for ``p=probs / probs.sum()``;
+    refuses a state whose norm is below 1e-12."""
     total = probs.sum()
     if total < 1e-12:
         raise CorruptedStateError("state norm below 1e-12 before measurement")
     cdf = (probs / total).cumsum()
     cdf /= cdf[-1]
+    return cdf
+
+
+def draw_from_cdf(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """Place one ``rng.random()`` in ``cdf``, an ``outcome_cdf``; refuses an
+    outcome the cumulative sum does not step up at (zero probability)."""
     outcome = int(cdf.searchsorted(rng.random(), side="right"))
-    if probs[outcome] <= 0:
+    if outcome == cdf.size or cdf[outcome] <= (cdf[outcome - 1] if outcome else 0.0):
         raise CorruptedStateError("sampled zero-probability outcome")
     return outcome
+
+
+def draw_outcome(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw an outcome of the distribution ``probs`` (not yet normalized).
+
+    Returns what ``rng.choice(probs.size, p=probs / probs.sum())`` returns and
+    advances ``rng`` as it does: one ``rng.random()`` placed in the
+    normalized cumulative sum. It is ``outcome_cdf`` and ``draw_from_cdf``
+    composed; a caller that draws from one distribution repeatedly builds its
+    CDF once and places each uniform with ``draw_from_cdf``.
+    """
+    return draw_from_cdf(outcome_cdf(probs), rng)
 
 
 @dataclass

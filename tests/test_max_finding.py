@@ -221,6 +221,154 @@ def test_search_equals_the_loop_that_draws_every_round(k, fill, limit, seed, dat
     assert runs[0] == runs[1]
 
 
+# ---- the replay of a pass that marks nothing ----------------------------------
+
+U64_MAX = np.iinfo(np.uint64).max
+
+
+def _state(rng):
+    """The generator's state with its arrays as lists, comparable with ==."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {key: plain(v) for key, v in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+    return plain(rng.bit_generator.state)
+
+
+def _pair(bit_generator, seed=2024):
+    return (np.random.Generator(bit_generator(seed)),
+            np.random.Generator(bit_generator(seed)))
+
+
+def _same_from_here(rng, ref):
+    """Same generator state, and the same next draws of every kind."""
+    assert _state(rng) == _state(ref)
+    assert rng.integers(0, 5) == ref.integers(0, 5)
+    assert rng.random() == ref.random()
+    assert rng.integers(0, 2**40) == ref.integers(0, 2**40)
+    assert _state(rng) == _state(ref)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+def test_bounds_array_draws_as_scalar_integers_calls(bit_generator):
+    # element i of integers(0, bounds, uint64, endpoint=True) is the scalar
+    # integers(0, bounds[i] + 1), and takes the same generator words; odd
+    # ranges leave PCG64's buffered 32-bit half behind for the next draw
+    ranges = [1, 1, 2, 3, 7, 2, 16, 64, 5, 1, 2**31, 2**32, 2**32 + 3, 11]
+    rng, ref = _pair(bit_generator)
+    batch = rng.integers(0, np.array(ranges, dtype=np.uint64) - 1, dtype=np.uint64,
+                         endpoint=True)
+    assert batch.tolist() == [int(ref.integers(0, r)) for r in ranges]
+    _same_from_here(rng, ref)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+def test_bound_u64_max_takes_what_random_takes(bit_generator):
+    rng, ref = _pair(bit_generator)
+    rng.integers(0, np.array([3, U64_MAX, U64_MAX, 0, U64_MAX], dtype=np.uint64),
+                 dtype=np.uint64, endpoint=True)
+    ref.integers(0, 4)
+    ref.random()
+    ref.random()
+    ref.integers(0, 1)
+    ref.random()
+    _same_from_here(rng, ref)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+def test_bound_zero_takes_nothing(bit_generator):
+    rng, ref = _pair(bit_generator)
+    rng.integers(0, 3)   # leaves PCG64 a buffered 32-bit half
+    ref.integers(0, 3)
+    state = _state(rng)
+    assert rng.integers(0, np.zeros(5, dtype=np.uint64), dtype=np.uint64,
+                        endpoint=True).tolist() == [0] * 5
+    assert int(ref.integers(0, 1)) == 0
+    assert _state(rng) == _state(ref) == state
+    _same_from_here(rng, ref)
+
+
+def _round_costs(k, rng):
+    """Each round's cost, k + j + 1, for an empty pass drawing from ``rng``
+    round by round, and each round's j range."""
+    K = 1 << k
+    costs, ranges = [], []
+    m_cap = 1.0
+    for _ in range(4 * math.ceil(4.5 * math.sqrt(K))):
+        ranges.append(max(1, int(m_cap)))
+        costs.append(k + int(rng.integers(0, ranges[-1])) + 1)
+        rng.random()
+        m_cap = min(SEARCH_GROWTH_FACTOR * m_cap, math.sqrt(K))
+    return costs, ranges
+
+
+def _runs_with_remaining(marked, k, bit_generator, seed, remaining):
+    """(outcome, stages, spent, generator state) of the search and of the
+    per-round oracle, each given a budget with ``remaining`` steps left."""
+    runs = []
+    for search in (grover_search_marked, _search_drawing_every_round):
+        rng = np.random.Generator(bit_generator(seed))
+        budget = SearchBudget(1, 10**6)
+        assert budget.try_charge(observe=budget.limit - remaining)
+        out = search(marked, k, rng, budget)
+        runs.append((out, budget.stages, budget.spent, _state(rng)))
+    return runs
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
+                                           np.random.Philox, np.random.SFC64])
+@pytest.mark.parametrize("k", [4, 8, 12])
+def test_empty_pass_budget_edges_equal_the_per_round_loop(bit_generator, k):
+    seed = 90 + k
+    costs, ranges = _round_costs(k, np.random.Generator(bit_generator(seed)))
+    assert len(costs) == 4 * math.ceil(4.5 * math.sqrt(1 << k))
+    assert ranges[:4] == [1, 1, 1, 1] and max(ranges) == math.isqrt(1 << k)
+    total = sum(costs)
+    middle = len(costs) // 2
+    cases = {
+        "admits no round": costs[0] - 1,
+        "admits exactly every round": total,
+        "refuses the last round": total - 1,
+        "refuses a range-1 round": sum(costs[:2]) + costs[2] - 1,
+        "refuses a middle round": sum(costs[:middle]) + costs[middle] - 1,
+        "admits every round with room left": total + 3 * k,
+    }
+    expected_rounds = {"admits no round": 0, "admits exactly every round": len(costs),
+                       "refuses the last round": len(costs) - 1,
+                       "refuses a range-1 round": 2, "refuses a middle round": middle,
+                       "admits every round with room left": len(costs)}
+    marked = np.zeros(1 << k, dtype=bool)
+    for name, remaining in cases.items():
+        runs = _runs_with_remaining(marked, k, bit_generator, seed, remaining)
+        assert runs[0] == runs[1], name
+        assert runs[0][0].measurements == expected_rounds[name], name
+
+
+def _exact_counts(k, seed):
+    # ties included: several subkeys share each count
+    return _rng(95, k, seed).integers(0, 1 << (k - 2), size=1 << k)
+
+
+@pytest.mark.parametrize("k", [8, 10, 12])
+def test_find_max_subkey_equals_the_per_round_search(monkeypatch, k):
+    # the whole loop, every pass's search replaced by the per-round oracle:
+    # same trace, same charges, same generator state
+    for seed in range(3):
+        runs = []
+        for patched in (False, True):
+            if patched:
+                monkeypatch.setattr(max_finding, "grover_search_marked",
+                                    _search_drawing_every_round)
+            rng = _rng(96, k, seed)
+            res = find_max_subkey(ExactCounter(_exact_counts(k, seed)), k,
+                                  MaxFindingConfig(4), rng)
+            runs.append((res.trace, res.stages, res.budget.spent,
+                         rng.bit_generator.state))
+        monkeypatch.undo()
+        assert runs[0] == runs[1]
+        assert any(row["y_prime"] is None for row in runs[0][0])
+
+
 @pytest.mark.parametrize("k, marked_items", [(4, []), (6, [9]), (8, [3, 200])])
 def test_one_search_applies_each_grover_step_once(monkeypatch, k, marked_items):
     # one ClassState per call, taken through max(j) counted Grover steps,

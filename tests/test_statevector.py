@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdca.statevector import (CorruptedStateError, Register, RegisterMap, StateVector,
-                              _assert_unit_norm, draw_outcome)
+                              _assert_unit_norm, draw_from_cdf, draw_outcome,
+                              outcome_cdf)
 
 
 def test_uniform_one_qubit():
@@ -447,6 +448,24 @@ def test_draw_outcome_refuses_a_null_state_and_a_zero_probability_draw():
     with pytest.raises(CorruptedStateError, match="zero-probability"):
         draw_outcome(np.array([0.0, 1.0, 0.0, 0.0]), _FixedDraw(-0.5))
     assert draw_outcome(np.array([0.0, 1.0, 0.0, 0.0]), _FixedDraw(0.0)) == 1
+
+
+def test_one_cdf_serves_every_draw_from_its_distribution():
+    # the CDF built once and placed into repeatedly draws as draw_outcome does
+    # on every call, outcome and stream alike
+    probs = np.array([0.0, 0.1, 0.0, 0.3, 0.6, 0.0])
+    cdf = outcome_cdf(probs)
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    assert [draw_from_cdf(cdf, rng) for _ in range(50)] == [draw_outcome(probs, ref)
+                                                           for _ in range(50)]
+    assert rng.bit_generator.state == ref.bit_generator.state
+    with pytest.raises(CorruptedStateError, match="norm below"):
+        outcome_cdf(np.zeros(4))
+    # a uniform outside [0, 1) lands on no outcome of positive probability
+    for u in (-0.5, 1.0):
+        with pytest.raises(CorruptedStateError, match="zero-probability"):
+            draw_from_cdf(cdf, _FixedDraw(u))
+    assert draw_from_cdf(cdf, _FixedDraw(0.0)) == 1
 
 
 def test_measure_corrupted_state_rejected():

@@ -151,6 +151,10 @@ class QuantumCounter:
                 del self._blocks[first]
         return self.estimates[x].right_pairs
 
+    def count_all(self, K: int) -> np.ndarray:
+        """The first K counts as an int64 array, demanded in ascending order."""
+        return np.array([self.count(x) for x in range(K)], dtype=np.int64)
+
 
 class ExactCounter:
     """Injected exact counts; isolates the threshold loop from counting noise."""
@@ -165,6 +169,13 @@ class ExactCounter:
     def count(self, x: int) -> int:
         self.estimates[x] = right_pairs = self._count_list[x]
         return right_pairs
+
+    def count_all(self, K: int) -> np.ndarray:
+        """A copy of the first K counts, every one recorded in ``estimates``."""
+        if K > len(self._count_list):
+            raise IndexError(f"{len(self._count_list)} counts for {K} subkeys")
+        self.estimates.update(zip(range(K), self._count_list))
+        return self.counts[:K].copy()
 
 
 @dataclass
@@ -317,7 +328,7 @@ def find_max_subkey(counter, subkey_bits: int, config: MaxFindingConfig,
     # Every pass marks x iff counts[x] exceeds the threshold's count. Drawing them
     # here keeps the rng order of a sweep in the first pass: budget_for makes the
     # first pass always run, and it draws nothing from rng before its sweep.
-    counts = np.array([counter.count(x) for x in range(K)])
+    counts = counter.count_all(K)
 
     loop = 0
     search_steps_to_max = 0

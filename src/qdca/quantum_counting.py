@@ -15,10 +15,13 @@ acts on the index register alone, so the state after the ladder is
 sum_b |b> (x) G^b|psi0> / sqrt(2**t). G keeps the uniform start inside the
 span of |u_M> and |u_U>, the uniform states over the M marked and the 2N - M
 unmarked indices (Brassard-Hoyer-Mosca-Tapp, quant-ph/0005055), so the index
-register is a ``ClassState`` with real amplitudes. ``grover_ladder`` takes
-an (L, 2N) stack of tables and runs G 2**t - 1 times on all L lanes at once,
-each step applied to every lane and counted once; row b of its (T, 2, L)
-record holds each lane's class amplitudes u_b, m_b of G^b|psi0>.
+register is two real class amplitudes per table, as in a ``ClassState``.
+``grover_ladder`` takes an (L, 2N) stack of tables and runs G 2**t - 1 times
+on all L lanes at once as one lane recurrence: six in-place array operations
+per step, bit for bit the scalar ``ClassState``'s oracle and diffusion, each
+step applied to every lane and counted once. Row b of its (T, 2, L) record
+holds each lane's class amplitudes u_b, m_b of G^b|psi0>, and the weighted
+norm of every row of every lane is checked before the ladder returns.
 
 The inverse Fourier transform runs gate by gate on t+1 qubits, on
 |0> (x) sum_b sqrt((2N-M)/T) u_b|b> + |1> (x) sum_b sqrt(M/T) m_b|b>, whose
@@ -39,13 +42,14 @@ against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .statevector import (DEFAULT_MAX_QUBITS, ClassState, Register, RegisterMap, StateVector,
-                          draw_outcome)
+                          _assert_unit_norm, draw_outcome)
 from .toy_cipher import AttackContext
 
 COHERENT_MAX_SUBKEY_BITS = 2
@@ -71,6 +75,8 @@ class CountingParams:
     """Accuracy profile: n index bits, m accuracy bits, failure bound epsilon.
 
     The phase register width is pinned to t = m + ceil(log2(2 + 1/(2*eps))).
+    The derived parameters are computed on first read and kept; equality and
+    hashing read the three fields alone.
     """
 
     index_bits: int
@@ -85,22 +91,22 @@ class CountingParams:
         if not 0 < self.failure_bound < 0.5:
             raise ValueError("failure bound must be in (0, 1/2)")
 
-    @property
+    @functools.cached_property
     def phase_bits(self) -> int:
         return self.accuracy_bits + math.ceil(
             math.log2(2.0 + 1.0 / (2.0 * self.failure_bound)))
 
-    @property
+    @functools.cached_property
     def num_pairs(self) -> int:
         return 1 << self.index_bits
 
-    @property
+    @functools.cached_property
     def init_steps(self) -> int:
         """Initialization cost: one time step per qubit of the counting run's
         parameterized circuit, t phase + n + 1 index qubits."""
         return self.phase_bits + self.index_bits + 1
 
-    @property
+    @functools.cached_property
     def counting_cost(self) -> int:
         """Time steps of one counting run: init + Grover gates + QFT gates."""
         return (self.init_steps + (1 << self.phase_bits) - 1
@@ -145,13 +151,10 @@ def estimate_from_outcome(b: int, params: CountingParams) -> tuple[float, float,
     return theta, m_est, right
 
 
-def _registers(marked: np.ndarray, params: CountingParams) -> RegisterMap:
-    """Phase register on the low qubits, index register above it; refuses a
-    table (or a stack's rows) of the wrong size."""
-    n = params.index_bits
-    if marked.shape[-1:] != (1 << (n + 1),):
+def _check_table(marked: np.ndarray, params: CountingParams) -> None:
+    """Refuse a table (or a stack's rows) of the wrong size."""
+    if marked.shape[-1:] != (2 << params.index_bits,):
         raise ValueError("marked table must cover the padded 2N index space")
-    return RegisterMap(("phase", params.phase_bits), ("index", n + 1))
 
 
 @dataclass(frozen=True)
@@ -162,33 +165,68 @@ class Ladder:
 
     n_marked: np.ndarray
     amps: np.ndarray
-    g_gates: int   # G steps applied to every lane, counted at the gates
+    g_gates: int   # G steps applied to every lane, counted at the step
+
+
+def _lane_grover_step(n_unmarked: np.ndarray, n_marked: np.ndarray, scale: float,
+                      u: np.ndarray, m: np.ndarray, u_out: np.ndarray, m_out: np.ndarray,
+                      tu: np.ndarray, tm: np.ndarray) -> None:
+    """One G step on every lane's class amplitudes (u, m), written to (u_out,
+    m_out) through the scratch buffers tu, tm. Bit for bit the oracle then the
+    diffusion of the scalar ``ClassState``: total = (n_u*u + n_m*(-m))*scale,
+    u' = total - u, m' = total - (-m), as n_m*(-m) = -(n_m*m), a + (-b) = a - b
+    and t - (-m) = t + m hold exactly in IEEE arithmetic."""
+    np.multiply(n_unmarked, u, out=tu)
+    np.multiply(n_marked, m, out=tm)
+    np.subtract(tu, tm, out=tu)
+    tu *= scale
+    np.subtract(tu, u, out=u_out)
+    np.add(tu, m, out=m_out)
 
 
 def grover_ladder(tables: np.ndarray, params: CountingParams) -> Ladder:
     """Apply G 2**t - 1 times to the uniform index state of all L lanes of an
     (L, 2N) stack at once, recording every power.
 
-    The (T, 2, L) record is a (t+1+log2 L)-qubit object: a stack wider than
-    the simulator limit is refused before the first G step."""
+    Each step is one lane recurrence on the two class amplitudes, written
+    straight into row b of the (T, 2, L) record and counted where it is
+    applied. After the last step the weighted norm n_u*u**2 + n_m*m**2 of
+    every recorded power of every lane is checked against NORM_TOL (NaN
+    refused) in row chunks of at most ``LANE_BLOCK_AMPS`` elements; the
+    oracle's output has the norm of the power before it, so every gate's
+    output is checked before the ladder returns.
+
+    The record is a (t+1+log2 L)-qubit object: a stack wider than the
+    simulator limit is refused before the first G step."""
     if tables.ndim != 2:
         raise ValueError("a ladder runs over an (L, 2N) stack of tables")
-    _registers(tables, params)
-    lanes = len(tables)
+    _check_table(tables, params)
+    lanes, size = tables.shape
     lane_bits = (lanes - 1).bit_length()
     if params.phase_bits + 1 + lane_bits > DEFAULT_MAX_QUBITS:
         raise ValueError(f"a ladder over {lanes} lanes needs t+1+{lane_bits} = "
                          f"{params.phase_bits + 1 + lane_bits} qubits, above the "
                          f"{DEFAULT_MAX_QUBITS}-qubit limit")
-    index_reg = Register("index", 0, params.index_bits + 1)
-    index = ClassState(index_reg, tables)
+    # float64 counts (exact below 2**53): the products need no cast
+    n_marked = np.count_nonzero(tables, axis=1).astype(np.float64)
+    n_unmarked = size - n_marked
+    scale = 2.0 / size
     T = 1 << params.phase_bits
     amps = np.empty((T, 2, lanes))
-    amps[0, 0], amps[0, 1] = index.amp_unmarked, index.amp_marked
+    amps[0] = 1.0 / math.sqrt(size)
+    tu, tm = np.empty(lanes), np.empty(lanes)
+    g_gates = 0
+    u, m = amps[0]
     for b in range(1, T):
-        grover_iteration(index, index_reg, tables)
-        amps[b, 0], amps[b, 1] = index.amp_unmarked, index.amp_marked
-    return Ladder(index.n_marked, amps, index.counters.oracle_calls)
+        u_out, m_out = amps[b]   # row by row: no list of all T row views
+        _lane_grover_step(n_unmarked, n_marked, scale, u, m, u_out, m_out, tu, tm)
+        g_gates += 1
+        u, m = u_out, m_out
+    rows = max(1, LANE_BLOCK_AMPS // lanes)
+    for first in range(0, T, rows):
+        u, m = amps[first:first + rows, 0], amps[first:first + rows, 1]
+        _assert_unit_norm((n_unmarked * (u * u) + n_marked * (m * m)).ravel())
+    return Ladder(n_marked, amps, g_gates)
 
 
 def lane_block_size(params: CountingParams) -> int:
@@ -205,7 +243,7 @@ class PhaseBlock:
 
     n_marked: np.ndarray
     probs: np.ndarray
-    g_gates: int     # G steps applied to every lane, counted at the gates
+    g_gates: int     # the ladder's G steps, counted at the step
     qft_gates: int   # Fourier gates applied to every lane, counted at the gates
 
     def lane(self, i: int) -> "PhaseBlock":
@@ -241,7 +279,7 @@ def count_marked(marked: np.ndarray, params: CountingParams,
     """Counting circuit over an explicit marked-item table; ``block`` is the
     table's lane of a block already transformed (default: run the table as a
     one-lane block)."""
-    _registers(marked, params)
+    _check_table(marked, params)
     if block is None:
         block = _one_lane_block(marked, params)
     if block.n_marked.tolist() != [np.count_nonzero(marked)]:
@@ -263,7 +301,8 @@ def reference_counting_distribution(marked: np.ndarray,
     """The outcome distribution from the unfactored circuit: 2**t - 1
     controlled G gates applied to the whole (t+n+1)-qubit state. Slow; the
     oracle that the factored kernel is tested against."""
-    regs = _registers(marked, params)
+    _check_table(marked, params)
+    regs = RegisterMap(("phase", params.phase_bits), ("index", params.index_bits + 1))
     state = StateVector.uniform(regs.total_qubits)
     index_reg = regs["index"]
     phase_reg = regs["phase"]

@@ -32,12 +32,12 @@ A ClassState holds a register under Grover steps over one marked table as
 one amplitude per class: the phase oracle and the diffusion keep the uniform
 start in the span of |u_M> and |u_U>, the uniform states over the marked and
 the unmarked values (Boyer-Brassard-Hoyer-Tapp, quant-ph/9605034). G is real,
-so the amplitudes are real floats. Given an (L, 2**width) stack of tables it
-holds one (unmarked, marked) pair per lane, and each gate acts on every lane
-at once. Its gates are counted and norm-checked like a StateVector's and
-refuse any register or table but its own; a single table's state gives an
-outcome distribution over every register value, now or at any earlier
-(unmarked, marked) amplitude pair it held.
+so the amplitudes are real Python floats. Its gates are counted and
+norm-checked like a StateVector's and refuse any register or table but its
+own; it gives an outcome distribution over every register value, now or at
+any earlier (unmarked, marked) amplitude pair it held. The counting ladder
+runs the same step on a stack of tables as one lane recurrence of its own
+(``quantum_counting.grover_ladder``).
 """
 
 from __future__ import annotations
@@ -387,28 +387,17 @@ class StateVector:
 
 
 class ClassState:
-    """A register's uniform state under Grover steps, one amplitude per class.
-
-    ``marked`` is one table over the register's values, or an (L, 2**width)
-    stack of L tables: the state then holds L lanes, one per table, as float64
-    arrays of length L, and n_marked/n_unmarked are per-lane arrays.
-    """
+    """A register's uniform state under Grover steps over one marked table,
+    one Python-float amplitude per class."""
 
     def __init__(self, reg: Register, marked: np.ndarray):
-        if marked.shape[-1:] != (reg.size,) or marked.ndim > 2:
+        if marked.shape != (reg.size,):
             raise ValueError("predicate table length must be 2**width")
         self.reg, self.marked = reg, marked
-        self.lanes = len(marked) if marked.ndim == 2 else None
-        amp = 1.0 / math.sqrt(reg.size)
-        if self.lanes is None:
-            self.n_marked = int(np.count_nonzero(marked))
-            # Python floats: numpy's per-call cost would dominate at two amplitudes
-            self.amp_unmarked = self.amp_marked = amp
-        else:
-            # float64 counts (exact below 2**53): the per-gate products need no cast
-            self.n_marked = np.count_nonzero(marked, axis=1).astype(np.float64)
-            self.amp_unmarked, self.amp_marked = np.full(self.lanes, amp), np.full(self.lanes, amp)
+        self.n_marked = int(np.count_nonzero(marked))
         self.n_unmarked = reg.size - self.n_marked
+        # Python floats: numpy's per-call cost would dominate at two amplitudes
+        self.amp_unmarked = self.amp_marked = 1.0 / math.sqrt(reg.size)
         self.counters = GateCounters()
 
     def _check(self, reg: Register, table=None):
@@ -416,8 +405,8 @@ class ClassState:
                 or (table is not None and table is not self.marked)):
             raise ValueError("a class state takes only its own register and table")
 
-    def norm_squared(self):
-        """The weighted norm, per lane for a stack."""
+    def norm_squared(self) -> float:
+        """The weighted norm."""
         return (self.n_unmarked * (self.amp_unmarked * self.amp_unmarked)
                 + self.n_marked * (self.amp_marked * self.amp_marked))
 
@@ -443,7 +432,5 @@ class ClassState:
     def probabilities(self, amps: tuple[float, float] | None = None) -> np.ndarray:
         """Outcome distribution over all 2**width register values, of the state
         now or of an (unmarked, marked) amplitude pair it held earlier."""
-        if self.lanes is not None:
-            raise ValueError("a lane stack has one outcome distribution per lane")
         unmarked, marked = (self.amp_unmarked, self.amp_marked) if amps is None else amps
         return np.where(self.marked, marked * marked, unmarked * unmarked)

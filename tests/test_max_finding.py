@@ -559,7 +559,7 @@ def test_quantum_counter_memoizes(planted):
 
 
 class _RecordingCounter:
-    """Forwards to a counter and records the subkey of every count call."""
+    """Forwards to a counter and records every count and count_all call."""
 
     def __init__(self, inner):
         self.inner, self.calls = inner, []
@@ -569,11 +569,15 @@ class _RecordingCounter:
         self.calls.append(x)
         return self.inner.count(x)
 
+    def count_all(self, K):
+        self.calls.append(("all", K))
+        return self.inner.count_all(K)
+
 
 @pytest.mark.parametrize("kind", ["exact", "quantum"])
 def test_one_count_vector_per_run(kind, planted):
-    # the threshold's count, then every candidate's in ascending order; no
-    # count after that, however many passes the run makes
+    # the threshold's count, then every candidate's in ascending order in one
+    # count_all; no count after that, however many passes the run makes
     _, _, _, ctx = planted
     for trial in range(10):
         rng = _rng(41, trial)
@@ -582,7 +586,38 @@ def test_one_count_vector_per_run(kind, planted):
         counter = _RecordingCounter(inner)
         res = find_max_subkey(counter, 4, MaxFindingConfig(4), rng)
         assert res.loop_iterations > 1
-        assert counter.calls == [res.threshold.history[0][0], *range(16)]
+        y = res.threshold.history[0][0]
+        assert counter.calls == [y, ("all", 16)]
+        # the estimates were drawn (a quantum counter's in its demand order)
+        assert list(inner.estimates) == [y, *(x for x in range(16) if x != y)]
+
+
+@pytest.mark.parametrize("kind", ["exact", "quantum"])
+def test_count_all_hands_over_the_first_k_counts(kind, planted):
+    # count_all(K) is count(x) for x = 0..K-1 as one int64 array, draws what
+    # those calls draw, and is the caller's to keep
+    _, _, _, ctx = planted
+    params = CountingParams.default(6)
+
+    def make():
+        return (ExactCounter([5, 0, 3, 9, 1, 1, 2, 7, 4, 6, 8, 0, 2, 3, 5, 1]) if kind == "exact"
+                else QuantumCounter(ctx, params, _rng(43)))
+
+    one_by_one, at_once = make(), make()
+    one_by_one.count(11)
+    at_once.count(11)
+    expected = [one_by_one.count(x) for x in range(16)]
+    counts = at_once.count_all(16)
+    assert counts.dtype == np.int64 and counts.tolist() == expected
+    assert list(at_once.estimates.items()) == list(one_by_one.estimates.items())
+    assert at_once.count_all(4).tolist() == expected[:4]
+    counts[:] = -1
+    assert at_once.count_all(16).tolist() == expected
+    if kind == "exact":
+        with pytest.raises(IndexError):
+            make().count_all(17)
+    else:
+        assert at_once.rng.bit_generator.state == one_by_one.rng.bit_generator.state
 
 
 def test_per_loop_step_accounting(planted):

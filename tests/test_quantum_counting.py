@@ -282,36 +282,48 @@ def test_class_state_equals_the_full_state_after_every_step(n, steps, data):
     # and a full marked class included. The full diffusion sums 2N amplitudes
     # pairwise, the class form two products, so they may part by about a
     # rounding per step: 1e-15 plus two ulps per step (4000 random tables
-    # over 64 steps reached at most 0.82 of 1e-15 plus one ulp per step).
-    # The lane form runs on a two-lane stack, the table and its complement,
-    # each lane against a full vector of its own table
+    # over 64 steps reached at most 0.82 of 1e-15 plus one ulp per step)
     reg = Register("index", 0, n + 1)
     marked = np.array(data.draw(st.one_of(
         st.sampled_from([[False] * reg.size, [True] * reg.size]),
         st.lists(st.booleans(), min_size=reg.size, max_size=reg.size))))
     full, cls = StateVector.uniform(reg.width), ClassState(reg, marked)
-    stack = np.array([marked, ~marked])
-    fulls, lanes = [full, StateVector.uniform(reg.width)], ClassState(reg, stack)
     for step in range(1, steps + 1):
         grover_iteration(full, reg, marked)
         grover_iteration(cls, reg, marked)
-        grover_iteration(fulls[1], reg, stack[1])
-        grover_iteration(lanes, reg, stack)
         tol = 1e-15 + 2 * step * np.finfo(float).eps
         np.testing.assert_allclose(full.amps[marked], cls.amp_marked, rtol=0, atol=tol)
         np.testing.assert_allclose(full.amps[~marked], cls.amp_unmarked, rtol=0, atol=tol)
         np.testing.assert_allclose(cls.probabilities(), full.probabilities(reg),
                                    rtol=0, atol=tol)
-        for lane, (state, table) in enumerate(zip(fulls, stack)):
-            np.testing.assert_allclose(state.amps[table], lanes.amp_marked[lane],
-                                       rtol=0, atol=tol)
-            np.testing.assert_allclose(state.amps[~table], lanes.amp_unmarked[lane],
-                                       rtol=0, atol=tol)
-        # lane 0 makes the single-table form's float operations
-        assert (lanes.amp_unmarked[0], lanes.amp_marked[0]) == (cls.amp_unmarked,
-                                                                cls.amp_marked)
-    assert cls.counters == full.counters == lanes.counters
+    assert cls.counters == full.counters
     assert cls.counters.oracle_calls == cls.counters.diffusion_calls == steps
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5), m=st.integers(1, 6), lanes=st.integers(1, 40), data=st.data())
+def test_ladder_records_the_class_state_bit_for_bit(n, m, lanes, data):
+    # row b of lane i of the record is the scalar ClassState of table i after
+    # b Grover steps, to the bit (signed zeros included), on random stacks
+    # with an empty and a full row; t = m + 3 reaches 9
+    params = CountingParams(n, m, 0.1)
+    reg = Register("index", 0, n + 1)
+    space = reg.size
+    rows = [[False] * space, [True] * space][:lanes]
+    rows += [data.draw(st.lists(st.booleans(), min_size=space, max_size=space))
+             for _ in range(lanes - len(rows))]
+    tables = np.array(rows)
+    ladder = grover_ladder(tables, params)
+    T = 1 << params.phase_bits
+    assert ladder.amps.shape == (T, 2, lanes) and ladder.g_gates == T - 1
+    for i, table in enumerate(tables):
+        state = ClassState(reg, table)
+        assert ladder.n_marked[i] == state.n_marked
+        powers = [(state.amp_unmarked, state.amp_marked)]
+        for _ in range(T - 1):
+            grover_iteration(state, reg, table)
+            powers.append((state.amp_unmarked, state.amp_marked))
+        assert np.array(powers).tobytes() == ladder.amps[:, :, i].copy().tobytes()
 
 
 def test_class_state_refuses_other_registers_and_tables():
@@ -330,8 +342,10 @@ def test_class_state_refuses_other_registers_and_tables():
             state.apply_phase_oracle(reg, table)
     assert state.counters == GateCounters()
     assert state.amp_marked == state.amp_unmarked == 1 / math.sqrt(8)
-    with pytest.raises(ValueError, match="2\\*\\*width"):
-        ClassState(reg, np.zeros(16, dtype=bool))
+    # one table of the register's size: a stack of tables is the ladder's
+    for table in (np.zeros(16, dtype=bool), np.zeros((2, 8), dtype=bool)):
+        with pytest.raises(ValueError, match="2\\*\\*width"):
+            ClassState(reg, table)
 
 
 def test_class_state_gates_check_the_weighted_norm():
@@ -352,10 +366,11 @@ def test_gate_counts_are_observed_not_computed(monkeypatch, planted):
     # the reported counts equal the G steps and Fourier gates actually applied;
     # a gate method call on a lane stack applies its gate once to every lane
     applied = {"g": 0, "qft": 0, "calls": 0}
+    step = quantum_counting._lane_grover_step
 
     def counting_g(*args):
         applied["g"] += 1
-        grover_iteration(*args)
+        step(*args)
 
     def counting_gate(name):
         gate = getattr(StateVector, name)
@@ -366,7 +381,7 @@ def test_gate_counts_are_observed_not_computed(monkeypatch, planted):
             gate(self, *args)
         return wrapper
 
-    monkeypatch.setattr(quantum_counting, "grover_iteration", counting_g)
+    monkeypatch.setattr(quantum_counting, "_lane_grover_step", counting_g)
     for name in ("_hadamard", "_controlled_phase", "_swap"):
         monkeypatch.setattr(StateVector, name, counting_gate(name))
     params = CountingParams.default(5)
@@ -400,7 +415,7 @@ def test_gate_counts_are_observed_not_computed(monkeypatch, planted):
 def test_width_is_checked_before_the_ladder(monkeypatch):
     # t = 17: 256 lanes make the record t+1+8 = 26 qubits, refused before any G step
     steps = []
-    monkeypatch.setattr(quantum_counting, "grover_iteration",
+    monkeypatch.setattr(quantum_counting, "_lane_grover_step",
                         lambda *args: steps.append(args))
     params = CountingParams(1, 14, 0.1)
     assert params.phase_bits == 17
@@ -619,33 +634,42 @@ def test_ladder_takes_only_a_stack():
     assert ladder.n_marked.tolist() == [0]
 
 
-def test_lane_class_state_refuses_other_registers_tables_and_drift():
-    reg = Register("index", 0, 3)
-    stack = np.zeros((4, 8), dtype=bool)
-    stack[1, [2, 5]] = stack[2, :] = stack[3, 6] = True
-    state = ClassState(reg, stack)
-    assert state.lanes == 4
-    assert list(state.n_marked) == [0, 2, 8, 1]
-    for other in (Register("index", 0, 4), Register("other", 0, 3)):
-        with pytest.raises(ValueError, match="own register and table"):
-            state.apply_phase_oracle(other, stack)
-        with pytest.raises(ValueError, match="own register and table"):
-            state.apply_diffusion(other)
-    # a row of the stack, or an equal copy of it, is another table
-    for table in (stack[1], stack.copy()):
-        with pytest.raises(ValueError, match="own register and table"):
-            state.apply_phase_oracle(reg, table)
-    with pytest.raises(ValueError, match="lane"):
-        state.probabilities()
-    assert state.counters == GateCounters()
-    with pytest.raises(ValueError, match="2\\*\\*width"):
-        ClassState(reg, np.zeros((4, 16), dtype=bool))
-    # one lane nudged off the unit sphere fails the next gate; the others are fine
-    grover_iteration(state, reg, stack)
-    state.amp_marked[3] *= 1.01
+@pytest.mark.parametrize("step, lane, amp, fault", [
+    (1, 3, "unmarked", 1.01), (5, 0, "unmarked", 1.01), (15, 4095, "unmarked", 1.01),
+    (8, 1, "marked", 1.01), (15, 7, "marked", np.nan), (2, 1, "unmarked", np.nan)])
+def test_ladder_refuses_a_lane_off_the_unit_sphere(monkeypatch, step, lane, amp, fault):
+    # a step that leaves one lane's class amplitude 1% off (outside NORM_TOL)
+    # or NaN fails the ladder before it returns, whichever power it is: 4096
+    # lanes of t = 4 check the 16 powers in four chunks of four rows, and
+    # power 15 sits in the last one. Lanes 0, 3 and 4095 mark nothing, lane 1
+    # one index, lane 7 all four. A counted table draws nothing first.
+    tables = np.zeros((4096, 4), dtype=bool)
+    tables[1::3, 1] = tables[2::5] = True
+    params = CountingParams(1, 1, 0.1)
+    assert params.phase_bits == 4 and quantum_counting.LANE_BLOCK_AMPS // 4096 == 4
+    real_step = quantum_counting._lane_grover_step
+    applied, at = [], {"lane": lane}
+
+    def faulty_step(*args):
+        real_step(*args)
+        applied.append(None)
+        if len(applied) == step:   # args: n_u, n_m, scale, u, m, u_out, m_out, ...
+            args[5 if amp == "unmarked" else 6][at["lane"]] *= fault
+
+    monkeypatch.setattr(quantum_counting, "_lane_grover_step", faulty_step)
     with pytest.raises(CorruptedStateError, match="norm drift"):
-        grover_iteration(state, reg, stack)
-    assert state.counters.oracle_calls == 2 and state.counters.diffusion_calls == 1
+        grover_ladder(tables, params)
+    assert len(applied) == 15
+    rng = _rng(3)
+    state = rng.bit_generator.state
+    applied.clear()
+    at["lane"] = 0   # the table's one lane
+    with pytest.raises(CorruptedStateError, match="norm drift"):
+        count_marked(tables[lane], params, rng)
+    assert rng.bit_generator.state == state
+    # the same stack through the unpatched step passes
+    monkeypatch.setattr(quantum_counting, "_lane_grover_step", real_step)
+    assert grover_ladder(tables, params).g_gates == 15
 
 
 # ---- coherent cross-check ------------------------------------------------------

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +23,19 @@ def test_peak_rss_wrapper(limit, code, status):
     out = _run(limit, code)
     assert out.returncode == status
     assert f"(limit {limit} MiB)" in out.stdout
+
+
+PROFILE_TRIAL = PEAK_RSS.parent / "profile_trial.py"
+
+
+def test_profile_trial_reports_the_ladder():
+    src = str(PEAK_RSS.parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, str(PROFILE_TRIAL), "--trials", "2", "--top", "40"],
+                         capture_output=True, text=True, timeout=120, env=env)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0].startswith("total ") and "tottime" in lines[1]
+    assert len(lines) == 2 + 40
+    assert any("(grover_ladder)" in line for line in lines[2:])

@@ -12,11 +12,13 @@ the rest in ascending order. Every pass marks against it, so the marking
 function f(x, y) is fixed during one run and accepted thresholds increase strictly.
 
 A pass's marked table is fixed for its whole search, so each Grover power
-G^j|u> is a fixed state: the search takes each step once, on one two-class
-state per pass, and keeps each power's two class amplitudes for every round
-that draws it, and each power's outcome CDF once. Each round is still
-charged its own j steps. A pass that marks nothing (the threshold is already
-the maximum) builds no outcome distribution: every round fails, so the pass
+G^j|u> is a fixed state: two real class amplitudes, over the marked and the
+unmarked subkeys (Boyer-Brassard-Hoyer-Tapp, quant-ph/9605034), stepped by the
+counting ladder's recurrence. The search takes each step once per pass, keeps
+each power's amplitudes for every round that draws it, and builds each
+power's outcome CDF once. Each round is still charged its own j steps. A
+pass that marks nothing (the threshold is already the maximum) computes no
+power and builds no outcome distribution: every round fails, so the pass
 replays all its rounds' draws in one generator call and charges the rounds
 the budget admits in one ``try_charge``. The generator ends where the
 round-by-round loop leaves it, because an array of inclusive uint64 bounds
@@ -41,8 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quantum_counting import (CountEstimate, CountingParams, Ladder, PhaseBlock, count_marked,
-                               grover_iteration, grover_ladder, lane_block_size, phase_block)
-from .statevector import ClassState, Register, draw_from_cdf, outcome_cdf
+                               grover_ladder, lane_block_size, phase_block)
+from .statevector import _assert_unit_norm, draw_from_cdf, outcome_cdf
 from .toy_cipher import AttackContext
 
 SEARCH_GROWTH_FACTOR = 6.0 / 5.0
@@ -204,6 +206,18 @@ def _round_plan(subkey_bits: int) -> tuple[tuple[int, ...], np.ndarray]:
     return tuple(ranges), bounds
 
 
+def _class_grover_step(n_unmarked: int, n_marked: int, scale: float,
+                       u: float, m: float) -> tuple[float, float]:
+    """One G step on a table's (unmarked, marked) class amplitudes, with
+    ``scale`` = 2/K: ``quantum_counting._lane_grover_step`` on Python floats,
+    bit for bit. The weighted norm of the result is checked against NORM_TOL
+    (NaN refused)."""
+    total = (n_unmarked * u - n_marked * m) * scale
+    u, m = total - u, total + m
+    _assert_unit_norm(n_unmarked * (u * u) + n_marked * (m * m))
+    return u, m
+
+
 def grover_search_marked(marked, subkey_bits: int,
                          rng: np.random.Generator,
                          budget: SearchBudget | None = None) -> SearchOutcome:
@@ -216,21 +230,24 @@ def grover_search_marked(marked, subkey_bits: int,
     plus one step for the query that verifies the measured item as search
     steps. Returns the found marked item or None.
 
-    One ClassState takes each Grover step once per call, the first time a
-    round draws j or more; the class amplitudes of G^j|u> serve every round
-    that draws j. Each round draws j with ``rng.integers(0, range)`` and
-    places one ``rng.random()`` in G^j|u>'s outcome CDF, built once per j.
+    Each Grover step is taken once per call on the two class amplitudes, the
+    first time a round draws j or more, and its result's weighted norm is
+    checked before any CDF is built from it; the amplitudes of G^j|u> serve
+    every round that draws j. Each round draws j with
+    ``rng.integers(0, range)`` and places one ``rng.random()`` in G^j|u>'s
+    outcome CDF, built once per j.
 
-    A table that marks nothing builds no CDF: every outcome fails, so the
-    pass only replays its draws. One ``rng.integers`` call over the round
-    plan's interleaved bounds draws every round's j and, with bound 2**64 - 1,
-    takes the words its discarded uniform would. The budget admits the
-    longest prefix of rounds whose costs fit; when it refuses a round, the
-    generator is rewound and redraws the admitted rounds plus the refused
-    round's j, as the round-by-round loop leaves it. The admitted rounds are
-    charged in one ``try_charge``. This relies on two generator facts,
-    pinned in the tests: an array of bounds draws element by element as the
-    scalar calls do, and one 64-bit word is what ``random()`` takes.
+    A table that marks nothing computes no power and builds no CDF: every
+    outcome fails, so the pass only replays its draws. One ``rng.integers``
+    call over the round plan's interleaved bounds draws every round's j and,
+    with bound 2**64 - 1, takes the words its discarded uniform would. The
+    budget admits the longest prefix of rounds whose costs fit; when it
+    refuses a round, the generator is rewound and redraws the admitted rounds
+    plus the refused round's j, as the round-by-round loop leaves it. The
+    admitted rounds are charged in one ``try_charge``. This relies on two
+    generator facts, pinned in the tests: an array of bounds draws element by
+    element as the scalar calls do, and one 64-bit word is what ``random()``
+    takes.
     """
     if subkey_bits < 1:
         raise ValueError("search needs at least one subkey bit")
@@ -239,9 +256,8 @@ def grover_search_marked(marked, subkey_bits: int,
     if marked.size != K:
         raise ValueError("marked table size must be 2**subkey_bits")
     ranges, bounds = _round_plan(subkey_bits)
-    reg = Register("subkey", 0, subkey_bits)
-    state = ClassState(reg, marked)
-    if not state.n_marked:
+    n_marked = int(np.count_nonzero(marked))
+    if not n_marked:
         saved = rng.bit_generator.state
         js = rng.integers(0, bounds, dtype=np.uint64, endpoint=True)[::2].astype(np.int64)
         rounds = len(ranges)
@@ -253,23 +269,24 @@ def grover_search_marked(marked, subkey_bits: int,
                 rng.integers(0, bounds[:2 * rounds + 1], dtype=np.uint64, endpoint=True)
                 js = js[:rounds]
             budget.try_charge(init=subkey_bits * rounds, search=int(js.sum()) + rounds)
-        for _ in range(int(js.max(initial=0))):
-            grover_iteration(state, reg, marked)
         return SearchOutcome(None, int(js.sum()), rounds)
 
+    n_unmarked, scale = K - n_marked, 2.0 / K
     iterations = 0
-    powers = [(state.amp_unmarked, state.amp_marked)]   # entry j: G^j|u>'s amplitudes
+    # entry j: G^j|u>'s (unmarked, marked) amplitudes, Python floats: numpy's
+    # per-call cost would dominate at two amplitudes
+    powers = [(1.0 / math.sqrt(K),) * 2]
     cdfs: dict[int, np.ndarray] = {}
     for measurements, j_range in enumerate(ranges):
         j = int(rng.integers(0, j_range))
         if budget is not None and not budget.try_charge(init=subkey_bits, search=j + 1):
             return SearchOutcome(None, iterations, measurements)
         while len(powers) <= j:
-            grover_iteration(state, reg, marked)
-            powers.append((state.amp_unmarked, state.amp_marked))
+            powers.append(_class_grover_step(n_unmarked, n_marked, scale, *powers[-1]))
         iterations += j
         if (cdf := cdfs.get(j)) is None:
-            cdf = cdfs[j] = outcome_cdf(state.probabilities(powers[j]))
+            u, m = powers[j]
+            cdf = cdfs[j] = outcome_cdf(np.where(marked, m * m, u * u))
         if marked[outcome := draw_from_cdf(cdf, rng)]:
             return SearchOutcome(outcome, iterations, measurements + 1)
     return SearchOutcome(None, iterations, len(ranges))

@@ -15,11 +15,14 @@ acts on the index register alone, so the state after the ladder is
 sum_b |b> (x) G^b|psi0> / sqrt(2**t). G keeps the uniform start inside the
 span of |u_M> and |u_U>, the uniform states over the M marked and the 2N - M
 unmarked indices (Brassard-Hoyer-Mosca-Tapp, quant-ph/0005055), so the index
-register is two real class amplitudes per table, as in a ``ClassState``.
+register is two real class amplitudes per table, u and m. G on them is one
+two-number recurrence: total = (n_u*u - n_m*m)*2/(2N), u' = total - u,
+m' = total + m, the oracle then the diffusion of the full state reduced to
+two classes. The max-finding search steps its subkey register with the same
+formula on Python floats (``max_finding._class_grover_step``).
 ``grover_ladder`` takes an (L, 2N) stack of tables and runs G 2**t - 1 times
-on all L lanes at once as one lane recurrence: six in-place array operations
-per step, bit for bit the scalar ``ClassState``'s oracle and diffusion, each
-step applied to every lane and counted once. Row b of its (T, 2, L) record
+on all L lanes at once: six in-place array operations per step, each step
+applied to every lane and counted once. Row b of its (T, 2, L) record
 holds each lane's class amplitudes u_b, m_b of G^b|psi0>, and the weighted
 norm of every row of every lane is checked before the ladder returns.
 
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevector import (DEFAULT_MAX_QUBITS, ClassState, Register, RegisterMap, StateVector,
+from .statevector import (DEFAULT_MAX_QUBITS, Register, RegisterMap, StateVector,
                           _assert_unit_norm, draw_outcome)
 from .toy_cipher import AttackContext
 
@@ -135,8 +138,9 @@ class CountEstimate:
         return self.init_steps + self.g_gate_count + self.qft_gate_count
 
 
-def grover_iteration(state: StateVector | ClassState, reg: Register, marked: np.ndarray) -> None:
-    """One Grover step on the index register: phase oracle, then diffusion."""
+def grover_iteration(state: StateVector, reg: Register, marked: np.ndarray) -> None:
+    """One Grover step on a register of the full state: phase oracle, then
+    diffusion. The reference the two-class recurrences are tested against."""
     state.apply_phase_oracle(reg, marked)
     state.apply_diffusion(reg)
 
@@ -172,10 +176,13 @@ def _lane_grover_step(n_unmarked: np.ndarray, n_marked: np.ndarray, scale: float
                       u: np.ndarray, m: np.ndarray, u_out: np.ndarray, m_out: np.ndarray,
                       tu: np.ndarray, tm: np.ndarray) -> None:
     """One G step on every lane's class amplitudes (u, m), written to (u_out,
-    m_out) through the scratch buffers tu, tm. Bit for bit the oracle then the
-    diffusion of the scalar ``ClassState``: total = (n_u*u + n_m*(-m))*scale,
-    u' = total - u, m' = total - (-m), as n_m*(-m) = -(n_m*m), a + (-b) = a - b
-    and t - (-m) = t + m hold exactly in IEEE arithmetic."""
+    m_out) through the scratch buffers tu, tm: total = (n_u*u - n_m*m)*scale,
+    u' = total - u, m' = total + m. It is bit for bit the oracle (m -> -m) then
+    the diffusion, total = (n_u*u + n_m*(-m))*scale, u' = total - u,
+    m' = total - (-m), as n_m*(-m) = -(n_m*m), a + (-b) = a - b and
+    t - (-m) = t + m hold exactly in IEEE arithmetic; the search's
+    ``max_finding._class_grover_step`` is the same formula on one table's
+    Python floats."""
     np.multiply(n_unmarked, u, out=tu)
     np.multiply(n_marked, m, out=tm)
     np.subtract(tu, tm, out=tu)

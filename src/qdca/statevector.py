@@ -28,16 +28,11 @@ for a probability vector, without its per-call argument checks: it builds the
 normalized CDF (``outcome_cdf``) and places one uniform in it
 (``draw_from_cdf``).
 
-A ClassState holds a register under Grover steps over one marked table as
-one amplitude per class: the phase oracle and the diffusion keep the uniform
-start in the span of |u_M> and |u_U>, the uniform states over the marked and
-the unmarked values (Boyer-Brassard-Hoyer-Tapp, quant-ph/9605034). G is real,
-so the amplitudes are real Python floats. Its gates are counted and
-norm-checked like a StateVector's and refuse any register or table but its
-own; it gives an outcome distribution over every register value, now or at
-any earlier (unmarked, marked) amplitude pair it held. The counting ladder
-runs the same step on a stack of tables as one lane recurrence of its own
-(``quantum_counting.grover_ladder``).
+The attack's Grover steps do not run here: they keep the uniform start in
+the span of two classes, so the counting ladder and the search step two
+real class amplitudes per table (``quantum_counting.grover_ladder``,
+``max_finding.grover_search_marked``). A StateVector is the full-state
+reference those recurrences are tested against.
 """
 
 from __future__ import annotations
@@ -385,52 +380,3 @@ class StateVector:
         self._assert_norm()
         return outcome
 
-
-class ClassState:
-    """A register's uniform state under Grover steps over one marked table,
-    one Python-float amplitude per class."""
-
-    def __init__(self, reg: Register, marked: np.ndarray):
-        if marked.shape != (reg.size,):
-            raise ValueError("predicate table length must be 2**width")
-        self.reg, self.marked = reg, marked
-        self.n_marked = int(np.count_nonzero(marked))
-        self.n_unmarked = reg.size - self.n_marked
-        # Python floats: numpy's per-call cost would dominate at two amplitudes
-        self.amp_unmarked = self.amp_marked = 1.0 / math.sqrt(reg.size)
-        self.counters = GateCounters()
-
-    def _check(self, reg: Register, table=None):
-        if ((reg is not self.reg and reg != self.reg)
-                or (table is not None and table is not self.marked)):
-            raise ValueError("a class state takes only its own register and table")
-
-    def norm_squared(self) -> float:
-        """The weighted norm."""
-        return (self.n_unmarked * (self.amp_unmarked * self.amp_unmarked)
-                + self.n_marked * (self.amp_marked * self.amp_marked))
-
-    def _assert_norm(self):
-        _assert_unit_norm(self.norm_squared())
-
-    def apply_phase_oracle(self, reg: Register, table: np.ndarray):
-        """Negate the marked class; ``table`` must be the state's own."""
-        self._check(reg, table)
-        self.amp_marked = -self.amp_marked
-        self.counters.oracle_calls += 1
-        self._assert_norm()
-
-    def apply_diffusion(self, reg: Register):
-        """2|u><u| - I, in the operation order of StateVector's."""
-        self._check(reg)
-        total = (self.n_unmarked * self.amp_unmarked
-                 + self.n_marked * self.amp_marked) * (2.0 / reg.size)
-        self.amp_unmarked, self.amp_marked = total - self.amp_unmarked, total - self.amp_marked
-        self.counters.diffusion_calls += 1
-        self._assert_norm()
-
-    def probabilities(self, amps: tuple[float, float] | None = None) -> np.ndarray:
-        """Outcome distribution over all 2**width register values, of the state
-        now or of an (unmarked, marked) amplitude pair it held earlier."""
-        unmarked, marked = (self.amp_unmarked, self.amp_marked) if amps is None else amps
-        return np.where(self.marked, marked * marked, unmarked * unmarked)

@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdca import max_finding
+from qdca import max_finding, quantum_counting
 from qdca.classical_dca import count_table
 from qdca.max_finding import (SEARCH_GROWTH_FACTOR, ExactCounter,
                               MaxFindingConfig, QuantumCounter, SearchBudget,
-                              SearchOutcome, StageSteps, ThresholdState, find_max_subkey,
-                              grover_search_marked)
+                              SearchOutcome, StageSteps, ThresholdState, _class_grover_step,
+                              find_max_subkey, grover_search_marked)
 from qdca.quantum_counting import (CountingParams, count_marked,
                                    counting_distribution,
                                    estimate_from_outcome, grover_iteration)
-from qdca.statevector import ClassState, Register, StateVector, draw_outcome
+from qdca.statevector import Register, StateVector, draw_outcome
 from qdca.toy_cipher import true_subkey
 
 
@@ -179,19 +179,18 @@ def _search_drawing_every_round(marked, subkey_bits, rng, budget=None):
     distributions: every round builds its outcome distribution and draws."""
     K = 1 << subkey_bits
     iterations = measurements = 0
-    reg = Register("subkey", 0, subkey_bits)
-    state = ClassState(reg, marked)
-    powers = [(state.amp_unmarked, state.amp_marked)]
+    n_marked = int(np.count_nonzero(marked))
+    powers = [(1 / math.sqrt(K),) * 2]
     m_cap = 1.0
     while measurements < 4 * math.ceil(4.5 * math.sqrt(K)):
         j = int(rng.integers(0, max(1, int(m_cap))))
         if budget is not None and not budget.try_charge(init=subkey_bits, search=j + 1):
             break
         while len(powers) <= j:
-            grover_iteration(state, reg, marked)
-            powers.append((state.amp_unmarked, state.amp_marked))
+            powers.append(_class_grover_step(K - n_marked, n_marked, 2.0 / K, *powers[-1]))
         iterations += j
-        outcome = draw_outcome(state.probabilities(powers[j]), rng)
+        u, m = powers[j]
+        outcome = draw_outcome(np.where(marked, m * m, u * u), rng)
         measurements += 1
         if marked[outcome]:
             return SearchOutcome(outcome, iterations, measurements)
@@ -369,59 +368,75 @@ def test_find_max_subkey_equals_the_per_round_search(monkeypatch, k):
         assert any(row["y_prime"] is None for row in runs[0][0])
 
 
+def _counted_steps(monkeypatch):
+    """Patch the search's Grover step to record each call; returns the record."""
+    calls = []
+    step = max_finding._class_grover_step
+
+    def counted(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(max_finding, "_class_grover_step", counted)
+    return calls
+
+
 @pytest.mark.parametrize("k, marked_items", [(4, []), (6, [9]), (8, [3, 200])])
 def test_one_search_applies_each_grover_step_once(monkeypatch, k, marked_items):
-    # one ClassState per call, taken through max(j) counted Grover steps,
-    # while each round is still charged its own j
-    states = []
-
-    class Recorded(ClassState):
-        def __init__(self, *args):
-            super().__init__(*args)
-            states.append(self)
-
-    monkeypatch.setattr(max_finding, "ClassState", Recorded)
+    # a marking pass takes max(j) Grover steps over the rounds it ran, an
+    # empty pass none, while each round is still charged its own j
+    calls = _counted_steps(monkeypatch)
     marked = np.zeros(1 << k, dtype=bool)
     marked[marked_items] = True
     for seed in range(5):
-        states.clear()
+        calls.clear()
         draws = []
         expected = _full_vector_search(marked, k, _rng(4, seed), draws)
         budget = SearchBudget(1, 10**6)
         out = grover_search_marked(marked, k, _rng(4, seed), budget)
         assert out == expected
-        assert len(states) == 1
-        assert states[0].counters.oracle_calls == states[0].counters.diffusion_calls == max(draws)
+        assert len(calls) == (max(draws) if marked_items else 0)
         assert out.iterations == sum(draws)
         assert budget.stages == StageSteps(init=k * len(draws), search=sum(draws) + len(draws))
 
 
 def test_search_memory_does_not_grow_with_the_rounds(monkeypatch):
-    # a pass that finds nothing draws j up to about sqrt(K); its peak memory
-    # stays a few K-entry arrays, not one outcome distribution per power
-    states = []
-
-    class Recorded(ClassState):
-        def __init__(self, *args):
-            super().__init__(*args)
-            states.append(self)
-
-    monkeypatch.setattr(max_finding, "ClassState", Recorded)
+    # a pass that finds nothing draws j up to about sqrt(K), yet takes no
+    # Grover step; its peak memory stays a few K-entry arrays, not one
+    # outcome distribution per power it drew
+    calls = _counted_steps(monkeypatch)
     k = 12
     K = 1 << k
     marked = np.zeros(K, dtype=bool)
     grover_search_marked(marked, k, _rng(5))   # first-call allocations are not the search's
-    states.clear()
     tracemalloc.start()
     try:
         out = grover_search_marked(marked, k, _rng(6))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out.found is None
-    powers = states[0].counters.oracle_calls
-    assert powers >= 32
-    assert peak < 8 * K * 8 < powers * K * 8
+    assert out.found is None and calls == []
+    costs, _ = _round_costs(k, _rng(6))
+    largest_j = max(costs) - k - 1
+    assert largest_j >= 32
+    assert peak < 8 * K * 8 < largest_j * K * 8
+
+
+def test_search_stays_out_of_the_counting_layer(monkeypatch):
+    # neither the full-state Grover step nor a StateVector gate runs in a
+    # search, with a marking table or in a whole threshold loop
+    def refused(*args):
+        raise AssertionError("the search ran a full-state Grover step")
+
+    monkeypatch.setattr(quantum_counting, "grover_iteration", refused)
+    monkeypatch.setattr(StateVector, "apply_phase_oracle", refused)
+    assert not hasattr(max_finding, "grover_iteration")
+    marked = np.zeros(256, dtype=bool)
+    marked[[3, 200]] = True
+    out = grover_search_marked(marked, 8, _rng(13))
+    assert out.found in (3, 200) and out.iterations > 0
+    res = find_max_subkey(ExactCounter(_exact_counts(8, 0)), 8, MaxFindingConfig(4), _rng(14))
+    assert any(row["accepted"] for row in res.trace) and res.budget.stages.search > 0
 
 
 # ---- budget ---------------------------------------------------------------------
@@ -492,6 +507,20 @@ def test_single_candidate_refused_before_any_count(planted):
     budget = SearchBudget(confidence=1, expected_steps=100)
     with pytest.raises(ValueError, match="at least one subkey bit"):
         grover_search_marked(np.ones(1, dtype=bool), 0, rng, budget)
+    assert budget.spent == 0
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("size", [0, 1, 8, 15, 17, 32])
+def test_search_refuses_a_table_that_is_not_2_to_the_k(size):
+    # k = 4 takes 16 entries only, an empty and a full table alike; nothing is
+    # drawn or charged
+    rng = _rng(15)
+    state = rng.bit_generator.state
+    budget = SearchBudget(confidence=1, expected_steps=100)
+    for fill in (False, True):
+        with pytest.raises(ValueError, match="2\\*\\*subkey_bits"):
+            grover_search_marked(np.full(size, fill), 4, rng, budget)
     assert budget.spent == 0
     assert rng.bit_generator.state == state
 

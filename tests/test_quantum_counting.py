@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdca import quantum_counting
-from qdca.max_finding import QuantumCounter
+from qdca import max_finding, quantum_counting
+from qdca.max_finding import QuantumCounter, _class_grover_step, grover_search_marked
 from qdca.quantum_counting import (CountingParams, coherent_counting_distribution,
                                    count_marked, counting_distribution, counting_error_bound,
                                    estimate_from_outcome, grover_iteration, grover_ladder,
                                    lane_block_size, phase_block, profile_error_bound,
                                    qft_gate_budget, reference_counting_distribution)
-from qdca.statevector import (ClassState, CorruptedStateError, GateCounters, Register,
-                              StateVector)
+from qdca.statevector import CorruptedStateError, Register, StateVector
 from qdca.toy_cipher import (AttackContext, default_characteristic, gen_pairs,
                              make_characteristic, true_subkey)
 
@@ -275,6 +274,17 @@ def test_integer_table_counts_like_its_bool_twin():
     assert count_marked(table, params, _rng(9)) == count_marked(twin, params, _rng(9))
 
 
+def _class_powers(marked, steps):
+    """G^0|u> .. G^steps|u> of a table as the search's (unmarked, marked) class
+    amplitudes, each step taken by its helper."""
+    n_marked = int(np.count_nonzero(marked))
+    powers = [(1 / math.sqrt(marked.size),) * 2]
+    for _ in range(steps):
+        powers.append(_class_grover_step(marked.size - n_marked, n_marked,
+                                         2.0 / marked.size, *powers[-1]))
+    return powers
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 6), steps=st.integers(0, 64), data=st.data())
 def test_class_state_equals_the_full_state_after_every_step(n, steps, data):
@@ -287,28 +297,28 @@ def test_class_state_equals_the_full_state_after_every_step(n, steps, data):
     marked = np.array(data.draw(st.one_of(
         st.sampled_from([[False] * reg.size, [True] * reg.size]),
         st.lists(st.booleans(), min_size=reg.size, max_size=reg.size))))
-    full, cls = StateVector.uniform(reg.width), ClassState(reg, marked)
+    full = StateVector.uniform(reg.width)
+    powers = _class_powers(marked, steps)
     for step in range(1, steps + 1):
         grover_iteration(full, reg, marked)
-        grover_iteration(cls, reg, marked)
+        u, m = powers[step]
         tol = 1e-15 + 2 * step * np.finfo(float).eps
-        np.testing.assert_allclose(full.amps[marked], cls.amp_marked, rtol=0, atol=tol)
-        np.testing.assert_allclose(full.amps[~marked], cls.amp_unmarked, rtol=0, atol=tol)
-        np.testing.assert_allclose(cls.probabilities(), full.probabilities(reg),
+        np.testing.assert_allclose(full.amps[marked], m, rtol=0, atol=tol)
+        np.testing.assert_allclose(full.amps[~marked], u, rtol=0, atol=tol)
+        np.testing.assert_allclose(np.where(marked, m * m, u * u), full.probabilities(reg),
                                    rtol=0, atol=tol)
-    assert cls.counters == full.counters
-    assert cls.counters.oracle_calls == cls.counters.diffusion_calls == steps
+    assert full.counters.oracle_calls == full.counters.diffusion_calls == steps
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 5), m=st.integers(1, 6), lanes=st.integers(1, 40), data=st.data())
 def test_ladder_records_the_class_state_bit_for_bit(n, m, lanes, data):
-    # row b of lane i of the record is the scalar ClassState of table i after
-    # b Grover steps, to the bit (signed zeros included), on random stacks
-    # with an empty and a full row; t = m + 3 reaches 9
+    # row b of lane i of the record is the search's class amplitudes of table
+    # i after b Grover steps, to the bit (signed zeros included), on random
+    # stacks with an empty and a full row; t = m + 3 reaches 9. One formula
+    # serves both loops
     params = CountingParams(n, m, 0.1)
-    reg = Register("index", 0, n + 1)
-    space = reg.size
+    space = 2 << n
     rows = [[False] * space, [True] * space][:lanes]
     rows += [data.draw(st.lists(st.booleans(), min_size=space, max_size=space))
              for _ in range(lanes - len(rows))]
@@ -317,49 +327,35 @@ def test_ladder_records_the_class_state_bit_for_bit(n, m, lanes, data):
     T = 1 << params.phase_bits
     assert ladder.amps.shape == (T, 2, lanes) and ladder.g_gates == T - 1
     for i, table in enumerate(tables):
-        state = ClassState(reg, table)
-        assert ladder.n_marked[i] == state.n_marked
-        powers = [(state.amp_unmarked, state.amp_marked)]
-        for _ in range(T - 1):
-            grover_iteration(state, reg, table)
-            powers.append((state.amp_unmarked, state.amp_marked))
+        assert ladder.n_marked[i] == np.count_nonzero(table)
+        powers = _class_powers(table, T - 1)
         assert np.array(powers).tobytes() == ladder.amps[:, :, i].copy().tobytes()
 
 
-def test_class_state_refuses_other_registers_and_tables():
-    reg = Register("index", 0, 3)
-    marked = np.zeros(8, dtype=bool)
-    marked[[1, 6]] = True
-    state = ClassState(reg, marked)
-    for other in (Register("index", 0, 4), Register("other", 0, 3), Register("index", 1, 3)):
-        with pytest.raises(ValueError, match="own register and table"):
-            state.apply_phase_oracle(other, marked)
-        with pytest.raises(ValueError, match="own register and table"):
-            state.apply_diffusion(other)
-    # an equal copy is still another table: the form holds for its own only
-    for table in (marked.copy(), ~marked):
-        with pytest.raises(ValueError, match="own register and table"):
-            state.apply_phase_oracle(reg, table)
-    assert state.counters == GateCounters()
-    assert state.amp_marked == state.amp_unmarked == 1 / math.sqrt(8)
-    # one table of the register's size: a stack of tables is the ladder's
-    for table in (np.zeros(16, dtype=bool), np.zeros((2, 8), dtype=bool)):
-        with pytest.raises(ValueError, match="2\\*\\*width"):
-            ClassState(reg, table)
+def test_class_state_gates_check_the_weighted_norm(monkeypatch):
+    # a step fed an unmarked amplitude nudged by 1% (K - 1 = 255 unmarked
+    # values: weighted norm ~1.02) or a NaN fails its own norm check, and the
+    # search builds no CDF from the power it would have made
+    step = max_finding._class_grover_step
+    cdf = max_finding.outcome_cdf
+    marked = np.zeros(256, dtype=bool)
+    marked[7] = True
+    for corrupt in (lambda u: u * 1.01, lambda u: math.nan):
+        built = []
 
+        def corrupted(n_unmarked, n_marked, scale, u, m):
+            return step(n_unmarked, n_marked, scale, corrupt(u), m)
 
-def test_class_state_gates_check_the_weighted_norm():
-    reg = Register("index", 0, 3)
-    marked = np.zeros(8, dtype=bool)
-    marked[2] = True
-    state = ClassState(reg, marked)
-    state.amp_unmarked *= 1.01   # seven unmarked values: weighted norm ~1.012
-    with pytest.raises(CorruptedStateError, match="norm drift"):
-        grover_iteration(state, reg, marked)
-    state = ClassState(reg, marked)
-    state.amp_marked *= 1.01     # one marked value: ~1.0025, still outside 1e-9
-    with pytest.raises(CorruptedStateError, match="norm drift"):
-        state.apply_diffusion(reg)
+        def recorded(probs):
+            built.append(probs)
+            return cdf(probs)
+
+        monkeypatch.setattr(max_finding, "_class_grover_step", corrupted)
+        monkeypatch.setattr(max_finding, "outcome_cdf", recorded)
+        with pytest.raises(CorruptedStateError, match="norm drift"):
+            grover_search_marked(marked, 8, _rng(12))
+        # only G^0|u>'s uniform distribution, from the rounds before the first step
+        assert [np.ptp(probs) for probs in built] == [0.0]
 
 
 def test_gate_counts_are_observed_not_computed(monkeypatch, planted):

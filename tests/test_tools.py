@@ -18,11 +18,17 @@ def _run(limit_mib, code):
     (1024, "pass", 0),
     (32, "block = b'x' * (64 << 20)", 1),   # 64 MiB written: above the limit
     (1024, "raise SystemExit(3)", 3),        # the command's own failure wins
+    # a limit that is not a positive finite number: the usage, and the
+    # command (which would exit 3) never runs
+    *[(bad, "raise SystemExit(3)", 2) for bad in ("abc", "", "0", "-5", "nan", "inf")],
 ])
 def test_peak_rss_wrapper(limit, code, status):
     out = _run(limit, code)
     assert out.returncode == status
-    assert f"(limit {limit} MiB)" in out.stdout
+    if status == 2:
+        assert out.stdout == "" and "LIMIT_MIB COMMAND" in out.stderr
+    else:
+        assert f"(limit {limit} MiB)" in out.stdout
 
 
 PROFILE_TRIAL = PEAK_RSS.parent / "profile_trial.py"

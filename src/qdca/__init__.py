@@ -16,7 +16,7 @@ from .toy_cipher import (AttackContext, Characteristic, PairSet, ToyCipher,
 from .classical_dca import CountTable, classical_attack, count_table
 from .statevector import (CorruptedStateError, GateCounters, Register, RegisterMap,
                           StateVector, draw_outcome)
-from .quantum_counting import (CountEstimate, CountingParams,
+from .quantum_counting import (ClassLadders, CountEstimate, CountingParams,
                                coherent_counting_distribution,
                                counting_distribution, counting_error_bound,
                                grover_iteration, grover_ladder, profile_error_bound,

@@ -29,7 +29,7 @@ from . import toy_cipher
 from .classical_dca import classical_attack
 from .max_finding import (ExactCounter, MaxFindingConfig, MaxFindingResult,
                           QuantumCounter, find_max_subkey)
-from .quantum_counting import (CountEstimate, CountingParams, count_marked,
+from .quantum_counting import (ClassLadders, CountEstimate, CountingParams, count_marked,
                                counting_error_bound, default_accuracy_bits)
 from .statevector import DEFAULT_MAX_QUBITS
 from .toy_cipher import (NIBBLE_BITS, AttackContext, ToyCipher, ZeroProbabilityError,
@@ -48,7 +48,8 @@ class ConfigError(ValueError):
 class AttackConfig:
     """One run's settings, refused with ConfigError when built if unusable. The
     cipher, the characteristic document's (P', delta) and a fixed planted key's
-    instance are built once, for every trial."""
+    instance are built once, for every trial, and the counting ladder is
+    memoized by class size across its trials."""
 
     subkey_bits: int | None = None   # None: 4 per S-box that delta activates
     index_bits: int = 6
@@ -147,6 +148,12 @@ class AttackConfig:
         except ZeroProbabilityError as err:
             raise ConfigError(f"planted key {self.planted_key:#04x}: {err}") from err
 
+    @cached_property
+    def class_ladders(self) -> ClassLadders:
+        """The counting ladder memoized by class size, shared by every trial
+        of this config and by nothing else."""
+        return ClassLadders(self.counting_params())
+
     @classmethod
     def from_dict(cls, doc: dict) -> "AttackConfig":
         known = {f for f in cls.__dataclass_fields__}
@@ -215,7 +222,7 @@ def run_quantum_attack(config: AttackConfig, trial: int = 0,
     t0 = time.perf_counter()
     params = config.counting_params()
     rng = _trial_rng(config.master_seed, trial)
-    counter = QuantumCounter(ctx, params, rng)
+    counter = QuantumCounter(ctx, params, rng, config.class_ladders)
     mf = find_max_subkey(counter, config.subkey_bits, MaxFindingConfig(config.confidence), rng)
     result = AttackResult(
         trial=trial, mode="quantum", recovered_subkey=mf.subkey, ground_truth=z,
@@ -290,7 +297,7 @@ def run_count_report(config: AttackConfig, trial: int = 0) -> list[dict]:
     ctx, _, _ = plant_instance(config, trial)
     params = config.counting_params()
     rng = _trial_rng(config.master_seed, trial)
-    counter = QuantumCounter(ctx, params, rng)
+    counter = QuantumCounter(ctx, params, rng, config.class_ladders)
     rows = []
     for x in range(1 << config.subkey_bits):
         counter.count(x)

@@ -24,7 +24,10 @@ formula on Python floats (``max_finding._class_grover_step``).
 on all L lanes at once: six in-place array operations per step, each step
 applied to every lane and counted once. Row b of its (T, 2, L) record
 holds each lane's class amplitudes u_b, m_b of G^b|psi0>, and the weighted
-norm of every row of every lane is checked before the ladder returns.
+norm of every row of every lane is checked before the ladder returns. A
+lane's record depends on its table through M alone, so ``ClassLadders``
+keeps one (T, 2) column per class size for a run and gathers a stack's
+record from it; only sizes it lacks run through ``grover_ladder``.
 
 The inverse Fourier transform runs gate by gate on t+1 qubits, on
 |0> (x) sum_b sqrt((2N-M)/T) u_b|b> + |1> (x) sum_b sqrt(M/T) m_b|b>, whose
@@ -36,11 +39,12 @@ once per lane it acts on, so every estimate reports the QFT gates applied
 to its lane. The attack's counter cuts its ladder into blocks of
 ``lane_block_size`` lanes, transforms each block once and draws each
 subkey's estimate from its row; a table counted on its own is a one-lane
-block. These states represent the t+n+1-qubit circuit exactly, and no
-array has its width: the widest is the ladder's record, bounded by
-t+1+log2(L) <= 24. The full-vector controlled ladder is kept as
-``reference_counting_distribution``, the oracle the kernel is tested
-against.
+block. The blocks and draws are per counter, never memoized, so every
+estimate reports QFT gates applied to its own lane. These states represent
+the t+n+1-qubit circuit exactly, and no array has its width: the widest is
+the ladder's record, bounded by t+1+log2(L) <= 24. The full-vector
+controlled ladder is kept as ``reference_counting_distribution``, the
+oracle the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -161,6 +165,20 @@ def _check_table(marked: np.ndarray, params: CountingParams) -> None:
         raise ValueError("marked table must cover the padded 2N index space")
 
 
+def _check_stack(tables: np.ndarray, params: CountingParams) -> None:
+    """Refuse anything but an (L, 2N) stack whose (T, 2, L) record fits the
+    simulator limit of t+1+log2(L) qubits."""
+    if tables.ndim != 2:
+        raise ValueError("a ladder runs over an (L, 2N) stack of tables")
+    _check_table(tables, params)
+    lanes = len(tables)
+    lane_bits = (lanes - 1).bit_length()
+    if params.phase_bits + 1 + lane_bits > DEFAULT_MAX_QUBITS:
+        raise ValueError(f"a ladder over {lanes} lanes needs t+1+{lane_bits} = "
+                         f"{params.phase_bits + 1 + lane_bits} qubits, above the "
+                         f"{DEFAULT_MAX_QUBITS}-qubit limit")
+
+
 @dataclass(frozen=True)
 class Ladder:
     """Row b of the (T, 2, L) ``amps`` holds G^b|psi0> of each lane as its
@@ -205,15 +223,8 @@ def grover_ladder(tables: np.ndarray, params: CountingParams) -> Ladder:
 
     The record is a (t+1+log2 L)-qubit object: a stack wider than the
     simulator limit is refused before the first G step."""
-    if tables.ndim != 2:
-        raise ValueError("a ladder runs over an (L, 2N) stack of tables")
-    _check_table(tables, params)
+    _check_stack(tables, params)
     lanes, size = tables.shape
-    lane_bits = (lanes - 1).bit_length()
-    if params.phase_bits + 1 + lane_bits > DEFAULT_MAX_QUBITS:
-        raise ValueError(f"a ladder over {lanes} lanes needs t+1+{lane_bits} = "
-                         f"{params.phase_bits + 1 + lane_bits} qubits, above the "
-                         f"{DEFAULT_MAX_QUBITS}-qubit limit")
     # float64 counts (exact below 2**53): the products need no cast
     n_marked = np.count_nonzero(tables, axis=1).astype(np.float64)
     n_unmarked = size - n_marked
@@ -234,6 +245,49 @@ def grover_ladder(tables: np.ndarray, params: CountingParams) -> Ladder:
         u, m = amps[first:first + rows, 0], amps[first:first + rows, 1]
         _assert_unit_norm((n_unmarked * (u * u) + n_marked * (m * m)).ravel())
     return Ladder(n_marked, amps, g_gates)
+
+
+class ClassLadders:
+    """The counting ladder memoized by class size, for one ``CountingParams``.
+
+    G^b|psi0> depends on a table only through its class size M: the
+    recurrence reads n_m and 2N - n_m and nothing else, lane by lane. So each
+    size's (T, 2) column of class amplitudes is made once, by ``grover_ladder``
+    (which checks its weighted norm at NORM_TOL, NaN refused, before it is
+    stored), and serves every later table of that size bit for bit. The memo
+    holds at most L columns for an (L, 2N) stack: when a stack's missing
+    sizes would take it past L, it is cleared first."""
+
+    def __init__(self, params: CountingParams):
+        self.params = params
+        # M -> (its (T, 2) column, the G steps counted when it was made)
+        self.columns: dict[int, tuple[np.ndarray, int]] = {}
+
+    def ladder(self, tables: np.ndarray) -> Ladder:
+        """The ladder of an (L, 2N) stack, its (T, 2, L) record gathered from
+        the memo. Sizes the memo lacks run first, as one ``grover_ladder`` over
+        one row per missing size."""
+        _check_stack(tables, self.params)
+        n_marked = np.count_nonzero(tables, axis=1)
+        sizes = n_marked.tolist()
+        first = {}   # size -> its first lane
+        for lane, m in enumerate(sizes):
+            first.setdefault(m, lane)
+        missing = [m for m in first if m not in self.columns]
+        if len(self.columns) + len(missing) > len(sizes):
+            self.columns.clear()
+            missing = list(first)
+        if missing:
+            fresh = grover_ladder(tables[[first[m] for m in missing]], self.params)
+            for m, column in zip(missing, fresh.amps.transpose(2, 0, 1).copy()):
+                self.columns[m] = column, fresh.g_gates
+            del fresh   # freed before the gather: the memo holds each column once
+        columns = [self.columns[m] for m in sizes]
+        # gathered lane-major, one contiguous copy per lane, and handed out as
+        # the (T, 2, L) view: a strided (T, 2, L) gather is ten times slower at t = 15
+        record = np.stack([amps for amps, _ in columns])
+        return Ladder(n_marked.astype(np.float64), record.transpose(1, 2, 0),
+                      min(g_gates for _, g_gates in columns))
 
 
 def lane_block_size(params: CountingParams) -> int:

@@ -4,10 +4,12 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qdca.attack
 import qdca.max_finding
+import qdca.quantum_counting
 import qdca.toy_cipher
 from qdca.attack import (AttackConfig, ConfigError, plant_instance,
                          run_classical_attack, run_count_report,
@@ -279,8 +281,11 @@ def test_an_instance_encrypts_its_codebook_once(monkeypatch, fields):
     assert (key, z) == (0x09, qdca.toy_cipher.true_subkey(cfg.cipher, 0x09, ctx.characteristic))
 
 
-def test_each_trial_applies_and_counts_its_own_kernel(monkeypatch):
-    ladders = _count_calls(monkeypatch, qdca.max_finding, "grover_ladder")
+def test_each_class_size_ladder_runs_once_per_run(monkeypatch):
+    # the planted key gives every trial the same three class sizes (0, 2, 8):
+    # the config's memo runs their ladder once, one row per size, and each
+    # trial still applies and counts its own QFT gates and draws
+    ladders = _count_calls(monkeypatch, qdca.quantum_counting, "grover_ladder")
     qft_gates = []
     real_qft = StateVector.inverse_qft
 
@@ -297,7 +302,33 @@ def test_each_trial_applies_and_counts_its_own_kernel(monkeypatch):
         # 16 estimates of 2**7 - 1 G steps and qft_gate_budget(7) = 31 QFT gates
         assert res.g_gates_total == 2032
         assert qft_gates[-1] == 496
-        assert len(ladders) == trial + 1
+        assert len(ladders) == 1
+    assert len(ladders[0][0]) == 3
+    assert sorted(cfg.class_ladders.columns) == [0, 2, 8]
+
+
+def test_each_config_owns_its_ladder_memo():
+    a = AttackConfig(subkey_bits=4, index_bits=6, trials=1)
+    b = AttackConfig(subkey_bits=4, index_bits=6, trials=1)
+    assert a == b and a.class_ladders is a.class_ladders
+    assert a.class_ladders is not b.class_ladders
+    assert dataclasses.replace(a).class_ladders is not a.class_ladders
+    assert a.class_ladders.params == a.counting_params()
+    run_quantum_attack(a, 0)
+    assert a.class_ladders.columns and not b.class_ladders.columns
+
+
+def test_the_ladder_memo_holds_at_most_k_columns_under_random_keys():
+    # w16, k = 4, n = 14: random keys bring 1 to 9 class sizes each and more
+    # than 16 over these trials, so the memo must clear to stay within K = 16
+    cfg = AttackConfig(index_bits=14, planted_key=None, trials=12, **W16_K4)
+    memo, seen = cfg.class_ladders, set()
+    for trial in range(cfg.trials):
+        instance = plant_instance(cfg, trial)
+        seen.update(np.count_nonzero(instance[0].table, axis=1).tolist())
+        run_quantum_attack(cfg, trial, instance)
+        assert len(memo.columns) <= 16
+    assert len(seen) > 16
 
 
 def test_quantum_and_classical_agree_on_seed_42():

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from qdca import max_finding, quantum_counting
 from qdca.max_finding import QuantumCounter, _class_grover_step, grover_search_marked
-from qdca.quantum_counting import (CountingParams, coherent_counting_distribution,
+from qdca.attack import AttackConfig
+from qdca.quantum_counting import (ClassLadders, CountingParams, coherent_counting_distribution,
                                    count_marked, counting_distribution, counting_error_bound,
                                    estimate_from_outcome, grover_iteration, grover_ladder,
                                    lane_block_size, phase_block, profile_error_bound,
@@ -247,6 +248,62 @@ def test_kernel_matches_reference_on_random_tables(n, m, seed, data):
     assert est.g_gate_count == (1 << t) - 1
     assert est.qft_gate_count == qft_gate_budget(t)
     assert kernel[est.raw_outcome] > 0
+
+
+# ---- factored kernel against the closed form (BHMT, quant-ph/0005055) ----------
+
+
+def _closed_form(m_true: int, params: CountingParams) -> np.ndarray:
+    """The phase distribution of M marked items in 2N:
+    P(y) = [F(2θ − 2πy/T) + F(−2θ − 2πy/T)] / (2T²) with
+    F(φ) = sin²(Tφ/2) / sin²(φ/2) (its limit T² where sin(φ/2) = 0) and
+    sin²θ = M/2N. An oracle for the kernel alone; no test of the attack reads it."""
+    T = 1 << params.phase_bits
+    # atan2 keeps theta to an ulp near pi/2, where asin(sqrt(M/2N)) would not
+    theta = math.atan2(math.sqrt(m_true), math.sqrt(2 * params.num_pairs - m_true))
+    turn = 2 * np.pi * (np.arange(T) / T)
+
+    def fejer(phi):
+        den = np.sin(phi / 2) ** 2
+        return np.divide(np.sin(T * phi / 2) ** 2, den, out=np.full(T, float(T * T)),
+                         where=den != 0)
+
+    return (fejer(2 * theta - turn) + fejer(-2 * theta - turn)) / (2 * T * T)
+
+
+def _prefix_tables(sizes, params: CountingParams) -> np.ndarray:
+    """One (2N,) table per size M, its first M items marked."""
+    return np.arange(2 * params.num_pairs) < np.asarray(sizes)[:, None]
+
+
+def _assert_kernel_is_the_closed_form(sizes, params: CountingParams) -> None:
+    # all sizes as one lane stack through the ladder, transformed 256 lanes at a time
+    ladder = grover_ladder(_prefix_tables(sizes, params), params)
+    for first in range(0, len(sizes), 256):
+        block = phase_block(ladder, slice(first, first + 256), params)
+        for m_true, probs in zip(sizes[first:first + 256], block.probs):
+            np.testing.assert_allclose(probs, _closed_form(m_true, params),
+                                       rtol=0, atol=1e-12, err_msg=f"M = {m_true}")
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_kernel_is_the_closed_form_for_every_count(n):
+    params = CountingParams.default(n)
+    space = 2 * params.num_pairs
+    _assert_kernel_is_the_closed_form(list(range(space + 1)), params)
+    for m_true in (0, 1, space // 2, space):
+        np.testing.assert_allclose(
+            counting_distribution(_prefix_tables([m_true], params)[0], params),
+            _closed_form(m_true, params), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(11, 17))
+def test_kernel_is_the_closed_form_for_sampled_counts(n):
+    params = CountingParams.default(n)
+    space = 2 * params.num_pairs
+    sampled = _rng(23, n).integers(0, space + 1, size=9).tolist()
+    _assert_kernel_is_the_closed_form(
+        sorted({0, 1, 2, space // 3, space // 2, space - 1, space, *sampled}), params)
 
 
 # ---- phase estimation on the two index classes ----------------------------------
@@ -666,6 +723,104 @@ def test_ladder_refuses_a_lane_off_the_unit_sphere(monkeypatch, step, lane, amp,
     # the same stack through the unpatched step passes
     monkeypatch.setattr(quantum_counting, "_lane_grover_step", real_step)
     assert grover_ladder(tables, params).g_gates == 15
+
+
+# ---- the ladder memoized by class size --------------------------------------------
+
+
+def _k4n6_instances():
+    """The planted k4n6 instance (sizes 0, 2, 8) and key 0's (0, 2, 4, 6)."""
+    cfg = AttackConfig(subkey_bits=4, index_bits=6, trials=1)
+    return cfg.counting_params(), [cfg.planted_instance[0], cfg.instance(0)[0]]
+
+
+def test_a_warm_memo_draws_what_a_cold_counter_draws():
+    params, contexts = _k4n6_instances()
+    sizes = [set(np.count_nonzero(ctx.table, axis=1).tolist()) for ctx in contexts]
+    assert sizes[0] & sizes[1] and sizes[1] - sizes[0]   # the sizes partly overlap
+    memo = ClassLadders(params)
+    memo.ladder(contexts[0].table)
+    order = [5, *range(16)]
+    for i, ctx in enumerate(contexts):
+        cold = QuantumCounter(ctx, params, _rng(18, i))
+        warm = QuantumCounter(ctx, params, _rng(18, i), memo)
+        for x in order:
+            assert warm.count(x) == cold.count(x)
+        assert repr(warm.estimates) == repr(cold.estimates)   # every float to the bit
+        assert warm.rng.bit_generator.state == cold.rng.bit_generator.state
+    assert sorted(memo.columns) == sorted(sizes[0] | sizes[1])
+
+
+def test_every_memo_column_is_its_size_run_alone():
+    params, contexts = _k4n6_instances()
+    memo = ClassLadders(params)
+    for ctx in contexts:
+        gathered = memo.ladder(ctx.table)
+        alone = grover_ladder(ctx.table, params)
+        assert gathered.amps.tobytes() == alone.amps.tobytes()
+        assert gathered.n_marked.tobytes() == alone.n_marked.tobytes()
+        assert gathered.g_gates == alone.g_gates == 127
+    assert 0 in memo.columns
+    for m_true, (column, g_gates) in memo.columns.items():
+        alone = grover_ladder(_prefix_tables([m_true], params), params)
+        assert column.tobytes() == alone.amps[:, :, 0].tobytes()
+        assert g_gates == alone.g_gates
+        np.testing.assert_allclose(phase_block(alone, slice(0, 1), params).probs[0],
+                                   _closed_form(m_true, params), rtol=0, atol=1e-12)
+
+
+def test_a_memo_runs_each_missing_size_once_and_stays_within_the_stack(monkeypatch):
+    params = CountingParams.default(3)
+    memo = ClassLadders(params)
+    runs = []
+    ladder = quantum_counting.grover_ladder
+    monkeypatch.setattr(quantum_counting, "grover_ladder",
+                        lambda tables, p: runs.append(len(tables)) or ladder(tables, p))
+    memo.ladder(_prefix_tables([3, 1, 3, 0], params))
+    memo.ladder(_prefix_tables([1, 0, 3, 3], params))   # all hits
+    assert runs == [3] and list(memo.columns) == [3, 1, 0]
+    memo.ladder(_prefix_tables([5, 1, 5, 5], params))   # one miss: 4 columns for 4 lanes
+    assert runs == [3, 1] and list(memo.columns) == [3, 1, 0, 5]
+    memo.ladder(_prefix_tables([6, 1, 7, 1], params))   # 4 + 2 > 4: cleared first
+    assert runs == [3, 1, 3] and list(memo.columns) == [6, 1, 7]
+
+
+def test_a_memo_stores_no_column_off_the_unit_sphere(monkeypatch):
+    params = CountingParams.default(3)
+    memo = ClassLadders(params)
+    real_step = quantum_counting._lane_grover_step
+
+    def drifting_step(n_u, n_m, scale, u, m, u_out, m_out, tu, tm):
+        real_step(n_u, n_m, scale, u, m, u_out, m_out, tu, tm)
+        m_out[-1] = np.nan
+
+    monkeypatch.setattr(quantum_counting, "_lane_grover_step", drifting_step)
+    with pytest.raises(CorruptedStateError):
+        memo.ladder(_prefix_tables([2, 5], params))
+    assert memo.columns == {}
+
+
+def test_a_memo_checks_the_whole_stack_before_the_ladder(monkeypatch):
+    # 256 equal tables are one size, but their (T, 2, 256) record is refused
+    steps = []
+    monkeypatch.setattr(quantum_counting, "_lane_grover_step",
+                        lambda *args: steps.append(args))
+    params = CountingParams(1, 14, 0.1)
+    memo = ClassLadders(params)
+    with pytest.raises(ValueError, match="256 lanes needs t\\+1\\+8 = 26 qubits"):
+        memo.ladder(np.zeros((256, 4), dtype=bool))
+    with pytest.raises(ValueError, match="stack"):
+        memo.ladder(np.zeros(4, dtype=bool))
+    with pytest.raises(ValueError, match="padded 2N"):
+        memo.ladder(np.zeros((2, 8), dtype=bool))
+    assert steps == [] and memo.columns == {}
+
+
+def test_a_counter_refuses_a_memo_for_other_params(planted):
+    _, _, _, ctx = planted
+    with pytest.raises(ValueError, match="other counting params"):
+        QuantumCounter(ctx, CountingParams.default(6), _rng(0),
+                       ClassLadders(CountingParams(6, 5, 0.1)))
 
 
 # ---- coherent cross-check ------------------------------------------------------

@@ -5,7 +5,10 @@ master seed, printing the functions with the most own time.
     python3 tools/profile_trial.py [--trials N] [--seed S] [--top M]
 
 The instance is planted and one trial is run before profiling starts, so
-only the trials are measured, without first-call imports and caches. Each
+only the trials are measured, without first-call imports and caches. That
+warm-up trial also runs the config's counting ladder, once per class size,
+so the profiled trials show the per-trial counting kernel: the QFT blocks
+(``phase_block``) and the draws. Each
 row gives a function's own time (tottime) and its time with everything it
 calls (cumtime), each also as a share of the profiled total.
 qdca must be importable (installed, or src on PYTHONPATH).

@@ -96,7 +96,8 @@ class AttackConfig:
         if self.planted_key is not None and not 0 <= self.planted_key < cipher.block_size:
             raise ConfigError("planted_key outside block range")
         params = self.counting_params()  # raises on a bad (m, epsilon)
-        # the (T, 2, K) lane record is the widest simulator array of a trial
+        # the ladder memo, at most K (T, 2) columns as one (T, 2, K) record holds,
+        # is the widest simulator array of a run
         lane_width = params.phase_bits + 1 + self.subkey_bits
         if lane_width > DEFAULT_MAX_QUBITS:
             raise ConfigError(f"counting all 2**k subkeys as lanes needs t+1+k = {lane_width} "

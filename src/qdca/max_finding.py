@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quantum_counting import (ClassLadders, CountEstimate, CountingParams, Ladder, PhaseBlock,
-                               count_marked, lane_block_size, phase_block)
+                               count_marked, grover_ladder, lane_block_size, phase_block)
 from .statevector import _assert_unit_norm, draw_from_cdf, outcome_cdf
 from .toy_cipher import AttackContext
 
@@ -115,21 +115,19 @@ class QuantumCounter:
     """Memoized quantum counting: one sampled estimate per subkey per run.
 
     The first count takes the Grover ladder of every subkey's table as a
-    lane from ``ladders``, the run's memo by class size (default: a memo of
-    the counter's own), which runs only the sizes it lacks. The lanes are
-    cut into blocks of ``lane_block_size`` lanes; a block's inverse QFT runs
-    when one of its subkeys is first demanded, and its distributions are
-    dropped once every lane in it has an estimate. Each subkey's estimate
-    is drawn from its lane on first demand, so the draws follow the demand
-    order."""
+    lane from ``ladders``, the run's memo by class size, which runs only the
+    sizes it lacks; a counter given no memo runs the ladder over its whole
+    stack. The lanes are cut into blocks of ``lane_block_size`` lanes; a
+    block's columns are gathered and its inverse QFT runs when one of its
+    subkeys is first demanded, and its distributions are dropped once every
+    lane in it has an estimate. Each subkey's estimate is drawn from its
+    lane on first demand, so the draws follow the demand order."""
 
     def __init__(self, ctx: AttackContext, params: CountingParams,
                  rng: np.random.Generator, ladders: ClassLadders | None = None):
         if ctx.index_bits != params.index_bits:
             raise ValueError("params and context disagree on the index width")
-        if ladders is None:
-            ladders = ClassLadders(params)
-        elif ladders.params != params:
+        if ladders is not None and ladders.params != params:
             raise ValueError("the ladder memo was built for other counting params")
         self._ladders = ladders
         self.ctx = ctx
@@ -146,7 +144,8 @@ class QuantumCounter:
     def count(self, x: int) -> int:
         if x not in self.estimates:
             if self._ladder is None:
-                self._ladder = self._ladders.ladder(self.ctx.table)
+                self._ladder = (grover_ladder(self.ctx.table, self.params)
+                                if self._ladders is None else self._ladders.ladder(self.ctx.table))
             first = x - x % self._block_lanes
             if first not in self._blocks:
                 block = phase_block(self._ladder, slice(first, first + self._block_lanes),

@@ -25,9 +25,10 @@ on all L lanes at once: six in-place array operations per step, each step
 applied to every lane and counted once. Row b of its (T, 2, L) record
 holds each lane's class amplitudes u_b, m_b of G^b|psi0>, and the weighted
 norm of every row of every lane is checked before the ladder returns. A
-lane's record depends on its table through M alone, so ``ClassLadders``
-keeps one (T, 2) column per class size for a run and gathers a stack's
-record from it; only sizes it lacks run through ``grover_ladder``.
+lane's (T, 2) column depends on its table through M alone, so
+``ClassLadders`` keeps one column per class size for a run and hands a
+stack's lanes their size's column; only sizes it lacks run through
+``grover_ladder``.
 
 The inverse Fourier transform runs gate by gate on t+1 qubits, on
 |0> (x) sum_b sqrt((2N-M)/T) u_b|b> + |1> (x) sum_b sqrt(M/T) m_b|b>, whose
@@ -37,14 +38,15 @@ distribution is unchanged. ``phase_block`` stacks a run of ladder lanes as
 the lanes of one StateVector and transforms them at once: each gate counts
 once per lane it acts on, so every estimate reports the QFT gates applied
 to its lane. The attack's counter cuts its ladder into blocks of
-``lane_block_size`` lanes, transforms each block once and draws each
-subkey's estimate from its row; a table counted on its own is a one-lane
-block. The blocks and draws are per counter, never memoized, so every
-estimate reports QFT gates applied to its own lane. These states represent
-the t+n+1-qubit circuit exactly, and no array has its width: the widest is
-the ladder's record, bounded by t+1+log2(L) <= 24. The full-vector
-controlled ladder is kept as ``reference_counting_distribution``, the
-oracle the kernel is tested against.
+``lane_block_size`` lanes, gathers and transforms each block once and
+draws each subkey's estimate from its row; a table counted on its own is a
+one-lane block. The blocks and draws are per counter, never memoized, so
+every estimate reports QFT gates applied to its own lane. These states
+represent the t+n+1-qubit circuit exactly, and no array has its width: the
+widest is a ladder's record or the memo's columns, at most L of them,
+bounded by t+1+log2(L) <= 24. The full-vector controlled ladder is kept as
+``reference_counting_distribution``, the oracle the kernel is tested
+against.
 """
 
 from __future__ import annotations
@@ -181,12 +183,13 @@ def _check_stack(tables: np.ndarray, params: CountingParams) -> None:
 
 @dataclass(frozen=True)
 class Ladder:
-    """Row b of the (T, 2, L) ``amps`` holds G^b|psi0> of each lane as its
+    """Row b of lane i's (T, 2) ``columns[i]`` holds G^b|psi0> as the lane's
     (unmarked, marked) class amplitudes, for b < 2**t; ``n_marked`` holds the
-    per-lane float64 marked-class sizes."""
+    per-lane float64 marked-class sizes. Lanes of one class size may share
+    one column."""
 
     n_marked: np.ndarray
-    amps: np.ndarray
+    columns: list[np.ndarray]
     g_gates: int   # G steps applied to every lane, counted at the step
 
 
@@ -244,7 +247,8 @@ def grover_ladder(tables: np.ndarray, params: CountingParams) -> Ladder:
     for first in range(0, T, rows):
         u, m = amps[first:first + rows, 0], amps[first:first + rows, 1]
         _assert_unit_norm((n_unmarked * (u * u) + n_marked * (m * m)).ravel())
-    return Ladder(n_marked, amps, g_gates)
+    # each lane's column is a (T, 2) view of the record, not a copy
+    return Ladder(n_marked, list(amps.transpose(2, 0, 1)), g_gates)
 
 
 class ClassLadders:
@@ -254,19 +258,20 @@ class ClassLadders:
     recurrence reads n_m and 2N - n_m and nothing else, lane by lane. So each
     size's (T, 2) column of class amplitudes is made once, by ``grover_ladder``
     (which checks its weighted norm at NORM_TOL, NaN refused, before it is
-    stored), and serves every later table of that size bit for bit. The memo
-    holds at most L columns for an (L, 2N) stack: when a stack's missing
-    sizes would take it past L, it is cleared first."""
+    stored), and serves every later table of that size bit for bit. A stack's
+    ladder hands out the memo's columns themselves, so no (T, 2, L) record is
+    gathered. The memo holds at most L columns for an (L, 2N) stack: when a
+    stack's missing sizes would take it past L, it is cleared first."""
 
     def __init__(self, params: CountingParams):
         self.params = params
-        # M -> (its (T, 2) column, the G steps counted when it was made)
-        self.columns: dict[int, tuple[np.ndarray, int]] = {}
+        self.columns: dict[int, np.ndarray] = {}   # M -> its (T, 2) column
+        self.g_gates = 0   # G steps counted when the columns were made
 
     def ladder(self, tables: np.ndarray) -> Ladder:
-        """The ladder of an (L, 2N) stack, its (T, 2, L) record gathered from
-        the memo. Sizes the memo lacks run first, as one ``grover_ladder`` over
-        one row per missing size."""
+        """The ladder of an (L, 2N) stack, each lane's column taken from the
+        memo. Sizes the memo lacks run first, as one ``grover_ladder`` over one
+        row per missing size; their columns stay views of its record."""
         _check_stack(tables, self.params)
         n_marked = np.count_nonzero(tables, axis=1)
         sizes = n_marked.tolist()
@@ -279,15 +284,10 @@ class ClassLadders:
             missing = list(first)
         if missing:
             fresh = grover_ladder(tables[[first[m] for m in missing]], self.params)
-            for m, column in zip(missing, fresh.amps.transpose(2, 0, 1).copy()):
-                self.columns[m] = column, fresh.g_gates
-            del fresh   # freed before the gather: the memo holds each column once
-        columns = [self.columns[m] for m in sizes]
-        # gathered lane-major, one contiguous copy per lane, and handed out as
-        # the (T, 2, L) view: a strided (T, 2, L) gather is ten times slower at t = 15
-        record = np.stack([amps for amps, _ in columns])
-        return Ladder(n_marked.astype(np.float64), record.transpose(1, 2, 0),
-                      min(g_gates for _, g_gates in columns))
+            self.columns.update(zip(missing, fresh.columns))
+            self.g_gates = fresh.g_gates
+        return Ladder(n_marked.astype(np.float64), [self.columns[m] for m in sizes],
+                      self.g_gates)
 
 
 def lane_block_size(params: CountingParams) -> int:
@@ -322,9 +322,10 @@ def phase_block(ladder: Ladder, lanes: slice, params: CountingParams) -> PhaseBl
     n_marked = ladder.n_marked[lanes]
     state = StateVector(t + 1, len(n_marked))
     phase_reg = Register("phase", 0, t)
-    # lane major, then class (row 0 the unmarked class, row 1 the marked one), phase minor
+    # lane major, then class (row 0 the unmarked class, row 1 the marked one), phase
+    # minor; only this block's columns are gathered
     scale = np.sqrt(np.stack([2 * params.num_pairs - n_marked, n_marked], axis=1) / T)
-    np.multiply(ladder.amps[:, :, lanes].transpose(2, 1, 0), scale[:, :, None],
+    np.multiply(np.stack(ladder.columns[lanes]).transpose(0, 2, 1), scale[:, :, None],
                 out=state.amps.reshape(-1, 2, T))
     state.inverse_qft(phase_reg)
     return PhaseBlock(n_marked, state.probabilities(phase_reg).reshape(-1, T),

@@ -382,11 +382,12 @@ def test_ladder_records_the_class_state_bit_for_bit(n, m, lanes, data):
     tables = np.array(rows)
     ladder = grover_ladder(tables, params)
     T = 1 << params.phase_bits
-    assert ladder.amps.shape == (T, 2, lanes) and ladder.g_gates == T - 1
+    assert len(ladder.columns) == lanes and ladder.g_gates == T - 1
     for i, table in enumerate(tables):
         assert ladder.n_marked[i] == np.count_nonzero(table)
+        assert ladder.columns[i].shape == (T, 2)
         powers = _class_powers(table, T - 1)
-        assert np.array(powers).tobytes() == ladder.amps[:, :, i].copy().tobytes()
+        assert np.array(powers).tobytes() == ladder.columns[i].tobytes()
 
 
 def test_class_state_gates_check_the_weighted_norm(monkeypatch):
@@ -505,7 +506,7 @@ def _single_table_distribution(marked, params):
     n_marked = int(ladder.n_marked[0])
     state = StateVector(t + 1)
     scale = [[math.sqrt((marked.size - n_marked) / T)], [math.sqrt(n_marked / T)]]
-    np.multiply(ladder.amps[:, :, 0].T, scale, out=state.amps.reshape(2, T))
+    np.multiply(ladder.columns[0].T, scale, out=state.amps.reshape(2, T))
     state.inverse_qft(Register("phase", 0, t))
     view = state.amps.reshape(2, T, 1)
     return np.einsum("irj,irj->r", view, view.conj()).real
@@ -676,6 +677,38 @@ def test_counter_memory_stays_the_ladder_and_two_blocks(cipher):
     assert record < peak < record + 2 * block < record + 256 * (8 << t)
 
 
+def test_a_counter_given_a_memo_holds_the_memo_and_two_blocks(cipher):
+    # the instance above through the memo, as an attack's trials take it: the
+    # first counter runs one ladder over the D distinct sizes and keeps their
+    # columns in the memo, a later one runs none; neither gathers a (T, 2, K)
+    # record, so each holds the memo's columns and at most two blocks (each a
+    # state, its temporaries, its distributions and its gathered columns)
+    ch = make_characteristic(cipher, 0x09, 0x01, 0x11)
+    ctx = AttackContext(cipher, ch, gen_pairs(cipher, 0x09, 0x01, 8))
+    params = CountingParams(8, 8, 0.1)
+    t = params.phase_bits
+    B = lane_block_size(params)
+    distinct = len(set(np.count_nonzero(ctx.table, axis=1).tolist()))
+    QuantumCounter(ctx, params, _rng(16), ClassLadders(params)).count(0)   # first calls
+    column = (1 << t) * 2 * 8
+    record = 256 * column
+    block = B * (2 * (16 << (t + 1)) + (16 << t) + column)
+    memo = ClassLadders(params)
+    peaks = []
+    for trial in range(2):
+        tracemalloc.start()
+        try:
+            counter = QuantumCounter(ctx, params, _rng(16, trial), memo)
+            for x in [201, *range(256)]:
+                counter.count(x)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(memo.columns) == distinct < 64
+    assert distinct * column < peaks[0] < distinct * column + 2 * block < record
+    assert peaks[1] < 2 * block
+
+
 def test_ladder_takes_only_a_stack():
     params = CountingParams.default(3)
     with pytest.raises(ValueError, match="stack"):
@@ -683,7 +716,7 @@ def test_ladder_takes_only_a_stack():
     with pytest.raises(ValueError, match="stack"):
         grover_ladder(np.zeros((1, 1, 16), dtype=bool), params)
     ladder = grover_ladder(np.zeros((1, 16), dtype=bool), params)
-    assert ladder.amps.shape == (1 << params.phase_bits, 2, 1)
+    assert [c.shape for c in ladder.columns] == [(1 << params.phase_bits, 2)]
     assert ladder.n_marked.tolist() == [0]
 
 
@@ -755,16 +788,20 @@ def test_every_memo_column_is_its_size_run_alone():
     params, contexts = _k4n6_instances()
     memo = ClassLadders(params)
     for ctx in contexts:
-        gathered = memo.ladder(ctx.table)
+        shared = memo.ladder(ctx.table)
         alone = grover_ladder(ctx.table, params)
-        assert gathered.amps.tobytes() == alone.amps.tobytes()
-        assert gathered.n_marked.tobytes() == alone.n_marked.tobytes()
-        assert gathered.g_gates == alone.g_gates == 127
+        assert len(shared.columns) == len(alone.columns) == 16
+        for mine, its in zip(shared.columns, alone.columns):
+            assert mine.tobytes() == its.tobytes()
+        assert shared.n_marked.tobytes() == alone.n_marked.tobytes()
+        assert shared.g_gates == alone.g_gates == memo.g_gates == 127
+        # lanes of one size share the memo's column; nothing is copied
+        for m_true, column in zip(shared.n_marked.tolist(), shared.columns):
+            assert column is memo.columns[m_true]
     assert 0 in memo.columns
-    for m_true, (column, g_gates) in memo.columns.items():
+    for m_true, column in memo.columns.items():
         alone = grover_ladder(_prefix_tables([m_true], params), params)
-        assert column.tobytes() == alone.amps[:, :, 0].tobytes()
-        assert g_gates == alone.g_gates
+        assert column.tobytes() == alone.columns[0].tobytes()
         np.testing.assert_allclose(phase_block(alone, slice(0, 1), params).probs[0],
                                    _closed_form(m_true, params), rtol=0, atol=1e-12)
 

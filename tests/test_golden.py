@@ -12,7 +12,10 @@ scaling sweep (scale_small) before its counting rows came from the counter's
 lane ladder; the 16-bit run (attack_w16k4n16: the default pbox of a 16-bit
 block, the characteristic doc P' = 80C8, delta = 2, and n = 16, so t+n+1 = 29;
 quantum recovers 4 of 5 trials and classical 5 of 5) when the width limit
-became the lane record's t+1+k alone.
+became the lane record's t+1+k alone; the random-key 16-bit run
+(random_w16k4n14: the same doc at n = 14 with a fresh key per trial, so the
+class-size memo meets new sizes and must evict; quantum recovers 8 of 20)
+before every counter laddered class sizes through that memo.
 Any change to the counting kernel, the search or the CSV writers that alters
 a single output byte fails here, while the determinism check (two runs of the
 same code) would not notice.
@@ -47,6 +50,10 @@ RUNS = {
                     ("results.csv", "trace.csv")),
     "attack_w16k4n16": (["attack", "--mode", "both", "-k", "4", "-n", "16", "--trials", "5",
                          "--master-seed", "2024", "--planted-key", "0x09",
+                         "--config", str(FIXTURES / "w16_k4_characteristic.json")],
+                        ("results.csv", "trace.csv")),
+    "random_w16k4n14": (["attack", "-k", "4", "-n", "14", "--random-keys", "--trials", "20",
+                         "--master-seed", "2024",
                          "--config", str(FIXTURES / "w16_k4_characteristic.json")],
                         ("results.csv", "trace.csv")),
     "scale_small": (["scale", "--search-bits", "4,6", "--counting-bits", "4,6,8",

@@ -96,8 +96,8 @@ class AttackConfig:
         if self.planted_key is not None and not 0 <= self.planted_key < cipher.block_size:
             raise ConfigError("planted_key outside block range")
         params = self.counting_params()  # raises on a bad (m, epsilon)
-        # the ladder memo, at most K (T, 2) columns as one (T, 2, K) record holds,
-        # is the widest simulator array of a run
+        # the ladder memo, at most K (T, 2) columns as one (T, 2, K) record holds
+        # (it evicts unused ones past K), is the widest simulator array of a run
         lane_width = params.phase_bits + 1 + self.subkey_bits
         if lane_width > DEFAULT_MAX_QUBITS:
             raise ConfigError(f"counting all 2**k subkeys as lanes needs t+1+k = {lane_width} "
@@ -245,7 +245,7 @@ def run_quantum_attack(config: AttackConfig, trial: int = 0,
 def _check_estimate(ctx: AttackContext, params: CountingParams, x: int,
                     est: CountEstimate) -> tuple[int, bool]:
     """Subkey x's true right-pair count, and whether ``est`` is within its bound."""
-    m_true = int(ctx.marked_table(x).sum())
+    m_true = int(ctx.counts[x])
     bound = counting_error_bound(m_true, params.num_pairs, params.accuracy_bits)
     return m_true, abs(est.m_estimate - m_true) <= bound
 

@@ -20,33 +20,32 @@ two-number recurrence: total = (n_u*u - n_m*m)*2/(2N), u' = total - u,
 m' = total + m, the oracle then the diffusion of the full state reduced to
 two classes. The max-finding search steps its subkey register with the same
 formula on Python floats (``max_finding._class_grover_step``).
-``grover_ladder`` takes an (L, 2N) stack of tables and runs G 2**t - 1 times
-on all L lanes at once: six in-place array operations per step, each step
-applied to every lane and counted once. Row b of its (T, 2, L) record
-holds each lane's class amplitudes u_b, m_b of G^b|psi0>, and the weighted
-norm of every row of every lane is checked before the ladder returns. A
-lane's (T, 2) column depends on its table through M alone, so
-``ClassLadders`` keeps one column per class size for a run and hands a
-stack's lanes their size's column; only sizes it lacks run through
-``grover_ladder``.
+The recurrence reads a table through its class size M alone (BHMT's
+sin^2(theta) = M/2N), so ``grover_ladder`` takes an (L,) array of sizes and
+runs G 2**t - 1 times on all L lanes at once: six in-place array operations
+per step, each step applied to every lane and counted once. Row b of its
+(T, 2, L) record holds each lane's class amplitudes u_b, m_b of G^b|psi0>,
+and the weighted norm of every row of every lane is checked before the
+ladder returns. Every counter ladders its counts through ``ClassLadders``,
+the run's or its own, which keeps one (T, 2) column per size and runs only
+the sizes it lacks. A table counted on its own is laddered as [M], a
+one-lane block.
 
 The inverse Fourier transform runs gate by gate on t+1 qubits, on
 |0> (x) sum_b sqrt((2N-M)/T) u_b|b> + |1> (x) sum_b sqrt(M/T) m_b|b>, whose
 image under the isometry |0> -> |u_U>, |1> -> |u_M> is the full state; the
 transform acts on the phase register alone, so the phase outcome
 distribution is unchanged. ``phase_block`` stacks a run of ladder lanes as
-the lanes of one StateVector and transforms them at once: each gate counts
-once per lane it acts on, so every estimate reports the QFT gates applied
-to its lane. The attack's counter cuts its ladder into blocks of
+the lanes of one StateVector and transforms them at once, each gate counted
+once per lane it acts on. A counter cuts its ladder into blocks of
 ``lane_block_size`` lanes, gathers and transforms each block once and
-draws each subkey's estimate from its row; a table counted on its own is a
-one-lane block. The blocks and draws are per counter, never memoized, so
-every estimate reports QFT gates applied to its own lane. These states
-represent the t+n+1-qubit circuit exactly, and no array has its width: the
-widest is a ladder's record or the memo's columns, at most L of them,
-bounded by t+1+log2(L) <= 24. The full-vector controlled ladder is kept as
-``reference_counting_distribution``, the oracle the kernel is tested
-against.
+draws each subkey's estimate from its row. The blocks and draws are per
+counter, never memoized, so every estimate reports QFT gates applied to its
+own lane. These states represent the t+n+1-qubit circuit exactly, and no
+array has its width: the widest is a ladder's record or the memo's columns,
+at most L of them, bounded by t+1+log2(L) <= 24. The full-vector controlled
+ladder is kept as ``reference_counting_distribution``, the oracle the kernel
+is tested against.
 """
 
 from __future__ import annotations
@@ -162,31 +161,31 @@ def estimate_from_outcome(b: int, params: CountingParams) -> tuple[float, float,
 
 
 def _check_table(marked: np.ndarray, params: CountingParams) -> None:
-    """Refuse a table (or a stack's rows) of the wrong size."""
-    if marked.shape[-1:] != (2 << params.index_bits,):
+    """Refuse a table of the wrong size."""
+    if marked.shape != (2 << params.index_bits,):
         raise ValueError("marked table must cover the padded 2N index space")
 
 
-def _check_stack(tables: np.ndarray, params: CountingParams) -> None:
-    """Refuse anything but an (L, 2N) stack whose (T, 2, L) record fits the
-    simulator limit of t+1+log2(L) qubits."""
-    if tables.ndim != 2:
-        raise ValueError("a ladder runs over an (L, 2N) stack of tables")
-    _check_table(tables, params)
-    lanes = len(tables)
-    lane_bits = (lanes - 1).bit_length()
-    if params.phase_bits + 1 + lane_bits > DEFAULT_MAX_QUBITS:
-        raise ValueError(f"a ladder over {lanes} lanes needs t+1+{lane_bits} = "
-                         f"{params.phase_bits + 1 + lane_bits} qubits, above the "
-                         f"{DEFAULT_MAX_QUBITS}-qubit limit")
+def _check_sizes(sizes, params: CountingParams) -> np.ndarray:
+    """The sizes as an (L,) integer array, refused unless each is in [0, 2N]
+    and their (T, 2, L) record fits the simulator's t+1+log2(L)-qubit limit."""
+    sizes = np.asarray(sizes)
+    if sizes.ndim != 1 or sizes.dtype.kind not in "iu":
+        raise ValueError("a ladder runs over an (L,) integer array of class sizes")
+    if sizes.size and not 0 <= sizes.min() <= sizes.max() <= 2 * params.num_pairs:
+        raise ValueError(f"class sizes must lie in [0, 2N] = [0, {2 * params.num_pairs}]")
+    lane_bits = (len(sizes) - 1).bit_length()
+    if (width := params.phase_bits + 1 + lane_bits) > DEFAULT_MAX_QUBITS:
+        raise ValueError(f"a ladder over {len(sizes)} lanes needs t+1+{lane_bits} = {width} "
+                         f"qubits, above the {DEFAULT_MAX_QUBITS}-qubit limit")
+    return sizes
 
 
 @dataclass(frozen=True)
 class Ladder:
     """Row b of lane i's (T, 2) ``columns[i]`` holds G^b|psi0> as the lane's
     (unmarked, marked) class amplitudes, for b < 2**t; ``n_marked`` holds the
-    per-lane float64 marked-class sizes. Lanes of one class size may share
-    one column."""
+    per-lane float64 marked-class sizes; lanes of one size may share a column."""
 
     n_marked: np.ndarray
     columns: list[np.ndarray]
@@ -212,9 +211,9 @@ def _lane_grover_step(n_unmarked: np.ndarray, n_marked: np.ndarray, scale: float
     np.add(tu, m, out=m_out)
 
 
-def grover_ladder(tables: np.ndarray, params: CountingParams) -> Ladder:
-    """Apply G 2**t - 1 times to the uniform index state of all L lanes of an
-    (L, 2N) stack at once, recording every power.
+def grover_ladder(sizes, params: CountingParams) -> Ladder:
+    """Apply G 2**t - 1 times at once to the uniform index state of L lanes,
+    lane i with ``sizes[i]`` of its 2N items marked, recording every power.
 
     Each step is one lane recurrence on the two class amplitudes, written
     straight into row b of the (T, 2, L) record and counted where it is
@@ -224,12 +223,11 @@ def grover_ladder(tables: np.ndarray, params: CountingParams) -> Ladder:
     oracle's output has the norm of the power before it, so every gate's
     output is checked before the ladder returns.
 
-    The record is a (t+1+log2 L)-qubit object: a stack wider than the
-    simulator limit is refused before the first G step."""
-    _check_stack(tables, params)
-    lanes, size = tables.shape
+    Sizes that are not an (L,) integer array in [0, 2N], or more lanes than
+    the (t+1+log2 L)-qubit record admits, are refused before the first step."""
     # float64 counts (exact below 2**53): the products need no cast
-    n_marked = np.count_nonzero(tables, axis=1).astype(np.float64)
+    n_marked = _check_sizes(sizes, params).astype(np.float64)
+    lanes, size = len(n_marked), 2 * params.num_pairs
     n_unmarked = size - n_marked
     scale = 2.0 / size
     T = 1 << params.phase_bits
@@ -254,40 +252,33 @@ def grover_ladder(tables: np.ndarray, params: CountingParams) -> Ladder:
 class ClassLadders:
     """The counting ladder memoized by class size, for one ``CountingParams``.
 
-    G^b|psi0> depends on a table only through its class size M: the
-    recurrence reads n_m and 2N - n_m and nothing else, lane by lane. So each
-    size's (T, 2) column of class amplitudes is made once, by ``grover_ladder``
-    (which checks its weighted norm at NORM_TOL, NaN refused, before it is
-    stored), and serves every later table of that size bit for bit. A stack's
-    ladder hands out the memo's columns themselves, so no (T, 2, L) record is
-    gathered. The memo holds at most L columns for an (L, 2N) stack: when a
-    stack's missing sizes would take it past L, it is cleared first."""
+    The recurrence reads n_m and 2N - n_m alone, lane by lane, so each size's
+    (T, 2) column is made once by ``grover_ladder`` (norm-checked before it is
+    stored) and serves every later lane of that size bit for bit, handed out
+    itself: no (T, 2, L) record is gathered. The memo holds at most L columns
+    for L lanes: past that, just enough of its oldest columns the lanes do not
+    use are evicted, and the survivors copied, freeing the evicted records."""
 
     def __init__(self, params: CountingParams):
         self.params = params
-        self.columns: dict[int, np.ndarray] = {}   # M -> its (T, 2) column
+        self.columns: dict[int, np.ndarray] = {}   # M -> its (T, 2) column, oldest first
         self.g_gates = 0   # G steps counted when the columns were made
 
-    def ladder(self, tables: np.ndarray) -> Ladder:
-        """The ladder of an (L, 2N) stack, each lane's column taken from the
-        memo. Sizes the memo lacks run first, as one ``grover_ladder`` over one
-        row per missing size; their columns stay views of its record."""
-        _check_stack(tables, self.params)
-        n_marked = np.count_nonzero(tables, axis=1)
-        sizes = n_marked.tolist()
-        first = {}   # size -> its first lane
-        for lane, m in enumerate(sizes):
-            first.setdefault(m, lane)
-        missing = [m for m in first if m not in self.columns]
-        if len(self.columns) + len(missing) > len(sizes):
-            self.columns.clear()
-            missing = list(first)
+    def ladder(self, sizes) -> Ladder:
+        """The ladder of lanes of class sizes ``sizes``, each lane's column taken
+        from the memo. Sizes it lacks run first, as one ``grover_ladder`` lane
+        each; their columns stay views of its record until an eviction."""
+        sizes = _check_sizes(sizes, self.params).tolist()
+        wanted = dict.fromkeys(sizes)   # distinct sizes, in lane order
+        missing = [m for m in wanted if m not in self.columns]
+        if (excess := len(self.columns) + len(missing) - len(sizes)) > 0:
+            stale = set([m for m in self.columns if m not in wanted][:excess])
+            self.columns = {m: c.copy() for m, c in self.columns.items() if m not in stale}
         if missing:
-            fresh = grover_ladder(tables[[first[m] for m in missing]], self.params)
+            fresh = grover_ladder(np.array(missing), self.params)
             self.columns.update(zip(missing, fresh.columns))
             self.g_gates = fresh.g_gates
-        return Ladder(n_marked.astype(np.float64), [self.columns[m] for m in sizes],
-                      self.g_gates)
+        return Ladder(np.array(sizes, dtype=float), [self.columns[m] for m in sizes], self.g_gates)
 
 
 def lane_block_size(params: CountingParams) -> int:
@@ -332,8 +323,8 @@ def phase_block(ladder: Ladder, lanes: slice, params: CountingParams) -> PhaseBl
                       ladder.g_gates, state.counters.qft_gates // state.lanes)
 
 
-def _one_lane_block(marked: np.ndarray, params: CountingParams) -> PhaseBlock:
-    return phase_block(grover_ladder(marked[None], params), slice(0, 1), params)
+def _one_lane_block(m_true: int, params: CountingParams) -> PhaseBlock:
+    return phase_block(grover_ladder(np.array([m_true]), params), slice(0, 1), params)
 
 
 def count_marked(marked: np.ndarray, params: CountingParams,
@@ -342,9 +333,10 @@ def count_marked(marked: np.ndarray, params: CountingParams,
     table's lane of a block already transformed (default: run the table as a
     one-lane block)."""
     _check_table(marked, params)
+    m_true = np.count_nonzero(marked)
     if block is None:
-        block = _one_lane_block(marked, params)
-    if block.n_marked.tolist() != [np.count_nonzero(marked)]:
+        block = _one_lane_block(m_true, params)
+    if block.n_marked.tolist() != [m_true]:
         raise ValueError("the block's class sizes are not those of the table")
     b = draw_outcome(block.probs[0], rng)
     theta, m_est, right = estimate_from_outcome(b, params)
@@ -355,7 +347,8 @@ def count_marked(marked: np.ndarray, params: CountingParams,
 
 def counting_distribution(marked: np.ndarray, params: CountingParams) -> np.ndarray:
     """Exact outcome distribution over b, by amplitude readout (no sampling)."""
-    return _one_lane_block(marked, params).probs[0]
+    _check_table(marked, params)
+    return _one_lane_block(np.count_nonzero(marked), params).probs[0]
 
 
 def reference_counting_distribution(marked: np.ndarray,

@@ -324,6 +324,13 @@ class AttackContext:
         table.flags.writeable = False
         return table
 
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """The read-only (K,) int64 right-pair counts, counted once from ``table``."""
+        counts = np.count_nonzero(self.table, axis=1).astype(np.int64, copy=False)
+        counts.flags.writeable = False
+        return counts
+
     def marked_table(self, x: int) -> np.ndarray:
         """Row x of the read-only right-pair table: e(x, .) over [0, 2N)."""
         return self.table[x]

@@ -320,12 +320,12 @@ def test_each_config_owns_its_ladder_memo():
 
 def test_the_ladder_memo_holds_at_most_k_columns_under_random_keys():
     # w16, k = 4, n = 14: random keys bring 1 to 9 class sizes each and more
-    # than 16 over these trials, so the memo must clear to stay within K = 16
+    # than 16 over these trials, so the memo must evict to stay within K = 16
     cfg = AttackConfig(index_bits=14, planted_key=None, trials=12, **W16_K4)
     memo, seen = cfg.class_ladders, set()
     for trial in range(cfg.trials):
         instance = plant_instance(cfg, trial)
-        seen.update(np.count_nonzero(instance[0].table, axis=1).tolist())
+        seen.update(instance[0].counts.tolist())
         run_quantum_attack(cfg, trial, instance)
         assert len(memo.columns) <= 16
     assert len(seen) > 16

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from qdca.classical_dca import CountTable, classical_attack, count_table
-from qdca.toy_cipher import (PairSet, default_characteristic, gen_pairs,
-                             is_right_pair, measure_probability, true_subkey)
+from qdca.toy_cipher import (AttackContext, PairSet, default_characteristic, gen_pairs,
+                             is_right_pair, make_characteristic, measure_probability,
+                             true_subkey)
 
 # exact n=6 counts of the stock planted instance, derived twice (library
 # path and an independent scan script) before pinning
@@ -27,6 +28,19 @@ def test_classical_attack_recovers_planted_subkey(cipher, planted, planted_alt):
         winner, table = classical_attack(pairs, cipher, ch)
         assert winner == true_subkey(cipher, key, ch)
         assert np.all(table.counts[winner] >= table.counts)
+
+
+def test_context_counts_are_the_classical_count_table(cipher, planted):
+    # the k4n6 instance and the golden attack_k8n8 one (P' = 01, delta = 11)
+    ch8 = make_characteristic(cipher, 0x09, 0x01, 0x11)
+    k8n8 = AttackContext(cipher, ch8, gen_pairs(cipher, 0x09, 0x01, 8))
+    for ctx in (planted[3], k8n8):
+        counts = count_table(ctx.pairs, cipher, ctx.characteristic).counts
+        assert ctx.counts.dtype == np.int64 and not ctx.counts.flags.writeable
+        assert ctx.counts.tolist() == counts.tolist()
+        assert ctx.counts is ctx.counts   # counted once
+    assert planted[3].counts.tolist() == PLANTED_COUNTS_N6
+    assert k8n8.counts.shape == (256,)
 
 
 def test_counts_equal_padded_predicate_sums(cipher, planted, planted_alt):

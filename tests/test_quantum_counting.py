@@ -271,14 +271,9 @@ def _closed_form(m_true: int, params: CountingParams) -> np.ndarray:
     return (fejer(2 * theta - turn) + fejer(-2 * theta - turn)) / (2 * T * T)
 
 
-def _prefix_tables(sizes, params: CountingParams) -> np.ndarray:
-    """One (2N,) table per size M, its first M items marked."""
-    return np.arange(2 * params.num_pairs) < np.asarray(sizes)[:, None]
-
-
 def _assert_kernel_is_the_closed_form(sizes, params: CountingParams) -> None:
     # all sizes as one lane stack through the ladder, transformed 256 lanes at a time
-    ladder = grover_ladder(_prefix_tables(sizes, params), params)
+    ladder = grover_ladder(np.array(sizes), params)
     for first in range(0, len(sizes), 256):
         block = phase_block(ladder, slice(first, first + 256), params)
         for m_true, probs in zip(sizes[first:first + 256], block.probs):
@@ -293,7 +288,7 @@ def test_kernel_is_the_closed_form_for_every_count(n):
     _assert_kernel_is_the_closed_form(list(range(space + 1)), params)
     for m_true in (0, 1, space // 2, space):
         np.testing.assert_allclose(
-            counting_distribution(_prefix_tables([m_true], params)[0], params),
+            counting_distribution(np.arange(space) < m_true, params),   # M marked first
             _closed_form(m_true, params), rtol=0, atol=1e-12)
 
 
@@ -380,7 +375,7 @@ def test_ladder_records_the_class_state_bit_for_bit(n, m, lanes, data):
     rows += [data.draw(st.lists(st.booleans(), min_size=space, max_size=space))
              for _ in range(lanes - len(rows))]
     tables = np.array(rows)
-    ladder = grover_ladder(tables, params)
+    ladder = grover_ladder(np.count_nonzero(tables, axis=1), params)
     T = 1 << params.phase_bits
     assert len(ladder.columns) == lanes and ladder.g_gates == T - 1
     for i, table in enumerate(tables):
@@ -474,7 +469,7 @@ def test_width_is_checked_before_the_ladder(monkeypatch):
     params = CountingParams(1, 14, 0.1)
     assert params.phase_bits == 17
     with pytest.raises(ValueError, match="256 lanes needs t\\+1\\+8 = 26 qubits"):
-        grover_ladder(np.zeros((256, 4), dtype=bool), params)
+        grover_ladder(np.zeros(256, dtype=np.int64), params)
     assert steps == []
 
 
@@ -502,8 +497,8 @@ def _single_table_distribution(marked, params):
     ladder, its own (t+1)-qubit state, one inverse QFT, the one-lane readout."""
     t = params.phase_bits
     T = 1 << t
-    ladder = grover_ladder(marked[None], params)
-    n_marked = int(ladder.n_marked[0])
+    n_marked = int(np.count_nonzero(marked))
+    ladder = grover_ladder(np.array([n_marked]), params)
     state = StateVector(t + 1)
     scale = [[math.sqrt((marked.size - n_marked) / T)], [math.sqrt(n_marked / T)]]
     np.multiply(ladder.columns[0].T, scale, out=state.amps.reshape(2, T))
@@ -515,7 +510,7 @@ def _single_table_distribution(marked, params):
 def _lane_distributions(tables, params):
     """Each lane's distribution from one ladder over the stack, transformed in
     blocks of ``lane_block_size`` lanes as the counter cuts them."""
-    ladder = grover_ladder(tables, params)
+    ladder = grover_ladder(np.count_nonzero(tables, axis=1), params)
     B = lane_block_size(params)
     return np.concatenate([phase_block(ladder, slice(lo, lo + B), params).probs
                            for lo in range(0, len(tables), B)])
@@ -592,8 +587,8 @@ def test_counter_draws_in_demand_order(planted):
 def test_a_lane_of_another_table_is_refused(planted):
     _, _, _, ctx = planted
     params = CountingParams.default(6)
-    block = phase_block(grover_ladder(ctx.table, params), slice(0, 16), params)
-    m = [int(ctx.marked_table(x).sum()) for x in range(16)]
+    block = phase_block(grover_ladder(ctx.counts, params), slice(0, 16), params)
+    m = ctx.counts.tolist()
     x, y = next((x, y) for x in range(16) for y in range(16) if m[x] != m[y])
     with pytest.raises(ValueError, match="class sizes"):
         count_marked(ctx.marked_table(x), params, _rng(0), block=block.lane(y))
@@ -650,50 +645,27 @@ def test_each_block_is_transformed_once(monkeypatch, cipher):
     assert counter.rng.bit_generator.state == rng.bit_generator.state
 
 
-def test_counter_memory_stays_the_ladder_and_two_blocks(cipher):
-    # k = 8, t = 11: blocks of 4 lanes. A sweep after the threshold's count
-    # holds the ladder record and at most two blocks; a block is its state, the
-    # temporaries its gates and readout make (at most as large again) and its
-    # distributions (the real part of a complex readout). Keeping every lane's
-    # distribution would add at least 4 MiB.
+@pytest.mark.parametrize("shared", [False, True], ids=["own_memo", "config_memo"])
+def test_a_counter_holds_its_memo_and_two_blocks(cipher, shared):
+    # the golden attack_k8n8 instance at t = 11 (blocks of 4 lanes), as an
+    # attack's trials take it. A counter runs one ladder over the D distinct
+    # sizes and keeps their columns in a memo, its own or the config's; it
+    # gathers no (T, 2, K) record, so a sweep after the threshold's count holds
+    # the D columns and at most two blocks (each a state, its temporaries, its
+    # distributions and its gathered columns). A later counter given the
+    # config's memo runs no ladder and holds the blocks alone
     ch = make_characteristic(cipher, 0x09, 0x01, 0x11)
     ctx = AttackContext(cipher, ch, gen_pairs(cipher, 0x09, 0x01, 8))
     params = CountingParams(8, 8, 0.1)
     t = params.phase_bits
     B = lane_block_size(params)
     assert t == 11 and B == 4
-    ctx.table   # built on first use; not the counter's
+    distinct = len(set(ctx.counts.tolist()))   # the counts are built on first use
     QuantumCounter(ctx, params, _rng(16)).count(0)   # first-call allocations
-    record = (1 << t) * 2 * 256 * 8
-    block = B * (2 * (16 << (t + 1)) + (16 << t))
-    tracemalloc.start()
-    try:
-        counter = QuantumCounter(ctx, params, _rng(16))
-        for x in [201, *range(256)]:
-            counter.count(x)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert record < peak < record + 2 * block < record + 256 * (8 << t)
-
-
-def test_a_counter_given_a_memo_holds_the_memo_and_two_blocks(cipher):
-    # the instance above through the memo, as an attack's trials take it: the
-    # first counter runs one ladder over the D distinct sizes and keeps their
-    # columns in the memo, a later one runs none; neither gathers a (T, 2, K)
-    # record, so each holds the memo's columns and at most two blocks (each a
-    # state, its temporaries, its distributions and its gathered columns)
-    ch = make_characteristic(cipher, 0x09, 0x01, 0x11)
-    ctx = AttackContext(cipher, ch, gen_pairs(cipher, 0x09, 0x01, 8))
-    params = CountingParams(8, 8, 0.1)
-    t = params.phase_bits
-    B = lane_block_size(params)
-    distinct = len(set(np.count_nonzero(ctx.table, axis=1).tolist()))
-    QuantumCounter(ctx, params, _rng(16), ClassLadders(params)).count(0)   # first calls
     column = (1 << t) * 2 * 8
     record = 256 * column
     block = B * (2 * (16 << (t + 1)) + (16 << t) + column)
-    memo = ClassLadders(params)
+    memo = ClassLadders(params) if shared else None
     peaks = []
     for trial in range(2):
         tracemalloc.start()
@@ -704,20 +676,35 @@ def test_a_counter_given_a_memo_holds_the_memo_and_two_blocks(cipher):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert len(memo.columns) == distinct < 64
+        assert len(counter._ladders.columns) == distinct < 64
     assert distinct * column < peaks[0] < distinct * column + 2 * block < record
-    assert peaks[1] < 2 * block
+    if shared:
+        assert peaks[1] < 2 * block
+    else:
+        assert distinct * column < peaks[1] < distinct * column + 2 * block
 
 
-def test_ladder_takes_only_a_stack():
-    params = CountingParams.default(3)
-    with pytest.raises(ValueError, match="stack"):
-        grover_ladder(np.zeros(16, dtype=bool), params)
-    with pytest.raises(ValueError, match="stack"):
-        grover_ladder(np.zeros((1, 1, 16), dtype=bool), params)
-    ladder = grover_ladder(np.zeros((1, 16), dtype=bool), params)
-    assert [c.shape for c in ladder.columns] == [(1 << params.phase_bits, 2)]
-    assert ladder.n_marked.tolist() == [0]
+def test_ladder_refuses_bad_sizes_before_any_step(monkeypatch):
+    # 2N = 16: sizes that are not an (L,) integer array, a size outside
+    # [0, 16], and 2**21 lanes at t = 4 (t+1+21 = 26 qubits) are each refused
+    # before the first G step
+    steps = []
+    monkeypatch.setattr(quantum_counting, "_lane_grover_step",
+                        lambda *args: steps.append(args))
+    params = CountingParams(3, 1, 0.1)
+    assert params.phase_bits == 4
+    for sizes, match in ((np.zeros((1, 1), dtype=np.int64), "\\(L,\\) integer array"),
+                         (np.zeros(16, dtype=bool), "\\(L,\\) integer array"),
+                         (np.array([3, -1]), "\\[0, 2N\\] = \\[0, 16\\]"),
+                         (np.array([17, 3]), "\\[0, 2N\\] = \\[0, 16\\]"),
+                         (np.zeros(1 << 21, dtype=np.int64), "t\\+1\\+21 = 26 qubits")):
+        with pytest.raises(ValueError, match=match):
+            grover_ladder(sizes, params)
+    assert steps == []
+    monkeypatch.undo()
+    ladder = grover_ladder(np.array([0, 16]), params)
+    assert [c.shape for c in ladder.columns] == [(1 << params.phase_bits, 2)] * 2
+    assert ladder.n_marked.tolist() == [0, 16]
 
 
 @pytest.mark.parametrize("step, lane, amp, fault", [
@@ -743,8 +730,9 @@ def test_ladder_refuses_a_lane_off_the_unit_sphere(monkeypatch, step, lane, amp,
             args[5 if amp == "unmarked" else 6][at["lane"]] *= fault
 
     monkeypatch.setattr(quantum_counting, "_lane_grover_step", faulty_step)
+    sizes = np.count_nonzero(tables, axis=1)
     with pytest.raises(CorruptedStateError, match="norm drift"):
-        grover_ladder(tables, params)
+        grover_ladder(sizes, params)
     assert len(applied) == 15
     rng = _rng(3)
     state = rng.bit_generator.state
@@ -755,7 +743,7 @@ def test_ladder_refuses_a_lane_off_the_unit_sphere(monkeypatch, step, lane, amp,
     assert rng.bit_generator.state == state
     # the same stack through the unpatched step passes
     monkeypatch.setattr(quantum_counting, "_lane_grover_step", real_step)
-    assert grover_ladder(tables, params).g_gates == 15
+    assert grover_ladder(sizes, params).g_gates == 15
 
 
 # ---- the ladder memoized by class size --------------------------------------------
@@ -769,10 +757,10 @@ def _k4n6_instances():
 
 def test_a_warm_memo_draws_what_a_cold_counter_draws():
     params, contexts = _k4n6_instances()
-    sizes = [set(np.count_nonzero(ctx.table, axis=1).tolist()) for ctx in contexts]
+    sizes = [set(ctx.counts.tolist()) for ctx in contexts]
     assert sizes[0] & sizes[1] and sizes[1] - sizes[0]   # the sizes partly overlap
     memo = ClassLadders(params)
-    memo.ladder(contexts[0].table)
+    memo.ladder(contexts[0].counts)
     order = [5, *range(16)]
     for i, ctx in enumerate(contexts):
         cold = QuantumCounter(ctx, params, _rng(18, i))
@@ -788,8 +776,8 @@ def test_every_memo_column_is_its_size_run_alone():
     params, contexts = _k4n6_instances()
     memo = ClassLadders(params)
     for ctx in contexts:
-        shared = memo.ladder(ctx.table)
-        alone = grover_ladder(ctx.table, params)
+        shared = memo.ladder(ctx.counts)
+        alone = grover_ladder(ctx.counts, params)
         assert len(shared.columns) == len(alone.columns) == 16
         for mine, its in zip(shared.columns, alone.columns):
             assert mine.tobytes() == its.tobytes()
@@ -800,7 +788,7 @@ def test_every_memo_column_is_its_size_run_alone():
             assert column is memo.columns[m_true]
     assert 0 in memo.columns
     for m_true, column in memo.columns.items():
-        alone = grover_ladder(_prefix_tables([m_true], params), params)
+        alone = grover_ladder(np.array([m_true]), params)
         assert column.tobytes() == alone.columns[0].tobytes()
         np.testing.assert_allclose(phase_block(alone, slice(0, 1), params).probs[0],
                                    _closed_form(m_true, params), rtol=0, atol=1e-12)
@@ -812,14 +800,43 @@ def test_a_memo_runs_each_missing_size_once_and_stays_within_the_stack(monkeypat
     runs = []
     ladder = quantum_counting.grover_ladder
     monkeypatch.setattr(quantum_counting, "grover_ladder",
-                        lambda tables, p: runs.append(len(tables)) or ladder(tables, p))
-    memo.ladder(_prefix_tables([3, 1, 3, 0], params))
-    memo.ladder(_prefix_tables([1, 0, 3, 3], params))   # all hits
-    assert runs == [3] and list(memo.columns) == [3, 1, 0]
-    memo.ladder(_prefix_tables([5, 1, 5, 5], params))   # one miss: 4 columns for 4 lanes
-    assert runs == [3, 1] and list(memo.columns) == [3, 1, 0, 5]
-    memo.ladder(_prefix_tables([6, 1, 7, 1], params))   # 4 + 2 > 4: cleared first
-    assert runs == [3, 1, 3] and list(memo.columns) == [6, 1, 7]
+                        lambda sizes, p: runs.append(sizes.tolist()) or ladder(sizes, p))
+    memo.ladder([3, 1, 3, 0])
+    memo.ladder([1, 0, 3, 3])   # all hits
+    assert runs == [[3, 1, 0]] and list(memo.columns) == [3, 1, 0]
+    memo.ladder([5, 1, 5, 5])   # one miss: 4 columns for 4 lanes
+    assert runs[1:] == [[5]] and list(memo.columns) == [3, 1, 0, 5]
+    # 4 + 2 > 4: the two oldest columns these lanes do not use (3, 0) go, and
+    # 1, which they use, stays
+    memo.ladder([6, 1, 7, 1])
+    assert runs[2:] == [[6, 7]] and list(memo.columns) == [1, 5, 6, 7]
+    # every kept column is still its size run alone, to the bit
+    for m_true, column in memo.columns.items():
+        assert column.tobytes() == ladder(np.array([m_true]), params).columns[0].tobytes()
+
+
+def test_an_evicted_column_frees_its_record():
+    # t = 13, a 128 KiB column: the first ladder's 4-lane record stays alive
+    # while any column views it; the eviction copies the survivor (4), so the
+    # record of 1, 2 and 3 is freed and the memo holds four columns' worth
+    params = CountingParams(3, 10, 0.1)
+    column = (1 << params.phase_bits) * 2 * 8
+    assert column == 128 << 10
+    memo = ClassLadders(params)
+    memo.ladder([4, 4])   # first-call allocations
+    memo = ClassLadders(params)
+    tracemalloc.start()
+    try:
+        memo.ladder([1, 2, 3, 4])
+        held = tracemalloc.get_traced_memory()[0]
+        memo.ladder([5, 6, 7, 4])   # evicts 1, 2 and 3
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert list(memo.columns) == [4, 5, 6, 7]
+    assert 4 * column < held < 4 * column + column // 4
+    # keeping the old record would hold 4 + 3 columns
+    assert 4 * column < after < 4 * column + column // 4
 
 
 def test_a_memo_stores_no_column_off_the_unit_sphere(monkeypatch):
@@ -833,23 +850,23 @@ def test_a_memo_stores_no_column_off_the_unit_sphere(monkeypatch):
 
     monkeypatch.setattr(quantum_counting, "_lane_grover_step", drifting_step)
     with pytest.raises(CorruptedStateError):
-        memo.ladder(_prefix_tables([2, 5], params))
+        memo.ladder([2, 5])
     assert memo.columns == {}
 
 
 def test_a_memo_checks_the_whole_stack_before_the_ladder(monkeypatch):
-    # 256 equal tables are one size, but their (T, 2, 256) record is refused
+    # 256 lanes of one size, but their (T, 2, 256) record is refused
     steps = []
     monkeypatch.setattr(quantum_counting, "_lane_grover_step",
                         lambda *args: steps.append(args))
     params = CountingParams(1, 14, 0.1)
     memo = ClassLadders(params)
     with pytest.raises(ValueError, match="256 lanes needs t\\+1\\+8 = 26 qubits"):
-        memo.ladder(np.zeros((256, 4), dtype=bool))
-    with pytest.raises(ValueError, match="stack"):
-        memo.ladder(np.zeros(4, dtype=bool))
-    with pytest.raises(ValueError, match="padded 2N"):
-        memo.ladder(np.zeros((2, 8), dtype=bool))
+        memo.ladder(np.zeros(256, dtype=np.int64))
+    with pytest.raises(ValueError, match="integer array"):
+        memo.ladder(np.zeros((2, 4), dtype=np.int64))
+    with pytest.raises(ValueError, match="\\[0, 2N\\]"):
+        memo.ladder([0, 5])
     assert steps == [] and memo.columns == {}
 
 

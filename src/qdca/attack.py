@@ -260,7 +260,8 @@ def run_classical_attack(config: AttackConfig, trial: int = 0, instance=None) ->
     """Exhaustive counting baseline on the same planted instance."""
     ctx, _, z = instance or plant_instance(config, trial)
     t0 = time.perf_counter()
-    winner, table = classical_attack(ctx.pairs, ctx.cipher, ctx.characteristic)
+    winner, table = classical_attack(ctx.pairs, ctx.cipher, ctx.characteristic,
+                                     counts=ctx.counts)
     evaluations = table.counts.size * ctx.pairs.num_pairs  # exactly K*N
     return AttackResult(
         trial=trial, mode="classical", recovered_subkey=winner, ground_truth=z,

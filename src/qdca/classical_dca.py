@@ -38,8 +38,11 @@ def count_table(pairs: PairSet, cipher: ToyCipher, ch: Characteristic) -> CountT
     return CountTable(table[:, :pairs.num_pairs].sum(axis=1), ch.subkey_bits)
 
 
-def classical_attack(pairs: PairSet, cipher: ToyCipher,
-                     ch: Characteristic) -> tuple[int, CountTable]:
-    """Count right pairs for every candidate subkey; most right pairs wins."""
-    table = count_table(pairs, cipher, ch)
+def classical_attack(pairs: PairSet, cipher: ToyCipher, ch: Characteristic, *,
+                     counts: np.ndarray | None = None) -> tuple[int, CountTable]:
+    """Count right pairs for every candidate subkey; most right pairs wins.
+    ``counts``, the instance's right-pair counts if already counted (as
+    ``AttackContext.counts``), replaces the count."""
+    table = (count_table(pairs, cipher, ch) if counts is None
+             else CountTable(counts, ch.subkey_bits))
     return table.winner(), table

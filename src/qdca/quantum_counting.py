@@ -36,16 +36,18 @@ The inverse Fourier transform runs gate by gate on t+1 qubits, on
 image under the isometry |0> -> |u_U>, |1> -> |u_M> is the full state; the
 transform acts on the phase register alone, so the phase outcome
 distribution is unchanged. ``phase_block`` stacks a run of ladder lanes as
-the lanes of one StateVector and transforms them at once, each gate counted
-once per lane it acts on. A counter cuts its ladder into blocks of
-``lane_block_size`` lanes, gathers and transforms each block once and
-draws each subkey's estimate from its row. The blocks and draws are per
-counter, never memoized, so every estimate reports QFT gates applied to its
-own lane. These states represent the t+n+1-qubit circuit exactly, and no
-array has its width: the widest is a ladder's record or the memo's columns,
-at most L of them, bounded by t+1+log2(L) <= 24. The full-vector controlled
-ladder is kept as ``reference_counting_distribution``, the oracle the kernel
-is tested against.
+the lanes of one lane-minor StateVector, the class on qubit 0 and the phase
+register on qubits 1..t, so even its lowest phase qubit's gates run over 2L
+adjacent amplitudes; it transforms them at once, each gate counted once per
+lane it acts on, and builds every lane's normalized CDF in one row-wise pass.
+A counter cuts its ladder into blocks of ``lane_block_size`` lanes, gathers
+and transforms each block once and draws each subkey's estimate from its
+CDF row. The blocks and draws are per counter, never memoized, so every
+estimate reports QFT gates applied to its own lane. These states represent
+the t+n+1-qubit circuit exactly, and no array has its width: the widest is a
+ladder's record or the memo's columns, at most L of them, bounded by
+t+1+log2(L) <= 24. The full-vector controlled ladder is kept as
+``reference_counting_distribution``, the oracle the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -57,13 +59,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .statevector import (DEFAULT_MAX_QUBITS, Register, RegisterMap, StateVector,
-                          _assert_unit_norm, draw_outcome)
+                          _assert_unit_norm, _outcome_cdf_rows, draw_from_cdf)
 from .toy_cipher import AttackContext
 
 COHERENT_MAX_SUBKEY_BITS = 2
 COHERENT_MAX_INDEX_BITS = 2
 # amplitudes of one inverse-QFT block (256 KiB of complex128): in a sweep of
-# block sizes, blocks of 12 to 15 qubits ran the transform fastest per lane
+# block sizes over lane-minor stacks (k4n6, the k = 8 n = 8 doc, the 16-bit
+# docs at k4n10 and k8n12), blocks of 14 to 15 qubits ran the transform
+# fastest per lane, 13 qubits or fewer 10-40% slower
 LANE_BLOCK_AMPS = 1 << 14
 
 
@@ -290,37 +294,40 @@ def lane_block_size(params: CountingParams) -> int:
 @dataclass(frozen=True)
 class PhaseBlock:
     """Row i of the (B, T) ``probs`` is the phase outcome distribution of
-    lane i of a block of ladder lanes, after the block's inverse QFT;
+    lane i of a block of ladder lanes, after the block's inverse QFT, and row
+    i of ``cdf`` its normalized CDF (``outcome_cdf`` of the row);
     ``n_marked`` holds the lanes' marked-class sizes."""
 
     n_marked: np.ndarray
     probs: np.ndarray
+    cdf: np.ndarray
     g_gates: int     # the ladder's G steps, counted at the step
     qft_gates: int   # Fourier gates applied to every lane, counted at the gates
 
     def lane(self, i: int) -> "PhaseBlock":
         """Lane i as a one-lane block."""
-        return PhaseBlock(self.n_marked[i:i + 1], self.probs[i:i + 1], self.g_gates,
-                          self.qft_gates)
+        return PhaseBlock(self.n_marked[i:i + 1], self.probs[i:i + 1], self.cdf[i:i + 1],
+                          self.g_gates, self.qft_gates)
 
 
 def phase_block(ladder: Ladder, lanes: slice, params: CountingParams) -> PhaseBlock:
     """Phase estimation reduced to the two index classes, for a run of the
     ladder's lanes at once: one lane-stacked (t+1)-qubit state, one
-    gate-by-gate inverse QFT, one distribution per lane."""
+    gate-by-gate inverse QFT, one distribution and one CDF per lane."""
     t = params.phase_bits
     T = 1 << t
     n_marked = ladder.n_marked[lanes]
     state = StateVector(t + 1, len(n_marked))
-    phase_reg = Register("phase", 0, t)
-    # lane major, then class (row 0 the unmarked class, row 1 the marked one), phase
-    # minor; only this block's columns are gathered
-    scale = np.sqrt(np.stack([2 * params.num_pairs - n_marked, n_marked], axis=1) / T)
-    np.multiply(np.stack(ladder.columns[lanes]).transpose(0, 2, 1), scale[:, :, None],
-                out=state.amps.reshape(-1, 2, T))
+    phase_reg = Register("phase", 1, t)
+    # the class on qubit 0 (0 the unmarked class, 1 the marked one), the phase
+    # register above it, lanes minor; only this block's columns are gathered
+    scale = np.sqrt(np.stack([2 * params.num_pairs - n_marked, n_marked]) / T)
+    np.multiply(np.stack(ladder.columns[lanes], axis=2), scale,
+                out=state.amps.reshape(T, 2, -1))
     state.inverse_qft(phase_reg)
-    return PhaseBlock(n_marked, state.probabilities(phase_reg).reshape(-1, T),
-                      ladder.g_gates, state.counters.qft_gates // state.lanes)
+    probs = state.probabilities(phase_reg).reshape(-1, T)
+    return PhaseBlock(n_marked, probs, _outcome_cdf_rows(probs), ladder.g_gates,
+                      state.counters.qft_gates // state.lanes)
 
 
 def _one_lane_block(m_true: int, params: CountingParams) -> PhaseBlock:
@@ -338,7 +345,7 @@ def count_marked(marked: np.ndarray, params: CountingParams,
         block = _one_lane_block(m_true, params)
     if block.n_marked.tolist() != [m_true]:
         raise ValueError("the block's class sizes are not those of the table")
-    b = draw_outcome(block.probs[0], rng)
+    b = draw_from_cdf(block.cdf[0], rng)
     theta, m_est, right = estimate_from_outcome(b, params)
     assert block.g_gates == (1 << params.phase_bits) - 1
     return CountEstimate(b, theta, m_est, right, block.g_gates, block.qft_gates,

@@ -16,9 +16,13 @@ in the view. The Fourier transform and measurement refuse an external
 control.
 
 A StateVector may hold a stack of independent lanes of the same width,
-lane major: each gate then acts on every lane and its Fourier gates count
-once per lane, the norm is checked per lane and the outcome distribution
-is one row per lane.
+lane minor: amplitude basis*L + lane, so every gate view folds the L lanes
+into its contiguous lowest axis and a gate on qubit q runs over blocks of
+L*2**q adjacent amplitudes. Each gate acts on every lane and its Fourier
+gates count once per lane, the norm is checked per lane and the outcome
+distribution is one row per lane; both are summed in the order the lane alone
+sums them, so a lane of a stack reads, byte for byte, what it reads alone. A
+one-lane state is the plain vector.
 
 A StateVector is owned by one execution context while it mutates.
 Measurement probabilities are accumulated in a fixed reduction order, so
@@ -26,7 +30,9 @@ seeded runs are bit-reproducible. Every measurement draws through
 ``draw_outcome``, which makes the one uniform draw ``Generator.choice`` makes
 for a probability vector, without its per-call argument checks: it builds the
 normalized CDF (``outcome_cdf``) and places one uniform in it
-(``draw_from_cdf``).
+(``draw_from_cdf``). The rows of a lane stack's distributions get their CDFs
+in one pass (``_outcome_cdf_rows``), each row byte-equal to ``outcome_cdf``
+of it.
 
 The attack's Grover steps do not run here: they keep the uniform start in
 the span of two classes, so the counting ladder and the search step two
@@ -45,6 +51,7 @@ import numpy as np
 
 DEFAULT_MAX_QUBITS = 24
 NORM_TOL = 1e-9
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 class CorruptedStateError(RuntimeError):
@@ -115,6 +122,21 @@ def outcome_cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
+def _outcome_cdf_rows(probs: np.ndarray) -> np.ndarray:
+    """``outcome_cdf`` of every row of the (L, R) ``probs`` in one pass, each
+    row byte-equal to ``outcome_cdf`` of it (the same sum, divide, cumsum and
+    divide by the last entry, row by row); refuses the stack if any row's
+    norm is below 1e-12. ``outcome_cdf`` keeps its 1-D code for the search,
+    which builds one CDF at a time."""
+    totals = probs.sum(axis=1, keepdims=True)
+    if totals.min() < 1e-12:
+        raise CorruptedStateError("state norm below 1e-12 before measurement")
+    cdf = probs / totals
+    np.cumsum(cdf, axis=1, out=cdf)
+    cdf /= cdf[:, -1:].copy()
+    return cdf
+
+
 def draw_from_cdf(cdf: np.ndarray, rng: np.random.Generator) -> int:
     """Place one ``rng.random()`` in ``cdf``, an ``outcome_cdf``; refuses an
     outcome the cumulative sum does not step up at (zero probability)."""
@@ -169,9 +191,9 @@ class StateVector:
     """2**q complex amplitudes with a norm-preservation invariant.
 
     With ``lanes`` > 1 it is a stack of that many independent q-qubit states,
-    lane major, each starting in |0>: every gate acts on each lane, the
-    Fourier gates are counted once per lane, the norm is checked per lane and
-    ``probabilities`` gives one distribution per lane."""
+    lane minor (amplitude basis*L + lane), each starting in |0>: every gate
+    acts on each lane, the Fourier gates are counted once per lane, the norm
+    is checked per lane and ``probabilities`` gives one distribution per lane."""
 
     def __init__(self, num_qubits: int, lanes: int = 1):
         if not 1 <= num_qubits <= DEFAULT_MAX_QUBITS:
@@ -182,7 +204,7 @@ class StateVector:
         self.num_qubits = num_qubits
         self.lanes = lanes
         self.amps = np.zeros(lanes << num_qubits, dtype=np.complex128)
-        self.amps[::1 << num_qubits] = 1.0
+        self.amps[:lanes] = 1.0   # basis state 0 of every lane
         self.counters = GateCounters()
         self._controls: list[int] = []
 
@@ -207,11 +229,12 @@ class StateVector:
     # ---- invariants ----------------------------------------------------
 
     def norm_squared(self):
-        """The squared norm, per lane for a stack."""
-        if self.lanes == 1:
-            return np.vdot(self.amps, self.amps).real
-        lanes = self.amps.reshape(self.lanes, -1)
-        return np.einsum("li,li->l", lanes, lanes.conj()).real
+        """The squared norm, per lane for a stack. The sum over basis states
+        runs in index order whatever the lane count, so a lane of a stack
+        reads the norm it reads alone."""
+        lanes = self.amps.reshape(-1, self.lanes)
+        norms = np.einsum("il,il->l", lanes, lanes.conj()).real
+        return norms if self.lanes > 1 else norms[0]
 
     def _assert_norm(self):
         _assert_unit_norm(self.norm_squared())
@@ -229,22 +252,25 @@ class StateVector:
 
     def _reg_view(self, reg: Register) -> tuple[np.ndarray, int]:
         """A view of the amplitudes whose control qubits are all |1>, with the
-        register on one axis; returns (view, register axis)."""
+        register on one axis; returns (view, register axis). Uncontrolled, it
+        is (high, register, low) with the lanes folded into the low axis."""
         if not self._controls:
-            high = self.lanes << (self.num_qubits - reg.offset - reg.width)
-            return self.amps.reshape(high, reg.size, 1 << reg.offset), 1
-        # a lane axis, then one axis per run of qubits between cuts, most
-        # significant first
+            high = 1 << (self.num_qubits - reg.offset - reg.width)
+            return self.amps.reshape(high, reg.size, self.lanes << reg.offset), 1
+        # one axis per run of qubits between cuts, most significant first,
+        # then the lane axis
         cuts = {0, self.num_qubits, reg.offset, reg.offset + reg.width}
         for c in self._controls:
             cuts |= {c, c + 1}
         bounds = sorted(cuts, reverse=True)
-        shape, index = [self.lanes], [slice(None)]
+        shape, index = [], []
         for hi, lo in zip(bounds, bounds[1:]):
             if lo == reg.offset:
                 axis = index.count(slice(None))
             shape.append(1 << (hi - lo))
             index.append(1 if lo in self._controls else slice(None))
+        shape.append(self.lanes)
+        index.append(slice(None))
         return self.amps.reshape(shape)[tuple(index)], axis
 
     @staticmethod
@@ -308,21 +334,28 @@ class StateVector:
     # ---- Fourier transforms (gate-by-gate, counted) ---------------------
 
     def _hadamard(self, qubit: int):
-        high = self.lanes << (self.num_qubits - qubit - 1)
-        view = self.amps.reshape(high, 2, 1 << qubit)
-        a0 = view[:, 0, :].copy()
-        a1 = view[:, 1, :]
-        inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        view[:, 0, :] = (a0 + a1) * inv_sqrt2
-        view[:, 1, :] = (a0 - a1) * inv_sqrt2
+        """|0>, |1> -> (|0> + |1>)/sqrt(2), (|0> - |1>)/sqrt(2) on the qubit.
+
+        The two halves are gathered by one strided copy and combined as
+        contiguous arrays: on the strided halves of a low qubit each ufunc
+        pass would cost several times a copy."""
+        view = self.amps.reshape(1 << (self.num_qubits - qubit - 1), 2,
+                                 self.lanes << qubit).transpose(1, 0, 2)
+        a0, a1 = view.copy()
+        total = a0 + a1
+        a0 -= a1
+        total *= _INV_SQRT2
+        a0 *= _INV_SQRT2
+        view[0] = total
+        view[1] = a0
         self.counters.qft_gates += self.lanes
 
     def _pair_view(self, qa: int, qb: int) -> np.ndarray:
         """(high, 2, mid, 2, low) view: axis 1 is the higher of the two
         qubits, axis 3 the lower."""
         lo, hi = sorted((qa, qb))
-        return self.amps.reshape(self.lanes << (self.num_qubits - hi - 1), 2,
-                                 1 << (hi - lo - 1), 2, 1 << lo)
+        return self.amps.reshape(1 << (self.num_qubits - hi - 1), 2,
+                                 1 << (hi - lo - 1), 2, self.lanes << lo)
 
     def _controlled_phase(self, qa: int, qb: int, phase: complex):
         """Multiply the states with both qubits |1> by the unit factor ``phase``."""
@@ -361,7 +394,10 @@ class StateVector:
         self._check_register(reg)
         self._refuse_controls("reading the register")
         view, _ = self._reg_view(reg)
-        view = view.reshape(self.lanes, -1, *view.shape[1:])
+        # each lane gathered to (high, register, low) as it reads alone, so the
+        # sums over high and low run in its order
+        view = np.ascontiguousarray(
+            view.reshape(*view.shape[:2], -1, self.lanes).transpose(3, 0, 1, 2))
         # a real copy: the .real view would keep the complex result alive
         probs = np.einsum("lirj,lirj->lr", view, view.conj()).real.copy()
         return probs if self.lanes > 1 else probs[0]

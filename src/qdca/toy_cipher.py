@@ -326,8 +326,9 @@ class AttackContext:
 
     @cached_property
     def counts(self) -> np.ndarray:
-        """The read-only (K,) int64 right-pair counts, counted once from ``table``."""
-        counts = np.count_nonzero(self.table, axis=1).astype(np.int64, copy=False)
+        """The read-only (K,) int64 right-pair counts, counted once from ``table``
+        (its first N columns: the padding holds no right pair)."""
+        counts = self.table[:, :self.pairs.num_pairs].sum(axis=1, dtype=np.int64)
         counts.flags.writeable = False
         return counts
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qdca.attack
+import qdca.classical_dca
 import qdca.max_finding
 import qdca.quantum_counting
 import qdca.toy_cipher
@@ -16,6 +17,7 @@ from qdca.attack import (AttackConfig, ConfigError, plant_instance,
                          run_quantum_attack, run_scaling_report, run_trials,
                          write_counts_csv, write_results_csv, write_scale_csv,
                          write_trace_csv)
+from qdca.classical_dca import count_table
 from qdca.cli import _config_from_args, build_parser, main
 from qdca.statevector import StateVector
 from qdca.toy_cipher import ToyCipher
@@ -263,6 +265,22 @@ def test_both_modes_share_each_trials_random_key_instance(monkeypatch):
     # the trial's first mode reports the preparation; the second is handed the instance
     assert [r.mode for r in results] == ["classical", "quantum"] * 4
     assert all(c.prep_time_s > q.prep_time_s for c, q in zip(results[::2], results[1::2]))
+
+
+@pytest.mark.parametrize("planted_key, builds", [(0x09, 1), (None, 5)])
+def test_both_modes_build_each_instance_table_once(monkeypatch, planted_key, builds):
+    # the classical attack reads the context's counts: a planted key's table is
+    # built once per config, a random key's once per trial, for both modes
+    calls = _count_calls(monkeypatch, qdca.toy_cipher, "right_pair_table")
+    monkeypatch.setattr(qdca.classical_dca, "right_pair_table", qdca.toy_cipher.right_pair_table)
+    cfg = AttackConfig(index_bits=6, trials=5, planted_key=planted_key, mode="both")
+    results, _ = run_trials(cfg)
+    assert [r.mode for r in results] == ["classical", "quantum"] * 5
+    assert len(calls) == builds
+    for r in results[::2]:
+        ctx, _, _ = plant_instance(cfg, r.trial)
+        assert r.recovered_subkey == count_table(ctx.pairs, ctx.cipher,
+                                                 ctx.characteristic).winner()
 
 
 @pytest.mark.parametrize("fields", [

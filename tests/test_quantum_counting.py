@@ -1,5 +1,7 @@
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from qdca.quantum_counting import (ClassLadders, CountingParams, coherent_counti
                                    estimate_from_outcome, grover_iteration, grover_ladder,
                                    lane_block_size, phase_block, profile_error_bound,
                                    qft_gate_budget, reference_counting_distribution)
-from qdca.statevector import CorruptedStateError, Register, StateVector
+from qdca.statevector import CorruptedStateError, Register, StateVector, outcome_cdf
 from qdca.toy_cipher import (AttackContext, default_characteristic, gen_pairs,
                              make_characteristic, true_subkey)
 
@@ -565,6 +567,26 @@ def test_lanes_equal_the_single_table_path_on_random_stacks(n, m, lanes, data):
     _assert_lanes_equal_single_tables(np.array(rows), CountingParams(n, m, 0.1))
 
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize("subkey_bits, index_bits, doc", [
+    (4, 6, None), (8, 8, "k8_characteristic.json"), (4, 10, "w16_k4_characteristic.json")])
+def test_every_block_cdf_row_is_the_outcome_cdf_of_its_row(subkey_bits, index_bits, doc):
+    # the block's one row-wise pass builds, byte for byte, the CDF each draw
+    # would build from its own row
+    fields = json.loads((FIXTURES / doc).read_text()) if doc else {}
+    cfg = AttackConfig(subkey_bits=subkey_bits, index_bits=index_bits, **fields)
+    ctx, params = cfg.planted_instance[0], cfg.counting_params()
+    ladder = grover_ladder(ctx.counts, params)
+    B = lane_block_size(params)
+    for first in range(0, len(ctx.counts), B):
+        block = phase_block(ladder, slice(first, first + B), params)
+        assert block.cdf.shape == block.probs.shape
+        for row, cdf in zip(block.probs, block.cdf):
+            assert cdf.tobytes() == outcome_cdf(row).tobytes()
+
+
 def test_counter_draws_in_demand_order(planted):
     # one ladder for all 16 subkeys; the estimates and the rng stream are
     # those of one count_marked call per newly demanded subkey, in that order
@@ -603,7 +625,7 @@ def test_a_drifted_lane_fails_the_block_transform():
     reg = Register("phase", 0, 3)
     for nudge, raises in ((1.0, False), (1.01, True)):
         state = StateVector(4, 8)
-        state.amps.reshape(8, 16)[5] *= nudge
+        state.amps.reshape(16, 8)[:, 5] *= nudge   # lane minor: basis*8 + lane
         if raises:
             with pytest.raises(CorruptedStateError, match="norm drift"):
                 state.inverse_qft(reg)

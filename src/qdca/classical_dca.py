@@ -41,8 +41,16 @@ def count_table(pairs: PairSet, cipher: ToyCipher, ch: Characteristic) -> CountT
 def classical_attack(pairs: PairSet, cipher: ToyCipher, ch: Characteristic, *,
                      counts: np.ndarray | None = None) -> tuple[int, CountTable]:
     """Count right pairs for every candidate subkey; most right pairs wins.
-    ``counts``, the instance's right-pair counts if already counted (as
-    ``AttackContext.counts``), replaces the count."""
-    table = (count_table(pairs, cipher, ch) if counts is None
-             else CountTable(counts, ch.subkey_bits))
+
+    The three-argument form counts them from ``pairs`` (``count_table``): the
+    public ground-truth oracle. ``counts`` passes the counts of the same pairs
+    and characteristic already counted, as ``run_classical_attack`` passes
+    ``AttackContext.counts``; they need one entry per candidate subkey and
+    none above the N pairs."""
+    if counts is None:
+        table = count_table(pairs, cipher, ch)
+    else:
+        table = CountTable(counts, ch.subkey_bits)
+        if table.counts.max() > pairs.num_pairs:
+            raise ValueError(f"a count above the {pairs.num_pairs} pairs")
     return table.winner(), table

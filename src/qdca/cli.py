@@ -73,7 +73,8 @@ def cmd_attack(args) -> int:
         prep = sum(r.prep_time_s for r in rows)
         print(f"{mode}: {wins}/{len(rows)} recovered "
               f"(rate {wins/len(rows):.4f}), wall {wall:.2f}s "
-              f"(+{prep:.2f}s instance preparation, outside the cost model)")
+              f"(+{prep:.2f}s instance preparation with its right-pair counts, "
+              f"outside the cost model)")
         if mode == "quantum":
             mean_steps = sum(r.steps_total for r in rows) / len(rows)
             print(f"  mean time steps {mean_steps:.1f}; register model "

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .statevector import (DEFAULT_MAX_QUBITS, Register, RegisterMap, StateVector,
-                          _assert_unit_norm, _outcome_cdf_rows, draw_from_cdf)
+                          _assert_unit_norm, draw_from_cdf)
 from .toy_cipher import AttackContext
 
 COHERENT_MAX_SUBKEY_BITS = 2
@@ -293,27 +293,28 @@ def lane_block_size(params: CountingParams) -> int:
 
 @dataclass(frozen=True)
 class PhaseBlock:
-    """Row i of the (B, T) ``probs`` is the phase outcome distribution of
-    lane i of a block of ladder lanes, after the block's inverse QFT, and row
-    i of ``cdf`` its normalized CDF (``outcome_cdf`` of the row);
-    ``n_marked`` holds the lanes' marked-class sizes."""
+    """Row i of the (B, T) ``cdf`` is the normalized CDF (``outcome_cdf``) of
+    the phase outcome distribution of lane i of a block of ladder lanes,
+    after the block's inverse QFT; ``n_marked`` holds the lanes'
+    marked-class sizes."""
 
     n_marked: np.ndarray
-    probs: np.ndarray
     cdf: np.ndarray
     g_gates: int     # the ladder's G steps, counted at the step
     qft_gates: int   # Fourier gates applied to every lane, counted at the gates
 
     def lane(self, i: int) -> "PhaseBlock":
         """Lane i as a one-lane block."""
-        return PhaseBlock(self.n_marked[i:i + 1], self.probs[i:i + 1], self.cdf[i:i + 1],
-                          self.g_gates, self.qft_gates)
+        return PhaseBlock(self.n_marked[i:i + 1], self.cdf[i:i + 1], self.g_gates,
+                          self.qft_gates)
 
 
-def phase_block(ladder: Ladder, lanes: slice, params: CountingParams) -> PhaseBlock:
+def _phase_distributions(ladder: Ladder, lanes: slice,
+                         params: CountingParams) -> tuple[np.ndarray, int]:
     """Phase estimation reduced to the two index classes, for a run of the
     ladder's lanes at once: one lane-stacked (t+1)-qubit state, one
-    gate-by-gate inverse QFT, one distribution and one CDF per lane."""
+    gate-by-gate inverse QFT. Returns the (B, T) phase outcome distributions,
+    one row per lane, and the Fourier gates applied to every lane."""
     t = params.phase_bits
     T = 1 << t
     n_marked = ladder.n_marked[lanes]
@@ -325,13 +326,26 @@ def phase_block(ladder: Ladder, lanes: slice, params: CountingParams) -> PhaseBl
     np.multiply(np.stack(ladder.columns[lanes], axis=2), scale,
                 out=state.amps.reshape(T, 2, -1))
     state.inverse_qft(phase_reg)
-    probs = state.probabilities(phase_reg).reshape(-1, T)
-    return PhaseBlock(n_marked, probs, _outcome_cdf_rows(probs), ladder.g_gates,
-                      state.counters.qft_gates // state.lanes)
+    return (state.probabilities(phase_reg).reshape(-1, T),
+            state.counters.qft_gates // state.lanes)
 
 
-def _one_lane_block(m_true: int, params: CountingParams) -> PhaseBlock:
-    return phase_block(grover_ladder(np.array([m_true]), params), slice(0, 1), params)
+def phase_block(ladder: Ladder, lanes: slice, params: CountingParams) -> PhaseBlock:
+    """The lanes' phase outcome distributions (``_phase_distributions``) as
+    one normalized CDF per lane, all built in one row-wise pass of
+    ``outcome_cdf``'s formula (sum, divide, cumsum, divide by the last
+    entry), so each row is byte-equal to ``outcome_cdf`` of its lane's
+    distribution. ``outcome_cdf``'s refusal of a null state is not needed:
+    the transform has checked that every lane has unit norm."""
+    probs, qft_gates = _phase_distributions(ladder, lanes, params)
+    cdf = probs / probs.sum(axis=1, keepdims=True)
+    np.cumsum(cdf, axis=1, out=cdf)
+    cdf /= cdf[:, -1:].copy()
+    return PhaseBlock(ladder.n_marked[lanes], cdf, ladder.g_gates, qft_gates)
+
+
+def _one_lane(m_true: int, params: CountingParams) -> tuple[Ladder, slice]:
+    return grover_ladder(np.array([m_true]), params), slice(0, 1)
 
 
 def count_marked(marked: np.ndarray, params: CountingParams,
@@ -342,7 +356,7 @@ def count_marked(marked: np.ndarray, params: CountingParams,
     _check_table(marked, params)
     m_true = np.count_nonzero(marked)
     if block is None:
-        block = _one_lane_block(m_true, params)
+        block = phase_block(*_one_lane(m_true, params), params)
     if block.n_marked.tolist() != [m_true]:
         raise ValueError("the block's class sizes are not those of the table")
     b = draw_from_cdf(block.cdf[0], rng)
@@ -355,7 +369,7 @@ def count_marked(marked: np.ndarray, params: CountingParams,
 def counting_distribution(marked: np.ndarray, params: CountingParams) -> np.ndarray:
     """Exact outcome distribution over b, by amplitude readout (no sampling)."""
     _check_table(marked, params)
-    return _one_lane_block(np.count_nonzero(marked), params).probs[0]
+    return _phase_distributions(*_one_lane(np.count_nonzero(marked), params), params)[0][0]
 
 
 def reference_counting_distribution(marked: np.ndarray,

@@ -20,9 +20,9 @@ lane minor: amplitude basis*L + lane, so every gate view folds the L lanes
 into its contiguous lowest axis and a gate on qubit q runs over blocks of
 L*2**q adjacent amplitudes. Each gate acts on every lane and its Fourier
 gates count once per lane, the norm is checked per lane and the outcome
-distribution is one row per lane; both are summed in the order the lane alone
-sums them, so a lane of a stack reads, byte for byte, what it reads alone. A
-one-lane state is the plain vector.
+distribution is one row per lane, summed in the order the lane alone sums
+it, so a lane of a stack reads, byte for byte, the distribution it reads
+alone. A one-lane state is the plain vector.
 
 A StateVector is owned by one execution context while it mutates.
 Measurement probabilities are accumulated in a fixed reduction order, so
@@ -30,9 +30,7 @@ seeded runs are bit-reproducible. Every measurement draws through
 ``draw_outcome``, which makes the one uniform draw ``Generator.choice`` makes
 for a probability vector, without its per-call argument checks: it builds the
 normalized CDF (``outcome_cdf``) and places one uniform in it
-(``draw_from_cdf``). The rows of a lane stack's distributions get their CDFs
-in one pass (``_outcome_cdf_rows``), each row byte-equal to ``outcome_cdf``
-of it.
+(``draw_from_cdf``).
 
 The attack's Grover steps do not run here: they keep the uniform start in
 the span of two classes, so the counting ladder and the search step two
@@ -119,21 +117,6 @@ def outcome_cdf(probs: np.ndarray) -> np.ndarray:
         raise CorruptedStateError("state norm below 1e-12 before measurement")
     cdf = (probs / total).cumsum()
     cdf /= cdf[-1]
-    return cdf
-
-
-def _outcome_cdf_rows(probs: np.ndarray) -> np.ndarray:
-    """``outcome_cdf`` of every row of the (L, R) ``probs`` in one pass, each
-    row byte-equal to ``outcome_cdf`` of it (the same sum, divide, cumsum and
-    divide by the last entry, row by row); refuses the stack if any row's
-    norm is below 1e-12. ``outcome_cdf`` keeps its 1-D code for the search,
-    which builds one CDF at a time."""
-    totals = probs.sum(axis=1, keepdims=True)
-    if totals.min() < 1e-12:
-        raise CorruptedStateError("state norm below 1e-12 before measurement")
-    cdf = probs / totals
-    np.cumsum(cdf, axis=1, out=cdf)
-    cdf /= cdf[:, -1:].copy()
     return cdf
 
 
@@ -229,12 +212,11 @@ class StateVector:
     # ---- invariants ----------------------------------------------------
 
     def norm_squared(self):
-        """The squared norm, per lane for a stack. The sum over basis states
-        runs in index order whatever the lane count, so a lane of a stack
-        reads the norm it reads alone."""
+        """The squared norm, per lane for a stack."""
+        if self.lanes == 1:
+            return np.vdot(self.amps, self.amps).real
         lanes = self.amps.reshape(-1, self.lanes)
-        norms = np.einsum("il,il->l", lanes, lanes.conj()).real
-        return norms if self.lanes > 1 else norms[0]
+        return np.einsum("il,il->l", lanes, lanes.conj()).real
 
     def _assert_norm(self):
         _assert_unit_norm(self.norm_squared())

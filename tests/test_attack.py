@@ -270,13 +270,21 @@ def test_both_modes_share_each_trials_random_key_instance(monkeypatch):
 @pytest.mark.parametrize("planted_key, builds", [(0x09, 1), (None, 5)])
 def test_both_modes_build_each_instance_table_once(monkeypatch, planted_key, builds):
     # the classical attack reads the context's counts: a planted key's table is
-    # built once per config, a random key's once per trial, for both modes
+    # built once per config, a random key's once per trial, for both modes,
+    # and counted as the trial's preparation, before either mode's timer
     calls = _count_calls(monkeypatch, qdca.toy_cipher, "right_pair_table")
     monkeypatch.setattr(qdca.classical_dca, "right_pair_table", qdca.toy_cipher.right_pair_table)
+    counted_on_entry = []
+    for name in ("run_classical_attack", "run_quantum_attack"):
+        def entered(config, trial, instance, real=getattr(qdca.attack, name)):
+            counted_on_entry.append("counts" in vars(instance[0]))
+            return real(config, trial, instance)
+        monkeypatch.setattr(qdca.attack, name, entered)
     cfg = AttackConfig(index_bits=6, trials=5, planted_key=planted_key, mode="both")
     results, _ = run_trials(cfg)
     assert [r.mode for r in results] == ["classical", "quantum"] * 5
     assert len(calls) == builds
+    assert counted_on_entry == [True] * 10
     for r in results[::2]:
         ctx, _, _ = plant_instance(cfg, r.trial)
         assert r.recovered_subkey == count_table(ctx.pairs, ctx.cipher,

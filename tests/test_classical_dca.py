@@ -30,6 +30,20 @@ def test_classical_attack_recovers_planted_subkey(cipher, planted, planted_alt):
         assert np.all(table.counts[winner] >= table.counts)
 
 
+def test_classical_attack_on_given_counts_is_the_counted_attack(cipher, planted):
+    key, ch, pairs, ctx = planted
+    counted = classical_attack(pairs, cipher, ch)
+    given = classical_attack(pairs, cipher, ch, counts=ctx.counts)
+    assert given[0] == counted[0] == true_subkey(cipher, key, ch)
+    assert given[1].counts.tolist() == counted[1].counts.tolist()
+    with pytest.raises(ValueError, match="2\\*\\*subkey_bits"):
+        classical_attack(pairs, cipher, ch, counts=np.zeros(8, dtype=np.int64))
+    too_many = np.zeros(16, dtype=np.int64)
+    too_many[3] = pairs.num_pairs + 1
+    with pytest.raises(ValueError, match="above the 64 pairs"):
+        classical_attack(pairs, cipher, ch, counts=too_many)
+
+
 def test_context_counts_are_the_classical_count_table(cipher, planted):
     # the k4n6 instance and the golden attack_k8n8 one (P' = 01, delta = 11)
     ch8 = make_characteristic(cipher, 0x09, 0x01, 0x11)

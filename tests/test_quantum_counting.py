@@ -14,7 +14,8 @@ from qdca.quantum_counting import (ClassLadders, CountingParams, coherent_counti
                                    count_marked, counting_distribution, counting_error_bound,
                                    estimate_from_outcome, grover_iteration, grover_ladder,
                                    lane_block_size, phase_block, profile_error_bound,
-                                   qft_gate_budget, reference_counting_distribution)
+                                   qft_gate_budget, reference_counting_distribution,
+                                   _phase_distributions)
 from qdca.statevector import CorruptedStateError, Register, StateVector, outcome_cdf
 from qdca.toy_cipher import (AttackContext, default_characteristic, gen_pairs,
                              make_characteristic, true_subkey)
@@ -277,8 +278,8 @@ def _assert_kernel_is_the_closed_form(sizes, params: CountingParams) -> None:
     # all sizes as one lane stack through the ladder, transformed 256 lanes at a time
     ladder = grover_ladder(np.array(sizes), params)
     for first in range(0, len(sizes), 256):
-        block = phase_block(ladder, slice(first, first + 256), params)
-        for m_true, probs in zip(sizes[first:first + 256], block.probs):
+        block, _ = _phase_distributions(ladder, slice(first, first + 256), params)
+        for m_true, probs in zip(sizes[first:first + 256], block):
             np.testing.assert_allclose(probs, _closed_form(m_true, params),
                                        rtol=0, atol=1e-12, err_msg=f"M = {m_true}")
 
@@ -514,7 +515,7 @@ def _lane_distributions(tables, params):
     blocks of ``lane_block_size`` lanes as the counter cuts them."""
     ladder = grover_ladder(np.count_nonzero(tables, axis=1), params)
     B = lane_block_size(params)
-    return np.concatenate([phase_block(ladder, slice(lo, lo + B), params).probs
+    return np.concatenate([_phase_distributions(ladder, slice(lo, lo + B), params)[0]
                            for lo in range(0, len(tables), B)])
 
 
@@ -582,8 +583,9 @@ def test_every_block_cdf_row_is_the_outcome_cdf_of_its_row(subkey_bits, index_bi
     B = lane_block_size(params)
     for first in range(0, len(ctx.counts), B):
         block = phase_block(ladder, slice(first, first + B), params)
-        assert block.cdf.shape == block.probs.shape
-        for row, cdf in zip(block.probs, block.cdf):
+        probs, _ = _phase_distributions(ladder, slice(first, first + B), params)
+        assert block.cdf.shape == probs.shape
+        for row, cdf in zip(probs, block.cdf):
             assert cdf.tobytes() == outcome_cdf(row).tobytes()
 
 
@@ -812,7 +814,7 @@ def test_every_memo_column_is_its_size_run_alone():
     for m_true, column in memo.columns.items():
         alone = grover_ladder(np.array([m_true]), params)
         assert column.tobytes() == alone.columns[0].tobytes()
-        np.testing.assert_allclose(phase_block(alone, slice(0, 1), params).probs[0],
+        np.testing.assert_allclose(_phase_distributions(alone, slice(0, 1), params)[0][0],
                                    _closed_form(m_true, params), rtol=0, atol=1e-12)
 
 

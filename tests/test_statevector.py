@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdca.statevector import (CorruptedStateError, Register, RegisterMap, StateVector,
-                              _assert_unit_norm, _outcome_cdf_rows, draw_from_cdf,
-                              draw_outcome, outcome_cdf)
+                              _assert_unit_norm, draw_from_cdf, draw_outcome,
+                              outcome_cdf)
 
 
 def test_uniform_one_qubit():
@@ -537,8 +537,9 @@ def _lane_rows(stack):
 
 @pytest.mark.parametrize("lanes", [1, 2, 16])
 def test_a_lane_stack_acts_as_its_lanes_alone(lanes):
-    # every gate, transform and readout of a lane-minor stack is, byte for
-    # byte, that of each lane's own one-lane state
+    # every gate, transform and distribution of a lane-minor stack is, byte
+    # for byte, that of each lane's own one-lane state; the norms agree to
+    # rounding (a one-lane state sums its norm in its own order)
     rng = np.random.default_rng(60 + lanes)
     q = 5
     mid, whole = Register("mid", 1, 3), Register("all", 0, q)
@@ -563,15 +564,8 @@ def test_a_lane_stack_acts_as_its_lanes_alone(lanes):
     for reg in (mid, whole, Register("low", 0, 2), Register("high", 3, 2)):
         probs = stack.probabilities(reg).reshape(lanes, -1)
         assert probs.tobytes() == np.stack([s.probabilities(reg) for s in alone]).tobytes()
-    norms = np.reshape(stack.norm_squared(), lanes)
-    assert norms.tobytes() == np.array([s.norm_squared() for s in alone]).tobytes()
-
-
-def test_cdf_rows_refuse_a_null_row():
-    rows = np.array([[0.5, 0.0, 0.5], [0.2, 0.3, 0.5]])
-    assert _outcome_cdf_rows(rows).tobytes() == np.stack([outcome_cdf(r) for r in rows]).tobytes()
-    with pytest.raises(CorruptedStateError, match="norm below"):
-        _outcome_cdf_rows(np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 0.0]]))
+    np.testing.assert_allclose(np.reshape(stack.norm_squared(), lanes),
+                               [s.norm_squared() for s in alone], rtol=0, atol=1e-12)
 
 
 # ---- registers and misc --------------------------------------------------------

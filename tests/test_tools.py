@@ -95,6 +95,11 @@ def test_bench_pairs_summary_claim_and_bounds():
     claim = bp.claim_check(w, "trial_s_cal", "lower")
     assert claim["met"] and claim["change_wins"] == 9 and claim["pairs"] == 10
     assert claim["relative"] == pytest.approx(1.41 / 1.715 - 1)
+    # nine pairs, every one won, are too few to meet a claim
+    few = {"workload": "w", **bp.summarize_workload(
+        _canned_runs(parent[:9], [1.40] * 9), directions)}
+    assert few["pairwise"]["trial_s_cal"]["change_wins"] == 9 == bp.PAIRS - 1
+    assert not bp.claim_check(few, "trial_s_cal", "lower")["met"]
     # one more lost pair and the claim fails, though the medians stay apart
     change[5] = 1.80
     w.update(bp.summarize_workload(_canned_runs(parent, change), directions))

@@ -1,14 +1,14 @@
 """Benchmark two commits in alternating pairs and write a bench-pairs-v1 file.
 
     python3 tools/bench_pairs.py PARENT CHANGE --seed S --out BENCH_N.json \\
-        [--workloads W ...] [--pairs 10] [--seconds 20] \\
-        [--description "what the change does"] [--claim WORKLOAD:METRIC]
+        [--workloads W ...] [--description "what the change does"] \\
+        [--claim WORKLOAD:METRIC]
 
 Each commit is exported with ``git archive`` into its own temporary tree, and
-both trees are byte-compiled alike. For every workload, pair i runs
-``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`` in the
-parent's tree first when i is even and in the change's tree first when i is
-odd. Each run's gated metrics (its last stdout line) and all its metrics
+both trees are byte-compiled alike. For every workload, ten pairs (``PAIRS``)
+run ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``,
+T being BENCHMARK.json's ``run_seconds``; pair i runs in the parent's tree
+first when i is even and in the change's tree first when i is odd. Each run's gated metrics (its last stdout line) and all its metrics
 (``result.json``) are kept.
 
 The summary gives each side's quartiles per metric (numpy's linear
@@ -17,9 +17,9 @@ the pairs the change wins (by the metric's better direction, ties counting
 for neither), the median of the per-pair differences (change - parent) and
 that median relative to the parent's median. ``no_regression`` checks every
 end-to-end metric of BENCHMARK.json against its bound on every workload; a
-``--claim`` is met when the change wins at least nine tenths of the pairs
-and its median beats the parent's by more than the parent's interquartile
-range. Run from a checkout of the repository (the commits are read from it);
+``--claim`` is met when there are at least ``PAIRS`` pairs, the change wins
+at least nine tenths of them and its median beats the parent's by more than
+the parent's interquartile range. Run from a checkout of the repository (the commits are read from it);
 nothing is written but the output file and the temporary trees.
 """
 
@@ -41,6 +41,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = "bench-pairs-v1"
 RUN_TIMEOUT_S = 900
+PAIRS = 10   # alternating pairs per workload; a claim over fewer is not met
 
 
 # ---- the summary step (pure: canned results in, numbers out) ---------------
@@ -94,19 +95,21 @@ def summarize_workload(runs: list[dict], directions: dict[str, str]) -> dict:
 
 
 def claim_check(workload: dict, metric: str, better: str) -> dict:
-    """Whether the change beats the parent on ``metric``: at least nine tenths
-    of the pairs won, and the medians apart by more than the parent's IQR."""
+    """Whether the change beats the parent on ``metric``: at least ``PAIRS``
+    pairs, nine tenths of them won, and the medians apart by more than the
+    parent's IQR."""
     parent, change = workload["summary"]["parent"][metric], workload["summary"]["change"][metric]
     pw = workload["pairwise"][metric]
     gain = _gain(parent["median"], change["median"], better)
     return {"workload": workload["workload"], "metric": metric,
-            "threshold": f"{better} in at least nine tenths of the pairs, medians apart "
-                         "by more than the parent's IQR",
+            "threshold": f"{better} in at least nine tenths of at least {PAIRS} pairs, "
+                         "medians apart by more than the parent's IQR",
             "parent_median": parent["median"], "change_median": change["median"],
             "relative": (change["median"] - parent["median"]) / parent["median"],
             "parent_iqr": parent["iqr"], "change_wins": pw["change_wins"],
             "pairs": pw["pairs"],
-            "met": pw["change_wins"] >= math.ceil(0.9 * pw["pairs"]) and gain > parent["iqr"]}
+            "met": (pw["pairs"] >= PAIRS and pw["change_wins"] >= math.ceil(0.9 * pw["pairs"])
+                    and gain > parent["iqr"])}
 
 
 def no_regression(workloads: list[dict], end_to_end: list[dict]) -> list[dict]:
@@ -183,6 +186,7 @@ def hardware() -> str:
 def bench(args) -> dict:
     gated = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in gated["workloads"]]
+    seconds = gated["run_seconds"]
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
         commits = {side: export_tree(c, trees[side])
@@ -190,17 +194,17 @@ def bench(args) -> dict:
         out = []
         for w in workloads:
             runs, env, directions = [], {}, {}
-            for pair in range(args.pairs):
+            for pair in range(PAIRS):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for side in order:
-                    r = run_once(trees[side], w, args.seed, args.seconds)
+                    r = run_once(trees[side], w, args.seed, seconds)
                     env[side] = r.pop("env")
                     directions.update(r.pop("directions"))
                     runs.append({"side": side, "pair": pair, "ran_first": side == order[0], **r})
                     print(f"{w} pair {pair} {side}: trial_s_cal "
                           f"{r['metrics'].get('trial_s_cal')}", file=sys.stderr, flush=True)
-            out.append({"workload": w, "seed": args.seed, "seconds": args.seconds,
-                        "traced": False, "pairs": args.pairs, "env": env,
+            out.append({"workload": w, "seed": args.seed, "seconds": seconds,
+                        "traced": False, "pairs": PAIRS, "env": env,
                         **summarize_workload(runs, directions), "runs": runs})
     doc = {"schema": SCHEMA, "change": args.description, "parent_commit": commits["parent"],
            "change_commit": commits["change"], "hardware": hardware(),
@@ -230,14 +234,10 @@ def main(argv: list[str]) -> int:
     p.add_argument("change")
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--workloads", nargs="*")
-    p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--seconds", type=float, default=20.0)
     p.add_argument("--description", default="", help="what the change does")
     p.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     args = p.parse_args(argv)
-    if args.pairs < 1 or args.seconds <= 0:
-        p.error("--pairs must be at least 1 and --seconds positive")
     if args.claim and ":" not in args.claim:
         p.error("--claim takes WORKLOAD:METRIC")
     doc = bench(args)

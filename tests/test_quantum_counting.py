@@ -278,8 +278,8 @@ def _assert_kernel_is_the_closed_form(sizes, params: CountingParams) -> None:
     # all sizes as one lane stack through the ladder, transformed 256 lanes at a time
     ladder = grover_ladder(np.array(sizes), params)
     for first in range(0, len(sizes), 256):
-        block, _ = _phase_distributions(ladder, slice(first, first + 256), params)
-        for m_true, probs in zip(sizes[first:first + 256], block):
+        dists, _ = _phase_distributions(ladder, slice(first, first + 256), params)
+        for m_true, probs in zip(sizes[first:first + 256], dists):
             np.testing.assert_allclose(probs, _closed_form(m_true, params),
                                        rtol=0, atol=1e-12, err_msg=f"M = {m_true}")
 

@@ -8,7 +8,8 @@ Each commit is exported with ``git archive`` into its own temporary tree, and
 both trees are byte-compiled alike. For every workload, ten pairs (``PAIRS``)
 run ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``,
 T being BENCHMARK.json's ``run_seconds``; pair i runs in the parent's tree
-first when i is even and in the change's tree first when i is odd. Each run's gated metrics (its last stdout line) and all its metrics
+first when i is even and in the change's tree first when i is odd. Each
+run's gated metrics (its last stdout line) and all its metrics
 (``result.json``) are kept.
 
 The summary gives each side's quartiles per metric (numpy's linear
@@ -19,8 +20,9 @@ that median relative to the parent's median. ``no_regression`` checks every
 end-to-end metric of BENCHMARK.json against its bound on every workload; a
 ``--claim`` is met when there are at least ``PAIRS`` pairs, the change wins
 at least nine tenths of them and its median beats the parent's by more than
-the parent's interquartile range. Run from a checkout of the repository (the commits are read from it);
-nothing is written but the output file and the temporary trees.
+the parent's interquartile range. Run from a checkout of the repository
+(the commits are read from it); nothing is written but the output file and
+the temporary trees.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from . import toy_cipher
 from .classical_dca import classical_attack
 from .max_finding import (ExactCounter, MaxFindingConfig, MaxFindingResult,
                           QuantumCounter, find_max_subkey)
-from .quantum_counting import (ClassLadders, CountEstimate, CountingParams, count_marked,
+from .quantum_counting import (ClassLadders, CountEstimate, CountingParams,
                                counting_error_bound, default_accuracy_bits)
 from .statevector import DEFAULT_MAX_QUBITS
 from .toy_cipher import (NIBBLE_BITS, AttackContext, ToyCipher, ZeroProbabilityError,
@@ -328,7 +328,8 @@ def run_scaling_report(config: AttackConfig, search_bits=(4, 6, 8),
 
     The search sweep injects exact count tables (a seeded permutation with a
     planted maximum) so the K sizes are not tied to S-box boundaries; the
-    counting sweep runs the real cipher-backed circuit.
+    counting sweep draws subkey 0's estimate from a counter on each planted
+    instance, as the attack draws it.
     """
     if seeds < 1:
         raise ConfigError("at least one seed")
@@ -360,8 +361,10 @@ def run_scaling_report(config: AttackConfig, search_bits=(4, 6, 8),
         prev_mean = mean
     for sub, ctx in zip(subs, contexts):
         params = sub.counting_params()
-        est = count_marked(ctx.marked_table(0), params,
-                           _trial_rng(config.master_seed, 0, purpose=99))
+        counter = QuantumCounter(ctx, params, _trial_rng(config.master_seed, 0, purpose=99),
+                                 sub.class_ladders)
+        counter.count(0)
+        est = counter.estimates[0]
         rows.append({
             "sweep": "counting", "size": "", "index_bits": sub.index_bits,
             "phase_bits": params.phase_bits, "mean_search_steps": "",

@@ -119,9 +119,10 @@ class QuantumCounter:
     size, which runs only the sizes it lacks; a counter given no memo makes
     its own. The lanes are cut into blocks of ``lane_block_size`` lanes; a
     block's columns are gathered and its inverse QFT runs when one of its
-    subkeys is first demanded, and its distributions are dropped once every
-    lane in it has an estimate. Each subkey's estimate is drawn from its
-    lane on first demand, so the draws follow the demand order."""
+    subkeys is first demanded, and the block is dropped once every lane in
+    it has an estimate. Each subkey's estimate is ``count_marked``'s draw
+    from its lane on first demand, so the draws follow the demand order and
+    no estimate reads a right-pair table."""
 
     def __init__(self, ctx: AttackContext, params: CountingParams,
                  rng: np.random.Generator, ladders: ClassLadders | None = None):
@@ -134,28 +135,29 @@ class QuantumCounter:
         self.params = params
         self.rng = rng
         self.estimates: dict[int, CountEstimate] = {}
+        self._subkeys = 1 << ctx.subkey_bits
         self._ladder: Ladder | None = None
         self._block_lanes = lane_block_size(params)
-        # first lane of a block -> (the block, its lanes not drawn yet)
-        self._blocks: dict[int, tuple[PhaseBlock, set[int]]] = {}
+        # first lane of a block -> (the block, the number of its lanes not drawn yet)
+        self._blocks: dict[int, tuple[PhaseBlock, int]] = {}
         self.counting_cost = params.counting_cost
         self.init_width = params.init_steps
 
     def count(self, x: int) -> int:
         if x not in self.estimates:
+            if not 0 <= x < self._subkeys:
+                raise IndexError(f"subkey {x} outside [0, K) = [0, {self._subkeys})")
             if self._ladder is None:
                 self._ladder = self._ladders.ladder(self.ctx.counts)
             first = x - x % self._block_lanes
             if first not in self._blocks:
                 block = phase_block(self._ladder, slice(first, first + self._block_lanes),
                                     self.params)
-                self._blocks[first] = block, set(range(first, first + len(block.n_marked)))
-            block, pending = self._blocks[first]
-            self.estimates[x] = count_marked(self.ctx.marked_table(x), self.params, self.rng,
-                                             block=block.lane(x - first))
-            pending.remove(x)
-            if not pending:
-                del self._blocks[first]
+                self._blocks[first] = block, len(block.cdf)
+            block, pending = self._blocks.pop(first)
+            self.estimates[x] = count_marked(block, x - first, self.params, self.rng)
+            if pending > 1:
+                self._blocks[first] = block, pending - 1
         return self.estimates[x].right_pairs
 
     def count_all(self, K: int) -> np.ndarray:
@@ -169,18 +171,21 @@ class ExactCounter:
     def __init__(self, counts):
         self.counts = np.asarray(counts, dtype=np.int64)
         self._count_list = self.counts.tolist()   # Python ints: one list read per count
+        self._subkeys = len(self._count_list)
         self.estimates: dict[int, int] = {}
         self.counting_cost = 0
         self.init_width = 0
 
     def count(self, x: int) -> int:
+        if not 0 <= x < self._subkeys:
+            raise IndexError(f"subkey {x} outside [0, K) = [0, {self._subkeys})")
         self.estimates[x] = right_pairs = self._count_list[x]
         return right_pairs
 
     def count_all(self, K: int) -> np.ndarray:
         """A copy of the first K counts, every one recorded in ``estimates``."""
-        if K > len(self._count_list):
-            raise IndexError(f"{len(self._count_list)} counts for {K} subkeys")
+        if K > self._subkeys:
+            raise IndexError(f"{self._subkeys} counts for {K} subkeys")
         self.estimates.update(zip(range(K), self._count_list))
         return self.counts[:K].copy()
 

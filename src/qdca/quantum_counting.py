@@ -28,8 +28,8 @@ per step, each step applied to every lane and counted once. Row b of its
 and the weighted norm of every row of every lane is checked before the
 ladder returns. Every counter ladders its counts through ``ClassLadders``,
 the run's or its own, which keeps one (T, 2) column per size and runs only
-the sizes it lacks. A table counted on its own is laddered as [M], a
-one-lane block.
+the sizes it lacks. ``counting_distribution`` ladders a table's size [M] as
+a one-lane block.
 
 The inverse Fourier transform runs gate by gate on t+1 qubits, on
 |0> (x) sum_b sqrt((2N-M)/T) u_b|b> + |1> (x) sum_b sqrt(M/T) m_b|b>, whose
@@ -42,12 +42,14 @@ adjacent amplitudes; it transforms them at once, each gate counted once per
 lane it acts on, and builds every lane's normalized CDF in one row-wise pass.
 A counter cuts its ladder into blocks of ``lane_block_size`` lanes, gathers
 and transforms each block once and draws each subkey's estimate from its
-CDF row. The blocks and draws are per counter, never memoized, so every
-estimate reports QFT gates applied to its own lane. These states represent
-the t+n+1-qubit circuit exactly, and no array has its width: the widest is a
-ladder's record or the memo's columns, at most L of them, bounded by
-t+1+log2(L) <= 24. The full-vector controlled ladder is kept as
-``reference_counting_distribution``, the oracle the kernel is tested against.
+lane's CDF row with ``count_marked``, which every estimate comes from. No
+estimate reads a table. The blocks and draws are per counter, never
+memoized, so every estimate reports QFT gates applied to its own lane. These
+states represent the t+n+1-qubit circuit exactly, and no array has its
+width: the widest is a ladder's record or the memo's columns, at most L of
+them, bounded by t+1+log2(L) <= 24. The full-vector controlled ladder is
+kept as ``reference_counting_distribution``, the oracle the kernel is tested
+against.
 """
 
 from __future__ import annotations
@@ -295,18 +297,11 @@ def lane_block_size(params: CountingParams) -> int:
 class PhaseBlock:
     """Row i of the (B, T) ``cdf`` is the normalized CDF (``outcome_cdf``) of
     the phase outcome distribution of lane i of a block of ladder lanes,
-    after the block's inverse QFT; ``n_marked`` holds the lanes'
-    marked-class sizes."""
+    after the block's inverse QFT: the block's B lanes are ``len(cdf)``."""
 
-    n_marked: np.ndarray
     cdf: np.ndarray
     g_gates: int     # the ladder's G steps, counted at the step
     qft_gates: int   # Fourier gates applied to every lane, counted at the gates
-
-    def lane(self, i: int) -> "PhaseBlock":
-        """Lane i as a one-lane block."""
-        return PhaseBlock(self.n_marked[i:i + 1], self.cdf[i:i + 1], self.g_gates,
-                          self.qft_gates)
 
 
 def _phase_distributions(ladder: Ladder, lanes: slice,
@@ -341,25 +336,15 @@ def phase_block(ladder: Ladder, lanes: slice, params: CountingParams) -> PhaseBl
     cdf = probs / probs.sum(axis=1, keepdims=True)
     np.cumsum(cdf, axis=1, out=cdf)
     cdf /= cdf[:, -1:].copy()
-    return PhaseBlock(ladder.n_marked[lanes], cdf, ladder.g_gates, qft_gates)
+    return PhaseBlock(cdf, ladder.g_gates, qft_gates)
 
 
-def _one_lane(m_true: int, params: CountingParams) -> tuple[Ladder, slice]:
-    return grover_ladder(np.array([m_true]), params), slice(0, 1)
-
-
-def count_marked(marked: np.ndarray, params: CountingParams,
-                 rng: np.random.Generator, *, block: PhaseBlock | None = None) -> CountEstimate:
-    """Counting circuit over an explicit marked-item table; ``block`` is the
-    table's lane of a block already transformed (default: run the table as a
-    one-lane block)."""
-    _check_table(marked, params)
-    m_true = np.count_nonzero(marked)
-    if block is None:
-        block = phase_block(*_one_lane(m_true, params), params)
-    if block.n_marked.tolist() != [m_true]:
-        raise ValueError("the block's class sizes are not those of the table")
-    b = draw_from_cdf(block.cdf[0], rng)
+def count_marked(block: PhaseBlock, lane: int, params: CountingParams,
+                 rng: np.random.Generator) -> CountEstimate:
+    """One counting estimate: an outcome drawn from row ``lane`` of the block's
+    CDFs, mapped to its count. The estimate reports the block's G steps and
+    the Fourier gates applied to its lane."""
+    b = draw_from_cdf(block.cdf[lane], rng)
     theta, m_est, right = estimate_from_outcome(b, params)
     assert block.g_gates == (1 << params.phase_bits) - 1
     return CountEstimate(b, theta, m_est, right, block.g_gates, block.qft_gates,
@@ -369,7 +354,8 @@ def count_marked(marked: np.ndarray, params: CountingParams,
 def counting_distribution(marked: np.ndarray, params: CountingParams) -> np.ndarray:
     """Exact outcome distribution over b, by amplitude readout (no sampling)."""
     _check_table(marked, params)
-    return _phase_distributions(*_one_lane(np.count_nonzero(marked), params), params)[0][0]
+    ladder = grover_ladder(np.array([np.count_nonzero(marked)]), params)
+    return _phase_distributions(ladder, slice(0, 1), params)[0][0]
 
 
 def reference_counting_distribution(marked: np.ndarray,

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from qdca.quantum_counting import count_marked, grover_ladder, phase_block
 from qdca.toy_cipher import (AttackContext, ToyCipher, default_characteristic,
                              gen_pairs, make_characteristic,
                              DEFAULT_PLANTED_KEY)
@@ -31,3 +33,15 @@ def planted_alt(cipher):
     ch = make_characteristic(cipher, ALT_KEY, ALT_PLAINTEXT_DIFF, ALT_OUTPUT_DIFF)
     pairs = gen_pairs(cipher, ALT_KEY, ch.plaintext_diff, 6)
     return ALT_KEY, ch, pairs, AttackContext(cipher, ch, pairs)
+
+
+@pytest.fixture(scope="session")
+def table_estimate():
+    """One counting estimate of a table counted alone: its class size
+    laddered as a one-lane block, transformed, and drawn from lane 0."""
+
+    def estimate(marked, params, rng):
+        ladder = grover_ladder(np.array([np.count_nonzero(marked)]), params)
+        return count_marked(phase_block(ladder, slice(0, 1), params), 0, params, rng)
+
+    return estimate

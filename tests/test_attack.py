@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qdca.acceptance
 import qdca.attack
 import qdca.classical_dca
 import qdca.max_finding
@@ -493,6 +494,31 @@ def test_scaling_report_plants_before_the_search_sweep(monkeypatch):
     with pytest.raises(ConfigError, match="planted key 0x04"):
         run_scaling_report(AttackConfig(trials=1, planted_key=0x04), search_bits=(4,),
                            counting_index_bits=(4,), seeds=1)
+
+
+def test_no_estimate_reads_a_table(monkeypatch):
+    # every estimate is drawn from a lane of a transformed block: once an
+    # instance's right-pair counts are counted, the quantum attack, both
+    # reports' counting rows and the gate-accounting check read no table, and
+    # each gives what it gave before
+    cfg = AttackConfig(index_bits=6, trials=1, master_seed=42)
+
+    def outputs():
+        res, mf = run_quantum_attack(cfg, 0)
+        return (dataclasses.replace(res, wall_time_s=0.0), mf.trace, run_count_report(cfg),
+                run_scaling_report(cfg, search_bits=(4,), counting_index_bits=(4, 6), seeds=1),
+                qdca.acceptance.check_gate_accounting())
+
+    before = outputs()
+    marked_table = qdca.toy_cipher.AttackContext.marked_table
+
+    def counted_then_refused(ctx, x):
+        if "counts" in vars(ctx):
+            raise AssertionError(f"subkey {x}'s table read after its counts were counted")
+        return marked_table(ctx, x)
+
+    monkeypatch.setattr(qdca.toy_cipher.AttackContext, "marked_table", counted_then_refused)
+    assert outputs() == before
 
 
 # ---- CSV emission ------------------------------------------------------------------

@@ -11,7 +11,7 @@ from qdca.max_finding import (SEARCH_GROWTH_FACTOR, ExactCounter,
                               MaxFindingConfig, QuantumCounter, SearchBudget,
                               SearchOutcome, StageSteps, ThresholdState, _class_grover_step,
                               find_max_subkey, grover_search_marked)
-from qdca.quantum_counting import (CountingParams, count_marked,
+from qdca.quantum_counting import (CountingParams,
                                    counting_distribution,
                                    estimate_from_outcome, grover_iteration)
 from qdca.statevector import Register, StateVector, draw_outcome
@@ -567,13 +567,13 @@ def test_planted_instance_recovery_rate(cipher, planted):
     assert wins >= math.ceil((1 - 1 / 16) * 100)
 
 
-def test_distribution_counter_matches_simulated_outcomes():
+def test_distribution_counter_matches_simulated_outcomes(table_estimate):
     # sampled full-circuit outcomes agree with the exact readout distribution
     params = CountingParams.default(3)
     marked = np.zeros(16, dtype=bool)
     marked[:3] = True
     exact = counting_distribution(marked, params)
-    outcomes = [count_marked(marked, params, _rng(9, seed)).raw_outcome
+    outcomes = [table_estimate(marked, params, _rng(9, seed)).raw_outcome
                 for seed in range(400)]
     hist = np.bincount(outcomes, minlength=exact.size) / 400
     assert 0.5 * np.abs(hist - exact).sum() < 0.12
@@ -585,6 +585,22 @@ def test_quantum_counter_memoizes(planted):
     first = counter.count(3)
     assert counter.count(3) == first
     assert len(counter.estimates) == 1
+
+
+@pytest.mark.parametrize("kind", ["exact", "quantum"])
+@pytest.mark.parametrize("x", [-1, 16])
+def test_counters_refuse_a_subkey_outside_the_range(planted, kind, x):
+    # K = 16: neither counter wraps x = -1 to the last subkey nor reads past K,
+    # and a refused subkey leaves no estimate and draws nothing
+    _, _, _, ctx = planted
+    rng = _rng(7)
+    state = rng.bit_generator.state
+    counter = (ExactCounter(ctx.counts) if kind == "exact"
+               else QuantumCounter(ctx, CountingParams.default(6), rng))
+    with pytest.raises(IndexError, match=f"subkey {x} outside \\[0, K\\) = \\[0, 16\\)"):
+        counter.count(x)
+    assert counter.estimates == {}
+    assert rng.bit_generator.state == state
 
 
 class _RecordingCounter:

@@ -11,7 +11,7 @@ from qdca import max_finding, quantum_counting
 from qdca.max_finding import QuantumCounter, _class_grover_step, grover_search_marked
 from qdca.attack import AttackConfig
 from qdca.quantum_counting import (ClassLadders, CountingParams, coherent_counting_distribution,
-                                   count_marked, counting_distribution, counting_error_bound,
+                                   counting_distribution, counting_error_bound,
                                    estimate_from_outcome, grover_iteration, grover_ladder,
                                    lane_block_size, phase_block, profile_error_bound,
                                    qft_gate_budget, reference_counting_distribution,
@@ -101,29 +101,29 @@ def test_unmarked_predicate_keeps_uniform_fixed():
 # ---- counting ----------------------------------------------------------------
 
 
-def test_count_zero_marked_is_exact():
+def test_count_zero_marked_is_exact(table_estimate):
     params = CountingParams.default(3)
-    est = count_marked(np.zeros(16, dtype=bool), params, _rng(1))
+    est = table_estimate(np.zeros(16, dtype=bool), params, _rng(1))
     assert est.raw_outcome == 0
     assert est.m_estimate == 0.0
     assert est.right_pairs == 0
 
 
-def test_count_all_marked_full_rotation():
+def test_count_all_marked_full_rotation(table_estimate):
     params = CountingParams.default(3)
-    est = count_marked(np.ones(16, dtype=bool), params, _rng(2))
+    est = table_estimate(np.ones(16, dtype=bool), params, _rng(2))
     assert est.raw_outcome == 1 << (params.phase_bits - 1)
     assert est.theta == pytest.approx(math.pi)
     assert est.m_estimate == pytest.approx(16.0)
     assert est.right_pairs == 8  # clamped to the real pair count
 
 
-def test_gate_counters_exact():
+def test_gate_counters_exact(table_estimate):
     for n in (2, 3, 4):
         params = CountingParams.default(n)
         marked = np.zeros(1 << (n + 1), dtype=bool)
         marked[0] = True
-        est = count_marked(marked, params, _rng(3, n))
+        est = table_estimate(marked, params, _rng(3, n))
         t = params.phase_bits
         assert est.g_gate_count == (1 << t) - 1
         assert est.qft_gate_count == qft_gate_budget(t) == t * (t + 1) // 2 + t // 2
@@ -234,7 +234,7 @@ def test_kernel_matches_reference_for_every_count(n):
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(1, 4), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
        data=st.data())
-def test_kernel_matches_reference_on_random_tables(n, m, seed, data):
+def test_kernel_matches_reference_on_random_tables(table_estimate, n, m, seed, data):
     params = CountingParams(n, m, 0.1)
     space = 1 << (n + 1)
     marked = np.array(data.draw(st.lists(st.booleans(), min_size=space,
@@ -246,7 +246,7 @@ def test_kernel_matches_reference_on_random_tables(n, m, seed, data):
     T = 1 << params.phase_bits
     assert kernel.sum() == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(kernel, kernel[(-np.arange(T)) % T], rtol=0, atol=1e-12)
-    est = count_marked(marked, params, np.random.default_rng(seed))
+    est = table_estimate(marked, params, np.random.default_rng(seed))
     t = params.phase_bits
     assert est.g_gate_count == (1 << t) - 1
     assert est.qft_gate_count == qft_gate_budget(t)
@@ -326,7 +326,6 @@ def test_integer_table_counts_like_its_bool_twin():
     np.testing.assert_allclose(kernel, reference_counting_distribution(table, params),
                                rtol=0, atol=1e-12)
     assert np.array_equal(kernel, counting_distribution(twin, params))
-    assert count_marked(table, params, _rng(9)) == count_marked(twin, params, _rng(9))
 
 
 def _class_powers(marked, steps):
@@ -414,7 +413,7 @@ def test_class_state_gates_check_the_weighted_norm(monkeypatch):
         assert [np.ptp(probs) for probs in built] == [0.0]
 
 
-def test_gate_counts_are_observed_not_computed(monkeypatch, planted):
+def test_gate_counts_are_observed_not_computed(monkeypatch, planted, table_estimate):
     # the reported counts equal the G steps and Fourier gates actually applied;
     # a gate method call on a lane stack applies its gate once to every lane
     applied = {"g": 0, "qft": 0, "calls": 0}
@@ -439,7 +438,7 @@ def test_gate_counts_are_observed_not_computed(monkeypatch, planted):
     params = CountingParams.default(5)
     marked = np.zeros(64, dtype=bool)
     marked[[3, 17, 30]] = True
-    est = count_marked(marked, params, _rng(12))
+    est = table_estimate(marked, params, _rng(12))
     assert est.g_gate_count == applied["g"] == (1 << params.phase_bits) - 1
     assert est.qft_gate_count == applied["qft"] == qft_gate_budget(params.phase_bits)
     assert applied["calls"] == qft_gate_budget(params.phase_bits)
@@ -476,14 +475,14 @@ def test_width_is_checked_before_the_ladder(monkeypatch):
     assert steps == []
 
 
-def test_counting_wider_than_the_qubit_limit_runs():
+def test_counting_wider_than_the_qubit_limit_runs(table_estimate):
     # t = 12 and n = 16: the t+n+1 = 29-qubit circuit is never allocated, and
     # its one-lane record is t+1 = 13 qubits wide
     params = CountingParams(16, 9, 0.1)
     assert params.init_steps == 29
     marked = np.zeros(1 << 17, dtype=bool)
     marked[:1 << 10] = True
-    est = count_marked(marked, params, _rng(0))
+    est = table_estimate(marked, params, _rng(0))
     assert est.g_gate_count == (1 << 12) - 1
     assert est.qft_gate_count == qft_gate_budget(12)
     # the most likely outcome estimates M within the bound
@@ -589,9 +588,9 @@ def test_every_block_cdf_row_is_the_outcome_cdf_of_its_row(subkey_bits, index_bi
             assert cdf.tobytes() == outcome_cdf(row).tobytes()
 
 
-def test_counter_draws_in_demand_order(planted):
+def test_counter_draws_in_demand_order(planted, table_estimate):
     # one ladder for all 16 subkeys; the estimates and the rng stream are
-    # those of one count_marked call per newly demanded subkey, in that order
+    # those of one table counted alone per newly demanded subkey, in that order
     _, _, _, ctx = planted
     params = CountingParams.default(6)
     order = [11, *range(16), 11, 3]
@@ -601,24 +600,11 @@ def test_counter_draws_in_demand_order(planted):
     expected = {}
     for x in order:
         if x not in expected:
-            expected[x] = count_marked(ctx.marked_table(x), params, rng)
+            expected[x] = table_estimate(ctx.marked_table(x), params, rng)
     assert list(counter.estimates.items()) == list(expected.items())
     assert counts == [expected[x].right_pairs for x in order]
     assert len(counter.estimates) == 16
     assert counter.rng.bit_generator.state == rng.bit_generator.state
-
-
-def test_a_lane_of_another_table_is_refused(planted):
-    _, _, _, ctx = planted
-    params = CountingParams.default(6)
-    block = phase_block(grover_ladder(ctx.counts, params), slice(0, 16), params)
-    m = ctx.counts.tolist()
-    x, y = next((x, y) for x in range(16) for y in range(16) if m[x] != m[y])
-    with pytest.raises(ValueError, match="class sizes"):
-        count_marked(ctx.marked_table(x), params, _rng(0), block=block.lane(y))
-    # the whole block is not one table's lane
-    with pytest.raises(ValueError, match="class sizes"):
-        count_marked(ctx.marked_table(x), params, _rng(0), block=block)
 
 
 def test_a_drifted_lane_fails_the_block_transform():
@@ -636,7 +622,7 @@ def test_a_drifted_lane_fails_the_block_transform():
             assert state.counters.qft_gates == 8 * qft_gate_budget(3)
 
 
-def test_each_block_is_transformed_once(monkeypatch, cipher):
+def test_each_block_is_transformed_once(monkeypatch, cipher, table_estimate):
     # the golden attack_k8n8 instance, eight blocks of 32 lanes: asked for y
     # and then every subkey, the counter transforms each block exactly once,
     # holds at most two blocks at a time and draws what one-lane counts draw
@@ -663,7 +649,7 @@ def test_each_block_is_transformed_once(monkeypatch, cipher):
     expected = {}
     for x in order:
         if x not in expected:
-            expected[x] = count_marked(ctx.marked_table(x), params, rng)
+            expected[x] = table_estimate(ctx.marked_table(x), params, rng)
     assert transforms == [1] * 256
     assert list(counter.estimates.items()) == list(expected.items())
     assert counter.rng.bit_generator.state == rng.bit_generator.state
@@ -734,7 +720,8 @@ def test_ladder_refuses_bad_sizes_before_any_step(monkeypatch):
 @pytest.mark.parametrize("step, lane, amp, fault", [
     (1, 3, "unmarked", 1.01), (5, 0, "unmarked", 1.01), (15, 4095, "unmarked", 1.01),
     (8, 1, "marked", 1.01), (15, 7, "marked", np.nan), (2, 1, "unmarked", np.nan)])
-def test_ladder_refuses_a_lane_off_the_unit_sphere(monkeypatch, step, lane, amp, fault):
+def test_ladder_refuses_a_lane_off_the_unit_sphere(monkeypatch, table_estimate, step, lane,
+                                                   amp, fault):
     # a step that leaves one lane's class amplitude 1% off (outside NORM_TOL)
     # or NaN fails the ladder before it returns, whichever power it is: 4096
     # lanes of t = 4 check the 16 powers in four chunks of four rows, and
@@ -763,7 +750,7 @@ def test_ladder_refuses_a_lane_off_the_unit_sphere(monkeypatch, step, lane, amp,
     applied.clear()
     at["lane"] = 0   # the table's one lane
     with pytest.raises(CorruptedStateError, match="norm drift"):
-        count_marked(tables[lane], params, rng)
+        table_estimate(tables[lane], params, rng)
     assert rng.bit_generator.state == state
     # the same stack through the unpatched step passes
     monkeypatch.setattr(quantum_counting, "_lane_grover_step", real_step)

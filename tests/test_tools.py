@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,19 +36,34 @@ def test_peak_rss_wrapper(limit, code, status):
 PROFILE_TRIAL = PEAK_RSS.parent / "profile_trial.py"
 
 
-def test_profile_trial_reports_the_counting_kernel():
+def _profile_trial(*args):
     src = str(PEAK_RSS.parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    out = subprocess.run([sys.executable, str(PROFILE_TRIAL), "--trials", "2", "--top", "40"],
+    out = subprocess.run([sys.executable, str(PROFILE_TRIAL), *args],
                          capture_output=True, text=True, timeout=120, env=env)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert lines[0].startswith("total ") and "tottime" in lines[1]
-    assert len(lines) == 2 + 40
+    return lines[2:]
+
+
+def test_profile_trial_reports_the_counting_kernel():
+    # every function profiled is listed, so the calls are read whatever their rank
+    rows = _profile_trial("--trials", "2", "--top", "1000")
+    assert len(rows) < 1000
+    calls = {}   # ncalls by (function), summed over same-named functions
+    for row in rows:
+        if named := re.search(r"\(\w+\)$", row):
+            calls[named[0]] = calls.get(named[0], 0) + int(row.split()[4])
     # the ladder runs once per run, in the warm-up trial; each profiled trial
-    # transforms its own QFT block
-    assert any("(phase_block)" in line for line in lines[2:])
+    # transforms its one QFT block of t = 7 Hadamards and draws 16 estimates
+    assert "(grover_ladder)" not in calls
+    assert calls["(phase_block)"] == 2
+    assert calls["(_hadamard)"] == 14
+    assert calls["(count_marked)"] == 32
+    # --top truncates the list to the functions with the most own time
+    assert len(_profile_trial("--trials", "1", "--top", "5")) == 5
 
 
 def _bench_pairs():

@@ -14,8 +14,8 @@ from .toy_cipher import (AttackContext, Characteristic, PairSet, ToyCipher,
                          make_characteristic, measure_probability,
                          right_pair_table, true_subkey)
 from .classical_dca import CountTable, classical_attack, count_table
-from .statevector import (CorruptedStateError, GateCounters, Register, RegisterMap,
-                          StateVector, draw_outcome)
+from .statevector import (CorruptedStateError, GateCounters, Register, StateVector,
+                          draw_outcome)
 from .quantum_counting import (ClassLadders, CountEstimate, CountingParams,
                                coherent_counting_distribution,
                                counting_distribution, counting_error_bound,

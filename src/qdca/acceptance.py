@@ -19,7 +19,7 @@ from .attack import (AttackConfig, run_count_report, run_quantum_attack,
                      write_results_csv, write_trace_csv)
 from .classical_dca import count_table
 from .max_finding import ExactCounter, MaxFindingConfig, QuantumCounter, find_max_subkey
-from .quantum_counting import (CountingParams, counting_distribution,
+from .quantum_counting import (ClassLadders, CountingParams, counting_distribution,
                                counting_error_bound, estimate_from_outcome,
                                grover_iteration, profile_error_bound,
                                reference_counting_distribution)
@@ -88,7 +88,7 @@ def check_gate_accounting() -> CheckResult:
     for n in (3, 4, 6):
         params = CountingParams.default(n)
         pairs = gen_pairs(cipher, DEFAULT_PLANTED_KEY, ch.plaintext_diff, n)
-        counter = QuantumCounter(AttackContext(cipher, ch, pairs), params,
+        counter = QuantumCounter(AttackContext(cipher, ch, pairs), ClassLadders(params),
                                  np.random.default_rng(11))
         counter.count(1)
         est = counter.estimates[1]

@@ -221,9 +221,9 @@ def run_quantum_attack(config: AttackConfig, trial: int = 0,
     ``instance`` (as ``plant_instance`` returns it) if given."""
     ctx, _, z = instance or plant_instance(config, trial)
     t0 = time.perf_counter()
-    params = config.counting_params()
     rng = _trial_rng(config.master_seed, trial)
-    counter = QuantumCounter(ctx, params, rng, config.class_ladders)
+    counter = QuantumCounter(ctx, config.class_ladders, rng)
+    params = counter.params
     mf = find_max_subkey(counter, config.subkey_bits, MaxFindingConfig(config.confidence), rng)
     result = AttackResult(
         trial=trial, mode="quantum", recovered_subkey=mf.subkey, ground_truth=z,
@@ -303,9 +303,8 @@ def run_trials(config: AttackConfig):
 def run_count_report(config: AttackConfig, trial: int = 0) -> list[dict]:
     """One counting estimate per candidate subkey on the planted instance."""
     ctx, _, _ = plant_instance(config, trial)
-    params = config.counting_params()
-    rng = _trial_rng(config.master_seed, trial)
-    counter = QuantumCounter(ctx, params, rng, config.class_ladders)
+    counter = QuantumCounter(ctx, config.class_ladders, _trial_rng(config.master_seed, trial))
+    params = counter.params
     rows = []
     for x in range(1 << config.subkey_bits):
         counter.count(x)
@@ -360,9 +359,9 @@ def run_scaling_report(config: AttackConfig, search_bits=(4, 6, 8),
         })
         prev_mean = mean
     for sub, ctx in zip(subs, contexts):
-        params = sub.counting_params()
-        counter = QuantumCounter(ctx, params, _trial_rng(config.master_seed, 0, purpose=99),
-                                 sub.class_ladders)
+        counter = QuantumCounter(ctx, sub.class_ladders,
+                                 _trial_rng(config.master_seed, 0, purpose=99))
+        params = counter.params
         counter.count(0)
         est = counter.estimates[0]
         rows.append({

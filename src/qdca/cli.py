@@ -183,10 +183,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as err:
+    except (ConfigError, OSError, json.JSONDecodeError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 1
 

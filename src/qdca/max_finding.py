@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantum_counting import (ClassLadders, CountEstimate, CountingParams, Ladder, PhaseBlock,
-                               count_marked, lane_block_size, phase_block)
+from .quantum_counting import (ClassLadders, CountEstimate, Ladder, PhaseBlock, count_marked,
+                               lane_block_size, phase_block)
 from .statevector import _assert_unit_norm, draw_from_cdf, outcome_cdf
 from .toy_cipher import AttackContext
 
@@ -114,23 +114,21 @@ class SearchBudget:
 class QuantumCounter:
     """Memoized quantum counting: one sampled estimate per subkey per run.
 
-    The first count takes the Grover ladder of every subkey's right-pair
-    count ``ctx.counts`` as a lane from ``ladders``, the run's memo by class
-    size, which runs only the sizes it lacks; a counter given no memo makes
-    its own. The lanes are cut into blocks of ``lane_block_size`` lanes; a
+    The counting params are ``ladders.params``. The first count takes the
+    Grover ladder of every subkey's right-pair count ``ctx.counts`` as a lane
+    from ``ladders``, the memo by class size, which runs only the sizes it
+    lacks. The lanes are cut into blocks of ``lane_block_size`` lanes; a
     block's columns are gathered and its inverse QFT runs when one of its
     subkeys is first demanded, and the block is dropped once every lane in
     it has an estimate. Each subkey's estimate is ``count_marked``'s draw
     from its lane on first demand, so the draws follow the demand order and
     no estimate reads a right-pair table."""
 
-    def __init__(self, ctx: AttackContext, params: CountingParams,
-                 rng: np.random.Generator, ladders: ClassLadders | None = None):
+    def __init__(self, ctx: AttackContext, ladders: ClassLadders, rng: np.random.Generator):
+        params = ladders.params
         if ctx.index_bits != params.index_bits:
             raise ValueError("params and context disagree on the index width")
-        if ladders is not None and ladders.params != params:
-            raise ValueError("the ladder memo was built for other counting params")
-        self._ladders = ClassLadders(params) if ladders is None else ladders
+        self._ladders = ladders
         self.ctx = ctx
         self.params = params
         self.rng = rng
@@ -160,9 +158,9 @@ class QuantumCounter:
                 self._blocks[first] = block, pending - 1
         return self.estimates[x].right_pairs
 
-    def count_all(self, K: int) -> np.ndarray:
-        """The first K counts as an int64 array, demanded in ascending order."""
-        return np.array([self.count(x) for x in range(K)], dtype=np.int64)
+    def count_all(self) -> np.ndarray:
+        """All K counts as an int64 array, demanded in ascending order."""
+        return np.array([self.count(x) for x in range(self._subkeys)], dtype=np.int64)
 
 
 class ExactCounter:
@@ -172,22 +170,17 @@ class ExactCounter:
         self.counts = np.asarray(counts, dtype=np.int64)
         self._count_list = self.counts.tolist()   # Python ints: one list read per count
         self._subkeys = len(self._count_list)
-        self.estimates: dict[int, int] = {}
         self.counting_cost = 0
         self.init_width = 0
 
     def count(self, x: int) -> int:
         if not 0 <= x < self._subkeys:
             raise IndexError(f"subkey {x} outside [0, K) = [0, {self._subkeys})")
-        self.estimates[x] = right_pairs = self._count_list[x]
-        return right_pairs
+        return self._count_list[x]
 
-    def count_all(self, K: int) -> np.ndarray:
-        """A copy of the first K counts, every one recorded in ``estimates``."""
-        if K > self._subkeys:
-            raise IndexError(f"{self._subkeys} counts for {K} subkeys")
-        self.estimates.update(zip(range(K), self._count_list))
-        return self.counts[:K].copy()
+    def count_all(self) -> np.ndarray:
+        """A copy of all K counts."""
+        return self.counts.copy()
 
 
 @dataclass
@@ -339,7 +332,8 @@ class MaxFindingResult:
 
 def find_max_subkey(counter, subkey_bits: int, config: MaxFindingConfig,
                     rng: np.random.Generator) -> MaxFindingResult:
-    """The full threshold loop; returns the final threshold subkey."""
+    """The full threshold loop; returns the final threshold subkey. A counter
+    whose ``count_all`` is not K = 2**subkey_bits counts long is refused."""
     if subkey_bits < 1:
         raise ValueError("maximum finding needs at least one subkey bit")
     K = 1 << subkey_bits
@@ -355,7 +349,9 @@ def find_max_subkey(counter, subkey_bits: int, config: MaxFindingConfig,
     # Every pass marks x iff counts[x] exceeds the threshold's count. Drawing them
     # here keeps the rng order of a sweep in the first pass: budget_for makes the
     # first pass always run, and it draws nothing from rng before its sweep.
-    counts = counter.count_all(K)
+    counts = counter.count_all()
+    if len(counts) != K:
+        raise ValueError(f"{len(counts)} counts for K = {K} subkeys")
 
     loop = 0
     search_steps_to_max = 0

@@ -26,9 +26,9 @@ runs G 2**t - 1 times on all L lanes at once: six in-place array operations
 per step, each step applied to every lane and counted once. Row b of its
 (T, 2, L) record holds each lane's class amplitudes u_b, m_b of G^b|psi0>,
 and the weighted norm of every row of every lane is checked before the
-ladder returns. Every counter ladders its counts through ``ClassLadders``,
-the run's or its own, which keeps one (T, 2) column per size and runs only
-the sizes it lacks. ``counting_distribution`` ladders a table's size [M] as
+ladder returns. Every counter ladders its counts through the ``ClassLadders``
+it is built with, which keeps one (T, 2) column per size and runs only the
+sizes it lacks. ``counting_distribution`` ladders a table's size [M] as
 a one-lane block.
 
 The inverse Fourier transform runs gate by gate on t+1 qubits, on
@@ -60,8 +60,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevector import (DEFAULT_MAX_QUBITS, Register, RegisterMap, StateVector,
-                          _assert_unit_norm, draw_from_cdf)
+from .statevector import (DEFAULT_MAX_QUBITS, Register, StateVector, _assert_unit_norm,
+                          draw_from_cdf)
 from .toy_cipher import AttackContext
 
 COHERENT_MAX_SUBKEY_BITS = 2
@@ -142,11 +142,6 @@ class CountEstimate:
     right_pairs: int
     g_gate_count: int
     qft_gate_count: int
-    init_steps: int
-
-    @property
-    def cost(self) -> int:
-        return self.init_steps + self.g_gate_count + self.qft_gate_count
 
 
 def grover_iteration(state: StateVector, reg: Register, marked: np.ndarray) -> None:
@@ -347,8 +342,7 @@ def count_marked(block: PhaseBlock, lane: int, params: CountingParams,
     b = draw_from_cdf(block.cdf[lane], rng)
     theta, m_est, right = estimate_from_outcome(b, params)
     assert block.g_gates == (1 << params.phase_bits) - 1
-    return CountEstimate(b, theta, m_est, right, block.g_gates, block.qft_gates,
-                         params.init_steps)
+    return CountEstimate(b, theta, m_est, right, block.g_gates, block.qft_gates)
 
 
 def counting_distribution(marked: np.ndarray, params: CountingParams) -> np.ndarray:
@@ -364,15 +358,15 @@ def reference_counting_distribution(marked: np.ndarray,
     controlled G gates applied to the whole (t+n+1)-qubit state. Slow; the
     oracle that the factored kernel is tested against."""
     _check_table(marked, params)
-    regs = RegisterMap(("phase", params.phase_bits), ("index", params.index_bits + 1))
-    state = StateVector.uniform(regs.total_qubits)
-    index_reg = regs["index"]
-    phase_reg = regs["phase"]
+    t = params.phase_bits
+    phase_reg = Register("phase", 0, t)
+    index_reg = Register("index", t, params.index_bits + 1)
+    state = StateVector.uniform(t + params.index_bits + 1)
 
     def g(sv: StateVector) -> None:
         grover_iteration(sv, index_reg, marked)
 
-    for j in range(params.phase_bits):
+    for j in range(t):
         state.apply_controlled_unitary_power(phase_reg.offset + j, g, 1 << j)
     state.inverse_qft(phase_reg)
     return state.probabilities(phase_reg)
@@ -392,8 +386,9 @@ def coherent_counting_distribution(x: int, params: CountingParams,
     if k > COHERENT_MAX_SUBKEY_BITS or n > COHERENT_MAX_INDEX_BITS:
         raise ValueError("coherent mode is a small-size cross-check only")
     t = params.phase_bits
-    regs = RegisterMap(("phase", t), ("index", n + 1), ("subkey", k))
-    joint = Register("index+subkey", regs["index"].offset, (n + 1) + k)
+    phase_reg = Register("phase", 0, t)
+    index_reg = Register("index", t, n + 1)
+    joint = Register("index+subkey", t, (n + 1) + k)   # the subkey register at t+n+1
 
     pair_space = 1 << (n + 1)
     table = np.concatenate([ctx.marked_table(xv) for xv in range(1 << k)])
@@ -401,19 +396,19 @@ def coherent_counting_distribution(x: int, params: CountingParams,
     # phase and index registers uniform, subkey register pinned to |x>
     uniform = np.full(pair_space * (1 << t), 1.0 / math.sqrt(pair_space * (1 << t)),
                       dtype=np.complex128)
-    amps = np.zeros(1 << regs.total_qubits, dtype=np.complex128)
+    amps = np.zeros(1 << (t + n + 1 + k), dtype=np.complex128)
     base = x * (pair_space * (1 << t))
     amps[base:base + uniform.size] = uniform
     state = StateVector.from_amplitudes(amps)
 
     def g(sv: StateVector) -> None:
         sv.apply_phase_oracle(joint, table)
-        sv.apply_diffusion(regs["index"])
+        sv.apply_diffusion(index_reg)
 
     for j in range(t):
-        state.apply_controlled_unitary_power(regs["phase"].offset + j, g, 1 << j)
-    state.inverse_qft(regs["phase"])
-    return state.probabilities(regs["phase"])
+        state.apply_controlled_unitary_power(phase_reg.offset + j, g, 1 << j)
+    state.inverse_qft(phase_reg)
+    return state.probabilities(phase_reg)
 
 
 def counting_error_bound(m_true: float, num_pairs: int, accuracy_bits: int) -> float:

@@ -73,28 +73,6 @@ class Register:
         return range(self.offset, self.offset + self.width)
 
 
-class RegisterMap:
-    """Disjoint named registers assigned consecutively from qubit 0."""
-
-    def __init__(self, *specs: tuple[str, int]):
-        self._regs: dict[str, Register] = {}
-        offset = 0
-        for name, width in specs:
-            if width < 0:
-                raise ValueError(f"register {name!r} has negative width")
-            if name in self._regs:
-                raise ValueError(f"duplicate register name {name!r}")
-            self._regs[name] = Register(name, offset, width)
-            offset += width
-        self.total_qubits = offset
-
-    def __getitem__(self, name: str) -> Register:
-        return self._regs[name]
-
-    def __iter__(self):
-        return iter(self._regs.values())
-
-
 def _assert_unit_norm(norm) -> None:
     """Raise CorruptedStateError unless the squared norm, or every lane's, is
     within NORM_TOL of 1; a NaN norm never is."""

@@ -11,7 +11,7 @@ from qdca.max_finding import (SEARCH_GROWTH_FACTOR, ExactCounter,
                               MaxFindingConfig, QuantumCounter, SearchBudget,
                               SearchOutcome, StageSteps, ThresholdState, _class_grover_step,
                               find_max_subkey, grover_search_marked)
-from qdca.quantum_counting import (CountingParams,
+from qdca.quantum_counting import (ClassLadders, CountingParams,
                                    counting_distribution,
                                    estimate_from_outcome, grover_iteration)
 from qdca.statevector import Register, StateVector, draw_outcome
@@ -70,11 +70,12 @@ def test_pass_table_is_oracle_o1_for_every_candidate(planted, monkeypatch):
     _, _, _, ctx = planted
     rng = _rng(31)
     # every count is held by at least two subkeys, so every threshold has a tie
-    for counter in (ExactCounter([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 9, 2, 6, 4, 9]),
-                    QuantumCounter(ctx, CountingParams.default(6), _rng(32))):
+    quantum = QuantumCounter(ctx, ClassLadders(CountingParams.default(6)), _rng(32))
+    for counter in (ExactCounter([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 9, 2, 6, 4, 9]), quantum):
         passes = _pass_tables(monkeypatch, counter, 4, rng)
         assert len(passes) >= 2
-        assert len(counter.estimates) == 16   # every count drawn: count() reads the memo
+        if counter is quantum:
+            assert len(counter.estimates) == 16   # every count drawn: count() reads the memo
         counts = [counter.count(x) for x in range(16)]
         for marked, row in passes:
             y = row["y"]
@@ -457,7 +458,7 @@ def test_budget_charge_or_stop():
 def test_default_budget_formula(planted):
     _, _, _, ctx = planted
     params = CountingParams.default(6)
-    counter = QuantumCounter(ctx, params, _rng(4))
+    counter = QuantumCounter(ctx, ClassLadders(params), _rng(4))
     budget = MaxFindingConfig(confidence=4).budget_for(4, counter)
     expected_m0 = math.ceil(22.5 * 4) + 4 * params.counting_cost
     assert budget.expected_steps == expected_m0
@@ -470,9 +471,10 @@ def test_budget_below_one_pass_refused_before_any_count(planted):
     # At k = 1, c = 1 the derived budget is 2 * (ceil(22.5 * sqrt 2) + cost) =
     # 64 + 2 * cost, and the initial threshold plus one pass need
     # 3 + (t+n+1) + 3 * cost: a counting cost above 61 - (t+n+1) outgrows it.
-    # The search reads subkeys 0 and 1 of the counter's instance.
+    # At c = 2 the search runs over subkeys 0 and 1's exact counts, charged
+    # the quantum counter's costs.
     _, _, _, ctx = planted
-    counter = QuantumCounter(ctx, CountingParams.default(6), _rng(4))
+    counter = QuantumCounter(ctx, ClassLadders(CountingParams.default(6)), _rng(4))
     need = 3 + counter.init_width + 3 * counter.counting_cost
     rng = _rng(4, 1)
     state = rng.bit_generator.state
@@ -481,7 +483,9 @@ def test_budget_below_one_pass_refused_before_any_count(planted):
         find_max_subkey(counter, 1, MaxFindingConfig(confidence=1), rng)
     assert len(counter.estimates) == 0
     assert rng.bit_generator.state == state
-    res = find_max_subkey(counter, 1, MaxFindingConfig(confidence=2), rng)
+    pair = ExactCounter(ctx.counts[:2])
+    pair.counting_cost, pair.init_width = counter.counting_cost, counter.init_width
+    res = find_max_subkey(pair, 1, MaxFindingConfig(confidence=2), rng)
     assert res.loop_iterations >= 1 and res.budget.spent <= res.budget.limit
 
 
@@ -498,7 +502,7 @@ def test_threshold_state_rejects_non_increasing():
 def test_single_candidate_refused_before_any_count(planted):
     # K = 1 has nothing to search: refused before any count or rng draw
     _, _, _, ctx = planted
-    counter = QuantumCounter(ctx, CountingParams.default(6), _rng(4))
+    counter = QuantumCounter(ctx, ClassLadders(CountingParams.default(6)), _rng(4))
     rng = _rng(5)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match="at least one subkey bit"):
@@ -523,6 +527,16 @@ def test_search_refuses_a_table_that_is_not_2_to_the_k(size):
             grover_search_marked(np.full(size, fill), 4, rng, budget)
     assert budget.spent == 0
     assert rng.bit_generator.state == state
+
+
+def test_a_count_vector_that_is_not_k_long_is_refused(planted):
+    # K = 16: a 32-count exact counter and a quantum counter of K = 16 asked
+    # for k = 3 are refused, not searched over their first K counts
+    _, _, _, ctx = planted
+    quantum = QuantumCounter(ctx, ClassLadders(CountingParams.default(6)), _rng(16))
+    for counter, k in ((ExactCounter(np.arange(32)), 4), (quantum, 3)):
+        with pytest.raises(ValueError, match=f"counts for K = {1 << k} subkeys"):
+            find_max_subkey(counter, k, MaxFindingConfig(4), _rng(17))
 
 
 def test_exact_counts_recover_argmax_with_monotone_history(cipher, planted):
@@ -561,7 +575,7 @@ def test_planted_instance_recovery_rate(cipher, planted):
     wins = 0
     for trial in range(100):
         rng = _rng(55, trial)
-        counter = QuantumCounter(ctx, params, rng)
+        counter = QuantumCounter(ctx, ClassLadders(params), rng)
         res = find_max_subkey(counter, 4, MaxFindingConfig(confidence=4), rng)
         wins += res.subkey == z
     assert wins >= math.ceil((1 - 1 / 16) * 100)
@@ -581,7 +595,7 @@ def test_distribution_counter_matches_simulated_outcomes(table_estimate):
 
 def test_quantum_counter_memoizes(planted):
     _, _, _, ctx = planted
-    counter = QuantumCounter(ctx, CountingParams.default(6), _rng(6))
+    counter = QuantumCounter(ctx, ClassLadders(CountingParams.default(6)), _rng(6))
     first = counter.count(3)
     assert counter.count(3) == first
     assert len(counter.estimates) == 1
@@ -596,10 +610,11 @@ def test_counters_refuse_a_subkey_outside_the_range(planted, kind, x):
     rng = _rng(7)
     state = rng.bit_generator.state
     counter = (ExactCounter(ctx.counts) if kind == "exact"
-               else QuantumCounter(ctx, CountingParams.default(6), rng))
+               else QuantumCounter(ctx, ClassLadders(CountingParams.default(6)), rng))
     with pytest.raises(IndexError, match=f"subkey {x} outside \\[0, K\\) = \\[0, 16\\)"):
         counter.count(x)
-    assert counter.estimates == {}
+    if kind == "quantum":
+        assert counter.estimates == {}
     assert rng.bit_generator.state == state
 
 
@@ -614,9 +629,9 @@ class _RecordingCounter:
         self.calls.append(x)
         return self.inner.count(x)
 
-    def count_all(self, K):
-        self.calls.append(("all", K))
-        return self.inner.count_all(K)
+    def count_all(self):
+        self.calls.append("all")
+        return self.inner.count_all()
 
 
 @pytest.mark.parametrize("kind", ["exact", "quantum"])
@@ -627,41 +642,37 @@ def test_one_count_vector_per_run(kind, planted):
     for trial in range(10):
         rng = _rng(41, trial)
         inner = (ExactCounter(_rng(42, trial).permutation(16)) if kind == "exact"
-                 else QuantumCounter(ctx, CountingParams.default(6), rng))
+                 else QuantumCounter(ctx, ClassLadders(CountingParams.default(6)), rng))
         counter = _RecordingCounter(inner)
         res = find_max_subkey(counter, 4, MaxFindingConfig(4), rng)
         assert res.loop_iterations > 1
         y = res.threshold.history[0][0]
-        assert counter.calls == [y, ("all", 16)]
-        # the estimates were drawn (a quantum counter's in its demand order)
-        assert list(inner.estimates) == [y, *(x for x in range(16) if x != y)]
+        assert counter.calls == [y, "all"]
+        if kind == "quantum":   # the estimates were drawn in the demand order
+            assert list(inner.estimates) == [y, *(x for x in range(16) if x != y)]
 
 
 @pytest.mark.parametrize("kind", ["exact", "quantum"])
 def test_count_all_hands_over_the_first_k_counts(kind, planted):
-    # count_all(K) is count(x) for x = 0..K-1 as one int64 array, draws what
+    # count_all() is count(x) for x = 0..K-1 as one int64 array, draws what
     # those calls draw, and is the caller's to keep
     _, _, _, ctx = planted
     params = CountingParams.default(6)
 
     def make():
         return (ExactCounter([5, 0, 3, 9, 1, 1, 2, 7, 4, 6, 8, 0, 2, 3, 5, 1]) if kind == "exact"
-                else QuantumCounter(ctx, params, _rng(43)))
+                else QuantumCounter(ctx, ClassLadders(params), _rng(43)))
 
     one_by_one, at_once = make(), make()
     one_by_one.count(11)
     at_once.count(11)
     expected = [one_by_one.count(x) for x in range(16)]
-    counts = at_once.count_all(16)
+    counts = at_once.count_all()
     assert counts.dtype == np.int64 and counts.tolist() == expected
-    assert list(at_once.estimates.items()) == list(one_by_one.estimates.items())
-    assert at_once.count_all(4).tolist() == expected[:4]
     counts[:] = -1
-    assert at_once.count_all(16).tolist() == expected
-    if kind == "exact":
-        with pytest.raises(IndexError):
-            make().count_all(17)
-    else:
+    assert at_once.count_all().tolist() == expected
+    if kind == "quantum":
+        assert list(at_once.estimates.items()) == list(one_by_one.estimates.items())
         assert at_once.rng.bit_generator.state == one_by_one.rng.bit_generator.state
 
 
@@ -671,7 +682,7 @@ def test_per_loop_step_accounting(planted):
     # random-threshold preparation and per-round search re-initializations
     _, _, _, ctx = planted
     params = CountingParams.default(6)
-    counter = QuantumCounter(ctx, params, _rng(21))
+    counter = QuantumCounter(ctx, ClassLadders(params), _rng(21))
     res = find_max_subkey(counter, 4, MaxFindingConfig(4), _rng(21, 1))
     loops = res.loop_iterations
     assert res.stages.counting == loops * params.counting_cost

@@ -127,8 +127,7 @@ def test_gate_counters_exact(table_estimate):
         t = params.phase_bits
         assert est.g_gate_count == (1 << t) - 1
         assert est.qft_gate_count == qft_gate_budget(t) == t * (t + 1) // 2 + t // 2
-        assert est.init_steps == t + n + 1
-        assert est.cost == est.init_steps + est.g_gate_count + est.qft_gate_count
+        assert params.init_steps == t + n + 1
 
 
 def test_outcome_distribution_mirror_symmetric():
@@ -195,7 +194,7 @@ def test_planted_instance_estimates_within_bound(cipher, planted):
 
     hits = 0
     for seed in range(200):
-        counter = QuantumCounter(ctx, params, _rng(42, seed))
+        counter = QuantumCounter(ctx, ClassLadders(params), _rng(42, seed))
         counter.count(z)
         hits += abs(counter.estimates[z].m_estimate - m_true) <= bound
     assert hits >= 180
@@ -204,7 +203,7 @@ def test_planted_instance_estimates_within_bound(cipher, planted):
 def test_counter_is_seed_deterministic(planted):
     _, _, _, ctx = planted
     params = CountingParams.default(6)
-    a, b = QuantumCounter(ctx, params, _rng(7)), QuantumCounter(ctx, params, _rng(7))
+    a, b = (QuantumCounter(ctx, ClassLadders(params), _rng(7)) for _ in range(2))
     assert [a.count(x) for x in range(16)] == [b.count(x) for x in range(16)]
     assert a.estimates == b.estimates
 
@@ -212,7 +211,7 @@ def test_counter_is_seed_deterministic(planted):
 def test_counter_checks_index_width(planted):
     _, _, _, ctx = planted
     with pytest.raises(ValueError, match="index width"):
-        QuantumCounter(ctx, CountingParams.default(5), _rng(0))
+        QuantumCounter(ctx, ClassLadders(CountingParams.default(5)), _rng(0))
 
 
 # ---- factored kernel against the unfactored reference circuit -------------------
@@ -451,7 +450,7 @@ def test_gate_counts_are_observed_not_computed(monkeypatch, planted, table_estim
     blocks = -(-16 // lane_block_size(params))
     assert blocks == 1
     applied.update(g=0, qft=0, calls=0)
-    counter = QuantumCounter(ctx, params, _rng(13))
+    counter = QuantumCounter(ctx, ClassLadders(params), _rng(13))
     for x in range(16):
         counter.count(x)
     assert applied["g"] == (1 << t) - 1
@@ -594,7 +593,7 @@ def test_counter_draws_in_demand_order(planted, table_estimate):
     _, _, _, ctx = planted
     params = CountingParams.default(6)
     order = [11, *range(16), 11, 3]
-    counter = QuantumCounter(ctx, params, _rng(14))
+    counter = QuantumCounter(ctx, ClassLadders(params), _rng(14))
     counts = [counter.count(x) for x in order]
     rng = _rng(14)
     expected = {}
@@ -637,7 +636,7 @@ def test_each_block_is_transformed_once(monkeypatch, cipher, table_estimate):
         inverse_qft(self, reg)
 
     monkeypatch.setattr(StateVector, "inverse_qft", recording_qft)
-    counter = QuantumCounter(ctx, params, _rng(15))
+    counter = QuantumCounter(ctx, ClassLadders(params), _rng(15))
     order = [77, *range(256)]
     for x in order:
         counter.count(x)
@@ -671,7 +670,7 @@ def test_a_counter_holds_its_memo_and_two_blocks(cipher, shared):
     B = lane_block_size(params)
     assert t == 11 and B == 4
     distinct = len(set(ctx.counts.tolist()))   # the counts are built on first use
-    QuantumCounter(ctx, params, _rng(16)).count(0)   # first-call allocations
+    QuantumCounter(ctx, ClassLadders(params), _rng(16)).count(0)   # first-call allocations
     column = (1 << t) * 2 * 8
     record = 256 * column
     block = B * (2 * (16 << (t + 1)) + (16 << t) + column)
@@ -680,7 +679,7 @@ def test_a_counter_holds_its_memo_and_two_blocks(cipher, shared):
     for trial in range(2):
         tracemalloc.start()
         try:
-            counter = QuantumCounter(ctx, params, _rng(16, trial), memo)
+            counter = QuantumCounter(ctx, memo or ClassLadders(params), _rng(16, trial))
             for x in [201, *range(256)]:
                 counter.count(x)
             peaks.append(tracemalloc.get_traced_memory()[1])
@@ -774,8 +773,8 @@ def test_a_warm_memo_draws_what_a_cold_counter_draws():
     memo.ladder(contexts[0].counts)
     order = [5, *range(16)]
     for i, ctx in enumerate(contexts):
-        cold = QuantumCounter(ctx, params, _rng(18, i))
-        warm = QuantumCounter(ctx, params, _rng(18, i), memo)
+        cold = QuantumCounter(ctx, ClassLadders(params), _rng(18, i))
+        warm = QuantumCounter(ctx, memo, _rng(18, i))
         for x in order:
             assert warm.count(x) == cold.count(x)
         assert repr(warm.estimates) == repr(cold.estimates)   # every float to the bit
@@ -879,13 +878,6 @@ def test_a_memo_checks_the_whole_stack_before_the_ladder(monkeypatch):
     with pytest.raises(ValueError, match="\\[0, 2N\\]"):
         memo.ladder([0, 5])
     assert steps == [] and memo.columns == {}
-
-
-def test_a_counter_refuses_a_memo_for_other_params(planted):
-    _, _, _, ctx = planted
-    with pytest.raises(ValueError, match="other counting params"):
-        QuantumCounter(ctx, CountingParams.default(6), _rng(0),
-                       ClassLadders(CountingParams(6, 5, 0.1)))
 
 
 # ---- coherent cross-check ------------------------------------------------------

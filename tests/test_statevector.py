@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdca.statevector import (CorruptedStateError, Register, RegisterMap, StateVector,
+from qdca.statevector import (CorruptedStateError, Register, StateVector,
                               _assert_unit_norm, draw_from_cdf, draw_outcome,
                               outcome_cdf)
 
@@ -569,16 +569,6 @@ def test_a_lane_stack_acts_as_its_lanes_alone(lanes):
 
 
 # ---- registers and misc --------------------------------------------------------
-
-
-def test_register_map_layout():
-    regs = RegisterMap(("phase", 3), ("index", 4), ("subkey", 2))
-    assert regs.total_qubits == 9
-    assert regs["index"].offset == 3 and regs["index"].width == 4
-    assert [r.name for r in regs] == ["phase", "index", "subkey"]
-    assert set(regs["phase"].qubits) & set(regs["index"].qubits) == set()
-    with pytest.raises(ValueError):
-        RegisterMap(("a", 2), ("a", 3))
 
 
 def test_register_outside_state_rejected():

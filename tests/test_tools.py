@@ -1,4 +1,6 @@
+import importlib
 import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -132,3 +134,27 @@ def test_bench_pairs_summary_claim_and_bounds():
     # every pair needs both sides
     with pytest.raises(ValueError):
         bp.summarize_workload(_canned_runs(parent, change)[:-1], directions)
+
+
+TRACING = PEAK_RSS.parents[1] / "perfbench" / "tracing.py"
+
+
+def test_every_traced_name_exists_where_the_tracer_looks():
+    # the benchmark's tracer wraps each METHODS entry found in its class's own
+    # __dict__, and fires a hook (or counts preparation and tables) only on a
+    # function defined in its layer's module: a deleted, renamed or moved name
+    # breaks every traced run
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    layers = {layer: importlib.import_module(f"qdca.{layer}") for layer in tracing.LAYERS}
+    for layer, classes in tracing.METHODS.items():
+        for cls, methods in classes.items():
+            for meth in methods:
+                assert meth in vars(getattr(layers[layer], cls)), f"{layer}.{cls}.{meth}"
+    for name in [*tracing.HOOKS, tracing.PLANT, tracing.TABLE]:
+        layer, *path = name.split(".")
+        obj = layers[layer]
+        for attr in path:
+            obj = getattr(obj, attr)
+        assert inspect.isfunction(obj) and obj.__module__ == f"qdca.{layer}", name

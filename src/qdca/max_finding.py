@@ -42,8 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantum_counting import (ClassLadders, CountEstimate, Ladder, PhaseBlock, count_marked,
-                               lane_block_size, phase_block)
+from .quantum_counting import ClassLadders, CountEstimate, count_marked
 from .statevector import _assert_unit_norm, draw_from_cdf, outcome_cdf
 from .toy_cipher import AttackContext
 
@@ -114,15 +113,12 @@ class SearchBudget:
 class QuantumCounter:
     """Memoized quantum counting: one sampled estimate per subkey per run.
 
-    The counting params are ``ladders.params``. The first count takes the
-    Grover ladder of every subkey's right-pair count ``ctx.counts`` as a lane
-    from ``ladders``, the memo by class size, which runs only the sizes it
-    lacks. The lanes are cut into blocks of ``lane_block_size`` lanes; a
-    block's columns are gathered and its inverse QFT runs when one of its
-    subkeys is first demanded, and the block is dropped once every lane in
-    it has an estimate. Each subkey's estimate is ``count_marked``'s draw
-    from its lane on first demand, so the draws follow the demand order and
-    no estimate reads a right-pair table."""
+    The counting params are ``ladders.params``. The first count ladders every
+    subkey's right-pair count ``ctx.counts`` through ``ladders``, the memo by
+    class size, which runs only the sizes it lacks. Each subkey's estimate is
+    ``count_marked``'s draw from its size's memo row (``ClassLadders.cdf_row``)
+    on first demand, so the draws follow the demand order and no estimate
+    reads a right-pair table."""
 
     def __init__(self, ctx: AttackContext, ladders: ClassLadders, rng: np.random.Generator):
         params = ladders.params
@@ -133,34 +129,26 @@ class QuantumCounter:
         self.params = params
         self.rng = rng
         self.estimates: dict[int, CountEstimate] = {}
-        self._subkeys = 1 << ctx.subkey_bits
-        self._ladder: Ladder | None = None
-        self._block_lanes = lane_block_size(params)
-        # first lane of a block -> (the block, the number of its lanes not drawn yet)
-        self._blocks: dict[int, tuple[PhaseBlock, int]] = {}
+        self.subkeys = 1 << ctx.subkey_bits
+        self._sizes: list[int] | None = None   # ctx.counts, read on the first count
         self.counting_cost = params.counting_cost
         self.init_width = params.init_steps
 
     def count(self, x: int) -> int:
         if x not in self.estimates:
-            if not 0 <= x < self._subkeys:
-                raise IndexError(f"subkey {x} outside [0, K) = [0, {self._subkeys})")
-            if self._ladder is None:
-                self._ladder = self._ladders.ladder(self.ctx.counts)
-            first = x - x % self._block_lanes
-            if first not in self._blocks:
-                block = phase_block(self._ladder, slice(first, first + self._block_lanes),
-                                    self.params)
-                self._blocks[first] = block, len(block.cdf)
-            block, pending = self._blocks.pop(first)
-            self.estimates[x] = count_marked(block, x - first, self.params, self.rng)
-            if pending > 1:
-                self._blocks[first] = block, pending - 1
+            if not 0 <= x < self.subkeys:
+                raise IndexError(f"subkey {x} outside [0, K) = [0, {self.subkeys})")
+            # the first count; later only if a counter sharing the memo evicted the size
+            if self._sizes is None or self._sizes[x] not in self._ladders.columns:
+                self._ladders.ladder(self.ctx.counts)
+                self._sizes = self.ctx.counts.tolist()
+            row = self._ladders.cdf_row(self._sizes[x])
+            self.estimates[x] = count_marked(row, 0, self.params, self.rng)
         return self.estimates[x].right_pairs
 
     def count_all(self) -> np.ndarray:
         """All K counts as an int64 array, demanded in ascending order."""
-        return np.array([self.count(x) for x in range(self._subkeys)], dtype=np.int64)
+        return np.array([self.count(x) for x in range(self.subkeys)], dtype=np.int64)
 
 
 class ExactCounter:
@@ -169,13 +157,13 @@ class ExactCounter:
     def __init__(self, counts):
         self.counts = np.asarray(counts, dtype=np.int64)
         self._count_list = self.counts.tolist()   # Python ints: one list read per count
-        self._subkeys = len(self._count_list)
+        self.subkeys = len(self._count_list)
         self.counting_cost = 0
         self.init_width = 0
 
     def count(self, x: int) -> int:
-        if not 0 <= x < self._subkeys:
-            raise IndexError(f"subkey {x} outside [0, K) = [0, {self._subkeys})")
+        if not 0 <= x < self.subkeys:
+            raise IndexError(f"subkey {x} outside [0, K) = [0, {self.subkeys})")
         return self._count_list[x]
 
     def count_all(self) -> np.ndarray:
@@ -333,11 +321,14 @@ class MaxFindingResult:
 def find_max_subkey(counter, subkey_bits: int, config: MaxFindingConfig,
                     rng: np.random.Generator) -> MaxFindingResult:
     """The full threshold loop; returns the final threshold subkey. A counter
-    whose ``count_all`` is not K = 2**subkey_bits counts long is refused."""
+    whose ``subkeys`` is not K = 2**subkey_bits is refused, after the budget
+    check and before any draw."""
     if subkey_bits < 1:
         raise ValueError("maximum finding needs at least one subkey bit")
     K = 1 << subkey_bits
     budget = config.budget_for(subkey_bits, counter)
+    if counter.subkeys != K:
+        raise ValueError(f"{counter.subkeys} counts for K = {K} subkeys")
     cost = counter.counting_cost
     trace: list[dict] = []
 
@@ -350,8 +341,6 @@ def find_max_subkey(counter, subkey_bits: int, config: MaxFindingConfig,
     # here keeps the rng order of a sweep in the first pass: budget_for makes the
     # first pass always run, and it draws nothing from rng before its sweep.
     counts = counter.count_all()
-    if len(counts) != K:
-        raise ValueError(f"{len(counts)} counts for K = {K} subkeys")
 
     loop = 0
     search_steps_to_max = 0

@@ -37,14 +37,14 @@ image under the isometry |0> -> |u_U>, |1> -> |u_M> is the full state; the
 transform acts on the phase register alone, so the phase outcome
 distribution is unchanged. ``phase_block`` stacks a run of ladder lanes as
 the lanes of one lane-minor StateVector, the class on qubit 0 and the phase
-register on qubits 1..t, so even its lowest phase qubit's gates run over 2L
-adjacent amplitudes; it transforms them at once, each gate counted once per
-lane it acts on, and builds every lane's normalized CDF in one row-wise pass.
-A counter cuts its ladder into blocks of ``lane_block_size`` lanes, gathers
-and transforms each block once and draws each subkey's estimate from its
-lane's CDF row with ``count_marked``, which every estimate comes from. No
-estimate reads a table. The blocks and draws are per counter, never
-memoized, so every estimate reports QFT gates applied to its own lane. These
+register on qubits 1..t; it transforms them at once, each gate counted once
+per lane it acts on, and builds every lane's normalized CDF in one row-wise
+pass. Like the ladder, the distribution depends on (n, t, M) alone, so
+``ClassLadders`` keeps each size's CDF row, a one-lane ``phase_block`` of its
+column made on first demand, and a counter draws each estimate from its
+size's row with ``count_marked``, which every estimate comes from; no
+estimate reads a table. Only the draw that made a row reports its Fourier
+gates, so a run's estimates sum to the gates counted at the transform. These
 states represent the t+n+1-qubit circuit exactly, and no array has its
 width: the widest is a ladder's record or the memo's columns, at most L of
 them, bounded by t+1+log2(L) <= 24. The full-vector controlled ladder is
@@ -66,10 +66,8 @@ from .toy_cipher import AttackContext
 
 COHERENT_MAX_SUBKEY_BITS = 2
 COHERENT_MAX_INDEX_BITS = 2
-# amplitudes of one inverse-QFT block (256 KiB of complex128): in a sweep of
-# block sizes over lane-minor stacks (k4n6, the k = 8 n = 8 doc, the 16-bit
-# docs at k4n10 and k8n12), blocks of 14 to 15 qubits ran the transform
-# fastest per lane, 13 qubits or fewer 10-40% slower
+# elements per row chunk of the ladder's norm pass (128 KiB of float64 per
+# temporary), so the check adds no record-sized arrays
 LANE_BLOCK_AMPS = 1 << 14
 
 
@@ -134,7 +132,8 @@ class CountingParams:
 
 @dataclass(frozen=True)
 class CountEstimate:
-    """One counting outcome: raw phase integer, angle, real and rounded count."""
+    """One counting outcome: raw phase integer, angle, real and rounded count;
+    its Fourier gates are those its draw applied, 0 from a memoized CDF row."""
 
     raw_outcome: int
     theta: float
@@ -251,18 +250,21 @@ def grover_ladder(sizes, params: CountingParams) -> Ladder:
 
 
 class ClassLadders:
-    """The counting ladder memoized by class size, for one ``CountingParams``.
+    """The counting ladder and CDF row memoized by class size, per ``CountingParams``.
 
     The recurrence reads n_m and 2N - n_m alone, lane by lane, so each size's
     (T, 2) column is made once by ``grover_ladder`` (norm-checked before it is
     stored) and serves every later lane of that size bit for bit, handed out
-    itself: no (T, 2, L) record is gathered. The memo holds at most L columns
-    for L lanes: past that, just enough of its oldest columns the lanes do not
-    use are evicted, and the survivors copied, freeing the evicted records."""
+    itself: no (T, 2, L) record is gathered. Each size's CDF row is made from
+    its column on first demand (``cdf_row``) and kept beside it. The memo
+    holds at most L columns, and as many rows, for L lanes: past that, just
+    enough of its oldest columns the lanes do not use are evicted with their
+    rows, and the survivors copied, freeing the evicted records."""
 
     def __init__(self, params: CountingParams):
         self.params = params
         self.columns: dict[int, np.ndarray] = {}   # M -> its (T, 2) column, oldest first
+        self.rows: dict[int, PhaseBlock] = {}      # M -> its one-lane CDF row
         self.g_gates = 0   # G steps counted when the columns were made
 
     def ladder(self, sizes) -> Ladder:
@@ -275,28 +277,34 @@ class ClassLadders:
         if (excess := len(self.columns) + len(missing) - len(sizes)) > 0:
             stale = set([m for m in self.columns if m not in wanted][:excess])
             self.columns = {m: c.copy() for m, c in self.columns.items() if m not in stale}
+            self.rows = {m: r for m, r in self.rows.items() if m not in stale}
         if missing:
             fresh = grover_ladder(np.array(missing), self.params)
             self.columns.update(zip(missing, fresh.columns))
             self.g_gates = fresh.g_gates
         return Ladder(np.array(sizes, dtype=float), [self.columns[m] for m in sizes], self.g_gates)
 
-
-def lane_block_size(params: CountingParams) -> int:
-    """Lanes per inverse-QFT block: the largest power of two B with
-    B * 2**(t+1) <= LANE_BLOCK_AMPS, at least 1."""
-    return max(1, LANE_BLOCK_AMPS >> (params.phase_bits + 1))
+    def cdf_row(self, m: int) -> PhaseBlock:
+        """Size m's CDF row as a one-lane block; m's column must be in the memo.
+        The first demand transforms the column (``phase_block``) and returns the
+        block with the Fourier gates it applied; the memo keeps the row with 0,
+        the gates a later draw from it applies."""
+        if (row := self.rows.get(m)) is None:
+            ladder = Ladder(np.array([m], dtype=float), [self.columns[m]], self.g_gates)
+            row = phase_block(ladder, slice(0, 1), self.params)
+            self.rows[m] = PhaseBlock(row.cdf, row.g_gates, 0)
+        return row
 
 
 @dataclass(frozen=True)
 class PhaseBlock:
     """Row i of the (B, T) ``cdf`` is the normalized CDF (``outcome_cdf``) of
-    the phase outcome distribution of lane i of a block of ladder lanes,
-    after the block's inverse QFT: the block's B lanes are ``len(cdf)``."""
+    the phase outcome distribution of lane i of a block of ladder lanes after
+    its inverse QFT; B = ``len(cdf)``, 1 for a memo row (``ClassLadders.cdf_row``)."""
 
     cdf: np.ndarray
     g_gates: int     # the ladder's G steps, counted at the step
-    qft_gates: int   # Fourier gates applied to every lane, counted at the gates
+    qft_gates: int   # Fourier gates applied to every lane; 0 in a kept memo row
 
 
 def _phase_distributions(ladder: Ladder, lanes: slice,
@@ -338,7 +346,7 @@ def count_marked(block: PhaseBlock, lane: int, params: CountingParams,
                  rng: np.random.Generator) -> CountEstimate:
     """One counting estimate: an outcome drawn from row ``lane`` of the block's
     CDFs, mapped to its count. The estimate reports the block's G steps and
-    the Fourier gates applied to its lane."""
+    the Fourier gates the block reports for its lane."""
     b = draw_from_cdf(block.cdf[lane], rng)
     theta, m_est, right = estimate_from_outcome(b, params)
     assert block.g_gates == (1 << params.phase_bits) - 1

@@ -20,6 +20,7 @@ from qdca.attack import (AttackConfig, ConfigError, plant_instance,
                          write_trace_csv)
 from qdca.classical_dca import count_table
 from qdca.cli import _config_from_args, build_parser, main
+from qdca.quantum_counting import qft_gate_budget
 from qdca.statevector import StateVector
 from qdca.toy_cipher import ToyCipher
 
@@ -310,28 +311,81 @@ def test_an_instance_encrypts_its_codebook_once(monkeypatch, fields):
 
 def test_each_class_size_ladder_runs_once_per_run(monkeypatch):
     # the planted key gives every trial the same three class sizes (0, 2, 8):
-    # the config's memo runs their ladder once, one row per size, and each
-    # trial still applies and counts its own QFT gates and draws
+    # the config's memo runs their ladder once and transforms each size once,
+    # both in trial 0, and every trial draws its own 16 estimates
     ladders = _count_calls(monkeypatch, qdca.quantum_counting, "grover_ladder")
-    qft_gates = []
-    real_qft = StateVector.inverse_qft
+    take = _qft_accounting(monkeypatch)
+    cfg = AttackConfig(subkey_bits=4, index_bits=6, planted_key=0x09, trials=2)
+    for trial, qft_gates in ((0, 93), (1, 0)):
+        res, _ = run_quantum_attack(cfg, trial)
+        # 16 estimates of 2**7 - 1 G steps; qft_gate_budget(7) = 31 per size
+        assert res.counting_invocations == 16 and res.g_gates_total == 2032
+        assert take() == (qft_gates, qft_gates, 16)
+        assert len(ladders) == 1
+    assert len(ladders[0][0]) == 3
+    assert sorted(cfg.class_ladders.columns) == sorted(cfg.class_ladders.rows) == [0, 2, 8]
+
+
+def _qft_accounting(monkeypatch):
+    """Count, from now on, the QFT gates counted at ``StateVector.inverse_qft``
+    and the estimates ``count_marked`` returns. The returned ``take()`` gives
+    (gates counted, Fourier gates the estimates report, estimates) since the
+    last take."""
+    real_qft, real_count = StateVector.inverse_qft, qdca.max_finding.count_marked
+    gates, estimates = [0], []
 
     def counted_qft(self, reg):
         before = self.counters.qft_gates
         real_qft(self, reg)
-        qft_gates[-1] += self.counters.qft_gates - before
+        gates[0] += self.counters.qft_gates - before
+
+    def recorded_count(*args):
+        estimates.append(real_count(*args))
+        return estimates[-1]
+
+    def take():
+        out = gates[0], sum(e.qft_gate_count for e in estimates), len(estimates)
+        gates[0] = 0
+        estimates.clear()
+        return out
 
     monkeypatch.setattr(StateVector, "inverse_qft", counted_qft)
-    cfg = AttackConfig(subkey_bits=4, index_bits=6, planted_key=0x09, trials=2)
-    for trial in range(2):
-        qft_gates.append(0)
-        res, _ = run_quantum_attack(cfg, trial)
-        # 16 estimates of 2**7 - 1 G steps and qft_gate_budget(7) = 31 QFT gates
-        assert res.g_gates_total == 2032
-        assert qft_gates[-1] == 496
-        assert len(ladders) == 1
-    assert len(ladders[0][0]) == 3
-    assert sorted(cfg.class_ladders.columns) == [0, 2, 8]
+    monkeypatch.setattr(qdca.max_finding, "count_marked", recorded_count)
+    return take
+
+
+def test_estimates_report_the_qft_gates_counted_at_the_gates_cold_and_warm(monkeypatch):
+    # the identity the benchmark's traced run checks: over a run's estimates,
+    # the Fourier gates reported sum to those counted at the transform; a cold
+    # k4n6 trial transforms its three sizes, a warm one transforms none
+    take = _qft_accounting(monkeypatch)
+    cfg = AttackConfig(subkey_bits=4, index_bits=6, planted_key=0x09, trials=3)
+    runs = []
+    for trial in range(3):
+        run_quantum_attack(cfg, trial)
+        runs.append(take())
+    assert runs == [(93, 93, 16), (0, 0, 16), (0, 0, 16)]
+
+
+def test_estimates_report_the_qft_gates_counted_at_the_gates_under_eviction(monkeypatch):
+    # w16, k = 4, n = 14 under random keys (CI's peak-RSS run): new sizes each
+    # trial, more than K = 16 in all, so the memo evicts and transforms again;
+    # in every trial the gates reported still sum to the gates counted
+    take = _qft_accounting(monkeypatch)
+    cfg = AttackConfig(index_bits=14, planted_key=None, trials=30, master_seed=5303, **W16_K4)
+    memo, seen, runs = cfg.class_ladders, set(), []
+    for trial in range(cfg.trials):
+        instance = plant_instance(cfg, trial)
+        seen.update(instance[0].counts.tolist())
+        run_quantum_attack(cfg, trial, instance)
+        runs.append(take())
+        assert memo.rows.keys() <= memo.columns.keys() and len(memo.columns) <= 16
+    budget = qft_gate_budget(cfg.counting_params().phase_bits)
+    assert len(seen) > 16
+    assert all(gates == reported and gates % budget == 0 and n == 16
+               for gates, reported, n in runs)
+    # trials after the first transform sizes the memo lacks, or had evicted
+    assert sum(gates for gates, _, _ in runs[1:]) > 0
 
 
 def test_each_config_owns_its_ladder_memo():

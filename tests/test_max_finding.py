@@ -534,9 +534,25 @@ def test_a_count_vector_that_is_not_k_long_is_refused(planted):
     # for k = 3 are refused, not searched over their first K counts
     _, _, _, ctx = planted
     quantum = QuantumCounter(ctx, ClassLadders(CountingParams.default(6)), _rng(16))
+    assert quantum.subkeys == 16
     for counter, k in ((ExactCounter(np.arange(32)), 4), (quantum, 3)):
         with pytest.raises(ValueError, match=f"counts for K = {1 << k} subkeys"):
             find_max_subkey(counter, k, MaxFindingConfig(4), _rng(17))
+    assert quantum.estimates == {}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_counter_of_the_wrong_width_is_refused_before_any_draw(seed):
+    # 8 counts for K = 16: refused by the width check, not by whichever of
+    # the threshold's count (IndexError past subkey 7) or the count vector's
+    # length the seed reaches first, and before the threshold is drawn
+    counter = ExactCounter(np.arange(8))
+    assert counter.subkeys == 8
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="8 counts for K = 16 subkeys"):
+        find_max_subkey(counter, 4, MaxFindingConfig(4), rng)
+    assert rng.bit_generator.state == state
 
 
 def test_exact_counts_recover_argmax_with_monotone_history(cipher, planted):
@@ -624,6 +640,7 @@ class _RecordingCounter:
     def __init__(self, inner):
         self.inner, self.calls = inner, []
         self.counting_cost, self.init_width = inner.counting_cost, inner.init_width
+        self.subkeys = inner.subkeys
 
     def count(self, x):
         self.calls.append(x)

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from qdca.attack import AttackConfig
 from qdca.quantum_counting import (ClassLadders, CountingParams, coherent_counting_distribution,
                                    counting_distribution, counting_error_bound,
                                    estimate_from_outcome, grover_iteration, grover_ladder,
-                                   lane_block_size, phase_block, profile_error_bound,
+                                   phase_block, profile_error_bound,
                                    qft_gate_budget, reference_counting_distribution,
                                    _phase_distributions)
 from qdca.statevector import CorruptedStateError, Register, StateVector, outcome_cdf
@@ -23,6 +25,17 @@ from qdca.toy_cipher import (AttackContext, default_characteristic, gen_pairs,
 
 def _rng(entropy, *key):
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy, spawn_key=key))
+
+
+def _all_but_qft(estimates: dict) -> str:
+    """Every field of every estimate, in demand order and to the bit, but the
+    Fourier gates, which only the draw that made its size's CDF row reports."""
+    return repr([(x, dataclasses.replace(est, qft_gate_count=0))
+                 for x, est in estimates.items()])
+
+
+def _qft_sum(estimates: dict) -> int:
+    return sum(est.qft_gate_count for est in estimates.values())
 
 
 # ---- parameters ------------------------------------------------------------
@@ -442,13 +455,14 @@ def test_gate_counts_are_observed_not_computed(monkeypatch, planted, table_estim
     assert est.qft_gate_count == applied["qft"] == qft_gate_budget(params.phase_bits)
     assert applied["calls"] == qft_gate_budget(params.phase_bits)
 
-    # the counter: one 16-lane ladder, then one Fourier transform per block of
-    # lanes, its gates applied to each of the 16 lanes
+    # the counter: one ladder over the three class sizes (0, 2, 8), then one
+    # one-lane Fourier transform per size, on the first demand of a subkey of
+    # that size, whose estimate alone reports the gates
     _, _, _, ctx = planted
     params = CountingParams.default(6)
     t = params.phase_bits
-    blocks = -(-16 // lane_block_size(params))
-    assert blocks == 1
+    sizes = ctx.counts.tolist()
+    assert sorted(set(sizes)) == [0, 2, 8]
     applied.update(g=0, qft=0, calls=0)
     counter = QuantumCounter(ctx, ClassLadders(params), _rng(13))
     for x in range(16):
@@ -457,9 +471,11 @@ def test_gate_counts_are_observed_not_computed(monkeypatch, planted, table_estim
     assert len(counter.estimates) == 16
     for est in counter.estimates.values():
         assert est.g_gate_count == (1 << t) - 1
-        assert est.qft_gate_count == qft_gate_budget(t)
-    assert applied["qft"] == 16 * qft_gate_budget(t)
-    assert applied["calls"] == blocks * qft_gate_budget(t)
+    firsts = [sizes.index(m) for m in dict.fromkeys(sizes)]
+    assert {x: est.qft_gate_count for x, est in counter.estimates.items()} == {
+        x: qft_gate_budget(t) if x in firsts else 0 for x in range(16)}
+    assert _qft_sum(counter.estimates) == applied["qft"] == 3 * qft_gate_budget(t)
+    assert applied["calls"] == 3 * qft_gate_budget(t)
 
 
 def test_width_is_checked_before_the_ladder(monkeypatch):
@@ -508,17 +524,16 @@ def _single_table_distribution(marked, params):
     return np.einsum("irj,irj->r", view, view.conj()).real
 
 
-def _lane_distributions(tables, params):
+def _lane_distributions(tables, params, block):
     """Each lane's distribution from one ladder over the stack, transformed in
-    blocks of ``lane_block_size`` lanes as the counter cuts them."""
+    lane-stacked blocks of ``block`` lanes."""
     ladder = grover_ladder(np.count_nonzero(tables, axis=1), params)
-    B = lane_block_size(params)
-    return np.concatenate([_phase_distributions(ladder, slice(lo, lo + B), params)[0]
-                           for lo in range(0, len(tables), B)])
+    return np.concatenate([_phase_distributions(ladder, slice(lo, lo + block), params)[0]
+                           for lo in range(0, len(tables), block)])
 
 
-def _assert_lanes_equal_single_tables(tables, params):
-    lanes = _lane_distributions(tables, params)
+def _assert_lanes_equal_single_tables(tables, params, block=16):
+    lanes = _lane_distributions(tables, params, block)
     assert lanes.shape == (len(tables), 1 << params.phase_bits)
     for table, lane in zip(tables, lanes):
         assert np.array_equal(lane, _single_table_distribution(table, params))
@@ -529,7 +544,6 @@ def _assert_lanes_equal_single_tables(tables, params):
 @pytest.mark.parametrize("n", [1, 3, 6, 8])
 def test_lanes_equal_the_single_table_path(cipher, key, n):
     # k = 4: one block holds all 16 lanes
-    assert lane_block_size(CountingParams.default(n)) >= 16
     ch = default_characteristic(cipher, key)
     ctx = AttackContext(cipher, ch, gen_pairs(cipher, key, ch.plaintext_diff, n))
     _assert_lanes_equal_single_tables(ctx.table, CountingParams.default(n))
@@ -541,17 +555,16 @@ def test_lanes_equal_the_single_table_path_at_k8(cipher):
     ctx = AttackContext(cipher, ch, gen_pairs(cipher, 0x09, 0x01, 8))
     assert ctx.table.shape == (256, 512)
     # eight blocks of 32 lanes
-    assert lane_block_size(CountingParams.default(8)) == 32
-    _assert_lanes_equal_single_tables(ctx.table, CountingParams.default(8))
+    _assert_lanes_equal_single_tables(ctx.table, CountingParams.default(8), block=32)
 
 
 def test_lanes_equal_the_single_table_path_one_lane_per_block():
-    # t = 13: a lane's (t+1)-qubit state fills a block on its own
+    # t = 13, each lane transformed on its own, as the memo transforms a size
     params = CountingParams(2, 10, 0.1)
-    assert params.phase_bits == 13 and lane_block_size(params) == 1
+    assert params.phase_bits == 13
     tables = np.zeros((3, 8), dtype=bool)
     tables[1, [0, 2, 3]] = tables[2, :4] = True
-    _assert_lanes_equal_single_tables(tables, params)
+    _assert_lanes_equal_single_tables(tables, params, block=1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -572,24 +585,34 @@ FIXTURES = Path(__file__).parent / "fixtures"
 @pytest.mark.parametrize("subkey_bits, index_bits, doc", [
     (4, 6, None), (8, 8, "k8_characteristic.json"), (4, 10, "w16_k4_characteristic.json")])
 def test_every_block_cdf_row_is_the_outcome_cdf_of_its_row(subkey_bits, index_bits, doc):
-    # the block's one row-wise pass builds, byte for byte, the CDF each draw
-    # would build from its own row
+    # a block's one row-wise pass builds, byte for byte, the CDF each draw
+    # would build from its own row, in blocks of 16 lanes and in the memo's
+    # one-lane rows
     fields = json.loads((FIXTURES / doc).read_text()) if doc else {}
     cfg = AttackConfig(subkey_bits=subkey_bits, index_bits=index_bits, **fields)
     ctx, params = cfg.planted_instance[0], cfg.counting_params()
     ladder = grover_ladder(ctx.counts, params)
-    B = lane_block_size(params)
-    for first in range(0, len(ctx.counts), B):
-        block = phase_block(ladder, slice(first, first + B), params)
-        probs, _ = _phase_distributions(ladder, slice(first, first + B), params)
+    for first in range(0, len(ctx.counts), 16):
+        block = phase_block(ladder, slice(first, first + 16), params)
+        probs, _ = _phase_distributions(ladder, slice(first, first + 16), params)
         assert block.cdf.shape == probs.shape
         for row, cdf in zip(probs, block.cdf):
             assert cdf.tobytes() == outcome_cdf(row).tobytes()
+    memo = ClassLadders(params)
+    memo.ladder(ctx.counts)
+    space = 2 * params.num_pairs
+    for m_true in memo.columns:
+        row = memo.cdf_row(m_true).cdf
+        assert row.shape == (1, 1 << params.phase_bits)
+        table = np.arange(space) < m_true
+        assert row[0].tobytes() == outcome_cdf(counting_distribution(table, params)).tobytes()
 
 
 def test_counter_draws_in_demand_order(planted, table_estimate):
     # one ladder for all 16 subkeys; the estimates and the rng stream are
-    # those of one table counted alone per newly demanded subkey, in that order
+    # those of one table counted alone per newly demanded subkey, in that
+    # order, but for the Fourier gates: a cold memo transforms each of the D
+    # sizes once, so the estimates sum to D transforms' gates
     _, _, _, ctx = planted
     params = CountingParams.default(6)
     order = [11, *range(16), 11, 3]
@@ -600,10 +623,13 @@ def test_counter_draws_in_demand_order(planted, table_estimate):
     for x in order:
         if x not in expected:
             expected[x] = table_estimate(ctx.marked_table(x), params, rng)
-    assert list(counter.estimates.items()) == list(expected.items())
+    assert _all_but_qft(counter.estimates) == _all_but_qft(expected)
     assert counts == [expected[x].right_pairs for x in order]
     assert len(counter.estimates) == 16
     assert counter.rng.bit_generator.state == rng.bit_generator.state
+    distinct = len(set(ctx.counts.tolist()))
+    assert _qft_sum(counter.estimates) == distinct * qft_gate_budget(params.phase_bits)
+    assert _qft_sum(expected) == 16 * qft_gate_budget(params.phase_bits)
 
 
 def test_a_drifted_lane_fails_the_block_transform():
@@ -622,13 +648,14 @@ def test_a_drifted_lane_fails_the_block_transform():
 
 
 def test_each_block_is_transformed_once(monkeypatch, cipher, table_estimate):
-    # the golden attack_k8n8 instance, eight blocks of 32 lanes: asked for y
-    # and then every subkey, the counter transforms each block exactly once,
-    # holds at most two blocks at a time and draws what one-lane counts draw
+    # the golden attack_k8n8 instance: asked for y and then every subkey, the
+    # counter transforms each distinct class size exactly once, as a one-lane
+    # block, and draws what one-lane counts draw
     ch = make_characteristic(cipher, 0x09, 0x01, 0x11)
     ctx = AttackContext(cipher, ch, gen_pairs(cipher, 0x09, 0x01, 8))
     params = CountingParams.default(8)
-    transforms, held = [], []
+    distinct = len(set(ctx.counts.tolist()))
+    transforms = []
     inverse_qft = StateVector.inverse_qft
 
     def recording_qft(self, reg):
@@ -636,13 +663,14 @@ def test_each_block_is_transformed_once(monkeypatch, cipher, table_estimate):
         inverse_qft(self, reg)
 
     monkeypatch.setattr(StateVector, "inverse_qft", recording_qft)
-    counter = QuantumCounter(ctx, ClassLadders(params), _rng(15))
+    memo = ClassLadders(params)
+    counter = QuantumCounter(ctx, memo, _rng(15))
     order = [77, *range(256)]
     for x in order:
         counter.count(x)
-        held.append(len(counter._blocks))
-    assert transforms == [32] * 8
-    assert max(held) == 2 and held[-1] == 0
+    assert transforms == [1] * distinct and distinct < 16
+    assert sorted(memo.rows) == sorted(memo.columns) == sorted(set(ctx.counts.tolist()))
+    assert _qft_sum(counter.estimates) == distinct * qft_gate_budget(params.phase_bits)
     transforms.clear()
     rng = _rng(15)
     expected = {}
@@ -650,47 +678,60 @@ def test_each_block_is_transformed_once(monkeypatch, cipher, table_estimate):
         if x not in expected:
             expected[x] = table_estimate(ctx.marked_table(x), params, rng)
     assert transforms == [1] * 256
-    assert list(counter.estimates.items()) == list(expected.items())
+    assert _all_but_qft(counter.estimates) == _all_but_qft(expected)
     assert counter.rng.bit_generator.state == rng.bit_generator.state
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["own_memo", "config_memo"])
-def test_a_counter_holds_its_memo_and_two_blocks(cipher, shared):
-    # the golden attack_k8n8 instance at t = 11 (blocks of 4 lanes), as an
-    # attack's trials take it. A counter runs one ladder over the D distinct
-    # sizes and keeps their columns in a memo, its own or the config's; it
-    # gathers no (T, 2, K) record, so a sweep after the threshold's count holds
-    # the D columns and at most two blocks (each a state, its temporaries, its
-    # distributions and its gathered columns). A later counter given the
-    # config's memo runs no ladder and holds the blocks alone
+def test_a_counter_holds_its_memo_and_one_transform(monkeypatch, cipher, shared):
+    # the golden attack_k8n8 instance at t = 11, as an attack's trials take it.
+    # A counter runs one ladder over the D distinct sizes on its first count
+    # and keeps their columns and CDF rows in a memo, its own or the config's;
+    # it gathers no (T, 2, K) record and no block of lanes, so after the sweep
+    # that follows the threshold's count it holds the D columns, the D rows
+    # and its 256 estimates, and the sweep's peak is at most one one-lane
+    # transform above that (its state, a gate's temporaries, its distribution
+    # and its gathered column). A later counter given the config's memo runs
+    # no ladder and no transform, and holds its estimates alone
     ch = make_characteristic(cipher, 0x09, 0x01, 0x11)
     ctx = AttackContext(cipher, ch, gen_pairs(cipher, 0x09, 0x01, 8))
     params = CountingParams(8, 8, 0.1)
     t = params.phase_bits
-    B = lane_block_size(params)
-    assert t == 11 and B == 4
+    assert t == 11
     distinct = len(set(ctx.counts.tolist()))   # the counts are built on first use
     QuantumCounter(ctx, ClassLadders(params), _rng(16)).count(0)   # first-call allocations
     column = (1 << t) * 2 * 8
-    record = 256 * column
-    block = B * (2 * (16 << (t + 1)) + (16 << t) + column)
+    held = distinct * (column + (1 << t) * 8)
+    transform = 2 * (16 << (t + 1)) + (16 << t) + column
+    estimates = 256 * 512   # about 220 bytes each
     memo = ClassLadders(params) if shared else None
-    peaks = []
+    steps = []
+    real_step = quantum_counting._lane_grover_step
+    monkeypatch.setattr(quantum_counting, "_lane_grover_step",
+                        lambda *args: steps.append(None) or real_step(*args))
+    memory, transforms = [], []
     for trial in range(2):
         tracemalloc.start()
         try:
             counter = QuantumCounter(ctx, memo or ClassLadders(params), _rng(16, trial))
-            for x in [201, *range(256)]:
+            counter.count(201)   # the ladder, and its norm pass's temporaries
+            tracemalloc.reset_peak()
+            for x in range(256):
                 counter.count(x)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            memory.append(tracemalloc.get_traced_memory())   # (now, peak)
         finally:
             tracemalloc.stop()
-        assert len(counter._ladders.columns) == distinct < 64
-    assert distinct * column < peaks[0] < distinct * column + 2 * block < record
+        transforms.append(_qft_sum(counter.estimates) // qft_gate_budget(t))
+        assert len(counter._ladders.columns) == len(counter._ladders.rows) == distinct < 64
+    (now, peak), (later_now, later_peak) = memory
+    assert held < now < held + estimates and peak < now + transform
+    assert held + estimates + transform < 256 * column   # less than one (T, 2, K) record
     if shared:
-        assert peaks[1] < 2 * block
+        assert transforms == [distinct, 0] and len(steps) == (1 << t) - 1
+        assert later_peak < estimates
     else:
-        assert distinct * column < peaks[1] < distinct * column + 2 * block
+        assert transforms == [distinct, distinct] and len(steps) == 2 * ((1 << t) - 1)
+        assert held < later_now < held + estimates and later_peak < later_now + transform
 
 
 def test_ladder_refuses_bad_sizes_before_any_step(monkeypatch):
@@ -766,20 +807,74 @@ def _k4n6_instances():
 
 
 def test_a_warm_memo_draws_what_a_cold_counter_draws():
+    # a memo warmed by a counter over instance 0 holds its sizes' columns and
+    # rows: a counter given it draws, to the bit, what a counter with a cold
+    # memo draws, and transforms only the sizes whose rows it lacks
     params, contexts = _k4n6_instances()
     sizes = [set(ctx.counts.tolist()) for ctx in contexts]
     assert sizes[0] & sizes[1] and sizes[1] - sizes[0]   # the sizes partly overlap
     memo = ClassLadders(params)
-    memo.ladder(contexts[0].counts)
+    QuantumCounter(contexts[0], memo, _rng(18, 9)).count_all()
+    budget = qft_gate_budget(params.phase_bits)
     order = [5, *range(16)]
     for i, ctx in enumerate(contexts):
+        lacked = sizes[i] - set(memo.rows)
         cold = QuantumCounter(ctx, ClassLadders(params), _rng(18, i))
         warm = QuantumCounter(ctx, memo, _rng(18, i))
         for x in order:
             assert warm.count(x) == cold.count(x)
-        assert repr(warm.estimates) == repr(cold.estimates)   # every float to the bit
+        assert _all_but_qft(warm.estimates) == _all_but_qft(cold.estimates)
         assert warm.rng.bit_generator.state == cold.rng.bit_generator.state
-    assert sorted(memo.columns) == sorted(sizes[0] | sizes[1])
+        assert _qft_sum(cold.estimates) == len(sizes[i]) * budget
+        assert _qft_sum(warm.estimates) == len(lacked) * budget
+    assert not sizes[0] - set(memo.rows) and sizes[1] - sizes[0]
+    assert sorted(memo.columns) == sorted(memo.rows) == sorted(sizes[0] | sizes[1])
+
+
+def test_counters_sharing_a_memo_in_turns_draw_what_cold_counters_draw():
+    # two counters of two lanes each on one memo: the second counter's sizes
+    # evict the first's, which re-ladders its own sizes when it next counts
+    params = CountingParams.default(3)
+    contexts = [_SizeContext([1, 2]), _SizeContext([3, 4])]
+    memo = ClassLadders(params)
+    shared = [QuantumCounter(ctx, memo, _rng(19, i)) for i, ctx in enumerate(contexts)]
+    cold = [QuantumCounter(ctx, ClassLadders(params), _rng(19, i))
+            for i, ctx in enumerate(contexts)]
+    for x in (0, 1):
+        for i in (0, 1):
+            assert shared[i].count(x) == cold[i].count(x)
+            assert list(memo.columns) == contexts[i].counts.tolist()
+            assert contexts[i].counts[x] in memo.rows and memo.rows.keys() <= memo.columns.keys()
+    for a, b in zip(shared, cold):
+        assert _all_but_qft(a.estimates) == _all_but_qft(b.estimates)
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
+class _SizeContext:
+    """Duck-typed context of K = 2 subkeys at n = 3, given their counts alone."""
+
+    subkey_bits, index_bits = 1, 3
+
+    def __init__(self, counts):
+        self.counts = np.array(counts)
+
+
+def test_an_evicted_size_drops_its_cdf_row_with_its_column():
+    # the memo keeps a row only beside its column: an eviction drops both, and
+    # frees the row; a size laddered again is transformed again
+    params = CountingParams.default(3)
+    memo = ClassLadders(params)
+    memo.ladder([3, 1, 3, 0])
+    rows = {m: weakref.ref(memo.cdf_row(m).cdf) for m in (3, 1, 0)}
+    assert [memo.cdf_row(m).qft_gates for m in (3, 1, 0)] == [0, 0, 0]
+    memo.ladder([5, 1, 5, 5])   # 4 columns for 4 lanes: nothing evicted
+    assert list(memo.rows) == [3, 1, 0] and list(memo.columns) == [3, 1, 0, 5]
+    memo.ladder([6, 1, 7, 1])   # evicts 3 and 0, keeps 1
+    assert list(memo.columns) == [1, 5, 6, 7] and list(memo.rows) == [1]
+    assert rows[3]() is None and rows[0]() is None and rows[1]() is memo.rows[1].cdf
+    memo.ladder([3])   # one lane: evicts all four
+    assert list(memo.columns) == [3] and memo.rows == {}
+    assert memo.cdf_row(3).qft_gates == qft_gate_budget(params.phase_bits)
 
 
 def test_every_memo_column_is_its_size_run_alone():

@@ -58,11 +58,10 @@ def test_profile_trial_reports_the_counting_kernel():
     for row in rows:
         if named := re.search(r"\(\w+\)$", row):
             calls[named[0]] = calls.get(named[0], 0) + int(row.split()[4])
-    # the ladder runs once per run, in the warm-up trial; each profiled trial
-    # transforms its one QFT block of t = 7 Hadamards and draws 16 estimates
-    assert "(grover_ladder)" not in calls
-    assert calls["(phase_block)"] == 2
-    assert calls["(_hadamard)"] == 14
+    # the ladder and each class size's transform run once per run, in the
+    # warm-up trial; each profiled trial draws its 16 estimates from memo rows
+    for kernel in ("(grover_ladder)", "(phase_block)", "(_hadamard)"):
+        assert kernel not in calls
     assert calls["(count_marked)"] == 32
     # --top truncates the list to the functions with the most own time
     assert len(_profile_trial("--trials", "1", "--top", "5")) == 5

@@ -6,9 +6,10 @@ master seed, printing the functions with the most own time.
 
 The instance is planted and one trial is run before profiling starts, so
 only the trials are measured, without first-call imports and caches. That
-warm-up trial also runs the config's counting ladder, once per class size,
-so the profiled trials show the per-trial counting kernel: one QFT block
-(``phase_block``) and 16 draws (``count_marked``) per trial. Each row gives a
+warm-up trial also fills the config's class-size memo, one ladder column
+and one inverse-QFT CDF row per class size, so the profiled trials show the
+per-trial counting work alone: 16 draws (``count_marked``) from memo rows
+per trial, with no ``grover_ladder`` or ``phase_block`` call. Each row gives a
 function's own time (tottime) and its time with everything it calls
 (cumtime), each also as a share of the profiled total, and its call count
 (ncalls); a large ``--top`` lists every function profiled.

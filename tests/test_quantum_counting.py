@@ -831,6 +831,15 @@ def test_a_warm_memo_draws_what_a_cold_counter_draws():
     assert sorted(memo.columns) == sorted(memo.rows) == sorted(sizes[0] | sizes[1])
 
 
+class _SizeContext:
+    """Duck-typed context of K = 2 subkeys at n = 3, given their counts alone."""
+
+    subkey_bits, index_bits = 1, 3
+
+    def __init__(self, counts):
+        self.counts = np.array(counts)
+
+
 def test_counters_sharing_a_memo_in_turns_draw_what_cold_counters_draw():
     # two counters of two lanes each on one memo: the second counter's sizes
     # evict the first's, which re-ladders its own sizes when it next counts
@@ -848,15 +857,6 @@ def test_counters_sharing_a_memo_in_turns_draw_what_cold_counters_draw():
     for a, b in zip(shared, cold):
         assert _all_but_qft(a.estimates) == _all_but_qft(b.estimates)
         assert a.rng.bit_generator.state == b.rng.bit_generator.state
-
-
-class _SizeContext:
-    """Duck-typed context of K = 2 subkeys at n = 3, given their counts alone."""
-
-    subkey_bits, index_bits = 1, 3
-
-    def __init__(self, counts):
-        self.counts = np.array(counts)
 
 
 def test_an_evicted_size_drops_its_cdf_row_with_its_column():

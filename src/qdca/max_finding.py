@@ -16,14 +16,20 @@ G^j|u> is a fixed state: two real class amplitudes, over the marked and the
 unmarked subkeys (Boyer-Brassard-Hoyer-Tapp, quant-ph/9605034), stepped by the
 counting ladder's recurrence. The search takes each step once per pass, keeps
 each power's amplitudes for every round that draws it, and builds each
-power's outcome CDF once. Each round is still charged its own j steps. A
-pass that marks nothing (the threshold is already the maximum) computes no
-power and builds no outcome distribution: every round fails, so the pass
-replays all its rounds' draws in one generator call and charges the rounds
-the budget admits in one ``try_charge``. The generator ends where the
-round-by-round loop leaves it, because an array of inclusive uint64 bounds
-draws element by element as scalar ``integers`` calls do, and bound 2**64 - 1
-takes the one 64-bit word a discarded ``random()`` takes.
+power's outcome CDF once. Each round is still charged its own j steps.
+
+Thresholds only go up, so once a pass marks nothing (the threshold holds the
+maximum) every later pass of the run marks nothing too. That pass's search
+call runs the whole tail: it computes no power and builds no outcome
+distribution, since every round fails. It replays the draws of as many
+passes as the budget could still admit in one generator call, walks one
+cumulative cost array (each pass's start charge before its first round) to
+where the budget stops, and charges the admitted steps in one
+``try_charge``. ``find_max_subkey`` writes one trace row per pass of it. The
+generator ends where the pass-by-pass, round-by-round loop leaves it,
+because an array of inclusive uint64 bounds draws element by element as
+scalar ``integers`` calls do, bound 2**64 - 1 takes the one 64-bit word a
+discarded ``random()`` takes, and bound 0 takes nothing.
 
 Time-step accounting: initializing q qubits costs q steps, one search
 iteration costs one step, one counting run costs its init + Grover-gate +
@@ -47,6 +53,9 @@ from .statevector import _assert_unit_norm, draw_from_cdf, outcome_cdf
 from .toy_cipher import AttackContext
 
 SEARCH_GROWTH_FACTOR = 6.0 / 5.0
+# passes of an empty tail drawn per generator call: bounds the tail's arrays,
+# whatever the confidence
+MAX_TAIL_PASSES = 16
 
 
 @dataclass
@@ -176,23 +185,30 @@ class SearchOutcome:
     found: int | None
     iterations: int
     measurements: int
+    # budget.spent after each pass the call ran; empty without a pass charge
+    pass_ends: tuple[int, ...] = ()
 
 
 @functools.lru_cache(maxsize=None)   # one entry per subkey width
 def _round_plan(subkey_bits: int) -> tuple[tuple[int, ...], np.ndarray]:
     """A pass's rounds: each round's j range max(1, int(m_cap)), and the
-    interleaved inclusive uint64 bounds (range - 1, 2**64 - 1, ...) that draw
-    every round's j and then the words of its one uniform (read-only). The cap
-    grows by 6/5 per round up to sqrt(K) whatever is drawn, so both depend on
-    k alone; there are 4*ceil(4.5*sqrt(K)) rounds."""
+    inclusive uint64 bounds that draw a pass (read-only): bound 0 twice, a slot
+    for the pass's start charge and a filler, neither taking a generator word,
+    then per round range - 1 for its j and 2**64 - 1 for the words of its one
+    uniform. Every other draw is a start slot (0) or a round's j. The bounds
+    are tiled for MAX_TAIL_PASSES passes. The cap grows by 6/5 per round up to
+    sqrt(K) whatever is drawn, so both depend on k alone; there are
+    4*ceil(4.5*sqrt(K)) rounds."""
     K = 1 << subkey_bits
     ranges = []
     m_cap = 1.0
     for _ in range(4 * math.ceil(4.5 * math.sqrt(K))):
         ranges.append(max(1, int(m_cap)))
         m_cap = min(SEARCH_GROWTH_FACTOR * m_cap, math.sqrt(K))
-    bounds = np.full(2 * len(ranges), np.iinfo(np.uint64).max, dtype=np.uint64)
-    bounds[::2] = np.array(ranges, dtype=np.uint64) - 1
+    bounds = np.zeros(2 * len(ranges) + 2, dtype=np.uint64)
+    bounds[2::2] = np.array(ranges, dtype=np.uint64) - 1
+    bounds[3::2] = np.iinfo(np.uint64).max
+    bounds = np.tile(bounds, MAX_TAIL_PASSES)
     bounds.flags.writeable = False
     return tuple(ranges), bounds
 
@@ -209,9 +225,68 @@ def _class_grover_step(n_unmarked: int, n_marked: int, scale: float,
     return u, m
 
 
+def _replay_empty(subkey_bits: int, rng: np.random.Generator,
+                  budget: SearchBudget | None, start: StageSteps | None) -> SearchOutcome:
+    """The search of a table that marks nothing, and with ``start`` every later
+    pass of the run: the draws, charges and outcome of running the rounds one
+    by one, pass after pass, with no state computed. The first pass's start is
+    the caller's; each later pass is charged ``start`` before its first round."""
+    ranges, bounds = _round_plan(subkey_bits)
+    row = len(ranges) + 1                            # a pass: its start, then its rounds
+    round_steps = subkey_bits + 1                    # k init + 1 verifying query
+    per_pass = start or StageSteps()
+    pass_steps = per_pass.total
+    least = len(ranges) * round_steps                # a full pass's rounds, every j = 0
+    prepaid = 1                                      # the first pass's start
+    iterations = measurements = 0
+    ends: list[int] = []
+    while True:
+        remaining = math.inf if budget is None else budget.limit - budget.spent
+        first = 0 if prepaid else pass_steps
+        # the batch: the first pass and each later one that could finish at the
+        # least a pass costs
+        passes = 1 if start is None else min(MAX_TAIL_PASSES, 1 + max(
+            0, remaining - first - least) // (pass_steps + least))
+        saved = rng.bit_generator.state
+        # entry i of a pass: its start charge (i = 0), else round i - 1's k + j + 1
+        cost = rng.integers(0, bounds[:2 * row * passes], dtype=np.uint64,
+                            endpoint=True)[::2] + round_steps
+        cost[::row] = pass_steps
+        cost[0] = first
+        cost = cost.cumsum()
+        admitted = int(cost.searchsorted(remaining, side="right"))
+        if admitted < cost.size:
+            # refused: a start, or a round whose j the loop draws; rewind and
+            # redraw through that entry (a start slot draws nothing)
+            rng.bit_generator.state = saved
+            rng.integers(0, bounds[:2 * admitted + 1], dtype=np.uint64, endpoint=True)
+        started = -(-admitted // row)                # >= 1: the first start fits
+        starts = started - prepaid                   # start charges of this batch
+        rounds = admitted - started
+        j_sum = int(cost[admitted - 1]) - starts * pass_steps - rounds * round_steps
+        iterations += j_sum
+        measurements += rounds
+        if budget is None:
+            break
+        if started > 1:                              # the full passes' ends
+            ends += (cost[row - 1:row * (started - 1):row] + budget.spent).tolist()
+        budget.try_charge(init=subkey_bits * rounds + starts * per_pass.init,
+                          counting=starts * per_pass.counting,
+                          oracle=starts * per_pass.oracle,
+                          search=j_sum + rounds + starts * per_pass.search,
+                          observe=starts * per_pass.observe)
+        ends.append(budget.spent)
+        prepaid = 0
+        if start is None or budget.spent + pass_steps > budget.limit:
+            break
+    return SearchOutcome(None, iterations, measurements,
+                         () if start is None else tuple(ends))
+
+
 def grover_search_marked(marked, subkey_bits: int,
                          rng: np.random.Generator,
-                         budget: SearchBudget | None = None) -> SearchOutcome:
+                         budget: SearchBudget | None = None,
+                         start: StageSteps | None = None) -> SearchOutcome:
     """Search with unknown marked count: exponentially growing iteration cap.
 
     Measures the register after a random number of Grover steps, growing the
@@ -228,50 +303,54 @@ def grover_search_marked(marked, subkey_bits: int,
     ``rng.integers(0, range)`` and places one ``rng.random()`` in G^j|u>'s
     outcome CDF, built once per j.
 
+    ``start`` (which needs a budget) is the charge that starts a threshold
+    pass, already paid for this one. A table that marks nothing ends the
+    threshold loop's progress, so with ``start`` the call runs every pass the
+    budget still admits: each later pass is charged ``start`` and then its
+    rounds, until a start is refused. The outcome's ``pass_ends`` holds
+    ``budget.spent`` after each pass the call ran (one for a table that marks
+    something), its ``iterations`` and ``measurements`` their totals.
+
     A table that marks nothing computes no power and builds no CDF: every
-    outcome fails, so the pass only replays its draws. One ``rng.integers``
-    call over the round plan's interleaved bounds draws every round's j and,
-    with bound 2**64 - 1, takes the words its discarded uniform would. The
-    budget admits the longest prefix of rounds whose costs fit; when it
-    refuses a round, the generator is rewound and redraws the admitted rounds
-    plus the refused round's j, as the round-by-round loop leaves it. The
-    admitted rounds are charged in one ``try_charge``. This relies on two
-    generator facts, pinned in the tests: an array of bounds draws element by
-    element as the scalar calls do, and one 64-bit word is what ``random()``
-    takes.
+    outcome fails, so its passes only replay their draws. One
+    ``rng.integers`` call over the round plan's interleaved bounds, tiled per
+    pass, draws every round's j and, with bound 2**64 - 1, takes the words its
+    discarded uniform would; each pass's bounds open with a slot for its start
+    charge, bound 0, which takes nothing. The draws plus each entry's charge
+    make one cumulative cost array, which gives the longest prefix the budget
+    admits; when it refuses a start or a round, the generator is rewound and
+    redraws the admitted entries plus a refused round's j, as the pass-by-pass
+    loop leaves it, and another pass is drawn if the next start still fits.
+    The admitted steps are charged in one ``try_charge`` per draw. This relies
+    on three generator facts, pinned in the tests: an array of bounds draws
+    element by element as the scalar calls do, one 64-bit word is what
+    ``random()`` takes, and bound 0 takes none.
     """
     if subkey_bits < 1:
         raise ValueError("search needs at least one subkey bit")
+    if start is not None and budget is None:
+        raise ValueError("a pass charge needs a budget")
     K = 1 << subkey_bits
     marked = np.asarray(marked, dtype=bool)
     if marked.size != K:
         raise ValueError("marked table size must be 2**subkey_bits")
-    ranges, bounds = _round_plan(subkey_bits)
     n_marked = int(np.count_nonzero(marked))
     if not n_marked:
-        saved = rng.bit_generator.state
-        js = rng.integers(0, bounds, dtype=np.uint64, endpoint=True)[::2].astype(np.int64)
-        rounds = len(ranges)
-        if budget is not None:
-            cost = np.cumsum(js + (subkey_bits + 1))   # round r: k init + j + 1 search
-            rounds = int(cost.searchsorted(budget.limit - budget.spent, side="right"))
-            if rounds < len(ranges):
-                rng.bit_generator.state = saved
-                rng.integers(0, bounds[:2 * rounds + 1], dtype=np.uint64, endpoint=True)
-                js = js[:rounds]
-            budget.try_charge(init=subkey_bits * rounds, search=int(js.sum()) + rounds)
-        return SearchOutcome(None, int(js.sum()), rounds)
+        return _replay_empty(subkey_bits, rng, budget, start)
 
+    ranges, _ = _round_plan(subkey_bits)
     n_unmarked, scale = K - n_marked, 2.0 / K
+    found = None
     iterations = 0
     # entry j: G^j|u>'s (unmarked, marked) amplitudes, Python floats: numpy's
     # per-call cost would dominate at two amplitudes
     powers = [(1.0 / math.sqrt(K),) * 2]
     cdfs: dict[int, np.ndarray] = {}
-    for measurements, j_range in enumerate(ranges):
+    for measurements, j_range in enumerate(ranges, 1):
         j = int(rng.integers(0, j_range))
         if budget is not None and not budget.try_charge(init=subkey_bits, search=j + 1):
-            return SearchOutcome(None, iterations, measurements)
+            measurements -= 1
+            break
         while len(powers) <= j:
             powers.append(_class_grover_step(n_unmarked, n_marked, scale, *powers[-1]))
         iterations += j
@@ -279,8 +358,10 @@ def grover_search_marked(marked, subkey_bits: int,
             u, m = powers[j]
             cdf = cdfs[j] = outcome_cdf(np.where(marked, m * m, u * u))
         if marked[outcome := draw_from_cdf(cdf, rng)]:
-            return SearchOutcome(outcome, iterations, measurements + 1)
-    return SearchOutcome(None, iterations, len(ranges))
+            found = outcome
+            break
+    return SearchOutcome(found, iterations, measurements,
+                         () if start is None else (budget.spent,))
 
 
 @dataclass
@@ -342,21 +423,28 @@ def find_max_subkey(counter, subkey_bits: int, config: MaxFindingConfig,
     # first pass always run, and it draws nothing from rng before its sweep.
     counts = counter.count_all()
 
+    # what starts a pass: two subkey registers and the counting register, one
+    # counting, one oracle and one observation run
+    start = StageSteps(init=2 * subkey_bits + counter.init_width,
+                       counting=cost, oracle=cost, observe=cost)
     loop = 0
     search_steps_to_max = 0
-    while budget.try_charge(init=2 * subkey_bits + counter.init_width,
-                            counting=cost, oracle=cost, observe=cost):
-        loop += 1
+    # a table that marks nothing stays empty: its search runs every pass left,
+    # so the next start is refused after it
+    while budget.try_charge(init=start.init, counting=start.counting,
+                            oracle=start.oracle, observe=start.observe):
         marked = counts > threshold.right_pairs
-        outcome = grover_search_marked(marked, subkey_bits, rng, budget)
+        outcome = grover_search_marked(marked, subkey_bits, rng, budget, start)
         y_prime = outcome.found
         r_prime = int(counts[y_prime]) if y_prime is not None else None
         accepted = y_prime is not None and r_prime > threshold.right_pairs
-        trace.append({
-            "loop_iter": loop, "y": threshold.subkey, "r_y": threshold.right_pairs,
-            "y_prime": y_prime, "r_y_prime": r_prime, "accepted": accepted,
-            "steps_spent": budget.spent,
-        })
+        for steps_spent in outcome.pass_ends:
+            loop += 1
+            trace.append({
+                "loop_iter": loop, "y": threshold.subkey, "r_y": threshold.right_pairs,
+                "y_prime": y_prime, "r_y_prime": r_prime, "accepted": accepted,
+                "steps_spent": steps_spent,
+            })
         if accepted:
             threshold.accept(y_prime, r_prime)
             search_steps_to_max = budget.stages.search

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdca import max_finding, quantum_counting
+from qdca import attack, max_finding, quantum_counting
 from qdca.classical_dca import count_table
 from qdca.max_finding import (SEARCH_GROWTH_FACTOR, ExactCounter,
                               MaxFindingConfig, QuantumCounter, SearchBudget,
@@ -26,16 +26,22 @@ def _rng(entropy, *key):
 
 
 def _pass_tables(monkeypatch, counter, subkey_bits, rng):
-    """Run the threshold loop; return (marked table, trace row) for every pass."""
-    tables = []
+    """Run the threshold loop; return (marked table, trace row) for every pass.
+    A search call produced one row per entry of its ``pass_ends``, so its
+    table is paired with each of them."""
+    calls = []
 
     def recording_search(marked, *args):
-        tables.append(marked)
-        return grover_search_marked(marked, *args)
+        outcome = grover_search_marked(marked, *args)
+        calls.append((marked, outcome))
+        return outcome
 
     monkeypatch.setattr(max_finding, "grover_search_marked", recording_search)
     res = find_max_subkey(counter, subkey_bits, MaxFindingConfig(4), rng)
+    tables = [marked for marked, outcome in calls for _ in outcome.pass_ends]
     assert len(tables) == len(res.trace) >= 1
+    assert [row["steps_spent"] for row in res.trace] == [
+        end for _, outcome in calls for end in outcome.pass_ends]
     return list(zip(tables, res.trace))
 
 
@@ -249,7 +255,8 @@ def _same_from_here(rng, ref):
     assert _state(rng) == _state(ref)
 
 
-@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
+                                           np.random.Philox, np.random.SFC64])
 def test_bounds_array_draws_as_scalar_integers_calls(bit_generator):
     # element i of integers(0, bounds, uint64, endpoint=True) is the scalar
     # integers(0, bounds[i] + 1), and takes the same generator words; odd
@@ -262,7 +269,8 @@ def test_bounds_array_draws_as_scalar_integers_calls(bit_generator):
     _same_from_here(rng, ref)
 
 
-@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
+                                           np.random.Philox, np.random.SFC64])
 def test_bound_u64_max_takes_what_random_takes(bit_generator):
     rng, ref = _pair(bit_generator)
     rng.integers(0, np.array([3, U64_MAX, U64_MAX, 0, U64_MAX], dtype=np.uint64),
@@ -275,7 +283,8 @@ def test_bound_u64_max_takes_what_random_takes(bit_generator):
     _same_from_here(rng, ref)
 
 
-@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
+                                           np.random.Philox, np.random.SFC64])
 def test_bound_zero_takes_nothing(bit_generator):
     rng, ref = _pair(bit_generator)
     rng.integers(0, 3)   # leaves PCG64 a buffered 32-bit half
@@ -344,29 +353,136 @@ def test_empty_pass_budget_edges_equal_the_per_round_loop(bit_generator, k):
         assert runs[0][0].measurements == expected_rounds[name], name
 
 
+def _tail_by_passes(marked, k, rng, budget, start):
+    """The per-pass oracle of an empty tail: the first pass's start is paid,
+    each later pass is charged ``start`` and then runs the per-round search,
+    until a start is refused."""
+    iterations = measurements = 0
+    ends = []
+    while True:
+        out = _search_drawing_every_round(marked, k, rng, budget)
+        iterations += out.iterations
+        measurements += out.measurements
+        ends.append(budget.spent)
+        if not budget.try_charge(init=start.init, counting=start.counting,
+                                 oracle=start.oracle, observe=start.observe):
+            return SearchOutcome(None, iterations, measurements, tuple(ends))
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
+                                           np.random.Philox, np.random.SFC64])
+@pytest.mark.parametrize("k", [4, 8, 12])
+def test_empty_tail_budget_edges_equal_the_per_pass_loop(bit_generator, k):
+    # one search call over every pass the budget admits against the pass-by-
+    # pass loop: same pass ends, totals, charges and generator state where the
+    # budget refuses a later start, a round 0, a middle round, nothing, or
+    # where a cheap start follows a truncated pass; past the batch cap at
+    # k <= 8 (at k = 12 the oracle's 35 passes take seconds)
+    seed = 190 + k
+    full_rng = np.random.Generator(bit_generator(seed))
+    many = 2 * max_finding.MAX_TAIL_PASSES + 2 if k <= 8 else 3
+    costs = [_round_costs(k, full_rng)[0] for _ in range(many + 1)]
+    full = [sum(c) for c in costs]
+    priced = StageSteps(init=2 * k + 14, counting=172, oracle=172, observe=172)
+    cheap = StageSteps(init=2)
+    assert priced.total > max(map(max, costs)) and cheap.total < k + 1
+    two = full[0] + priced.total + full[1] + priced.total   # then pass 3's start
+    middle = len(costs[2]) // 2
+    widest = int(np.argmax(costs[1]))                          # pass 2's largest round
+    cases = {
+        "refuses the third pass's start": (priced, two - 1, 2),
+        "admits a start and refuses round 0": (priced, two + costs[2][0] - 1, 3),
+        "refuses a middle round of pass 3":
+            (priced, two + sum(costs[2][:middle]) + costs[2][middle] - 1, 3),
+        "fits the last pass exactly": (priced, two + full[2], 3),
+        "admits every pass it draws": (priced, sum(full[:many]) + (many - 1) * priced.total,
+                                       many),
+        "starts a pass after a truncated one":
+            (cheap, full[0] + cheap.total + sum(costs[1][:widest]) + costs[1][widest] - 1, None),
+    }
+    marked = np.zeros(1 << k, dtype=bool)
+    for name, (start, remaining, passes) in cases.items():
+        runs = []
+        for search in (grover_search_marked, _tail_by_passes):
+            rng = np.random.Generator(bit_generator(seed))
+            budget = SearchBudget(1, 10**7)
+            assert budget.try_charge(observe=budget.limit - remaining)
+            out = search(marked, k, rng, budget, start)
+            runs.append((out, budget.stages, budget.spent, _state(rng)))
+        assert runs[0] == runs[1], name
+        ends = runs[0][0].pass_ends
+        if passes is None:   # the truncated pass leaves room for at least one more
+            assert len(ends) >= 3 and ends[1] - ends[0] < full[1], name
+        else:
+            assert len(ends) == passes, name
+
+
 def _exact_counts(k, seed):
     # ties included: several subkeys share each count
     return _rng(95, k, seed).integers(0, 1 << (k - 2), size=1 << k)
 
 
+def _priced_counter(counts):
+    """Exact counts charged as attack-k4n6's quantum counter is (counting cost
+    172, t + n + 1 = 14 counting qubits): a pass's start costs more than any
+    round of it."""
+    counter = ExactCounter(counts)
+    counter.counting_cost, counter.init_width = 172, 14
+    return counter
+
+
+def _per_pass_loop(counter, subkey_bits, config, rng):
+    """The threshold loop as it ran before a search took every pass after its
+    empty table: each pass charges its start and runs one search, through the
+    per-round oracle. Returns (trace, stages, spent)."""
+    K = 1 << subkey_bits
+    budget = config.budget_for(subkey_bits, counter)
+    cost = counter.counting_cost
+    y = int(rng.integers(K))
+    budget.try_charge(init=subkey_bits)
+    r_y = counter.count(y)
+    threshold = ThresholdState(y, r_y, [(y, r_y)])
+    counts = counter.count_all()
+    trace, loop = [], 0
+    while budget.try_charge(init=2 * subkey_bits + counter.init_width,
+                            counting=cost, oracle=cost, observe=cost):
+        loop += 1
+        outcome = _search_drawing_every_round(counts > threshold.right_pairs, subkey_bits,
+                                              rng, budget)
+        y_prime = outcome.found
+        r_prime = int(counts[y_prime]) if y_prime is not None else None
+        accepted = y_prime is not None and r_prime > threshold.right_pairs
+        trace.append({
+            "loop_iter": loop, "y": threshold.subkey, "r_y": threshold.right_pairs,
+            "y_prime": y_prime, "r_y_prime": r_prime, "accepted": accepted,
+            "steps_spent": budget.spent,
+        })
+        if accepted:
+            threshold.accept(y_prime, r_prime)
+    return trace, budget.stages, budget.spent
+
+
 @pytest.mark.parametrize("k", [8, 10, 12])
-def test_find_max_subkey_equals_the_per_round_search(monkeypatch, k):
-    # the whole loop, every pass's search replaced by the per-round oracle:
-    # same trace, same charges, same generator state
+def test_find_max_subkey_equals_the_per_round_search(k):
+    # the whole loop against one per-round search per pass: same trace, same
+    # charges, same generator state, with exact and with priced counts, and
+    # with tails of one pass and of several
+    tail_passes = []
     for seed in range(3):
-        runs = []
-        for patched in (False, True):
-            if patched:
-                monkeypatch.setattr(max_finding, "grover_search_marked",
-                                    _search_drawing_every_round)
-            rng = _rng(96, k, seed)
-            res = find_max_subkey(ExactCounter(_exact_counts(k, seed)), k,
-                                  MaxFindingConfig(4), rng)
-            runs.append((res.trace, res.stages, res.budget.spent,
-                         rng.bit_generator.state))
-        monkeypatch.undo()
-        assert runs[0] == runs[1]
-        assert any(row["y_prime"] is None for row in runs[0][0])
+        for make in (ExactCounter, _priced_counter):
+            for confidence in (4, 16):
+                counts = _exact_counts(k, seed)
+                runs = []
+                for loop in (find_max_subkey, _per_pass_loop):
+                    rng = _rng(96, k, seed)
+                    res = loop(make(counts), k, MaxFindingConfig(confidence), rng)
+                    if loop is find_max_subkey:
+                        res = res.trace, res.stages, res.budget.spent
+                    runs.append((*res, _state(rng)))
+                assert runs[0] == runs[1]
+                # the passes against the largest count mark nothing
+                tail_passes.append(sum(row["r_y"] == counts.max() for row in runs[0][0]))
+    assert min(tail_passes) == 1 and max(tail_passes) >= 3, tail_passes
 
 
 def _counted_steps(monkeypatch):
@@ -438,6 +554,64 @@ def test_search_stays_out_of_the_counting_layer(monkeypatch):
     assert out.found in (3, 200) and out.iterations > 0
     res = find_max_subkey(ExactCounter(_exact_counts(8, 0)), 8, MaxFindingConfig(4), _rng(14))
     assert any(row["accepted"] for row in res.trace) and res.budget.stages.search > 0
+
+
+def test_search_calls_add_up_to_the_search_stage(monkeypatch):
+    # what the traced benchmark checks, over 20 attack-k4n6 trials and 20
+    # exact k = 8 runs (as search-k8-exact draws them): the search calls'
+    # iterations + measurements are the search stage, one trace row per pass,
+    # and at most one call per run searches a table that marks nothing
+    calls = []
+
+    def recording_search(marked, *args):
+        outcome = grover_search_marked(marked, *args)
+        calls.append((not marked.any(), outcome.iterations + outcome.measurements))
+        return outcome
+
+    monkeypatch.setattr(max_finding, "grover_search_marked", recording_search)
+    config = attack.AttackConfig(subkey_bits=4, index_bits=6, confidence=4, master_seed=2024,
+                                 trials=20, planted_key=0x09)
+    attack_calls = attack_passes = 0
+    for kind in ("attack", "exact"):
+        for i in range(20):
+            calls.clear()
+            if kind == "attack":
+                res = attack.run_quantum_attack(config, i)[1]
+                attack_calls += len(calls)
+                attack_passes += res.loop_iterations
+            else:
+                rng = attack._trial_rng(2024, i, purpose=2 + 8)
+                res = find_max_subkey(ExactCounter(rng.permutation(256)), 8,
+                                      MaxFindingConfig(4), rng)
+            assert sum(steps for _, steps in calls) == res.stages.search
+            assert len(res.trace) == res.loop_iterations
+            assert sum(empty for empty, _ in calls) <= 1
+    # the tail is one call: fewer calls than passes
+    assert attack_calls < attack_passes
+
+
+def test_tail_memory_does_not_grow_with_the_confidence():
+    # at k = 4 a confidence of 4096 runs over 1500 passes, nearly all an empty
+    # tail; MAX_TAIL_PASSES bounds what one draw holds, so the working memory
+    # above the result the run returns stays within what confidence 4 needs
+    # (uncapped, one draw of the whole tail would hold about 3 MB)
+    counter = ExactCounter(_rng(97).permutation(16))
+
+    def working_memory(confidence):
+        find_max_subkey(counter, 4, MaxFindingConfig(confidence), _rng(98))   # warm caches
+        tracemalloc.start()
+        try:
+            res = find_max_subkey(counter, 4, MaxFindingConfig(confidence), _rng(98))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return res, peak - kept
+
+    bound = 64 * 1024
+    res, small = working_memory(4)
+    assert res.loop_iterations < 10 and small < bound
+    res, large = working_memory(4096)
+    assert res.loop_iterations > 1000 and large < bound
 
 
 # ---- budget ---------------------------------------------------------------------
@@ -526,6 +700,17 @@ def test_search_refuses_a_table_that_is_not_2_to_the_k(size):
         with pytest.raises(ValueError, match="2\\*\\*subkey_bits"):
             grover_search_marked(np.full(size, fill), 4, rng, budget)
     assert budget.spent == 0
+    assert rng.bit_generator.state == state
+
+
+def test_a_pass_charge_without_a_budget_is_refused():
+    # the charge that starts a pass is charged to a budget: without one the
+    # search is refused before any draw, whatever the table marks
+    rng = _rng(18)
+    state = rng.bit_generator.state
+    for fill in (False, True):
+        with pytest.raises(ValueError, match="a pass charge needs a budget"):
+            grover_search_marked(np.full(16, fill), 4, rng, None, StageSteps(init=8))
     assert rng.bit_generator.state == state
 
 

@@ -152,7 +152,7 @@ class QuantumCounter:
                 self._ladders.ladder(self.ctx.counts)
                 self._sizes = self.ctx.counts.tolist()
             row = self._ladders.cdf_row(self._sizes[x])
-            self.estimates[x] = count_marked(row, 0, self.params, self.rng)
+            self.estimates[x] = count_marked(row, self.params, self.rng)
         return self.estimates[x].right_pairs
 
     def count_all(self) -> np.ndarray:

@@ -35,21 +35,19 @@ The inverse Fourier transform runs gate by gate on t+1 qubits, on
 |0> (x) sum_b sqrt((2N-M)/T) u_b|b> + |1> (x) sum_b sqrt(M/T) m_b|b>, whose
 image under the isometry |0> -> |u_U>, |1> -> |u_M> is the full state; the
 transform acts on the phase register alone, so the phase outcome
-distribution is unchanged. ``phase_block`` stacks a run of ladder lanes as
-the lanes of one lane-minor StateVector, the class on qubit 0 and the phase
-register on qubits 1..t; it transforms them at once, each gate counted once
-per lane it acts on, and builds every lane's normalized CDF in one row-wise
-pass. Like the ladder, the distribution depends on (n, t, M) alone, so
-``ClassLadders`` keeps each size's CDF row, a one-lane ``phase_block`` of its
-column made on first demand, and a counter draws each estimate from its
-size's row with ``count_marked``, which every estimate comes from; no
-estimate reads a table. Only the draw that made a row reports its Fourier
-gates, so a run's estimates sum to the gates counted at the transform. These
-states represent the t+n+1-qubit circuit exactly, and no array has its
-width: the widest is a ladder's record or the memo's columns, at most L of
-them, bounded by t+1+log2(L) <= 24. The full-vector controlled ladder is
-kept as ``reference_counting_distribution``, the oracle the kernel is tested
-against.
+distribution is unchanged. ``phase_distribution`` loads one size's column
+into a (t+1)-qubit StateVector, the class on qubit 0 and the phase register
+on qubits 1..t, and transforms it. Like the ladder, the distribution depends
+on (n, t, M) alone, so ``ClassLadders`` keeps each size's CDF row
+(``outcome_cdf`` of its distribution), made on first demand, and a counter
+draws each estimate from its size's row with ``count_marked``, which every
+estimate comes from; no estimate reads a table. Only the draw that made a
+row reports its Fourier gates, so a run's estimates sum to the gates counted
+at the transform. These states represent the t+n+1-qubit circuit exactly,
+and no array has its width: the widest is a ladder's record or the memo's
+columns, at most L of them, bounded by t+1+log2(L) <= 24. The full-vector
+controlled ladder is kept as ``reference_counting_distribution``, the oracle
+the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -61,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .statevector import (DEFAULT_MAX_QUBITS, Register, StateVector, _assert_unit_norm,
-                          draw_from_cdf)
+                          draw_from_cdf, outcome_cdf)
 from .toy_cipher import AttackContext
 
 COHERENT_MAX_SUBKEY_BITS = 2
@@ -184,10 +182,9 @@ def _check_sizes(sizes, params: CountingParams) -> np.ndarray:
 @dataclass(frozen=True)
 class Ladder:
     """Row b of lane i's (T, 2) ``columns[i]`` holds G^b|psi0> as the lane's
-    (unmarked, marked) class amplitudes, for b < 2**t; ``n_marked`` holds the
-    per-lane float64 marked-class sizes; lanes of one size may share a column."""
+    (unmarked, marked) class amplitudes, for b < 2**t; lanes of one size may
+    share a column."""
 
-    n_marked: np.ndarray
     columns: list[np.ndarray]
     g_gates: int   # G steps applied to every lane, counted at the step
 
@@ -246,7 +243,7 @@ def grover_ladder(sizes, params: CountingParams) -> Ladder:
         u, m = amps[first:first + rows, 0], amps[first:first + rows, 1]
         _assert_unit_norm((n_unmarked * (u * u) + n_marked * (m * m)).ravel())
     # each lane's column is a (T, 2) view of the record, not a copy
-    return Ladder(n_marked, list(amps.transpose(2, 0, 1)), g_gates)
+    return Ladder(list(amps.transpose(2, 0, 1)), g_gates)
 
 
 class ClassLadders:
@@ -264,7 +261,7 @@ class ClassLadders:
     def __init__(self, params: CountingParams):
         self.params = params
         self.columns: dict[int, np.ndarray] = {}   # M -> its (T, 2) column, oldest first
-        self.rows: dict[int, PhaseBlock] = {}      # M -> its one-lane CDF row
+        self.rows: dict[int, PhaseRow] = {}        # M -> its CDF row
         self.g_gates = 0   # G steps counted when the columns were made
 
     def ladder(self, sizes) -> Ladder:
@@ -282,82 +279,64 @@ class ClassLadders:
             fresh = grover_ladder(np.array(missing), self.params)
             self.columns.update(zip(missing, fresh.columns))
             self.g_gates = fresh.g_gates
-        return Ladder(np.array(sizes, dtype=float), [self.columns[m] for m in sizes], self.g_gates)
+        return Ladder([self.columns[m] for m in sizes], self.g_gates)
 
-    def cdf_row(self, m: int) -> PhaseBlock:
-        """Size m's CDF row as a one-lane block; m's column must be in the memo.
-        The first demand transforms the column (``phase_block``) and returns the
-        block with the Fourier gates it applied; the memo keeps the row with 0,
-        the gates a later draw from it applies."""
+    def cdf_row(self, m: int) -> PhaseRow:
+        """Size m's CDF row; m's column must be in the memo. The first demand
+        transforms the column (``phase_distribution``) and returns the row
+        with the Fourier gates it applied; the memo keeps the row with 0, the
+        gates a later draw from it applies."""
         if (row := self.rows.get(m)) is None:
-            ladder = Ladder(np.array([m], dtype=float), [self.columns[m]], self.g_gates)
-            row = phase_block(ladder, slice(0, 1), self.params)
-            self.rows[m] = PhaseBlock(row.cdf, row.g_gates, 0)
+            probs, qft_gates = phase_distribution(self.columns[m], m, self.params)
+            row = PhaseRow(outcome_cdf(probs), self.g_gates, qft_gates)
+            self.rows[m] = PhaseRow(row.cdf, row.g_gates, 0)
         return row
 
 
 @dataclass(frozen=True)
-class PhaseBlock:
-    """Row i of the (B, T) ``cdf`` is the normalized CDF (``outcome_cdf``) of
-    the phase outcome distribution of lane i of a block of ladder lanes after
-    its inverse QFT; B = ``len(cdf)``, 1 for a memo row (``ClassLadders.cdf_row``)."""
+class PhaseRow:
+    """The normalized CDF (``outcome_cdf``) of one class size's phase outcome
+    distribution after its inverse QFT, as ``ClassLadders.cdf_row`` keeps it."""
 
     cdf: np.ndarray
     g_gates: int     # the ladder's G steps, counted at the step
-    qft_gates: int   # Fourier gates applied to every lane; 0 in a kept memo row
+    qft_gates: int   # Fourier gates applied to make the row; 0 in a kept memo row
 
 
-def _phase_distributions(ladder: Ladder, lanes: slice,
-                         params: CountingParams) -> tuple[np.ndarray, int]:
-    """Phase estimation reduced to the two index classes, for a run of the
-    ladder's lanes at once: one lane-stacked (t+1)-qubit state, one
-    gate-by-gate inverse QFT. Returns the (B, T) phase outcome distributions,
-    one row per lane, and the Fourier gates applied to every lane."""
+def phase_distribution(column: np.ndarray, m: int,
+                       params: CountingParams) -> tuple[np.ndarray, int]:
+    """Phase estimation reduced to the two index classes for class size m,
+    whose ladder ``column`` is (T, 2): one (t+1)-qubit state, one gate-by-gate
+    inverse QFT. Returns the (T,) phase outcome distribution and the Fourier
+    gates applied."""
     t = params.phase_bits
     T = 1 << t
-    n_marked = ladder.n_marked[lanes]
-    state = StateVector(t + 1, len(n_marked))
+    state = StateVector(t + 1)
     phase_reg = Register("phase", 1, t)
     # the class on qubit 0 (0 the unmarked class, 1 the marked one), the phase
-    # register above it, lanes minor; only this block's columns are gathered
-    scale = np.sqrt(np.stack([2 * params.num_pairs - n_marked, n_marked]) / T)
-    np.multiply(np.stack(ladder.columns[lanes], axis=2), scale,
-                out=state.amps.reshape(T, 2, -1))
+    # register above it
+    scale = np.sqrt(np.array([2 * params.num_pairs - m, m]) / T)
+    np.multiply(column, scale, out=state.amps.reshape(T, 2))
     state.inverse_qft(phase_reg)
-    return (state.probabilities(phase_reg).reshape(-1, T),
-            state.counters.qft_gates // state.lanes)
+    return state.probabilities(phase_reg), state.counters.qft_gates
 
 
-def phase_block(ladder: Ladder, lanes: slice, params: CountingParams) -> PhaseBlock:
-    """The lanes' phase outcome distributions (``_phase_distributions``) as
-    one normalized CDF per lane, all built in one row-wise pass of
-    ``outcome_cdf``'s formula (sum, divide, cumsum, divide by the last
-    entry), so each row is byte-equal to ``outcome_cdf`` of its lane's
-    distribution. ``outcome_cdf``'s refusal of a null state is not needed:
-    the transform has checked that every lane has unit norm."""
-    probs, qft_gates = _phase_distributions(ladder, lanes, params)
-    cdf = probs / probs.sum(axis=1, keepdims=True)
-    np.cumsum(cdf, axis=1, out=cdf)
-    cdf /= cdf[:, -1:].copy()
-    return PhaseBlock(cdf, ladder.g_gates, qft_gates)
-
-
-def count_marked(block: PhaseBlock, lane: int, params: CountingParams,
+def count_marked(row: PhaseRow, params: CountingParams,
                  rng: np.random.Generator) -> CountEstimate:
-    """One counting estimate: an outcome drawn from row ``lane`` of the block's
-    CDFs, mapped to its count. The estimate reports the block's G steps and
-    the Fourier gates the block reports for its lane."""
-    b = draw_from_cdf(block.cdf[lane], rng)
+    """One counting estimate: an outcome drawn from the row's CDF, mapped to
+    its count. The estimate reports the row's G steps and Fourier gates."""
+    b = draw_from_cdf(row.cdf, rng)
     theta, m_est, right = estimate_from_outcome(b, params)
-    assert block.g_gates == (1 << params.phase_bits) - 1
-    return CountEstimate(b, theta, m_est, right, block.g_gates, block.qft_gates)
+    assert row.g_gates == (1 << params.phase_bits) - 1
+    return CountEstimate(b, theta, m_est, right, row.g_gates, row.qft_gates)
 
 
 def counting_distribution(marked: np.ndarray, params: CountingParams) -> np.ndarray:
     """Exact outcome distribution over b, by amplitude readout (no sampling)."""
     _check_table(marked, params)
-    ladder = grover_ladder(np.array([np.count_nonzero(marked)]), params)
-    return _phase_distributions(ladder, slice(0, 1), params)[0][0]
+    m = np.count_nonzero(marked)
+    ladder = grover_ladder(np.array([m]), params)
+    return phase_distribution(ladder.columns[0], m, params)[0]
 
 
 def reference_counting_distribution(marked: np.ndarray,

@@ -15,15 +15,6 @@ ladder) each control qubit's axis is fixed at |1>, so only that branch is
 in the view. The Fourier transform and measurement refuse an external
 control.
 
-A StateVector may hold a stack of independent lanes of the same width,
-lane minor: amplitude basis*L + lane, so every gate view folds the L lanes
-into its contiguous lowest axis and a gate on qubit q runs over blocks of
-L*2**q adjacent amplitudes. Each gate acts on every lane and its Fourier
-gates count once per lane, the norm is checked per lane and the outcome
-distribution is one row per lane, summed in the order the lane alone sums
-it, so a lane of a stack reads, byte for byte, the distribution it reads
-alone. A one-lane state is the plain vector.
-
 A StateVector is owned by one execution context while it mutates.
 Measurement probabilities are accumulated in a fixed reduction order, so
 seeded runs are bit-reproducible. Every measurement draws through
@@ -149,23 +140,14 @@ def _qft_plan(offset: int, width: int, inverse: bool) -> tuple[tuple, ...]:
 
 
 class StateVector:
-    """2**q complex amplitudes with a norm-preservation invariant.
+    """2**q complex amplitudes with a norm-preservation invariant, starting in |0>."""
 
-    With ``lanes`` > 1 it is a stack of that many independent q-qubit states,
-    lane minor (amplitude basis*L + lane), each starting in |0>: every gate
-    acts on each lane, the Fourier gates are counted once per lane, the norm
-    is checked per lane and ``probabilities`` gives one distribution per lane."""
-
-    def __init__(self, num_qubits: int, lanes: int = 1):
+    def __init__(self, num_qubits: int):
         if not 1 <= num_qubits <= DEFAULT_MAX_QUBITS:
             raise ValueError(f"qubit count {num_qubits} outside [1, {DEFAULT_MAX_QUBITS}]")
-        if lanes < 1 or num_qubits + (lanes - 1).bit_length() > DEFAULT_MAX_QUBITS:
-            raise ValueError(f"{lanes} lanes of {num_qubits} qubits exceed the "
-                             f"{DEFAULT_MAX_QUBITS}-qubit limit")
         self.num_qubits = num_qubits
-        self.lanes = lanes
-        self.amps = np.zeros(lanes << num_qubits, dtype=np.complex128)
-        self.amps[:lanes] = 1.0   # basis state 0 of every lane
+        self.amps = np.zeros(1 << num_qubits, dtype=np.complex128)
+        self.amps[0] = 1.0
         self.counters = GateCounters()
         self._controls: list[int] = []
 
@@ -189,12 +171,8 @@ class StateVector:
 
     # ---- invariants ----------------------------------------------------
 
-    def norm_squared(self):
-        """The squared norm, per lane for a stack."""
-        if self.lanes == 1:
-            return np.vdot(self.amps, self.amps).real
-        lanes = self.amps.reshape(-1, self.lanes)
-        return np.einsum("il,il->l", lanes, lanes.conj()).real
+    def norm_squared(self) -> float:
+        return np.vdot(self.amps, self.amps).real
 
     def _assert_norm(self):
         _assert_unit_norm(self.norm_squared())
@@ -213,12 +191,11 @@ class StateVector:
     def _reg_view(self, reg: Register) -> tuple[np.ndarray, int]:
         """A view of the amplitudes whose control qubits are all |1>, with the
         register on one axis; returns (view, register axis). Uncontrolled, it
-        is (high, register, low) with the lanes folded into the low axis."""
+        is (high, register, low)."""
         if not self._controls:
             high = 1 << (self.num_qubits - reg.offset - reg.width)
-            return self.amps.reshape(high, reg.size, self.lanes << reg.offset), 1
-        # one axis per run of qubits between cuts, most significant first,
-        # then the lane axis
+            return self.amps.reshape(high, reg.size, 1 << reg.offset), 1
+        # one axis per run of qubits between cuts, most significant first
         cuts = {0, self.num_qubits, reg.offset, reg.offset + reg.width}
         for c in self._controls:
             cuts |= {c, c + 1}
@@ -229,8 +206,6 @@ class StateVector:
                 axis = index.count(slice(None))
             shape.append(1 << (hi - lo))
             index.append(1 if lo in self._controls else slice(None))
-        shape.append(self.lanes)
-        index.append(slice(None))
         return self.amps.reshape(shape)[tuple(index)], axis
 
     @staticmethod
@@ -300,7 +275,7 @@ class StateVector:
         contiguous arrays: on the strided halves of a low qubit each ufunc
         pass would cost several times a copy."""
         view = self.amps.reshape(1 << (self.num_qubits - qubit - 1), 2,
-                                 self.lanes << qubit).transpose(1, 0, 2)
+                                 1 << qubit).transpose(1, 0, 2)
         a0, a1 = view.copy()
         total = a0 + a1
         a0 -= a1
@@ -308,26 +283,26 @@ class StateVector:
         a0 *= _INV_SQRT2
         view[0] = total
         view[1] = a0
-        self.counters.qft_gates += self.lanes
+        self.counters.qft_gates += 1
 
     def _pair_view(self, qa: int, qb: int) -> np.ndarray:
         """(high, 2, mid, 2, low) view: axis 1 is the higher of the two
         qubits, axis 3 the lower."""
         lo, hi = sorted((qa, qb))
         return self.amps.reshape(1 << (self.num_qubits - hi - 1), 2,
-                                 1 << (hi - lo - 1), 2, self.lanes << lo)
+                                 1 << (hi - lo - 1), 2, 1 << lo)
 
     def _controlled_phase(self, qa: int, qb: int, phase: complex):
         """Multiply the states with both qubits |1> by the unit factor ``phase``."""
         self._pair_view(qa, qb)[:, 1, :, 1, :] *= phase
-        self.counters.qft_gates += self.lanes
+        self.counters.qft_gates += 1
 
     def _swap(self, qa: int, qb: int):
         view = self._pair_view(qa, qb)
         tmp = view[:, 1, :, 0, :].copy()
         view[:, 1, :, 0, :] = view[:, 0, :, 1, :]
         view[:, 0, :, 1, :] = tmp
-        self.counters.qft_gates += self.lanes
+        self.counters.qft_gates += 1
 
     def _qft_gates(self, reg: Register, inverse: bool):
         """Textbook QFT circuit on the register (little-endian value order),
@@ -349,23 +324,15 @@ class StateVector:
     # ---- measurement -----------------------------------------------------
 
     def probabilities(self, reg: Register) -> np.ndarray:
-        """Marginal outcome distribution of the register (no collapse); an
-        (L, 2**width) array of one row per lane for a stack."""
+        """Marginal outcome distribution of the register (no collapse)."""
         self._check_register(reg)
         self._refuse_controls("reading the register")
         view, _ = self._reg_view(reg)
-        # each lane gathered to (high, register, low) as it reads alone, so the
-        # sums over high and low run in its order
-        view = np.ascontiguousarray(
-            view.reshape(*view.shape[:2], -1, self.lanes).transpose(3, 0, 1, 2))
         # a real copy: the .real view would keep the complex result alive
-        probs = np.einsum("lirj,lirj->lr", view, view.conj()).real.copy()
-        return probs if self.lanes > 1 else probs[0]
+        return np.einsum("irj,irj->r", view, view.conj()).real.copy()
 
     def measure(self, reg: Register, rng: np.random.Generator) -> int:
         """Sample the register, collapse and renormalize. Deterministic per seed."""
-        if self.lanes > 1:
-            raise ValueError("a lane stack has one outcome distribution per lane")
         probs = self.probabilities(reg)
         outcome = draw_outcome(probs, rng)
         p_outcome = probs[outcome]

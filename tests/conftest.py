@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qdca.quantum_counting import count_marked, grover_ladder, phase_block
+from qdca.quantum_counting import PhaseRow, count_marked, grover_ladder, phase_distribution
+from qdca.statevector import outcome_cdf
 from qdca.toy_cipher import (AttackContext, ToyCipher, default_characteristic,
                              gen_pairs, make_characteristic,
                              DEFAULT_PLANTED_KEY)
@@ -38,10 +39,13 @@ def planted_alt(cipher):
 @pytest.fixture(scope="session")
 def table_estimate():
     """One counting estimate of a table counted alone: its class size
-    laddered as a one-lane block, transformed, and drawn from lane 0."""
+    laddered, transformed, and drawn from the CDF of its distribution."""
 
     def estimate(marked, params, rng):
-        ladder = grover_ladder(np.array([np.count_nonzero(marked)]), params)
-        return count_marked(phase_block(ladder, slice(0, 1), params), 0, params, rng)
+        m = np.count_nonzero(marked)
+        ladder = grover_ladder(np.array([m]), params)
+        probs, qft_gates = phase_distribution(ladder.columns[0], m, params)
+        return count_marked(PhaseRow(outcome_cdf(probs), ladder.g_gates, qft_gates),
+                            params, rng)
 
     return estimate

@@ -15,9 +15,8 @@ from qdca.attack import AttackConfig
 from qdca.quantum_counting import (ClassLadders, CountingParams, coherent_counting_distribution,
                                    counting_distribution, counting_error_bound,
                                    estimate_from_outcome, grover_iteration, grover_ladder,
-                                   phase_block, profile_error_bound,
-                                   qft_gate_budget, reference_counting_distribution,
-                                   _phase_distributions)
+                                   phase_distribution, profile_error_bound,
+                                   qft_gate_budget, reference_counting_distribution)
 from qdca.statevector import CorruptedStateError, Register, StateVector, outcome_cdf
 from qdca.toy_cipher import (AttackContext, default_characteristic, gen_pairs,
                              make_characteristic, true_subkey)
@@ -287,13 +286,12 @@ def _closed_form(m_true: int, params: CountingParams) -> np.ndarray:
 
 
 def _assert_kernel_is_the_closed_form(sizes, params: CountingParams) -> None:
-    # all sizes as one lane stack through the ladder, transformed 256 lanes at a time
+    # all sizes through one ladder, each size's column transformed on its own
     ladder = grover_ladder(np.array(sizes), params)
-    for first in range(0, len(sizes), 256):
-        dists, _ = _phase_distributions(ladder, slice(first, first + 256), params)
-        for m_true, probs in zip(sizes[first:first + 256], dists):
-            np.testing.assert_allclose(probs, _closed_form(m_true, params),
-                                       rtol=0, atol=1e-12, err_msg=f"M = {m_true}")
+    for m_true, column in zip(sizes, ladder.columns):
+        probs, _ = phase_distribution(column, m_true, params)
+        np.testing.assert_allclose(probs, _closed_form(m_true, params),
+                                   rtol=0, atol=1e-12, err_msg=f"M = {m_true}")
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -393,7 +391,6 @@ def test_ladder_records_the_class_state_bit_for_bit(n, m, lanes, data):
     T = 1 << params.phase_bits
     assert len(ladder.columns) == lanes and ladder.g_gates == T - 1
     for i, table in enumerate(tables):
-        assert ladder.n_marked[i] == np.count_nonzero(table)
         assert ladder.columns[i].shape == (T, 2)
         powers = _class_powers(table, T - 1)
         assert np.array(powers).tobytes() == ladder.columns[i].tobytes()
@@ -426,9 +423,8 @@ def test_class_state_gates_check_the_weighted_norm(monkeypatch):
 
 
 def test_gate_counts_are_observed_not_computed(monkeypatch, planted, table_estimate):
-    # the reported counts equal the G steps and Fourier gates actually applied;
-    # a gate method call on a lane stack applies its gate once to every lane
-    applied = {"g": 0, "qft": 0, "calls": 0}
+    # the reported counts equal the G steps and Fourier gates actually applied
+    applied = {"g": 0, "qft": 0}
     step = quantum_counting._lane_grover_step
 
     def counting_g(*args):
@@ -439,8 +435,7 @@ def test_gate_counts_are_observed_not_computed(monkeypatch, planted, table_estim
         gate = getattr(StateVector, name)
 
         def wrapper(self, *args):
-            applied["qft"] += self.lanes
-            applied["calls"] += 1
+            applied["qft"] += 1
             gate(self, *args)
         return wrapper
 
@@ -453,17 +448,16 @@ def test_gate_counts_are_observed_not_computed(monkeypatch, planted, table_estim
     est = table_estimate(marked, params, _rng(12))
     assert est.g_gate_count == applied["g"] == (1 << params.phase_bits) - 1
     assert est.qft_gate_count == applied["qft"] == qft_gate_budget(params.phase_bits)
-    assert applied["calls"] == qft_gate_budget(params.phase_bits)
 
     # the counter: one ladder over the three class sizes (0, 2, 8), then one
-    # one-lane Fourier transform per size, on the first demand of a subkey of
-    # that size, whose estimate alone reports the gates
+    # Fourier transform per size, on the first demand of a subkey of that
+    # size, whose estimate alone reports the gates
     _, _, _, ctx = planted
     params = CountingParams.default(6)
     t = params.phase_bits
     sizes = ctx.counts.tolist()
     assert sorted(set(sizes)) == [0, 2, 8]
-    applied.update(g=0, qft=0, calls=0)
+    applied.update(g=0, qft=0)
     counter = QuantumCounter(ctx, ClassLadders(params), _rng(13))
     for x in range(16):
         counter.count(x)
@@ -475,7 +469,6 @@ def test_gate_counts_are_observed_not_computed(monkeypatch, planted, table_estim
     assert {x: est.qft_gate_count for x, est in counter.estimates.items()} == {
         x: qft_gate_budget(t) if x in firsts else 0 for x in range(16)}
     assert _qft_sum(counter.estimates) == applied["qft"] == 3 * qft_gate_budget(t)
-    assert applied["calls"] == 3 * qft_gate_budget(t)
 
 
 def test_width_is_checked_before_the_ladder(monkeypatch):
@@ -492,7 +485,7 @@ def test_width_is_checked_before_the_ladder(monkeypatch):
 
 def test_counting_wider_than_the_qubit_limit_runs(table_estimate):
     # t = 12 and n = 16: the t+n+1 = 29-qubit circuit is never allocated, and
-    # its one-lane record is t+1 = 13 qubits wide
+    # its transformed state is t+1 = 13 qubits wide
     params = CountingParams(16, 9, 0.1)
     assert params.init_steps == 29
     marked = np.zeros(1 << 17, dtype=bool)
@@ -510,8 +503,9 @@ def test_counting_wider_than_the_qubit_limit_runs(table_estimate):
 
 
 def _single_table_distribution(marked, params):
-    """The per-estimate circuit as it ran before lane blocks: a one-lane
-    ladder, its own (t+1)-qubit state, one inverse QFT, the one-lane readout."""
+    """The per-estimate circuit written out: a one-lane ladder, its own
+    (t+1)-qubit state with the class on the top qubit, one inverse QFT, the
+    readout."""
     t = params.phase_bits
     T = 1 << t
     n_marked = int(np.count_nonzero(marked))
@@ -524,26 +518,23 @@ def _single_table_distribution(marked, params):
     return np.einsum("irj,irj->r", view, view.conj()).real
 
 
-def _lane_distributions(tables, params, block):
-    """Each lane's distribution from one ladder over the stack, transformed in
-    lane-stacked blocks of ``block`` lanes."""
-    ladder = grover_ladder(np.count_nonzero(tables, axis=1), params)
-    return np.concatenate([_phase_distributions(ladder, slice(lo, lo + block), params)[0]
-                           for lo in range(0, len(tables), block)])
-
-
-def _assert_lanes_equal_single_tables(tables, params, block=16):
-    lanes = _lane_distributions(tables, params, block)
-    assert lanes.shape == (len(tables), 1 << params.phase_bits)
-    for table, lane in zip(tables, lanes):
-        assert np.array_equal(lane, _single_table_distribution(table, params))
-        assert np.array_equal(lane, counting_distribution(table, params))
+def _assert_lanes_equal_single_tables(tables, params):
+    # each table's distribution, and its size's row in a memo laddered over
+    # the whole stack, are those of the single-table circuit, to the bit
+    sizes = np.count_nonzero(tables, axis=1)
+    memo = ClassLadders(params)
+    memo.ladder(sizes)
+    for table, m_true in zip(tables, sizes.tolist()):
+        alone = _single_table_distribution(table, params)
+        assert alone.shape == (1 << params.phase_bits,)
+        assert counting_distribution(table, params).tobytes() == alone.tobytes()
+        assert memo.cdf_row(m_true).cdf.tobytes() == outcome_cdf(alone).tobytes()
 
 
 @pytest.mark.parametrize("key", [0x09, 0x33, 0x5A])
 @pytest.mark.parametrize("n", [1, 3, 6, 8])
 def test_lanes_equal_the_single_table_path(cipher, key, n):
-    # k = 4: one block holds all 16 lanes
+    # k = 4: one memo holds all 16 lanes
     ch = default_characteristic(cipher, key)
     ctx = AttackContext(cipher, ch, gen_pairs(cipher, key, ch.plaintext_diff, n))
     _assert_lanes_equal_single_tables(ctx.table, CountingParams.default(n))
@@ -554,17 +545,16 @@ def test_lanes_equal_the_single_table_path_at_k8(cipher):
     ch = make_characteristic(cipher, 0x09, 0x01, 0x11)
     ctx = AttackContext(cipher, ch, gen_pairs(cipher, 0x09, 0x01, 8))
     assert ctx.table.shape == (256, 512)
-    # eight blocks of 32 lanes
-    _assert_lanes_equal_single_tables(ctx.table, CountingParams.default(8), block=32)
+    _assert_lanes_equal_single_tables(ctx.table, CountingParams.default(8))
 
 
 def test_lanes_equal_the_single_table_path_one_lane_per_block():
-    # t = 13, each lane transformed on its own, as the memo transforms a size
+    # t = 13, a wide phase register over three sizes
     params = CountingParams(2, 10, 0.1)
     assert params.phase_bits == 13
     tables = np.zeros((3, 8), dtype=bool)
     tables[1, [0, 2, 3]] = tables[2, :4] = True
-    _assert_lanes_equal_single_tables(tables, params, block=1)
+    _assert_lanes_equal_single_tables(tables, params)
 
 
 @settings(max_examples=30, deadline=None)
@@ -585,27 +575,19 @@ FIXTURES = Path(__file__).parent / "fixtures"
 @pytest.mark.parametrize("subkey_bits, index_bits, doc", [
     (4, 6, None), (8, 8, "k8_characteristic.json"), (4, 10, "w16_k4_characteristic.json")])
 def test_every_block_cdf_row_is_the_outcome_cdf_of_its_row(subkey_bits, index_bits, doc):
-    # a block's one row-wise pass builds, byte for byte, the CDF each draw
-    # would build from its own row, in blocks of 16 lanes and in the memo's
-    # one-lane rows
+    # each of the memo's rows is, byte for byte, the CDF a draw would build
+    # from its size's distribution
     fields = json.loads((FIXTURES / doc).read_text()) if doc else {}
     cfg = AttackConfig(subkey_bits=subkey_bits, index_bits=index_bits, **fields)
     ctx, params = cfg.planted_instance[0], cfg.counting_params()
-    ladder = grover_ladder(ctx.counts, params)
-    for first in range(0, len(ctx.counts), 16):
-        block = phase_block(ladder, slice(first, first + 16), params)
-        probs, _ = _phase_distributions(ladder, slice(first, first + 16), params)
-        assert block.cdf.shape == probs.shape
-        for row, cdf in zip(probs, block.cdf):
-            assert cdf.tobytes() == outcome_cdf(row).tobytes()
     memo = ClassLadders(params)
     memo.ladder(ctx.counts)
     space = 2 * params.num_pairs
     for m_true in memo.columns:
         row = memo.cdf_row(m_true).cdf
-        assert row.shape == (1, 1 << params.phase_bits)
+        assert row.shape == (1 << params.phase_bits,)
         table = np.arange(space) < m_true
-        assert row[0].tobytes() == outcome_cdf(counting_distribution(table, params)).tobytes()
+        assert row.tobytes() == outcome_cdf(counting_distribution(table, params)).tobytes()
 
 
 def test_counter_draws_in_demand_order(planted, table_estimate):
@@ -632,34 +614,20 @@ def test_counter_draws_in_demand_order(planted, table_estimate):
     assert _qft_sum(expected) == 16 * qft_gate_budget(params.phase_bits)
 
 
-def test_a_drifted_lane_fails_the_block_transform():
-    # one lane nudged off the unit sphere fails the per-lane norm check; the
-    # same stack without the nudge passes it
-    reg = Register("phase", 0, 3)
-    for nudge, raises in ((1.0, False), (1.01, True)):
-        state = StateVector(4, 8)
-        state.amps.reshape(16, 8)[:, 5] *= nudge   # lane minor: basis*8 + lane
-        if raises:
-            with pytest.raises(CorruptedStateError, match="norm drift"):
-                state.inverse_qft(reg)
-        else:
-            state.inverse_qft(reg)
-            assert state.counters.qft_gates == 8 * qft_gate_budget(3)
-
-
 def test_each_block_is_transformed_once(monkeypatch, cipher, table_estimate):
     # the golden attack_k8n8 instance: asked for y and then every subkey, the
-    # counter transforms each distinct class size exactly once, as a one-lane
-    # block, and draws what one-lane counts draw
+    # counter transforms each distinct class size exactly once, on a
+    # (t+1)-qubit state, and draws what tables counted alone draw
     ch = make_characteristic(cipher, 0x09, 0x01, 0x11)
     ctx = AttackContext(cipher, ch, gen_pairs(cipher, 0x09, 0x01, 8))
     params = CountingParams.default(8)
     distinct = len(set(ctx.counts.tolist()))
+    width = params.phase_bits + 1
     transforms = []
     inverse_qft = StateVector.inverse_qft
 
     def recording_qft(self, reg):
-        transforms.append(self.lanes)
+        transforms.append(self.num_qubits)
         inverse_qft(self, reg)
 
     monkeypatch.setattr(StateVector, "inverse_qft", recording_qft)
@@ -668,7 +636,7 @@ def test_each_block_is_transformed_once(monkeypatch, cipher, table_estimate):
     order = [77, *range(256)]
     for x in order:
         counter.count(x)
-    assert transforms == [1] * distinct and distinct < 16
+    assert transforms == [width] * distinct and distinct < 16
     assert sorted(memo.rows) == sorted(memo.columns) == sorted(set(ctx.counts.tolist()))
     assert _qft_sum(counter.estimates) == distinct * qft_gate_budget(params.phase_bits)
     transforms.clear()
@@ -677,7 +645,7 @@ def test_each_block_is_transformed_once(monkeypatch, cipher, table_estimate):
     for x in order:
         if x not in expected:
             expected[x] = table_estimate(ctx.marked_table(x), params, rng)
-    assert transforms == [1] * 256
+    assert transforms == [width] * 256
     assert _all_but_qft(counter.estimates) == _all_but_qft(expected)
     assert counter.rng.bit_generator.state == rng.bit_generator.state
 
@@ -687,10 +655,9 @@ def test_a_counter_holds_its_memo_and_one_transform(monkeypatch, cipher, shared)
     # the golden attack_k8n8 instance at t = 11, as an attack's trials take it.
     # A counter runs one ladder over the D distinct sizes on its first count
     # and keeps their columns and CDF rows in a memo, its own or the config's;
-    # it gathers no (T, 2, K) record and no block of lanes, so after the sweep
-    # that follows the threshold's count it holds the D columns, the D rows
-    # and its 256 estimates, and the sweep's peak is at most one one-lane
-    # transform above that (its state, a gate's temporaries, its distribution
+    # it gathers no (T, 2, K) record, so after the sweep that follows the
+    # threshold's count it holds the D columns, the D rows and its 256
+    # estimates, and the sweep's peak is at most one transform above that (its state, a gate's temporaries, its distribution
     # and its gathered column). A later counter given the config's memo runs
     # no ladder and no transform, and holds its estimates alone
     ch = make_characteristic(cipher, 0x09, 0x01, 0x11)
@@ -754,7 +721,6 @@ def test_ladder_refuses_bad_sizes_before_any_step(monkeypatch):
     monkeypatch.undo()
     ladder = grover_ladder(np.array([0, 16]), params)
     assert [c.shape for c in ladder.columns] == [(1 << params.phase_bits, 2)] * 2
-    assert ladder.n_marked.tolist() == [0, 16]
 
 
 @pytest.mark.parametrize("step, lane, amp, fault", [
@@ -886,16 +852,15 @@ def test_every_memo_column_is_its_size_run_alone():
         assert len(shared.columns) == len(alone.columns) == 16
         for mine, its in zip(shared.columns, alone.columns):
             assert mine.tobytes() == its.tobytes()
-        assert shared.n_marked.tobytes() == alone.n_marked.tobytes()
         assert shared.g_gates == alone.g_gates == memo.g_gates == 127
         # lanes of one size share the memo's column; nothing is copied
-        for m_true, column in zip(shared.n_marked.tolist(), shared.columns):
+        for m_true, column in zip(ctx.counts.tolist(), shared.columns):
             assert column is memo.columns[m_true]
     assert 0 in memo.columns
     for m_true, column in memo.columns.items():
         alone = grover_ladder(np.array([m_true]), params)
         assert column.tobytes() == alone.columns[0].tobytes()
-        np.testing.assert_allclose(_phase_distributions(alone, slice(0, 1), params)[0][0],
+        np.testing.assert_allclose(phase_distribution(alone.columns[0], m_true, params)[0],
                                    _closed_form(m_true, params), rtol=0, atol=1e-12)
 
 

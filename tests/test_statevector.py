@@ -497,75 +497,11 @@ def test_norm_check_refuses_a_nan_norm():
 def test_probabilities_are_a_contiguous_real_copy():
     # a .real view would keep the complex result, twice the size, alive
     reg = Register("r", 0, 3)
-    for lanes in (1, 4):
-        s = StateVector(4, lanes)
-        s.inverse_qft(reg)
-        probs = s.probabilities(reg)
-        assert probs.dtype == np.float64 and probs.flags.c_contiguous
-        assert probs.base is None or not np.iscomplexobj(probs.base)
-
-
-def test_lane_stack_is_bounded_and_read_per_lane():
-    # the limit holds for the whole stack; each lane starts in |0> and is read
-    # on its own row, and a stack has no single outcome to measure
-    with pytest.raises(ValueError, match="exceed the 24-qubit limit"):
-        StateVector(20, 32)
-    with pytest.raises(ValueError, match="exceed"):
-        StateVector(3, 0)
-    reg = Register("r", 0, 3)
-    s = StateVector(3, 4)
+    s = StateVector(4)
     s.inverse_qft(reg)
-    assert s.probabilities(reg).shape == (4, 8)
-    assert np.allclose(s.probabilities(reg), 1 / 8)
-    assert s.counters.qft_gates == 4 * (3 * 4 // 2 + 3 // 2)
-    assert np.allclose(s.norm_squared(), [1.0] * 4)
-    with pytest.raises(ValueError, match="lane"):
-        s.measure(reg, np.random.default_rng(0))
-
-
-def _stack(lanes_amps):
-    """A lane stack holding the given one-lane amplitude vectors, lane minor."""
-    stack = StateVector(int(lanes_amps[0].size).bit_length() - 1, len(lanes_amps))
-    stack.amps.reshape(-1, len(lanes_amps))[:] = np.stack(lanes_amps, axis=1)
-    return stack
-
-
-def _lane_rows(stack):
-    """The stack's lanes as contiguous rows, lane i on row i."""
-    return np.ascontiguousarray(stack.amps.reshape(-1, stack.lanes).T)
-
-
-@pytest.mark.parametrize("lanes", [1, 2, 16])
-def test_a_lane_stack_acts_as_its_lanes_alone(lanes):
-    # every gate, transform and distribution of a lane-minor stack is, byte
-    # for byte, that of each lane's own one-lane state; the norms agree to
-    # rounding (a one-lane state sums its norm in its own order)
-    rng = np.random.default_rng(60 + lanes)
-    q = 5
-    mid, whole = Register("mid", 1, 3), Register("all", 0, q)
-    ops = [*[lambda s, k=k: s._hadamard(k) for k in range(q)],
-           lambda s: s._controlled_phase(1, 3, np.exp(0.7j)),
-           lambda s: s._controlled_phase(4, 0, np.exp(-0.2j)),
-           lambda s: s._controlled_phase(2, 1, np.exp(2.9j)),
-           lambda s: s._swap(0, 4), lambda s: s._swap(2, 1),
-           lambda s: s.forward_qft(mid), lambda s: s.inverse_qft(mid),
-           lambda s: s.forward_qft(whole), lambda s: s.inverse_qft(whole)]
-    for op in ops:
-        states = [_random_state(rng, q) for _ in range(lanes)]
-        stack = _stack(states)
-        op(stack)
-        alone = [StateVector.from_amplitudes(amps) for amps in states]
-        for s in alone:
-            op(s)
-        assert _lane_rows(stack).tobytes() == np.stack([s.amps for s in alone]).tobytes()
-        assert stack.counters.qft_gates == lanes * alone[0].counters.qft_gates
-    states = [_random_state(rng, q) for _ in range(lanes)]
-    stack, alone = _stack(states), [StateVector.from_amplitudes(amps) for amps in states]
-    for reg in (mid, whole, Register("low", 0, 2), Register("high", 3, 2)):
-        probs = stack.probabilities(reg).reshape(lanes, -1)
-        assert probs.tobytes() == np.stack([s.probabilities(reg) for s in alone]).tobytes()
-    np.testing.assert_allclose(np.reshape(stack.norm_squared(), lanes),
-                               [s.norm_squared() for s in alone], rtol=0, atol=1e-12)
+    probs = s.probabilities(reg)
+    assert probs.dtype == np.float64 and probs.flags.c_contiguous
+    assert probs.base is None or not np.iscomplexobj(probs.base)
 
 
 # ---- registers and misc --------------------------------------------------------

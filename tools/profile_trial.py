@@ -9,10 +9,10 @@ only the trials are measured, without first-call imports and caches. That
 warm-up trial also fills the config's class-size memo, one ladder column
 and one inverse-QFT CDF row per class size, so the profiled trials show the
 per-trial counting work alone: 16 draws (``count_marked``) from memo rows
-per trial, with no ``grover_ladder`` or ``phase_block`` call. Each row gives a
-function's own time (tottime) and its time with everything it calls
-(cumtime), each also as a share of the profiled total, and its call count
-(ncalls); a large ``--top`` lists every function profiled.
+per trial, with no ``grover_ladder`` or ``phase_distribution`` call. Each
+row gives a function's own time (tottime) and its time with everything it
+calls (cumtime), each also as a share of the profiled total, and its call
+count (ncalls); a large ``--top`` lists every function profiled.
 qdca must be importable (installed, or src on PYTHONPATH).
 """
 

@@ -29,7 +29,7 @@ and the weighted norm of every row of every lane is checked before the
 ladder returns. Every counter ladders its counts through the ``ClassLadders``
 it is built with, which keeps one (T, 2) column per size and runs only the
 sizes it lacks. ``counting_distribution`` ladders a table's size [M] as
-a one-lane block.
+one lane.
 
 The inverse Fourier transform runs gate by gate on t+1 qubits, on
 |0> (x) sum_b sqrt((2N-M)/T) u_b|b> + |1> (x) sum_b sqrt(M/T) m_b|b>, whose

@@ -540,7 +540,7 @@ def test_scaling_report_plants_before_the_search_sweep(monkeypatch):
 
 
 def test_no_estimate_reads_a_table(monkeypatch):
-    # every estimate is drawn from a lane of a transformed block: once an
+    # every estimate is drawn from its class size's transformed row: once an
     # instance's right-pair counts are counted, the quantum attack, both
     # reports' counting rows and the gate-accounting check read no table, and
     # each gives what it gave before

@@ -251,9 +251,20 @@ def _check_estimate(ctx: AttackContext, params: CountingParams, x: int,
 
 
 def _bound_hit_rate(ctx: AttackContext, params: CountingParams, counter) -> float:
-    hits = sum(_check_estimate(ctx, params, x, est)[1]
-               for x, est in counter.estimates.items())
-    return hits / len(counter.estimates) if counter.estimates else 0.0
+    """The share of the counter's estimates within their bound, as
+    ``_check_estimate`` judges each; the bound is computed once per class size."""
+    if not counter.estimates:
+        return 0.0
+    counts = ctx.counts.tolist()
+    bounds: dict[int, float] = {}
+    hits = 0
+    for x, est in counter.estimates.items():
+        m_true = counts[x]
+        if (bound := bounds.get(m_true)) is None:
+            bound = bounds[m_true] = counting_error_bound(m_true, params.num_pairs,
+                                                          params.accuracy_bits)
+        hits += abs(est.m_estimate - m_true) <= bound
+    return hits / len(counter.estimates)
 
 
 def run_classical_attack(config: AttackConfig, trial: int = 0, instance=None) -> AttackResult:

@@ -16,7 +16,12 @@ G^j|u> is a fixed state: two real class amplitudes, over the marked and the
 unmarked subkeys (Boyer-Brassard-Hoyer-Tapp, quant-ph/9605034), stepped by the
 counting ladder's recurrence. The search takes each step once per pass, keeps
 each power's amplitudes for every round that draws it, and builds each
-power's outcome CDF once. Each round is still charged its own j steps.
+power's outcome CDF once; G^0|u> = |u> is uniform whatever the table marks,
+so its CDF is built once per k and shared. A round whose j range is 1 takes
+j = 0 without a draw. Each round is admitted against the steps the budget
+had left when the pass's search began, less the rounds before it, and a
+pass's admitted rounds are charged in one ``try_charge``: the same stages,
+totals and refusal point as charging each round its own j steps.
 
 Thresholds only go up, so once a pass marks nothing (the threshold holds the
 maximum) every later pass of the run marks nothing too. That pass's search
@@ -36,8 +41,10 @@ iteration costs one step, one counting run costs its init + Grover-gate +
 Fourier-gate total. The oracle is charged one counting cost per threshold
 pass (a single coherent evaluation, not one per candidate), although the
 pass's Grover iterations, sum j over its rounds, each apply it.
-Every charge goes through ``SearchBudget.try_charge``, which names the stage
-of each step and either admits them all or refuses them all.
+Every step is charged through ``SearchBudget.try_charge``, which names the
+stage of each step and either admits them all or refuses them all; a search
+call admits its rounds one by one against what is left, then charges them
+together.
 """
 
 from __future__ import annotations
@@ -190,15 +197,18 @@ class SearchOutcome:
 
 
 @functools.lru_cache(maxsize=None)   # one entry per subkey width
-def _round_plan(subkey_bits: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """A pass's rounds: each round's j range max(1, int(m_cap)), and the
-    inclusive uint64 bounds that draw a pass (read-only): bound 0 twice, a slot
-    for the pass's start charge and a filler, neither taking a generator word,
-    then per round range - 1 for its j and 2**64 - 1 for the words of its one
+def _round_plan(subkey_bits: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """A pass's rounds: each round's j range max(1, int(m_cap)), the
+    inclusive uint64 bounds that draw a pass (read-only), and G^0|u>'s
+    outcome CDF (read-only). The bounds are bound 0 twice, a slot for the
+    pass's start charge and a filler, neither taking a generator word, then
+    per round range - 1 for its j and 2**64 - 1 for the words of its one
     uniform. Every other draw is a start slot (0) or a round's j. The bounds
     are tiled for MAX_TAIL_PASSES passes. The cap grows by 6/5 per round up to
     sqrt(K) whatever is drawn, so both depend on k alone; there are
-    4*ceil(4.5*sqrt(K)) rounds."""
+    4*ceil(4.5*sqrt(K)) rounds. G^0|u> = |u> is uniform whatever the table
+    marks (both class amplitudes are 1/sqrt(K)), so every search shares its
+    CDF."""
     K = 1 << subkey_bits
     ranges = []
     m_cap = 1.0
@@ -210,7 +220,10 @@ def _round_plan(subkey_bits: int) -> tuple[tuple[int, ...], np.ndarray]:
     bounds[3::2] = np.iinfo(np.uint64).max
     bounds = np.tile(bounds, MAX_TAIL_PASSES)
     bounds.flags.writeable = False
-    return tuple(ranges), bounds
+    u = 1.0 / math.sqrt(K)
+    uniform = outcome_cdf(np.full(K, u * u))
+    uniform.flags.writeable = False
+    return tuple(ranges), bounds, uniform
 
 
 def _class_grover_step(n_unmarked: int, n_marked: int, scale: float,
@@ -231,7 +244,7 @@ def _replay_empty(subkey_bits: int, rng: np.random.Generator,
     pass of the run: the draws, charges and outcome of running the rounds one
     by one, pass after pass, with no state computed. The first pass's start is
     the caller's; each later pass is charged ``start`` before its first round."""
-    ranges, bounds = _round_plan(subkey_bits)
+    ranges, bounds, _ = _round_plan(subkey_bits)
     row = len(ranges) + 1                            # a pass: its start, then its rounds
     round_steps = subkey_bits + 1                    # k init + 1 verifying query
     per_pass = start or StageSteps()
@@ -301,7 +314,16 @@ def grover_search_marked(marked, subkey_bits: int,
     checked before any CDF is built from it; the amplitudes of G^j|u> serve
     every round that draws j. Each round draws j with
     ``rng.integers(0, range)`` and places one ``rng.random()`` in G^j|u>'s
-    outcome CDF, built once per j.
+    outcome CDF, built once per j >= 1; G^0|u>'s uniform CDF is the round
+    plan's, shared by every call. A round whose range is 1 (the first four of
+    a pass) takes j = 0 without calling ``rng.integers``, which leaves the
+    generator where ``integers(0, 1)`` leaves it: it takes no word.
+
+    A round is admitted when its k + j + 1 steps fit in what the budget had
+    left at the call, less the rounds admitted before it; the first that does
+    not fit ends the search, where a per-round ``try_charge`` would have
+    refused it. The admitted rounds are charged in one ``try_charge`` after
+    the loop.
 
     ``start`` (which needs a budget) is the charge that starts a threshold
     pass, already paid for this one. A table that marks nothing ends the
@@ -338,19 +360,23 @@ def grover_search_marked(marked, subkey_bits: int,
     if not n_marked:
         return _replay_empty(subkey_bits, rng, budget, start)
 
-    ranges, _ = _round_plan(subkey_bits)
+    ranges, _, uniform = _round_plan(subkey_bits)
     n_unmarked, scale = K - n_marked, 2.0 / K
     found = None
     iterations = 0
+    # the steps the budget still admits; each round is admitted here and all
+    # are charged at once after the loop
+    remaining = math.inf if budget is None else budget.limit - budget.spent
     # entry j: G^j|u>'s (unmarked, marked) amplitudes, Python floats: numpy's
     # per-call cost would dominate at two amplitudes
     powers = [(1.0 / math.sqrt(K),) * 2]
-    cdfs: dict[int, np.ndarray] = {}
+    cdfs = {0: uniform}
     for measurements, j_range in enumerate(ranges, 1):
-        j = int(rng.integers(0, j_range))
-        if budget is not None and not budget.try_charge(init=subkey_bits, search=j + 1):
+        j = int(rng.integers(0, j_range)) if j_range > 1 else 0   # range 1 draws nothing
+        if (cost := subkey_bits + j + 1) > remaining:
             measurements -= 1
             break
+        remaining -= cost
         while len(powers) <= j:
             powers.append(_class_grover_step(n_unmarked, n_marked, scale, *powers[-1]))
         iterations += j
@@ -360,6 +386,10 @@ def grover_search_marked(marked, subkey_bits: int,
         if marked[outcome := draw_from_cdf(cdf, rng)]:
             found = outcome
             break
+    if budget is not None:
+        admitted = budget.try_charge(init=subkey_bits * measurements,
+                                     search=iterations + measurements)
+        assert admitted, "the rounds admitted one by one exceed the budget"
     return SearchOutcome(found, iterations, measurements,
                          () if start is None else (budget.spent,))
 

@@ -264,10 +264,10 @@ class ClassLadders:
         self.rows: dict[int, PhaseRow] = {}        # M -> its CDF row
         self.g_gates = 0   # G steps counted when the columns were made
 
-    def ladder(self, sizes) -> Ladder:
-        """The ladder of lanes of class sizes ``sizes``, each lane's column taken
-        from the memo. Sizes it lacks run first, as one ``grover_ladder`` lane
-        each; their columns stay views of its record until an eviction."""
+    def ladder(self, sizes) -> None:
+        """Put the column of every class size in ``sizes`` in the memo. Sizes it
+        lacks run as one ``grover_ladder`` lane each; their columns stay views
+        of its record until an eviction. Read the columns from ``columns``."""
         sizes = _check_sizes(sizes, self.params).tolist()
         wanted = dict.fromkeys(sizes)   # distinct sizes, in lane order
         missing = [m for m in wanted if m not in self.columns]
@@ -279,7 +279,6 @@ class ClassLadders:
             fresh = grover_ladder(np.array(missing), self.params)
             self.columns.update(zip(missing, fresh.columns))
             self.g_gates = fresh.g_gates
-        return Ladder([self.columns[m] for m in sizes], self.g_gates)
 
     def cdf_row(self, m: int) -> PhaseRow:
         """Size m's CDF row; m's column must be in the memo. The first demand

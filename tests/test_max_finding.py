@@ -14,7 +14,7 @@ from qdca.max_finding import (SEARCH_GROWTH_FACTOR, ExactCounter,
 from qdca.quantum_counting import (ClassLadders, CountingParams,
                                    counting_distribution,
                                    estimate_from_outcome, grover_iteration)
-from qdca.statevector import Register, StateVector, draw_outcome
+from qdca.statevector import Register, StateVector, draw_outcome, outcome_cdf
 from qdca.toy_cipher import true_subkey
 
 
@@ -181,9 +181,11 @@ def test_search_draws_as_the_full_vector_loop(k, seed, data):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def _search_drawing_every_round(marked, subkey_bits, rng, budget=None):
+def _search_drawing_every_round(marked, subkey_bits, rng, budget=None, draws=None):
     """The two-class search loop as it ran before empty tables skipped their
-    distributions: every round builds its outcome distribution and draws."""
+    distributions: every round draws its j, is charged on its own, builds its
+    outcome distribution and draws. Each round's j is appended to ``draws``
+    if given."""
     K = 1 << subkey_bits
     iterations = measurements = 0
     n_marked = int(np.count_nonzero(marked))
@@ -191,6 +193,8 @@ def _search_drawing_every_round(marked, subkey_bits, rng, budget=None):
     m_cap = 1.0
     while measurements < 4 * math.ceil(4.5 * math.sqrt(K)):
         j = int(rng.integers(0, max(1, int(m_cap))))
+        if draws is not None:
+            draws.append(j)
         if budget is not None and not budget.try_charge(init=subkey_bits, search=j + 1):
             break
         while len(powers) <= j:
@@ -351,6 +355,112 @@ def test_empty_pass_budget_edges_equal_the_per_round_loop(bit_generator, k):
         runs = _runs_with_remaining(marked, k, bit_generator, seed, remaining)
         assert runs[0] == runs[1], name
         assert runs[0][0].measurements == expected_rounds[name], name
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
+                                           np.random.Philox, np.random.SFC64])
+@pytest.mark.parametrize("k", [4, 8])
+def test_marking_pass_budget_edges_equal_the_per_round_loop(bit_generator, k):
+    # a table that marks one subkey: each round is admitted against the steps
+    # left before the call and all are charged at once, yet the outcome, the
+    # charges and the generator state are those of charging round by round,
+    # wherever the budget stops the rounds
+    marked = np.zeros(1 << k, dtype=bool)
+    marked[(1 << k) // 3] = True
+    ranges = _round_costs(k, np.random.Generator(bit_generator(0)))[1]
+    first_drawn = ranges.index(2)   # the first round whose j is drawn
+    for seed in range(300 + k, 400 + k):   # a search that finds late enough
+        draws = []
+        out = _search_drawing_every_round(marked, k, np.random.Generator(bit_generator(seed)),
+                                          draws=draws)
+        if out.found is not None and out.measurements >= first_drawn + 3:
+            break
+    else:
+        pytest.fail("no seed finds the marked subkey late enough")
+    costs = [k + j + 1 for j in draws]
+    last = len(costs) - 1   # the round that finds it
+    middle = (first_drawn + last) // 2
+    assert first_drawn < middle < last
+    cases = {
+        "admits no round": (costs[0] - 1, 0),
+        "refuses a range-1 round": (sum(costs[:2]) + costs[2] - 1, 2),
+        "refuses the first round with a drawn j":
+            (sum(costs[:first_drawn]) + costs[first_drawn] - 1, first_drawn),
+        "refuses a middle round": (sum(costs[:middle]) + costs[middle] - 1, middle),
+        "refuses the finding round": (sum(costs) - 1, last),
+        "admits the finding round exactly": (sum(costs), last + 1),
+    }
+    for name, (remaining, rounds) in cases.items():
+        runs = _runs_with_remaining(marked, k, bit_generator, seed, remaining)
+        assert runs[0] == runs[1], name
+        assert runs[0][0].measurements == rounds, name
+        assert (runs[0][0].found is not None) == (rounds == last + 1), name
+
+
+def test_a_marking_pass_charges_once_and_draws_only_what_it_must(monkeypatch):
+    # one try_charge per marking call; no CDF built for j = 0 (the shared
+    # uniform one) and one per distinct j >= 1; rng.integers only for rounds
+    # whose j range is above 1
+    charges, built = [], []
+    charge, cdf = SearchBudget.try_charge, max_finding.outcome_cdf
+
+    def counted_charge(self, **steps):
+        charges.append(steps)
+        return charge(self, **steps)
+
+    def recorded(probs):
+        built.append(probs)
+        return cdf(probs)
+
+    class Spy:
+        """The generator, recording each ``integers`` call's range and result."""
+
+        def __init__(self, rng):
+            self.rng, self.calls = rng, []
+
+        def integers(self, low, high):
+            self.calls.append((high, j := self.rng.integers(low, high)))
+            return j
+
+        def random(self):
+            return self.rng.random()
+
+    k = 8
+    ranges = max_finding._round_plan(k)[0]   # the shared CDF, cached before the spy
+    monkeypatch.setattr(SearchBudget, "try_charge", counted_charge)
+    monkeypatch.setattr(max_finding, "outcome_cdf", recorded)
+    marked = np.zeros(1 << k, dtype=bool)
+    marked[[3, 200]] = True
+    found = 0
+    for seed in range(40):
+        charges.clear()
+        built.clear()
+        rng = Spy(_rng(15, seed))
+        budget = SearchBudget(1, 10**6)
+        out = grover_search_marked(marked, k, rng, budget)
+        found += out.found is not None
+        assert len(charges) == 1
+        assert budget.stages == StageSteps(init=k * out.measurements,
+                                           search=out.iterations + out.measurements)
+        rounds = ranges[:out.measurements]
+        assert [high for high, _ in rng.calls] == [r for r in rounds if r > 1]
+        drawn = {int(j) for _, j in rng.calls if j}
+        assert all(np.ptp(probs) > 0 for probs in built) and len(built) == len(drawn)
+    assert found == 40
+
+
+def test_the_shared_uniform_cdf_is_read_only_and_exact():
+    # G^0|u> has both class amplitudes 1/sqrt(K), so its CDF is the one every
+    # table's first round builds, byte for byte
+    for k in range(1, 17):
+        K = 1 << k
+        uniform = max_finding._round_plan(k)[2]
+        u = 1.0 / math.sqrt(K)
+        marked = _rng(16, k).random(K) < 0.5
+        assert uniform.tobytes() == outcome_cdf(np.where(marked, u * u, u * u)).tobytes()
+        assert not uniform.flags.writeable
+        with pytest.raises(ValueError):
+            uniform[0] = 0.5
 
 
 def _tail_by_passes(marked, k, rng, budget, start):

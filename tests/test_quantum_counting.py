@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -399,12 +400,15 @@ def test_ladder_records_the_class_state_bit_for_bit(n, m, lanes, data):
 def test_class_state_gates_check_the_weighted_norm(monkeypatch):
     # a step fed an unmarked amplitude nudged by 1% (K - 1 = 255 unmarked
     # values: weighted norm ~1.02) or a NaN fails its own norm check, and the
-    # search builds no CDF from the power it would have made
+    # search builds no CDF from the power it would have made: no CDF from a
+    # stepped power at all, whether or not G^0|u>'s shared uniform CDF is
+    # already cached
     step = max_finding._class_grover_step
     cdf = max_finding.outcome_cdf
     marked = np.zeros(256, dtype=bool)
     marked[7] = True
-    for corrupt in (lambda u: u * 1.01, lambda u: math.nan):
+    for corrupt, cold in itertools.product((lambda u: u * 1.01, lambda u: math.nan),
+                                           (True, False)):
         built = []
 
         def corrupted(n_unmarked, n_marked, scale, u, m):
@@ -416,10 +420,12 @@ def test_class_state_gates_check_the_weighted_norm(monkeypatch):
 
         monkeypatch.setattr(max_finding, "_class_grover_step", corrupted)
         monkeypatch.setattr(max_finding, "outcome_cdf", recorded)
+        if cold:
+            max_finding._round_plan.cache_clear()
         with pytest.raises(CorruptedStateError, match="norm drift"):
             grover_search_marked(marked, 8, _rng(12))
-        # only G^0|u>'s uniform distribution, from the rounds before the first step
-        assert [np.ptp(probs) for probs in built] == [0.0]
+        # G^0|u>'s shared uniform CDF is built only on a cold cache
+        assert len(built) == cold and all(np.ptp(probs) == 0.0 for probs in built)
 
 
 def test_gate_counts_are_observed_not_computed(monkeypatch, planted, table_estimate):
@@ -847,15 +853,13 @@ def test_every_memo_column_is_its_size_run_alone():
     params, contexts = _k4n6_instances()
     memo = ClassLadders(params)
     for ctx in contexts:
-        shared = memo.ladder(ctx.counts)
+        assert memo.ladder(ctx.counts) is None
         alone = grover_ladder(ctx.counts, params)
-        assert len(shared.columns) == len(alone.columns) == 16
-        for mine, its in zip(shared.columns, alone.columns):
-            assert mine.tobytes() == its.tobytes()
-        assert shared.g_gates == alone.g_gates == memo.g_gates == 127
-        # lanes of one size share the memo's column; nothing is copied
-        for m_true, column in zip(ctx.counts.tolist(), shared.columns):
-            assert column is memo.columns[m_true]
+        assert len(alone.columns) == 16
+        # every lane's size has its column in the memo, equal to the lane's
+        for m_true, its in zip(ctx.counts.tolist(), alone.columns):
+            assert memo.columns[m_true].tobytes() == its.tobytes()
+        assert alone.g_gates == memo.g_gates == 127
     assert 0 in memo.columns
     for m_true, column in memo.columns.items():
         alone = grover_ladder(np.array([m_true]), params)

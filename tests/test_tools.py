@@ -53,14 +53,20 @@ def _profile_trial(*args):
     return lines[2:]
 
 
-def test_profile_trial_reports_the_counting_kernel():
-    # every function profiled is listed, so the calls are read whatever their rank
-    rows = _profile_trial("--trials", "2", "--top", "1000")
+def _profiled_calls(*args):
+    """ncalls by "(function)", summed over same-named functions, of every
+    function profiled, so the calls are read whatever their rank."""
+    rows = _profile_trial(*args, "--top", "1000")
     assert len(rows) < 1000
-    calls = {}   # ncalls by (function), summed over same-named functions
+    calls = {}
     for row in rows:
         if named := re.search(r"\(\w+\)$", row):
             calls[named[0]] = calls.get(named[0], 0) + int(row.split()[4])
+    return calls
+
+
+def test_profile_trial_reports_the_counting_kernel():
+    calls = _profiled_calls("--trials", "2")
     # the ladder and each class size's transform run once per run, in the
     # warm-up trial; each profiled trial draws its 16 estimates from memo rows.
     # The names are read off the functions, so a rename cannot empty the check
@@ -69,6 +75,14 @@ def test_profile_trial_reports_the_counting_kernel():
     assert calls["(count_marked)"] == 32
     # --top truncates the list to the functions with the most own time
     assert len(_profile_trial("--trials", "1", "--top", "5")) == 5
+
+
+def test_profile_trial_charges_each_search_call_once():
+    # search-k8-exact trials: a marking search call charges its rounds in one
+    # try_charge, so the charges are fewer than the rounds' draws
+    calls = _profiled_calls("--workload", "search-k8-exact", "--trials", "2")
+    assert calls["(find_max_subkey)"] == 2
+    assert calls["(try_charge)"] < calls["(draw_from_cdf)"]
 
 
 def _bench_pairs():

@@ -43,8 +43,7 @@ pass (a single coherent evaluation, not one per candidate), although the
 pass's Grover iterations, sum j over its rounds, each apply it.
 Every step is charged through ``SearchBudget.try_charge``, which names the
 stage of each step and either admits them all or refuses them all; a search
-call admits its rounds one by one against what is left, then charges them
-together.
+call charges the rounds it admitted together.
 """
 
 from __future__ import annotations
@@ -205,7 +204,7 @@ def _round_plan(subkey_bits: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarr
     per round range - 1 for its j and 2**64 - 1 for the words of its one
     uniform. Every other draw is a start slot (0) or a round's j. The bounds
     are tiled for MAX_TAIL_PASSES passes. The cap grows by 6/5 per round up to
-    sqrt(K) whatever is drawn, so both depend on k alone; there are
+    sqrt(K) whatever is drawn, so the plan depends on k alone; there are
     4*ceil(4.5*sqrt(K)) rounds. G^0|u> = |u> is uniform whatever the table
     marks (both class amplitudes are 1/sqrt(K)), so every search shares its
     CDF."""

@@ -1,7 +1,6 @@
 import importlib
 import importlib.util
 import inspect
-import os
 import re
 import subprocess
 import sys
@@ -42,11 +41,9 @@ PROFILE_TRIAL = PEAK_RSS.parent / "profile_trial.py"
 
 
 def _profile_trial(*args):
-    src = str(PEAK_RSS.parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    # the tool imports qdca from the checkout's src/ itself, as the benchmark does
     out = subprocess.run([sys.executable, str(PROFILE_TRIAL), *args],
-                         capture_output=True, text=True, timeout=120, env=env)
+                         capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert lines[0].startswith("total ") and "tottime" in lines[1]

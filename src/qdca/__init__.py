@@ -12,7 +12,7 @@ from .toy_cipher import (AttackContext, Characteristic, PairSet, ToyCipher,
                          difference_distribution_table, encrypt_codebook,
                          find_characteristic, gen_pairs, is_right_pair,
                          make_characteristic, measure_probability,
-                         right_pair_table, true_subkey)
+                         right_pair_counts, right_pair_table, true_subkey)
 from .classical_dca import CountTable, classical_attack, count_table
 from .statevector import (CorruptedStateError, GateCounters, Register, StateVector,
                           draw_outcome)

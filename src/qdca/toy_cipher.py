@@ -87,8 +87,15 @@ class ToyCipher:
         for i, dest in enumerate(self.pbox):
             perm |= ((xs >> i) & 1) << dest
         object.__setattr__(self, "_sub", sub)
-        object.__setattr__(self, "_perm", perm)
+        object.__setattr__(self, "_sub_perm", perm[sub])   # an inner round after its key
         object.__setattr__(self, "_isub", np.argsort(sub))
+        # S^-1(a ^ x) ^ S^-1(b ^ x) for guess x (row) and ciphertext nibbles
+        # a, b (column a << 4 | b): one S-box's trial decryption under any key
+        inv_s = np.argsort(self.sbox).astype(np.uint8)
+        guesses, ab = np.arange(16)[:, None], np.arange(256)
+        nibble_diffs = inv_s[(ab >> NIBBLE_BITS) ^ guesses] ^ inv_s[(ab & 0xF) ^ guesses]
+        nibble_diffs.flags.writeable = False
+        object.__setattr__(self, "_nibble_diffs", nibble_diffs)
 
     # ---- layers -------------------------------------------------------
 
@@ -112,7 +119,7 @@ class ToyCipher:
             inside = 0 <= value < self.block_size
         else:
             v = np.asarray(value)
-            inside = not (np.any(v < 0) or np.any(v >= self.block_size))
+            inside = v.size == 0 or (v.min() >= 0 and v.max() < self.block_size)
         if not inside:
             raise ValueError(f"{what} out of range for {self.block_width}-bit block")
 
@@ -123,11 +130,9 @@ class ToyCipher:
         self._check_block(pt, "plaintext")
         keys = self.round_keys(key)
         state = np.asarray(pt)
-        for r in range(self.rounds):
-            state = self._sub[state ^ keys[r]]
-            if r < self.rounds - 1:
-                state = self._perm[state]
-        state = state ^ keys[self.rounds]
+        for r in range(self.rounds - 1):
+            state = self._sub_perm[state ^ keys[r]]
+        state = self._sub[state ^ keys[-2]] ^ keys[-1]
         return int(state) if np.isscalar(pt) or np.ndim(pt) == 0 else state
 
 
@@ -309,6 +314,41 @@ def right_pair_table(cipher: ToyCipher, ch: Characteristic, pairs: PairSet) -> n
     return table
 
 
+# pairs per chunk of right_pair_counts: its (K, chunk) marks stay near 1 MiB
+_COUNT_CHUNK_CELLS = 1 << 20
+
+
+def right_pair_counts(cipher: ToyCipher, ch: Characteristic, pairs: PairSet) -> np.ndarray:
+    """Read-only (K,) int64 right-pair counts, counts[x] = #{j < N : e(x, j)},
+    the row sums of ``right_pair_table`` without the table.
+
+    Only pairs whose ciphertexts agree on every S-box that delta leaves quiet
+    can be right. Each active S-box's trial decryption under guess x is read
+    from the cipher's key-independent nibble table, one gather per S-box, and
+    the marks of the S-boxes are combined by an outer product, x's higher
+    nibble on the higher S-box, over chunks of pairs, so that no array is
+    (K, N)."""
+    active = ch.active_sboxes
+    quiet_mask = sum(0xF << (NIBBLE_BITS * pos) for pos in range(cipher.num_sboxes)
+                     if pos not in active)
+    quiet = ((pairs.c1 ^ pairs.c2) & quiet_mask) == 0
+    c1, c2 = pairs.c1[quiet], pairs.c2[quiet]
+    counts = np.zeros(1 << ch.subkey_bits, dtype=np.int64)
+    chunk = max(1, _COUNT_CHUNK_CELLS >> ch.subkey_bits)
+    for start in range(0, len(c1), chunk):
+        a, b = c1[start:start + chunk], c2[start:start + chunk]
+        marked = None
+        for pos in active:
+            shift = NIBBLE_BITS * pos
+            ab = ((a >> shift) & 0xF) << NIBBLE_BITS | ((b >> shift) & 0xF)
+            right = cipher._nibble_diffs.take(ab, axis=1) == (ch.output_diff >> shift) & 0xF
+            marked = right if marked is None else (
+                right[:, None, :] & marked[None, :, :]).reshape(-1, len(a))
+        counts += marked.sum(axis=1)
+    counts.flags.writeable = False
+    return counts
+
+
 @dataclass(frozen=True)
 class AttackContext:
     """Everything the oracles need: cipher, characteristic and the pair data."""
@@ -326,11 +366,9 @@ class AttackContext:
 
     @cached_property
     def counts(self) -> np.ndarray:
-        """The read-only (K,) int64 right-pair counts, counted once from ``table``
-        (its first N columns: the padding holds no right pair)."""
-        counts = self.table[:, :self.pairs.num_pairs].sum(axis=1, dtype=np.int64)
-        counts.flags.writeable = False
-        return counts
+        """The read-only (K,) int64 right-pair counts, counted once by
+        ``right_pair_counts``, without building ``table``."""
+        return right_pair_counts(self.cipher, self.characteristic, self.pairs)
 
     def marked_table(self, x: int) -> np.ndarray:
         """Row x of the read-only right-pair table: e(x, .) over [0, 2N)."""

@@ -269,12 +269,14 @@ def test_both_modes_share_each_trials_random_key_instance(monkeypatch):
     assert all(c.prep_time_s > q.prep_time_s for c, q in zip(results[::2], results[1::2]))
 
 
-@pytest.mark.parametrize("planted_key, builds", [(0x09, 1), (None, 5)])
-def test_both_modes_build_each_instance_table_once(monkeypatch, planted_key, builds):
-    # the classical attack reads the context's counts: a planted key's table is
-    # built once per config, a random key's once per trial, for both modes,
-    # and counted as the trial's preparation, before either mode's timer
-    calls = _count_calls(monkeypatch, qdca.toy_cipher, "right_pair_table")
+@pytest.mark.parametrize("planted_key, counted", [(0x09, 1), (None, 5)])
+def test_both_modes_count_each_instance_once(monkeypatch, planted_key, counted):
+    # the classical attack reads the context's counts: a planted key's are
+    # counted once per config, a random key's once per trial, for both modes,
+    # as the trial's preparation, before either mode's timer; neither mode
+    # builds the (K, 2N) right-pair table
+    counts = _count_calls(monkeypatch, qdca.toy_cipher, "right_pair_counts")
+    tables = _count_calls(monkeypatch, qdca.toy_cipher, "right_pair_table")
     monkeypatch.setattr(qdca.classical_dca, "right_pair_table", qdca.toy_cipher.right_pair_table)
     counted_on_entry = []
     for name in ("run_classical_attack", "run_quantum_attack"):
@@ -285,7 +287,8 @@ def test_both_modes_build_each_instance_table_once(monkeypatch, planted_key, bui
     cfg = AttackConfig(index_bits=6, trials=5, planted_key=planted_key, mode="both")
     results, _ = run_trials(cfg)
     assert [r.mode for r in results] == ["classical", "quantum"] * 5
-    assert len(calls) == builds
+    assert len(counts) == counted
+    assert tables == []
     assert counted_on_entry == [True] * 10
     for r in results[::2]:
         ctx, _, _ = plant_instance(cfg, r.trial)

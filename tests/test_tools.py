@@ -10,6 +10,7 @@ import pytest
 
 from qdca.quantum_counting import grover_ladder, phase_distribution
 from qdca.statevector import StateVector
+from qdca.toy_cipher import right_pair_counts, right_pair_table
 
 PEAK_RSS = Path(__file__).resolve().parents[1] / "tools" / "peak_rss.py"
 
@@ -80,6 +81,15 @@ def test_profile_trial_charges_each_search_call_once():
     calls = _profiled_calls("--workload", "search-k8-exact", "--trials", "2")
     assert calls["(find_max_subkey)"] == 2
     assert calls["(try_charge)"] < calls["(draw_from_cdf)"]
+
+
+def test_profile_trial_counts_each_random_key_without_a_table():
+    # classical-random-keys trials: each draws a key and counts its right
+    # pairs once, with no (K, 2N) table; the warm-up trial is not profiled
+    calls = _profiled_calls("--workload", "classical-random-keys", "--trials", "3")
+    assert calls["(run_classical_attack)"] == 3
+    assert calls[f"({right_pair_counts.__name__})"] == 3
+    assert f"({right_pair_table.__name__})" not in calls
 
 
 def _bench_pairs():

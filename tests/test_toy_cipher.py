@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+import qdca.toy_cipher
 from hypothesis import given, settings, strategies as st
 
 from qdca.toy_cipher import (Characteristic, PairSet, ToyCipher,
@@ -14,7 +16,7 @@ from qdca.toy_cipher import (Characteristic, PairSet, ToyCipher,
                              difference_distribution_table,
                              codebook_pairs, encrypt_codebook, find_characteristic,
                              gen_pairs, is_right_pair, make_characteristic,
-                             measure_probability, right_pair_table, rotl,
+                             measure_probability, right_pair_counts, right_pair_table, rotl,
                              true_subkey, DEFAULT_PBOX, DEFAULT_PLANTED_KEY,
                              DEFAULT_SBOX)
 
@@ -319,6 +321,95 @@ def test_right_pair_status_invariant_under_pair_swap(cipher, planted):
     for x in range(16):
         assert np.array_equal(right_pair_table(cipher, ch, pairs)[x],
                               right_pair_table(cipher, ch, swapped)[x])
+
+
+def _table_counts(cipher, ch, pairs):
+    return right_pair_table(cipher, ch, pairs)[:, :pairs.num_pairs].sum(axis=1)
+
+
+def test_right_pair_counts_are_the_table_row_sums_on_the_8_bit_block(cipher):
+    # every key x every nonzero P', each pair set once, with n in 1..8 and
+    # delta (all 15 k = 4 differences on either S-box, and five at k = 8)
+    # taken in turn, so every (n, delta) meets hundreds of keys and P'
+    deltas = ([d << shift for shift in (0, 4) for d in range(1, 16)]
+              + [0x11, 0x28, 0x88, 0xF1, 0xFF])
+    case = 0
+    for key in range(cipher.block_size):
+        codebook = encrypt_codebook(cipher, key)
+        for p_diff in range(1, cipher.block_size):
+            pairs = codebook_pairs(cipher, codebook, p_diff, 1 + case % 8)
+            ch = Characteristic(p_diff, deltas[case % len(deltas)], 1.0)
+            case += 1
+            assert right_pair_counts(cipher, ch, pairs).tolist() == \
+                _table_counts(cipher, ch, pairs).tolist(), (key, p_diff, ch)
+
+
+@pytest.mark.parametrize("chunk_cells", [1 << 20, 1 << 9])
+@pytest.mark.parametrize("width, delta", [(12, 0x002), (12, 0x0A0), (12, 0x202), (12, 0x4C8),
+                                          (16, 0x2), (16, 0x88), (16, 0x1200), (16, 0xB0B0)])
+def test_right_pair_counts_are_the_table_row_sums_on_wider_blocks(monkeypatch, chunk_cells,
+                                                                  width, delta):
+    # seeded keys and P'; a small chunk runs the pairs in several chunks
+    monkeypatch.setattr(qdca.toy_cipher, "_COUNT_CHUNK_CELLS", chunk_cells)
+    c = ToyCipher(block_width=width)
+    rng = np.random.default_rng(width * 0x10000 + delta)
+    for _ in range(3):
+        key, p_diff = int(rng.integers(c.block_size)), int(rng.integers(1, c.block_size))
+        pairs = gen_pairs(c, key, p_diff, int(rng.integers(1, 12)))
+        ch = Characteristic(p_diff, delta, 1.0)
+        assert np.array_equal(right_pair_counts(c, ch, pairs), _table_counts(c, ch, pairs))
+
+
+@pytest.mark.parametrize("doc", ["w16_k4_characteristic.json", "w16_k8_characteristic.json"])
+@pytest.mark.parametrize("index_bits", [8, 14, 16])
+def test_right_pair_counts_match_the_table_on_the_w16_fixtures(doc, index_bits):
+    fields = json.loads((FIXTURES / doc).read_text())
+    c = cipher_from_dict(fields["cipher_doc"])
+    ch = make_characteristic(c, DEFAULT_PLANTED_KEY,
+                             *differential_from_dict(fields["characteristic_doc"], c))
+    pairs = gen_pairs(c, DEFAULT_PLANTED_KEY, ch.plaintext_diff, index_bits)
+    assert np.array_equal(right_pair_counts(c, ch, pairs), _table_counts(c, ch, pairs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sbox=st.permutations(range(16)), pbox=st.permutations(range(8)),
+       key=st.integers(0, 255), index_bits=st.integers(1, 5), ch=_characteristics)
+def test_right_pair_counts_agree_with_scalar_on_random_instances(
+        sbox, pbox, key, index_bits, ch):
+    c = ToyCipher(sbox=tuple(sbox), pbox=tuple(pbox))
+    pairs = gen_pairs(c, key, ch.plaintext_diff, index_bits)
+    scalar = [sum(is_right_pair(c, ch, x, j, pairs) for j in range(pairs.num_pairs))
+              for x in range(1 << ch.subkey_bits)]
+    assert right_pair_counts(c, ch, pairs).tolist() == scalar
+
+
+def test_right_pair_counts_are_a_read_only_int64_vector(cipher, planted):
+    _, ch, pairs, ctx = planted
+    empty = PairSet(0, ch.plaintext_diff, (), (), (), ())
+    for given in (pairs, empty):
+        counts = right_pair_counts(cipher, ch, given)
+        assert counts.shape == (16,) and counts.dtype == np.int64
+        with pytest.raises(ValueError):
+            counts[0] = 0
+    assert counts.tolist() == [0] * 16
+    assert ctx.counts.tolist() == right_pair_counts(cipher, ch, pairs).tolist()
+
+
+def test_right_pair_counts_build_no_table_at_the_widest_count():
+    # k = 8 on the 16-bit block at n = 16, the widest count CI runs: its
+    # (K, 2N) table takes 64 MiB, the counts stay within a few chunks
+    fields = json.loads((FIXTURES / "w16_k8_characteristic.json").read_text())
+    c = cipher_from_dict(fields["cipher_doc"])
+    ch = Characteristic(*differential_from_dict(fields["characteristic_doc"], c), 1.0)
+    pairs = gen_pairs(c, DEFAULT_PLANTED_KEY, ch.plaintext_diff, 16)
+    tracemalloc.start()
+    try:
+        counts = right_pair_counts(c, ch, pairs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts.shape == (256,)
+    assert peak < 4 * 2 ** 20   # the table alone: 256 * 2**17 bytes = 64 MiB
 
 
 def test_marked_table_is_read_only(planted):

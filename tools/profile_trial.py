@@ -5,8 +5,11 @@ functions with the most own time.
     python3 tools/profile_trial.py [--workload W] [--trials N] [--seed S] [--top M]
 
 W is ``attack-k4n6`` (the default: the paper's headline configuration,
-k = 4, n = 6, c = 4, planted key 0x09) or ``search-k8-exact`` (threshold
-maximum finding over K = 256 injected exact counts). Each trial is the
+k = 4, n = 6, c = 4, planted key 0x09), ``search-k8-exact`` (threshold
+maximum finding over K = 256 injected exact counts) or
+``classical-random-keys`` (the classical attack at k = 4, n = 8 on a fresh
+key per trial: the key's codebook, characteristic and pairs, then its
+right-pair counts, ``right_pair_counts``, and their argmax). Each trial is the
 benchmark's ``Session.run_trial``, imported from ``perfbench/workloads.py``,
 so the profile measures what the benchmark times. The session is set up and
 one trial is run before profiling starts, so only the trials are measured,
@@ -33,7 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import run   # noqa: E402  (perfbench/run.py)
 from workloads import WORKLOADS, Session   # noqa: E402
 
-PROFILED = ("attack-k4n6", "search-k8-exact")
+PROFILED = ("attack-k4n6", "search-k8-exact", "classical-random-keys")
 
 
 def profile_trials(workload: str, trials: int, seed: int) -> pstats.Stats:

@@ -6,10 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-
-import qdca.toy_cipher
 from hypothesis import given, settings, strategies as st
 
+import qdca.toy_cipher
 from qdca.toy_cipher import (Characteristic, PairSet, ToyCipher,
                              cipher_from_dict, differential_from_dict,
                              default_characteristic,
@@ -386,8 +385,8 @@ def test_right_pair_counts_agree_with_scalar_on_random_instances(
 def test_right_pair_counts_are_a_read_only_int64_vector(cipher, planted):
     _, ch, pairs, ctx = planted
     empty = PairSet(0, ch.plaintext_diff, (), (), (), ())
-    for given in (pairs, empty):
-        counts = right_pair_counts(cipher, ch, given)
+    for pair_set in (pairs, empty):
+        counts = right_pair_counts(cipher, ch, pair_set)
         assert counts.shape == (16,) and counts.dtype == np.int64
         with pytest.raises(ValueError):
             counts[0] = 0

@@ -96,8 +96,8 @@ class AttackConfig:
         if self.planted_key is not None and not 0 <= self.planted_key < cipher.block_size:
             raise ConfigError("planted_key outside block range")
         params = self.counting_params()  # raises on a bad (m, epsilon)
-        # the ladder memo, at most K (T, 2) columns as one (T, 2, K) record holds
-        # (it evicts unused ones past K), is the widest simulator array of a run
+        # the ladder's (T, 2, K) record over all 2**k subkeys' sizes is the widest
+        # simulator array of a run (the memo keeps only a (T,) CDF row per size)
         lane_width = params.phase_bits + 1 + self.subkey_bits
         if lane_width > DEFAULT_MAX_QUBITS:
             raise ConfigError(f"counting all 2**k subkeys as lanes needs t+1+k = {lane_width} "
@@ -242,29 +242,26 @@ def run_quantum_attack(config: AttackConfig, trial: int = 0,
     return result, mf
 
 
-def _check_estimate(ctx: AttackContext, params: CountingParams, x: int,
-                    est: CountEstimate) -> tuple[int, bool]:
-    """Subkey x's true right-pair count, and whether ``est`` is within its bound."""
-    m_true = int(ctx.counts[x])
-    bound = counting_error_bound(m_true, params.num_pairs, params.accuracy_bits)
-    return m_true, abs(est.m_estimate - m_true) <= bound
-
-
-def _bound_hit_rate(ctx: AttackContext, params: CountingParams, counter) -> float:
-    """The share of the counter's estimates within their bound, as
-    ``_check_estimate`` judges each; the bound is computed once per class size."""
-    if not counter.estimates:
-        return 0.0
+def _in_bound(ctx: AttackContext, params: CountingParams,
+              estimates: dict[int, CountEstimate]) -> dict[int, bool]:
+    """Whether each subkey's estimate is within ``counting_error_bound`` of
+    its true right-pair count; the bound is computed once per class size."""
     counts = ctx.counts.tolist()
     bounds: dict[int, float] = {}
-    hits = 0
-    for x, est in counter.estimates.items():
+    hits = {}
+    for x, est in estimates.items():
         m_true = counts[x]
         if (bound := bounds.get(m_true)) is None:
             bound = bounds[m_true] = counting_error_bound(m_true, params.num_pairs,
                                                           params.accuracy_bits)
-        hits += abs(est.m_estimate - m_true) <= bound
-    return hits / len(counter.estimates)
+        hits[x] = abs(est.m_estimate - m_true) <= bound
+    return hits
+
+
+def _bound_hit_rate(ctx: AttackContext, params: CountingParams, counter) -> float:
+    """The share of the counter's estimates within their bound (``_in_bound``)."""
+    hits = _in_bound(ctx, params, counter.estimates)
+    return sum(hits.values()) / len(hits) if hits else 0.0
 
 
 def run_classical_attack(config: AttackConfig, trial: int = 0, instance=None) -> AttackResult:
@@ -315,18 +312,13 @@ def run_count_report(config: AttackConfig, trial: int = 0) -> list[dict]:
     """One counting estimate per candidate subkey on the planted instance."""
     ctx, _, _ = plant_instance(config, trial)
     counter = QuantumCounter(ctx, config.class_ladders, _trial_rng(config.master_seed, trial))
-    params = counter.params
-    rows = []
-    for x in range(1 << config.subkey_bits):
-        counter.count(x)
-        est = counter.estimates[x]
-        m_true, in_bound = _check_estimate(ctx, params, x, est)
-        rows.append({
-            "x_hex": f"{x:02x}", "b": est.raw_outcome, "theta": est.theta,
-            "m_est": est.m_estimate, "right_pairs": est.right_pairs,
-            "m_true": m_true, "in_bound": in_bound,
-        })
-    return rows
+    counter.count_all()   # subkeys in ascending order
+    counts = ctx.counts.tolist()
+    in_bound = _in_bound(ctx, counter.params, counter.estimates)
+    return [{"x_hex": f"{x:02x}", "b": est.raw_outcome, "theta": est.theta,
+             "m_est": est.m_estimate, "right_pairs": est.right_pairs,
+             "m_true": counts[x], "in_bound": in_bound[x]}
+            for x, est in counter.estimates.items()]
 
 
 # ---- scaling report ------------------------------------------------------

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantum_counting import ClassLadders, CountEstimate, count_marked
+from .quantum_counting import ClassLadders, CountEstimate, PhaseRow, count_marked
 from .statevector import _assert_unit_norm, draw_from_cdf, outcome_cdf
 from .toy_cipher import AttackContext
 
@@ -128,12 +128,13 @@ class SearchBudget:
 class QuantumCounter:
     """Memoized quantum counting: one sampled estimate per subkey per run.
 
-    The counting params are ``ladders.params``. The first count ladders every
-    subkey's right-pair count ``ctx.counts`` through ``ladders``, the memo by
-    class size, which runs only the sizes it lacks. Each subkey's estimate is
-    ``count_marked``'s draw from its size's memo row (``ClassLadders.cdf_row``)
-    on first demand, so the draws follow the demand order and no estimate
-    reads a right-pair table."""
+    The counting params are ``ladders.params``. The first count asks
+    ``ladders``, the memo by class size, for the CDF row of every subkey's
+    right-pair count ``ctx.counts`` and holds the rows it returns. Each
+    subkey's estimate is ``count_marked``'s draw from its size's row on first
+    demand, so the draws follow the demand order and no estimate reads a
+    right-pair table. The first draw from a row the memo made for this counter
+    reports its Fourier gates; the counter then holds the row with 0."""
 
     def __init__(self, ctx: AttackContext, ladders: ClassLadders, rng: np.random.Generator):
         params = ladders.params
@@ -145,7 +146,8 @@ class QuantumCounter:
         self.rng = rng
         self.estimates: dict[int, CountEstimate] = {}
         self.subkeys = 1 << ctx.subkey_bits
-        self._sizes: list[int] | None = None   # ctx.counts, read on the first count
+        self._sizes: list[int] = []              # ctx.counts, read on the first count
+        self._rows: dict[int, PhaseRow] = {}     # M -> its CDF row, from the first count
         self.counting_cost = params.counting_cost
         self.init_width = params.init_steps
 
@@ -153,12 +155,14 @@ class QuantumCounter:
         if x not in self.estimates:
             if not 0 <= x < self.subkeys:
                 raise IndexError(f"subkey {x} outside [0, K) = [0, {self.subkeys})")
-            # the first count; later only if a counter sharing the memo evicted the size
-            if self._sizes is None or self._sizes[x] not in self._ladders.columns:
-                self._ladders.ladder(self.ctx.counts)
+            if not self._rows:
+                self._rows = self._ladders.ladder(self.ctx.counts)
                 self._sizes = self.ctx.counts.tolist()
-            row = self._ladders.cdf_row(self._sizes[x])
+            m = self._sizes[x]
+            row = self._rows[m]
             self.estimates[x] = count_marked(row, self.params, self.rng)
+            if row.qft_gates:
+                self._rows[m] = PhaseRow(row.cdf, row.g_gates, 0)
         return self.estimates[x].right_pairs
 
     def count_all(self) -> np.ndarray:

@@ -26,10 +26,8 @@ runs G 2**t - 1 times on all L lanes at once: six in-place array operations
 per step, each step applied to every lane and counted once. Row b of its
 (T, 2, L) record holds each lane's class amplitudes u_b, m_b of G^b|psi0>,
 and the weighted norm of every row of every lane is checked before the
-ladder returns. Every counter ladders its counts through the ``ClassLadders``
-it is built with, which keeps one (T, 2) column per size and runs only the
-sizes it lacks. ``counting_distribution`` ladders a table's size [M] as
-one lane.
+ladder returns. ``counting_distribution`` ladders a table's size [M] as one
+lane.
 
 The inverse Fourier transform runs gate by gate on t+1 qubits, on
 |0> (x) sum_b sqrt((2N-M)/T) u_b|b> + |1> (x) sum_b sqrt(M/T) m_b|b>, whose
@@ -38,16 +36,20 @@ transform acts on the phase register alone, so the phase outcome
 distribution is unchanged. ``phase_distribution`` loads one size's column
 into a (t+1)-qubit StateVector, the class on qubit 0 and the phase register
 on qubits 1..t, and transforms it. Like the ladder, the distribution depends
-on (n, t, M) alone, so ``ClassLadders`` keeps each size's CDF row
-(``outcome_cdf`` of its distribution), made on first demand, and a counter
-draws each estimate from its size's row with ``count_marked``, which every
-estimate comes from; no estimate reads a table. Only the draw that made a
-row reports its Fourier gates, so a run's estimates sum to the gates counted
-at the transform. These states represent the t+n+1-qubit circuit exactly,
-and no array has its width: the widest is a ladder's record or the memo's
-columns, at most L of them, bounded by t+1+log2(L) <= 24. The full-vector
-controlled ladder is kept as ``reference_counting_distribution``, the oracle
-the kernel is tested against.
+on (n, t, M) alone, so ``ClassLadders`` keeps one CDF row per size
+(``outcome_cdf`` of its distribution) and nothing else: it runs the sizes it
+lacks as one ladder, transforms each lane at once and lets the record go.
+Every counter asks it for its sizes' rows on its first count, so the
+transforms run then, not when a row is first drawn, and the counter draws
+each estimate from its size's row with ``count_marked``, which every
+estimate comes from; no estimate reads a table. Only the first draw from a
+row made for the counter reports its Fourier gates, so a run that draws
+every subkey sums its estimates' gates to the gates counted at the
+transform. These states represent the t+n+1-qubit circuit exactly, and no
+array has its width: the widest is a ladder's record, bounded by
+t+1+log2(L) <= 24 for L lanes. The full-vector controlled ladder is kept as
+``reference_counting_distribution``, the oracle the kernel is tested
+against.
 """
 
 from __future__ import annotations
@@ -131,7 +133,8 @@ class CountingParams:
 @dataclass(frozen=True)
 class CountEstimate:
     """One counting outcome: raw phase integer, angle, real and rounded count;
-    its Fourier gates are those its draw applied, 0 from a memoized CDF row."""
+    its Fourier gates are those that made its CDF row if its counter had not
+    drawn from that row before, and 0 otherwise."""
 
     raw_outcome: int
     theta: float
@@ -247,55 +250,43 @@ def grover_ladder(sizes, params: CountingParams) -> Ladder:
 
 
 class ClassLadders:
-    """The counting ladder and CDF row memoized by class size, per ``CountingParams``.
+    """The counting CDF row memoized by class size, per ``CountingParams``.
 
-    The recurrence reads n_m and 2N - n_m alone, lane by lane, so each size's
-    (T, 2) column is made once by ``grover_ladder`` (norm-checked before it is
-    stored) and serves every later lane of that size bit for bit, handed out
-    itself: no (T, 2, L) record is gathered. Each size's CDF row is made from
-    its column on first demand (``cdf_row``) and kept beside it. The memo
-    holds at most L columns, and as many rows, for L lanes: past that, just
-    enough of its oldest columns the lanes do not use are evicted with their
-    rows, and the survivors copied, freeing the evicted records."""
+    The ladder and the transform read n_m and 2N - n_m alone, so each size's
+    row is made once, from its lane of a ``grover_ladder`` call (norm-checked
+    before it is transformed), and serves every later table of that size bit
+    for bit. The memo holds at most L rows for L lanes: past that, just enough
+    of its oldest rows the lanes do not use are evicted."""
 
     def __init__(self, params: CountingParams):
         self.params = params
-        self.columns: dict[int, np.ndarray] = {}   # M -> its (T, 2) column, oldest first
-        self.rows: dict[int, PhaseRow] = {}        # M -> its CDF row
-        self.g_gates = 0   # G steps counted when the columns were made
+        self.rows: dict[int, PhaseRow] = {}   # M -> its CDF row, oldest first
 
-    def ladder(self, sizes) -> None:
-        """Put the column of every class size in ``sizes`` in the memo. Sizes it
-        lacks run as one ``grover_ladder`` lane each; their columns stay views
-        of its record until an eviction. Read the columns from ``columns``."""
+    def ladder(self, sizes) -> dict[int, PhaseRow]:
+        """The CDF row of every distinct class size in ``sizes``. Sizes the memo
+        lacks run as one ``grover_ladder`` lane each, and each lane is
+        transformed (``phase_distribution``) at once; their returned rows carry
+        the Fourier gates that made them, the memo keeps them with 0, and the
+        ladder's record is not kept."""
         sizes = _check_sizes(sizes, self.params).tolist()
         wanted = dict.fromkeys(sizes)   # distinct sizes, in lane order
-        missing = [m for m in wanted if m not in self.columns]
-        if (excess := len(self.columns) + len(missing) - len(sizes)) > 0:
-            stale = set([m for m in self.columns if m not in wanted][:excess])
-            self.columns = {m: c.copy() for m, c in self.columns.items() if m not in stale}
+        missing = [m for m in wanted if m not in self.rows]
+        if (excess := len(self.rows) + len(missing) - len(sizes)) > 0:
+            stale = set([m for m in self.rows if m not in wanted][:excess])
             self.rows = {m: r for m, r in self.rows.items() if m not in stale}
         if missing:
-            fresh = grover_ladder(np.array(missing), self.params)
-            self.columns.update(zip(missing, fresh.columns))
-            self.g_gates = fresh.g_gates
-
-    def cdf_row(self, m: int) -> PhaseRow:
-        """Size m's CDF row; m's column must be in the memo. The first demand
-        transforms the column (``phase_distribution``) and returns the row
-        with the Fourier gates it applied; the memo keeps the row with 0, the
-        gates a later draw from it applies."""
-        if (row := self.rows.get(m)) is None:
-            probs, qft_gates = phase_distribution(self.columns[m], m, self.params)
-            row = PhaseRow(outcome_cdf(probs), self.g_gates, qft_gates)
-            self.rows[m] = PhaseRow(row.cdf, row.g_gates, 0)
-        return row
+            ladder = grover_ladder(np.array(missing), self.params)
+            for m, column in zip(missing, ladder.columns):
+                probs, qft_gates = phase_distribution(column, m, self.params)
+                wanted[m] = PhaseRow(outcome_cdf(probs), ladder.g_gates, qft_gates)
+                self.rows[m] = PhaseRow(wanted[m].cdf, ladder.g_gates, 0)
+        return {m: row or self.rows[m] for m, row in wanted.items()}
 
 
 @dataclass(frozen=True)
 class PhaseRow:
     """The normalized CDF (``outcome_cdf``) of one class size's phase outcome
-    distribution after its inverse QFT, as ``ClassLadders.cdf_row`` keeps it."""
+    distribution after its inverse QFT, as ``ClassLadders.ladder`` returns it."""
 
     cdf: np.ndarray
     g_gates: int     # the ladder's G steps, counted at the step

@@ -112,7 +112,9 @@ class ToyCipher:
         return tuple(rotl(master, r, self.block_width) for r in range(self.rounds + 1))
 
     def last_round_key(self, master: int) -> int:
-        return self.round_keys(master)[self.rounds]
+        """``round_keys(master)[rounds]``, without the other rotations."""
+        self._check_block(master, "key")
+        return rotl(master, self.rounds, self.block_width)
 
     def _check_block(self, value, what: str):
         if isinstance(value, int):   # a Python int (or bool) needs no array

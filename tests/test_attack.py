@@ -328,7 +328,8 @@ def test_each_class_size_ladder_runs_once_per_run(monkeypatch):
         assert take() == (qft_gates, qft_gates, 16)
         assert len(ladders) == 1
     assert len(ladders[0][0]) == 3
-    assert sorted(cfg.class_ladders.columns) == sorted(cfg.class_ladders.rows) == [0, 2, 8]
+    assert sorted(cfg.class_ladders.rows) == [0, 2, 8]
+    assert [row.qft_gates for row in cfg.class_ladders.rows.values()] == [0, 0, 0]
 
 
 def _qft_accounting(monkeypatch):
@@ -371,7 +372,7 @@ def test_estimates_report_the_qft_gates_counted_at_the_gates_under_eviction(monk
         seen.update(instance[0].counts.tolist())
         run_quantum_attack(cfg, trial, instance)
         runs.append(take())
-        assert memo.rows.keys() <= memo.columns.keys() and len(memo.columns) <= 16
+        assert len(memo.rows) <= 16 and all(r.qft_gates == 0 for r in memo.rows.values())
     budget = qft_gate_budget(cfg.counting_params().phase_bits)
     assert len(seen) > 16
     assert all(gates == reported and gates % budget == 0 and n == 16
@@ -388,7 +389,7 @@ def test_each_config_owns_its_ladder_memo():
     assert dataclasses.replace(a).class_ladders is not a.class_ladders
     assert a.class_ladders.params == a.counting_params()
     run_quantum_attack(a, 0)
-    assert a.class_ladders.columns and not b.class_ladders.columns
+    assert a.class_ladders.rows and not b.class_ladders.rows
 
 
 def test_the_ladder_memo_holds_at_most_k_columns_under_random_keys():
@@ -400,7 +401,7 @@ def test_the_ladder_memo_holds_at_most_k_columns_under_random_keys():
         instance = plant_instance(cfg, trial)
         seen.update(instance[0].counts.tolist())
         run_quantum_attack(cfg, trial, instance)
-        assert len(memo.columns) <= 16
+        assert len(memo.rows) <= 16
     assert len(seen) > 16
 
 

@@ -529,12 +529,14 @@ def _assert_lanes_equal_single_tables(tables, params):
     # the whole stack, are those of the single-table circuit, to the bit
     sizes = np.count_nonzero(tables, axis=1)
     memo = ClassLadders(params)
-    memo.ladder(sizes)
+    rows = memo.ladder(sizes)
+    assert list(rows) == list(memo.rows) == list(dict.fromkeys(sizes.tolist()))
     for table, m_true in zip(tables, sizes.tolist()):
         alone = _single_table_distribution(table, params)
         assert alone.shape == (1 << params.phase_bits,)
         assert counting_distribution(table, params).tobytes() == alone.tobytes()
-        assert memo.cdf_row(m_true).cdf.tobytes() == outcome_cdf(alone).tobytes()
+        assert rows[m_true].cdf.tobytes() == outcome_cdf(alone).tobytes()
+        assert memo.rows[m_true].cdf is rows[m_true].cdf
 
 
 @pytest.mark.parametrize("key", [0x09, 0x33, 0x5A])
@@ -587,11 +589,12 @@ def test_every_block_cdf_row_is_the_outcome_cdf_of_its_row(subkey_bits, index_bi
     cfg = AttackConfig(subkey_bits=subkey_bits, index_bits=index_bits, **fields)
     ctx, params = cfg.planted_instance[0], cfg.counting_params()
     memo = ClassLadders(params)
-    memo.ladder(ctx.counts)
+    rows = memo.ladder(ctx.counts)
+    assert sorted(rows) == sorted(memo.rows) == sorted(set(ctx.counts.tolist()))
     space = 2 * params.num_pairs
-    for m_true in memo.columns:
-        row = memo.cdf_row(m_true).cdf
-        assert row.shape == (1 << params.phase_bits,)
+    for m_true in memo.rows:
+        row = rows[m_true].cdf
+        assert row is memo.rows[m_true].cdf and row.shape == (1 << params.phase_bits,)
         table = np.arange(space) < m_true
         assert row.tobytes() == outcome_cdf(counting_distribution(table, params)).tobytes()
 
@@ -643,7 +646,7 @@ def test_each_block_is_transformed_once(monkeypatch, cipher, table_estimate):
     for x in order:
         counter.count(x)
     assert transforms == [width] * distinct and distinct < 16
-    assert sorted(memo.rows) == sorted(memo.columns) == sorted(set(ctx.counts.tolist()))
+    assert sorted(memo.rows) == sorted(set(ctx.counts.tolist()))
     assert _qft_sum(counter.estimates) == distinct * qft_gate_budget(params.phase_bits)
     transforms.clear()
     rng = _rng(15)
@@ -659,13 +662,15 @@ def test_each_block_is_transformed_once(monkeypatch, cipher, table_estimate):
 @pytest.mark.parametrize("shared", [False, True], ids=["own_memo", "config_memo"])
 def test_a_counter_holds_its_memo_and_one_transform(monkeypatch, cipher, shared):
     # the golden attack_k8n8 instance at t = 11, as an attack's trials take it.
-    # A counter runs one ladder over the D distinct sizes on its first count
-    # and keeps their columns and CDF rows in a memo, its own or the config's;
-    # it gathers no (T, 2, K) record, so after the sweep that follows the
-    # threshold's count it holds the D columns, the D rows and its 256
-    # estimates, and the sweep's peak is at most one transform above that (its state, a gate's temporaries, its distribution
-    # and its gathered column). A later counter given the config's memo runs
-    # no ladder and no transform, and holds its estimates alone
+    # A counter's first count runs one ladder over the D distinct sizes,
+    # transforms each lane and keeps the D CDF rows in a memo, its own or the
+    # config's; the first count peaks at the (T, 2, D) record, the rows and
+    # one transform (its state, a gate's temporaries, its distribution and
+    # its lane's column) or the norm pass's chunk temporaries, and leaves the
+    # D rows alone. The sweep that follows draws without a transform, so it
+    # ends holding the D rows and its 256 estimates and peaks less than a row
+    # above that. A later counter given the config's memo runs no ladder and
+    # no transform, and holds its estimates alone
     ch = make_characteristic(cipher, 0x09, 0x01, 0x11)
     ctx = AttackContext(cipher, ch, gen_pairs(cipher, 0x09, 0x01, 8))
     params = CountingParams(8, 8, 0.1)
@@ -673,9 +678,12 @@ def test_a_counter_holds_its_memo_and_one_transform(monkeypatch, cipher, shared)
     assert t == 11
     distinct = len(set(ctx.counts.tolist()))   # the counts are built on first use
     QuantumCounter(ctx, ClassLadders(params), _rng(16)).count(0)   # first-call allocations
-    column = (1 << t) * 2 * 8
-    held = distinct * (column + (1 << t) * 8)
+    row = (1 << t) * 8
+    column = 2 * row
+    held = distinct * row
+    record = distinct * column
     transform = 2 * (16 << (t + 1)) + (16 << t) + column
+    norm_pass = 4 * 8 * min(distinct << t, quantum_counting.LANE_BLOCK_AMPS)
     estimates = 256 * 512   # about 220 bytes each
     memo = ClassLadders(params) if shared else None
     steps = []
@@ -687,24 +695,28 @@ def test_a_counter_holds_its_memo_and_one_transform(monkeypatch, cipher, shared)
         tracemalloc.start()
         try:
             counter = QuantumCounter(ctx, memo or ClassLadders(params), _rng(16, trial))
-            counter.count(201)   # the ladder, and its norm pass's temporaries
+            counter.count(201)   # the ladder, its norm pass and the transforms
+            first = tracemalloc.get_traced_memory()   # (now, peak)
             tracemalloc.reset_peak()
             for x in range(256):
                 counter.count(x)
-            memory.append(tracemalloc.get_traced_memory())   # (now, peak)
+            memory.append((first, tracemalloc.get_traced_memory()))
         finally:
             tracemalloc.stop()
         transforms.append(_qft_sum(counter.estimates) // qft_gate_budget(t))
-        assert len(counter._ladders.columns) == len(counter._ladders.rows) == distinct < 64
-    (now, peak), (later_now, later_peak) = memory
-    assert held < now < held + estimates and peak < now + transform
+        assert len(counter._ladders.rows) == len(counter._rows) == distinct < 64
+    ((first_now, first_peak), (now, peak)), ((later_first, _), (later_now, later_peak)) = memory
+    assert held < first_now < held + estimates
+    assert first_peak < held + record + max(transform, norm_pass)
+    assert held < now < held + estimates and peak < now + row
     assert held + estimates + transform < 256 * column   # less than one (T, 2, K) record
     if shared:
         assert transforms == [distinct, 0] and len(steps) == (1 << t) - 1
         assert later_peak < estimates
     else:
         assert transforms == [distinct, distinct] and len(steps) == 2 * ((1 << t) - 1)
-        assert held < later_now < held + estimates and later_peak < later_now + transform
+        assert held < later_first < held + estimates
+        assert held < later_now < held + estimates and later_peak < later_now + row
 
 
 def test_ladder_refuses_bad_sizes_before_any_step(monkeypatch):
@@ -779,9 +791,9 @@ def _k4n6_instances():
 
 
 def test_a_warm_memo_draws_what_a_cold_counter_draws():
-    # a memo warmed by a counter over instance 0 holds its sizes' columns and
-    # rows: a counter given it draws, to the bit, what a counter with a cold
-    # memo draws, and transforms only the sizes whose rows it lacks
+    # a memo warmed by a counter over instance 0 holds its sizes' rows: a
+    # counter given it draws, to the bit, what a counter with a cold memo
+    # draws, and transforms only the sizes whose rows it lacks
     params, contexts = _k4n6_instances()
     sizes = [set(ctx.counts.tolist()) for ctx in contexts]
     assert sizes[0] & sizes[1] and sizes[1] - sizes[0]   # the sizes partly overlap
@@ -800,7 +812,7 @@ def test_a_warm_memo_draws_what_a_cold_counter_draws():
         assert _qft_sum(cold.estimates) == len(sizes[i]) * budget
         assert _qft_sum(warm.estimates) == len(lacked) * budget
     assert not sizes[0] - set(memo.rows) and sizes[1] - sizes[0]
-    assert sorted(memo.columns) == sorted(memo.rows) == sorted(sizes[0] | sizes[1])
+    assert sorted(memo.rows) == sorted(sizes[0] | sizes[1])
 
 
 class _SizeContext:
@@ -814,7 +826,7 @@ class _SizeContext:
 
 def test_counters_sharing_a_memo_in_turns_draw_what_cold_counters_draw():
     # two counters of two lanes each on one memo: the second counter's sizes
-    # evict the first's, which re-ladders its own sizes when it next counts
+    # evict the first's, which keeps drawing from the rows it holds
     params = CountingParams.default(3)
     contexts = [_SizeContext([1, 2]), _SizeContext([3, 4])]
     memo = ClassLadders(params)
@@ -824,48 +836,95 @@ def test_counters_sharing_a_memo_in_turns_draw_what_cold_counters_draw():
     for x in (0, 1):
         for i in (0, 1):
             assert shared[i].count(x) == cold[i].count(x)
-            assert list(memo.columns) == contexts[i].counts.tolist()
-            assert contexts[i].counts[x] in memo.rows and memo.rows.keys() <= memo.columns.keys()
+            # the first count of each counter ladders its sizes; only the
+            # first counter's first count leaves its own sizes in the memo
+            assert list(memo.rows) == contexts[(x, i) != (0, 0)].counts.tolist()
     for a, b in zip(shared, cold):
         assert _all_but_qft(a.estimates) == _all_but_qft(b.estimates)
         assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
-def test_an_evicted_size_drops_its_cdf_row_with_its_column():
-    # the memo keeps a row only beside its column: an eviction drops both, and
-    # frees the row; a size laddered again is transformed again
+def test_a_counter_whose_sizes_a_sibling_evicts_ladders_once(monkeypatch):
+    # the first counter's sizes (1, 2) are evicted by the second's (3, 4)
+    # between its two counts: it runs no second ladder, draws exactly what a
+    # cold counter draws, and the Fourier gates the shared counters'
+    # estimates report sum to the gates counted at the transforms
     params = CountingParams.default(3)
+    contexts = [_SizeContext([1, 2]), _SizeContext([3, 4])]
+    cold = [QuantumCounter(ctx, ClassLadders(params), _rng(20, i))
+            for i, ctx in enumerate(contexts)]
+    for counter in cold:
+        counter.count_all()
+    runs = []
+    ladder = quantum_counting.grover_ladder
+    monkeypatch.setattr(quantum_counting, "grover_ladder",
+                        lambda sizes, p: runs.append(sizes.tolist()) or ladder(sizes, p))
+    gates = []
+    inverse_qft = StateVector.inverse_qft
+
+    def counted_qft(self, reg):
+        before = self.counters.qft_gates
+        inverse_qft(self, reg)
+        gates.append(self.counters.qft_gates - before)
+
+    monkeypatch.setattr(StateVector, "inverse_qft", counted_qft)
     memo = ClassLadders(params)
-    memo.ladder([3, 1, 3, 0])
-    rows = {m: weakref.ref(memo.cdf_row(m).cdf) for m in (3, 1, 0)}
-    assert [memo.cdf_row(m).qft_gates for m in (3, 1, 0)] == [0, 0, 0]
-    memo.ladder([5, 1, 5, 5])   # 4 columns for 4 lanes: nothing evicted
-    assert list(memo.rows) == [3, 1, 0] and list(memo.columns) == [3, 1, 0, 5]
-    memo.ladder([6, 1, 7, 1])   # evicts 3 and 0, keeps 1
-    assert list(memo.columns) == [1, 5, 6, 7] and list(memo.rows) == [1]
-    assert rows[3]() is None and rows[0]() is None and rows[1]() is memo.rows[1].cdf
-    memo.ladder([3])   # one lane: evicts all four
-    assert list(memo.columns) == [3] and memo.rows == {}
-    assert memo.cdf_row(3).qft_gates == qft_gate_budget(params.phase_bits)
+    shared = [QuantumCounter(ctx, memo, _rng(20, i)) for i, ctx in enumerate(contexts)]
+    shared[0].count(0)
+    shared[1].count_all()
+    assert list(memo.rows) == [3, 4]
+    shared[0].count(1)
+    assert runs == [[1, 2], [3, 4]] and list(memo.rows) == [3, 4]
+    for a, b in zip(shared, cold):
+        assert a.estimates == b.estimates
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
+    assert gates == [qft_gate_budget(params.phase_bits)] * 4
+    assert sum(_qft_sum(c.estimates) for c in shared) == sum(gates)
+
+
+def test_an_evicted_size_drops_its_cdf_row_with_its_column():
+    # an eviction drops a size's row from the memo and frees it once no
+    # counter holds it; a size laddered again is transformed again. A
+    # returned row carries the Fourier gates that made it, the memo's 0
+    params = CountingParams.default(3)
+    budget = qft_gate_budget(params.phase_bits)
+    memo = ClassLadders(params)
+    rows = memo.ladder([3, 1, 3, 0])
+    kept = {m: weakref.ref(memo.rows[m].cdf) for m in (3, 1, 0)}
+    assert [rows[m].qft_gates for m in (3, 1, 0)] == [budget] * 3
+    assert [memo.rows[m].qft_gates for m in (3, 1, 0)] == [0, 0, 0]
+    assert all(rows[m].cdf is memo.rows[m].cdf for m in (3, 1, 0))
+    rows = memo.ladder([5, 1, 5, 5])   # 4 rows for 4 lanes: nothing evicted
+    assert list(rows) == [5, 1] and [rows[5].qft_gates, rows[1].qft_gates] == [budget, 0]
+    assert list(memo.rows) == [3, 1, 0, 5]
+    rows = memo.ladder([6, 1, 7, 1])   # evicts 3 and 0, keeps 1
+    assert list(memo.rows) == [1, 5, 6, 7]
+    assert kept[3]() is None and kept[0]() is None and kept[1]() is memo.rows[1].cdf
+    rows = memo.ladder([3])   # one lane: evicts all four
+    assert list(memo.rows) == [3] and rows[3].qft_gates == budget
 
 
 def test_every_memo_column_is_its_size_run_alone():
+    # every size's row, laddered in a 16-lane stack, is the CDF of its size
+    # laddered and transformed alone, to the bit
     params, contexts = _k4n6_instances()
     memo = ClassLadders(params)
     for ctx in contexts:
-        assert memo.ladder(ctx.counts) is None
+        rows = memo.ladder(ctx.counts)
+        assert list(rows) == list(dict.fromkeys(ctx.counts.tolist()))
         alone = grover_ladder(ctx.counts, params)
-        assert len(alone.columns) == 16
-        # every lane's size has its column in the memo, equal to the lane's
+        assert len(alone.columns) == 16 and alone.g_gates == 127
+        # every lane's size has its row in the memo, its lane's transform
         for m_true, its in zip(ctx.counts.tolist(), alone.columns):
-            assert memo.columns[m_true].tobytes() == its.tobytes()
-        assert alone.g_gates == memo.g_gates == 127
-    assert 0 in memo.columns
-    for m_true, column in memo.columns.items():
+            cdf = outcome_cdf(phase_distribution(its, m_true, params)[0])
+            assert memo.rows[m_true].cdf.tobytes() == cdf.tobytes()
+            assert rows[m_true].g_gates == memo.rows[m_true].g_gates == 127
+    assert 0 in memo.rows
+    for m_true, row in memo.rows.items():
         alone = grover_ladder(np.array([m_true]), params)
-        assert column.tobytes() == alone.columns[0].tobytes()
-        np.testing.assert_allclose(phase_distribution(alone.columns[0], m_true, params)[0],
-                                   _closed_form(m_true, params), rtol=0, atol=1e-12)
+        probs = phase_distribution(alone.columns[0], m_true, params)[0]
+        assert row.cdf.tobytes() == outcome_cdf(probs).tobytes()
+        np.testing.assert_allclose(probs, _closed_form(m_true, params), rtol=0, atol=1e-12)
 
 
 def test_a_memo_runs_each_missing_size_once_and_stays_within_the_stack(monkeypatch):
@@ -877,25 +936,27 @@ def test_a_memo_runs_each_missing_size_once_and_stays_within_the_stack(monkeypat
                         lambda sizes, p: runs.append(sizes.tolist()) or ladder(sizes, p))
     memo.ladder([3, 1, 3, 0])
     memo.ladder([1, 0, 3, 3])   # all hits
-    assert runs == [[3, 1, 0]] and list(memo.columns) == [3, 1, 0]
-    memo.ladder([5, 1, 5, 5])   # one miss: 4 columns for 4 lanes
-    assert runs[1:] == [[5]] and list(memo.columns) == [3, 1, 0, 5]
-    # 4 + 2 > 4: the two oldest columns these lanes do not use (3, 0) go, and
+    assert runs == [[3, 1, 0]] and list(memo.rows) == [3, 1, 0]
+    memo.ladder([5, 1, 5, 5])   # one miss: 4 rows for 4 lanes
+    assert runs[1:] == [[5]] and list(memo.rows) == [3, 1, 0, 5]
+    # 4 + 2 > 4: the two oldest rows these lanes do not use (3, 0) go, and
     # 1, which they use, stays
     memo.ladder([6, 1, 7, 1])
-    assert runs[2:] == [[6, 7]] and list(memo.columns) == [1, 5, 6, 7]
-    # every kept column is still its size run alone, to the bit
-    for m_true, column in memo.columns.items():
-        assert column.tobytes() == ladder(np.array([m_true]), params).columns[0].tobytes()
+    assert runs[2:] == [[6, 7]] and list(memo.rows) == [1, 5, 6, 7]
+    # every kept row is still its size run alone, to the bit
+    for m_true, row in memo.rows.items():
+        column = ladder(np.array([m_true]), params).columns[0]
+        cdf = outcome_cdf(phase_distribution(column, m_true, params)[0])
+        assert row.cdf.tobytes() == cdf.tobytes()
 
 
 def test_an_evicted_column_frees_its_record():
-    # t = 13, a 128 KiB column: the first ladder's 4-lane record stays alive
-    # while any column views it; the eviction copies the survivor (4), so the
-    # record of 1, 2 and 3 is freed and the memo holds four columns' worth
+    # t = 13, a 64 KiB row: the memo holds four rows' worth after each ladder,
+    # neither the ladder's record (four 128 KiB columns) nor the rows of the
+    # sizes it evicts (1, 2 and 3)
     params = CountingParams(3, 10, 0.1)
-    column = (1 << params.phase_bits) * 2 * 8
-    assert column == 128 << 10
+    row = (1 << params.phase_bits) * 8
+    assert row == 64 << 10
     memo = ClassLadders(params)
     memo.ladder([4, 4])   # first-call allocations
     memo = ClassLadders(params)
@@ -907,10 +968,32 @@ def test_an_evicted_column_frees_its_record():
         after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert list(memo.columns) == [4, 5, 6, 7]
-    assert 4 * column < held < 4 * column + column // 4
-    # keeping the old record would hold 4 + 3 columns
-    assert 4 * column < after < 4 * column + column // 4
+    assert list(memo.rows) == [4, 5, 6, 7]
+    assert 4 * row < held < 4 * row + row // 4
+    # keeping the evicted rows would hold 4 + 3 rows
+    assert 4 * row < after < 4 * row + row // 4
+
+
+def test_the_ladder_record_is_freed_when_ladder_returns(monkeypatch):
+    # the memo keeps each size's row alone: once ``ladder`` returns, nothing
+    # holds the (T, 2, L) record its one ``grover_ladder`` call made
+    params = CountingParams.default(3)
+    records, shapes = [], []
+    real_ladder = quantum_counting.grover_ladder
+
+    def recorded_ladder(sizes, p):
+        ladder = real_ladder(sizes, p)
+        record = ladder.columns[0].base
+        records.append(weakref.ref(record))
+        shapes.append(record.shape)
+        return ladder
+
+    monkeypatch.setattr(quantum_counting, "grover_ladder", recorded_ladder)
+    memo = ClassLadders(params)
+    rows = memo.ladder([3, 1, 3, 0])
+    assert shapes == [(1 << params.phase_bits, 2, 3)]
+    assert records[0]() is None
+    assert sorted(rows) == sorted(memo.rows) == [0, 1, 3]
 
 
 def test_a_memo_stores_no_column_off_the_unit_sphere(monkeypatch):
@@ -925,7 +1008,7 @@ def test_a_memo_stores_no_column_off_the_unit_sphere(monkeypatch):
     monkeypatch.setattr(quantum_counting, "_lane_grover_step", drifting_step)
     with pytest.raises(CorruptedStateError):
         memo.ladder([2, 5])
-    assert memo.columns == {}
+    assert memo.rows == {}
 
 
 def test_a_memo_checks_the_whole_stack_before_the_ladder(monkeypatch):
@@ -941,7 +1024,7 @@ def test_a_memo_checks_the_whole_stack_before_the_ladder(monkeypatch):
         memo.ladder(np.zeros((2, 4), dtype=np.int64))
     with pytest.raises(ValueError, match="\\[0, 2N\\]"):
         memo.ladder([0, 5])
-    assert steps == [] and memo.columns == {}
+    assert steps == [] and memo.rows == {}
 
 
 # ---- coherent cross-check ------------------------------------------------------

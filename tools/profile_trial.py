@@ -14,10 +14,11 @@ benchmark's ``Session.run_trial``, imported from ``perfbench/workloads.py``,
 so the profile measures what the benchmark times. The session is set up and
 one trial is run before profiling starts, so only the trials are measured,
 without first-call imports and caches. For attack-k4n6 that warm-up trial
-also fills the config's class-size memo, one ladder column and one
-inverse-QFT CDF row per class size, so the profiled trials show the
-per-trial counting work alone: 16 draws (``count_marked``) from memo rows
-per trial, with no ``grover_ladder`` or ``phase_distribution`` call. Each
+also fills the config's class-size memo, one inverse-QFT CDF row per class
+size, made by one ladder and a transform of each of its lanes, so the
+profiled trials show the per-trial counting work alone: 16 draws
+(``count_marked``) from memo rows per trial, with no ``grover_ladder`` or
+``phase_distribution`` call. Each
 row gives a function's own time (tottime) and its time with everything it
 calls (cumtime), each also as a share of the profiled total, and its call
 count (ncalls); a large ``--top`` lists every function profiled. qdca is

@@ -269,7 +269,7 @@ class ClassLadders:
         the Fourier gates that made them, the memo keeps them with 0, and the
         ladder's record is not kept."""
         sizes = _check_sizes(sizes, self.params).tolist()
-        wanted = dict.fromkeys(sizes)   # distinct sizes, in lane order
+        wanted = dict.fromkeys(sizes)   # distinct sizes in lane order -> fresh row or None
         missing = [m for m in wanted if m not in self.rows]
         if (excess := len(self.rows) + len(missing) - len(sizes)) > 0:
             stale = set([m for m in self.rows if m not in wanted][:excess])

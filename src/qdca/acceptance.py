@@ -18,8 +18,8 @@ from .attack import (AttackConfig, run_count_report, run_quantum_attack,
                      run_scaling_report, run_trials, write_counts_csv,
                      write_results_csv, write_trace_csv)
 from .classical_dca import count_table
-from .max_finding import ExactCounter, MaxFindingConfig, QuantumCounter, find_max_subkey
-from .quantum_counting import (ClassLadders, CountingParams, counting_distribution,
+from .max_finding import ExactCounter, MaxFindingConfig, find_max_subkey
+from .quantum_counting import (ClassLadders, CountingParams, count_marked, counting_distribution,
                                counting_error_bound, estimate_from_outcome,
                                grover_iteration, profile_error_bound,
                                reference_counting_distribution)
@@ -80,18 +80,18 @@ def check_counting_coverage() -> CheckResult:
 
 def check_gate_accounting() -> CheckResult:
     """Every counting run reports exactly 2^t - 1 Grover steps and a
-    Fourier gate count within t(t+1)/2 + t/2: subkey 1's estimate, drawn
-    from a counter on the planted instance as the attack draws it."""
+    Fourier gate count within t(t+1)/2 + t/2: subkey 1's estimate on the
+    planted instance, drawn from its class size's memo row as a counter
+    draws it."""
     cipher = ToyCipher()
     ch = default_characteristic(cipher, DEFAULT_PLANTED_KEY)
     ok, details = True, []
     for n in (3, 4, 6):
         params = CountingParams.default(n)
         pairs = gen_pairs(cipher, DEFAULT_PLANTED_KEY, ch.plaintext_diff, n)
-        counter = QuantumCounter(AttackContext(cipher, ch, pairs), ClassLadders(params),
-                                 np.random.default_rng(11))
-        counter.count(1)
-        est = counter.estimates[1]
+        m = int(AttackContext(cipher, ch, pairs).counts[1])
+        est = count_marked(ClassLadders(params).ladder([m])[m], params,
+                           np.random.default_rng(11))
         t = params.phase_bits
         ok &= est.g_gate_count == (1 << t) - 1
         ok &= est.qft_gate_count <= t * (t + 1) // 2 + t // 2

@@ -29,7 +29,7 @@ from . import toy_cipher
 from .classical_dca import classical_attack
 from .max_finding import (ExactCounter, MaxFindingConfig, MaxFindingResult,
                           QuantumCounter, find_max_subkey)
-from .quantum_counting import (ClassLadders, CountEstimate, CountingParams,
+from .quantum_counting import (ClassLadders, CountEstimate, CountingParams, count_marked,
                                counting_error_bound, default_accuracy_bits)
 from .statevector import DEFAULT_MAX_QUBITS
 from .toy_cipher import (NIBBLE_BITS, AttackContext, ToyCipher, ZeroProbabilityError,
@@ -84,6 +84,8 @@ class AttackConfig:
             raise ConfigError("at least one trial")
         if self.confidence < 1:
             raise ConfigError("confidence must be >= 1")
+        if self.master_seed < 0:   # SeedSequence takes non-negative entropy only
+            raise ConfigError("master_seed must be >= 0")
         cipher = self.cipher
         delta = self.differential[1]
         k = NIBBLE_BITS * len(active_sboxes(delta))
@@ -330,8 +332,8 @@ def run_scaling_report(config: AttackConfig, search_bits=(4, 6, 8),
 
     The search sweep injects exact count tables (a seeded permutation with a
     planted maximum) so the K sizes are not tied to S-box boundaries; the
-    counting sweep draws subkey 0's estimate from a counter on each planted
-    instance, as the attack draws it.
+    counting sweep draws subkey 0's estimate on each planted instance from
+    its class size's memo row, as the attack's counter draws it.
     """
     if seeds < 1:
         raise ConfigError("at least one seed")
@@ -362,11 +364,10 @@ def run_scaling_report(config: AttackConfig, search_bits=(4, 6, 8),
         })
         prev_mean = mean
     for sub, ctx in zip(subs, contexts):
-        counter = QuantumCounter(ctx, sub.class_ladders,
-                                 _trial_rng(config.master_seed, 0, purpose=99))
-        params = counter.params
-        counter.count(0)
-        est = counter.estimates[0]
+        params = sub.class_ladders.params
+        m = int(ctx.counts[0])   # the memo transforms subkey 0's class size alone
+        est = count_marked(sub.class_ladders.ladder([m])[m], params,
+                           _trial_rng(config.master_seed, 0, purpose=99))
         rows.append({
             "sweep": "counting", "size": "", "index_bits": sub.index_bits,
             "phase_bits": params.phase_bits, "mean_search_steps": "",

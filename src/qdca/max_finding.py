@@ -18,10 +18,12 @@ counting ladder's recurrence. The search takes each step once per pass, keeps
 each power's amplitudes for every round that draws it, and builds each
 power's outcome CDF once; G^0|u> = |u> is uniform whatever the table marks,
 so its CDF is built once per k and shared. A round whose j range is 1 takes
-j = 0 without a draw. Each round is admitted against the steps the budget
-had left when the pass's search began, less the rounds before it, and a
-pass's admitted rounds are charged in one ``try_charge``: the same stages,
-totals and refusal point as charging each round its own j steps.
+j = 0 without a draw. A search call charges every pass it runs, its start
+included: each round is admitted against the steps the budget had left at
+the call, less the start and the rounds before it, and a marking pass's
+start and rounds are charged in one ``try_charge``: the same stages, totals
+and refusal point as charging the start, then each round its own j steps.
+The threshold loop ends at the first call whose start does not fit.
 
 Thresholds only go up, so once a pass marks nothing (the threshold holds the
 maximum) every later pass of the run marks nothing too. That pass's search
@@ -42,8 +44,7 @@ Fourier-gate total. The oracle is charged one counting cost per threshold
 pass (a single coherent evaluation, not one per candidate), although the
 pass's Grover iterations, sum j over its rounds, each apply it.
 Every step is charged through ``SearchBudget.try_charge``, which names the
-stage of each step and either admits them all or refuses them all; a search
-call charges the rounds it admitted together.
+stage of each step and either admits them all or refuses them all.
 """
 
 from __future__ import annotations
@@ -195,7 +196,7 @@ class SearchOutcome:
     found: int | None
     iterations: int
     measurements: int
-    # budget.spent after each pass the call ran; empty without a pass charge
+    # budget.spent after each pass the call ran; empty if it ran none
     pass_ends: tuple[int, ...] = ()
 
 
@@ -242,33 +243,30 @@ def _class_grover_step(n_unmarked: int, n_marked: int, scale: float,
 
 
 def _replay_empty(subkey_bits: int, rng: np.random.Generator,
-                  budget: SearchBudget | None, start: StageSteps | None) -> SearchOutcome:
+                  budget: SearchBudget, start: StageSteps | None) -> SearchOutcome:
     """The search of a table that marks nothing, and with ``start`` every later
     pass of the run: the draws, charges and outcome of running the rounds one
-    by one, pass after pass, with no state computed. The first pass's start is
-    the caller's; each later pass is charged ``start`` before its first round."""
+    by one, pass after pass, with no state computed, each pass charged
+    ``start`` before its first round. The first start fits."""
     ranges, bounds, _ = _round_plan(subkey_bits)
     row = len(ranges) + 1                            # a pass: its start, then its rounds
     round_steps = subkey_bits + 1                    # k init + 1 verifying query
     per_pass = start or StageSteps()
     pass_steps = per_pass.total
     least = len(ranges) * round_steps                # a full pass's rounds, every j = 0
-    prepaid = 1                                      # the first pass's start
     iterations = measurements = 0
     ends: list[int] = []
     while True:
-        remaining = math.inf if budget is None else budget.limit - budget.spent
-        first = 0 if prepaid else pass_steps
+        remaining = budget.limit - budget.spent
         # the batch: the first pass and each later one that could finish at the
         # least a pass costs
         passes = 1 if start is None else min(MAX_TAIL_PASSES, 1 + max(
-            0, remaining - first - least) // (pass_steps + least))
+            0, remaining - pass_steps - least) // (pass_steps + least))
         saved = rng.bit_generator.state
         # entry i of a pass: its start charge (i = 0), else round i - 1's k + j + 1
         cost = rng.integers(0, bounds[:2 * row * passes], dtype=np.uint64,
                             endpoint=True)[::2] + round_steps
         cost[::row] = pass_steps
-        cost[0] = first
         cost = cost.cumsum()
         admitted = int(cost.searchsorted(remaining, side="right"))
         if admitted < cost.size:
@@ -276,41 +274,36 @@ def _replay_empty(subkey_bits: int, rng: np.random.Generator,
             # redraw through that entry (a start slot draws nothing)
             rng.bit_generator.state = saved
             rng.integers(0, bounds[:2 * admitted + 1], dtype=np.uint64, endpoint=True)
-        started = -(-admitted // row)                # >= 1: the first start fits
-        starts = started - prepaid                   # start charges of this batch
-        rounds = admitted - started
+        starts = -(-admitted // row)                 # >= 1: the first start fits
+        rounds = admitted - starts
         j_sum = int(cost[admitted - 1]) - starts * pass_steps - rounds * round_steps
         iterations += j_sum
         measurements += rounds
-        if budget is None:
-            break
-        if started > 1:                              # the full passes' ends
-            ends += (cost[row - 1:row * (started - 1):row] + budget.spent).tolist()
+        if starts > 1:                               # the full passes' ends
+            ends += (cost[row - 1:row * (starts - 1):row] + budget.spent).tolist()
         budget.try_charge(init=subkey_bits * rounds + starts * per_pass.init,
                           counting=starts * per_pass.counting,
                           oracle=starts * per_pass.oracle,
                           search=j_sum + rounds + starts * per_pass.search,
                           observe=starts * per_pass.observe)
         ends.append(budget.spent)
-        prepaid = 0
         if start is None or budget.spent + pass_steps > budget.limit:
             break
     return SearchOutcome(None, iterations, measurements,
                          () if start is None else tuple(ends))
 
 
-def grover_search_marked(marked, subkey_bits: int,
-                         rng: np.random.Generator,
-                         budget: SearchBudget | None = None,
+def grover_search_marked(marked, subkey_bits: int, rng: np.random.Generator,
+                         budget: SearchBudget,
                          start: StageSteps | None = None) -> SearchOutcome:
     """Search with unknown marked count: exponentially growing iteration cap.
 
     Measures the register after a random number of Grover steps, growing the
     range by 6/5 per failure; gives up after 4*ceil(4.5*sqrt(K)) measurements
-    (or earlier when the caller's budget runs out). A round is charged its
-    subkey register's initialization as init steps, and its Grover iterations
-    plus one step for the query that verifies the measured item as search
-    steps. Returns the found marked item or None.
+    (or earlier when the budget runs out). A round is charged its subkey
+    register's initialization as init steps, and its Grover iterations plus
+    one step for the query that verifies the measured item as search steps.
+    Returns the found marked item or None.
 
     Each Grover step is taken once per call on the two class amplitudes, the
     first time a round draws j or more, and its result's weighted norm is
@@ -322,19 +315,22 @@ def grover_search_marked(marked, subkey_bits: int,
     a pass) takes j = 0 without calling ``rng.integers``, which leaves the
     generator where ``integers(0, 1)`` leaves it: it takes no word.
 
-    A round is admitted when its k + j + 1 steps fit in what the budget had
-    left at the call, less the rounds admitted before it; the first that does
-    not fit ends the search, where a per-round ``try_charge`` would have
-    refused it. The admitted rounds are charged in one ``try_charge`` after
-    the loop.
+    ``start`` is the charge that starts a threshold pass, at least one step
+    (ValueError otherwise, before any draw); without it the call is one
+    search charged its rounds alone. With it, a call whose start does not fit
+    in what the budget has left draws nothing, charges nothing and returns
+    ``pass_ends == ()``. A round is admitted when its k + j + 1 steps fit in
+    what the budget had left at the call, less the start and the rounds
+    admitted before it; the first that does not fit ends the search, where a
+    per-round ``try_charge`` would have refused it. The start and the
+    admitted rounds are charged in one ``try_charge`` after the loop.
 
-    ``start`` (which needs a budget) is the charge that starts a threshold
-    pass, already paid for this one. A table that marks nothing ends the
-    threshold loop's progress, so with ``start`` the call runs every pass the
-    budget still admits: each later pass is charged ``start`` and then its
-    rounds, until a start is refused. The outcome's ``pass_ends`` holds
-    ``budget.spent`` after each pass the call ran (one for a table that marks
-    something), its ``iterations`` and ``measurements`` their totals.
+    A table that marks nothing ends the threshold loop's progress, so with
+    ``start`` the call runs every pass the budget still admits: each pass is
+    charged ``start`` and then its rounds, until a start is refused. The
+    outcome's ``pass_ends`` holds ``budget.spent`` after each pass the call
+    ran (one for a table that marks something), its ``iterations`` and
+    ``measurements`` their totals.
 
     A table that marks nothing computes no power and builds no CDF: every
     outcome fails, so its passes only replay their draws. One
@@ -353,12 +349,16 @@ def grover_search_marked(marked, subkey_bits: int,
     """
     if subkey_bits < 1:
         raise ValueError("search needs at least one subkey bit")
-    if start is not None and budget is None:
-        raise ValueError("a pass charge needs a budget")
     K = 1 << subkey_bits
     marked = np.asarray(marked, dtype=bool)
     if marked.size != K:
         raise ValueError("marked table size must be 2**subkey_bits")
+    per_pass = start or StageSteps()
+    pass_steps = per_pass.total
+    if start is not None and pass_steps < 1:
+        raise ValueError(f"a pass start must cost at least one step, not {pass_steps}")
+    if budget.spent + pass_steps > budget.limit:   # never without a start
+        return SearchOutcome(None, 0, 0)
     n_marked = int(np.count_nonzero(marked))
     if not n_marked:
         return _replay_empty(subkey_bits, rng, budget, start)
@@ -367,9 +367,9 @@ def grover_search_marked(marked, subkey_bits: int,
     n_unmarked, scale = K - n_marked, 2.0 / K
     found = None
     iterations = 0
-    # the steps the budget still admits; each round is admitted here and all
-    # are charged at once after the loop
-    remaining = math.inf if budget is None else budget.limit - budget.spent
+    # the steps the budget still admits after the start; each round is admitted
+    # here and all are charged with the start after the loop
+    remaining = budget.limit - budget.spent - pass_steps
     # entry j: G^j|u>'s (unmarked, marked) amplitudes, Python floats: numpy's
     # per-call cost would dominate at two amplitudes
     powers = [(1.0 / math.sqrt(K),) * 2]
@@ -389,10 +389,11 @@ def grover_search_marked(marked, subkey_bits: int,
         if marked[outcome := draw_from_cdf(cdf, rng)]:
             found = outcome
             break
-    if budget is not None:
-        admitted = budget.try_charge(init=subkey_bits * measurements,
-                                     search=iterations + measurements)
-        assert admitted, "the rounds admitted one by one exceed the budget"
+    admitted = budget.try_charge(init=per_pass.init + subkey_bits * measurements,
+                                 counting=per_pass.counting, oracle=per_pass.oracle,
+                                 search=per_pass.search + iterations + measurements,
+                                 observe=per_pass.observe)
+    assert admitted, "the start and the rounds admitted one by one exceed the budget"
     return SearchOutcome(found, iterations, measurements,
                          () if start is None else (budget.spent,))
 
@@ -462,12 +463,10 @@ def find_max_subkey(counter, subkey_bits: int, config: MaxFindingConfig,
                        counting=cost, oracle=cost, observe=cost)
     loop = 0
     search_steps_to_max = 0
-    # a table that marks nothing stays empty: its search runs every pass left,
-    # so the next start is refused after it
-    while budget.try_charge(init=start.init, counting=start.counting,
-                            oracle=start.oracle, observe=start.observe):
-        marked = counts > threshold.right_pairs
-        outcome = grover_search_marked(marked, subkey_bits, rng, budget, start)
+    # each call charges the passes it runs; a table that marks nothing stays
+    # empty, so its call runs every pass left and the next call runs none
+    while (outcome := grover_search_marked(counts > threshold.right_pairs, subkey_bits,
+                                           rng, budget, start)).pass_ends:
         y_prime = outcome.found
         r_prime = int(counts[y_prime]) if y_prime is not None else None
         accepted = y_prime is not None and r_prime > threshold.right_pairs

@@ -179,32 +179,28 @@ class Characteristic:
 
 @dataclass(frozen=True, eq=False)
 class PairSet:
-    """The chosen-plaintext pairs (P_i, P_i ^ P') with their ciphertexts, as
+    """The chosen-plaintext pairs (j, j ^ P'), j < N, by their ciphertexts, as
     read-only int64 copies of the given columns; pair j is row j."""
 
     index_bits: int
     plaintext_diff: int
-    p1: np.ndarray
-    p2: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
 
     @property
     def num_pairs(self) -> int:
-        return len(self.p1)
+        return len(self.c1)
 
     def __post_init__(self):
-        for name in ("p1", "p2", "c1", "c2"):
+        for name in ("c1", "c2"):
             col = np.array(getattr(self, name), dtype=np.int64)
             col.flags.writeable = False
             object.__setattr__(self, name, col)
-        if self.p1.ndim != 1 or {self.p2.shape, self.c1.shape, self.c2.shape} != {self.p1.shape}:
+        if self.c1.ndim != 1 or self.c2.shape != self.c1.shape:
             raise ValueError("pair columns must be 1-D and of equal length")
         # N is a power of two; an entirely empty set is allowed as a degenerate input
         if self.num_pairs and self.num_pairs != 1 << self.index_bits:
             raise ValueError("pair count must equal 2**index_bits")
-        if np.any(self.p1 ^ self.p2 != self.plaintext_diff):
-            raise ValueError("pair plaintext difference mismatch")
 
 
 def encrypt_codebook(cipher: ToyCipher, key: int) -> np.ndarray:
@@ -222,9 +218,9 @@ def codebook_pairs(cipher: ToyCipher, codebook: np.ndarray, plaintext_diff: int,
     cipher._check_block(plaintext_diff, "plaintext difference")
     if index_bits < 1 or (1 << index_bits) > cipher.block_size:
         raise ValueError(f"index_bits {index_bits} outside block capacity")
-    p1 = np.arange(1 << index_bits)
-    p2 = p1 ^ plaintext_diff
-    return PairSet(index_bits, plaintext_diff, p1, p2, codebook[:len(p1)], codebook[p2])
+    n = 1 << index_bits
+    return PairSet(index_bits, plaintext_diff, codebook[:n],
+                   codebook[np.arange(n) ^ plaintext_diff])
 
 
 def gen_pairs(cipher: ToyCipher, key: int, plaintext_diff: int, index_bits: int) -> PairSet:

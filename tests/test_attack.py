@@ -57,6 +57,7 @@ W16_K8 = json.loads(STOCK_DOC.with_name("w16_k8_characteristic.json").read_text(
     # k is delta's, and three active S-boxes give k = 12
     dict(planted_key=None, cipher_doc={"block_width": 12},
          characteristic_doc={"output_diff": "222"}),
+    dict(master_seed=-1),     # a seed sequence takes non-negative entropy only
 ])
 def test_config_validation(bad):
     with pytest.raises(ConfigError):
@@ -697,6 +698,19 @@ def test_cli_out_of_range_arguments_are_config_errors(argv, tmp_path, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("configuration error: ")
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["attack", "--random-keys", "--master-seed", "-5", "--trials", "1"],
+    ["count", "--master-seed", "-1"],
+    ["scale", "--search-bits", "4", "--counting-bits", "4", "--master-seed", "-3"],
+])
+def test_cli_negative_master_seed_is_a_config_error(argv, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err == "configuration error: master_seed must be >= 0\n"
+    assert "Traceback" not in err and not out_dir.exists()
 
 
 @pytest.mark.parametrize("verb", ["attack", "count", "scale"])

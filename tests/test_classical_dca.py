@@ -13,7 +13,7 @@ PLANTED_COUNTS_N6 = [8, 2, 0, 2, 2, 2, 2, 2, 0, 2, 0, 0, 0, 0, 2, 0]
 
 def test_empty_pair_set_counts_zero(cipher, planted):
     _, ch, _, _ = planted
-    empty = PairSet(0, ch.plaintext_diff, (), (), (), ())
+    empty = PairSet(0, ch.plaintext_diff, (), ())
     assert count_table(empty, cipher, ch).counts[3] == 0
 
 

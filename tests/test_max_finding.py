@@ -116,14 +116,19 @@ def test_true_subkey_marked_against_any_wrong_threshold(cipher, planted):
 # ---- search with unknown marked count -----------------------------------------
 
 
+def _roomy():
+    """A budget no single search reaches (2 * 10**6 steps)."""
+    return SearchBudget(1, 10**6)
+
+
 def test_search_all_marked_returns_immediately():
-    out = grover_search_marked(np.ones(8, dtype=bool), 3, _rng(0))
+    out = grover_search_marked(np.ones(8, dtype=bool), 3, _rng(0), _roomy())
     assert out.found is not None
     assert out.iterations == 0 and out.measurements == 1
 
 
 def test_search_zero_marked_gives_up_at_cap():
-    out = grover_search_marked(np.zeros(16, dtype=bool), 4, _rng(1))
+    out = grover_search_marked(np.zeros(16, dtype=bool), 4, _rng(1), _roomy())
     assert out.found is None
     assert out.measurements == 4 * math.ceil(4.5 * math.sqrt(16))
 
@@ -134,7 +139,7 @@ def test_search_single_marked_of_four_is_certain():
     marked = np.zeros(4, dtype=bool)
     marked[1] = True
     for seed in range(25):
-        out = grover_search_marked(marked, 2, _rng(2, seed))
+        out = grover_search_marked(marked, 2, _rng(2, seed), _roomy())
         assert out.found == 1
 
 
@@ -177,7 +182,8 @@ def _full_vector_search(marked, subkey_bits, rng, draws=None):
 def test_search_draws_as_the_full_vector_loop(k, seed, data):
     marked = np.array(data.draw(st.lists(st.booleans(), min_size=1 << k, max_size=1 << k)))
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert grover_search_marked(marked, k, rng) == _full_vector_search(marked, k, ref_rng)
+    assert grover_search_marked(marked, k, rng, _roomy()) == _full_vector_search(marked, k,
+                                                                                ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -464,19 +470,18 @@ def test_the_shared_uniform_cdf_is_read_only_and_exact():
 
 
 def _tail_by_passes(marked, k, rng, budget, start):
-    """The per-pass oracle of an empty tail: the first pass's start is paid,
-    each later pass is charged ``start`` and then runs the per-round search,
-    until a start is refused."""
+    """The per-pass oracle of an empty tail: each pass, the first included, is
+    charged ``start`` and then runs the per-round search, until a start is
+    refused."""
     iterations = measurements = 0
     ends = []
-    while True:
+    while budget.try_charge(init=start.init, counting=start.counting,
+                            oracle=start.oracle, observe=start.observe):
         out = _search_drawing_every_round(marked, k, rng, budget)
         iterations += out.iterations
         measurements += out.measurements
         ends.append(budget.spent)
-        if not budget.try_charge(init=start.init, counting=start.counting,
-                                 oracle=start.oracle, observe=start.observe):
-            return SearchOutcome(None, iterations, measurements, tuple(ends))
+    return SearchOutcome(None, iterations, measurements, tuple(ends))
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
@@ -484,10 +489,11 @@ def _tail_by_passes(marked, k, rng, budget, start):
 @pytest.mark.parametrize("k", [4, 8, 12])
 def test_empty_tail_budget_edges_equal_the_per_pass_loop(bit_generator, k):
     # one search call over every pass the budget admits against the pass-by-
-    # pass loop: same pass ends, totals, charges and generator state where the
-    # budget refuses a later start, a round 0, a middle round, nothing, or
-    # where a cheap start follows a truncated pass; past the batch cap at
-    # k <= 8 (at k = 12 the oracle's 35 passes take seconds)
+    # pass loop, each pass charged its start: same pass ends, totals, charges
+    # and generator state where the budget refuses the first start, a later
+    # start, a round 0, a middle round, nothing, or where a cheap start follows
+    # a truncated pass; past the batch cap at k <= 8 (at k = 12 the oracle's 35
+    # passes take seconds)
     seed = 190 + k
     full_rng = np.random.Generator(bit_generator(seed))
     many = 2 * max_finding.MAX_TAIL_PASSES + 2 if k <= 8 else 3
@@ -496,19 +502,21 @@ def test_empty_tail_budget_edges_equal_the_per_pass_loop(bit_generator, k):
     priced = StageSteps(init=2 * k + 14, counting=172, oracle=172, observe=172)
     cheap = StageSteps(init=2)
     assert priced.total > max(map(max, costs)) and cheap.total < k + 1
-    two = full[0] + priced.total + full[1] + priced.total   # then pass 3's start
+    # two passes, each its start and its rounds, then pass 3's start
+    two = priced.total + full[0] + priced.total + full[1] + priced.total
     middle = len(costs[2]) // 2
     widest = int(np.argmax(costs[1]))                          # pass 2's largest round
     cases = {
+        "refuses the first pass's start": (priced, priced.total - 1, 0),
         "refuses the third pass's start": (priced, two - 1, 2),
         "admits a start and refuses round 0": (priced, two + costs[2][0] - 1, 3),
         "refuses a middle round of pass 3":
             (priced, two + sum(costs[2][:middle]) + costs[2][middle] - 1, 3),
         "fits the last pass exactly": (priced, two + full[2], 3),
-        "admits every pass it draws": (priced, sum(full[:many]) + (many - 1) * priced.total,
-                                       many),
+        "admits every pass it draws": (priced, sum(full[:many]) + many * priced.total, many),
         "starts a pass after a truncated one":
-            (cheap, full[0] + cheap.total + sum(costs[1][:widest]) + costs[1][widest] - 1, None),
+            (cheap, cheap.total + full[0] + cheap.total + sum(costs[1][:widest])
+             + costs[1][widest] - 1, None),
     }
     marked = np.zeros(1 << k, dtype=bool)
     for name, (start, remaining, passes) in cases.items():
@@ -635,10 +643,12 @@ def test_search_memory_does_not_grow_with_the_rounds(monkeypatch):
     k = 12
     K = 1 << k
     marked = np.zeros(K, dtype=bool)
-    grover_search_marked(marked, k, _rng(5))   # first-call allocations are not the search's
+    # first-call allocations are not the search's
+    grover_search_marked(marked, k, _rng(5), _roomy())
+    budget = _roomy()
     tracemalloc.start()
     try:
-        out = grover_search_marked(marked, k, _rng(6))
+        out = grover_search_marked(marked, k, _rng(6), budget)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -660,7 +670,7 @@ def test_search_stays_out_of_the_counting_layer(monkeypatch):
     assert not hasattr(max_finding, "grover_iteration")
     marked = np.zeros(256, dtype=bool)
     marked[[3, 200]] = True
-    out = grover_search_marked(marked, 8, _rng(13))
+    out = grover_search_marked(marked, 8, _rng(13), _roomy())
     assert out.found in (3, 200) and out.iterations > 0
     res = find_max_subkey(ExactCounter(_exact_counts(8, 0)), 8, MaxFindingConfig(4), _rng(14))
     assert any(row["accepted"] for row in res.trace) and res.budget.stages.search > 0
@@ -670,12 +680,14 @@ def test_search_calls_add_up_to_the_search_stage(monkeypatch):
     # what the traced benchmark checks, over 20 attack-k4n6 trials and 20
     # exact k = 8 runs (as search-k8-exact draws them): the search calls'
     # iterations + measurements are the search stage, one trace row per pass,
-    # and at most one call per run searches a table that marks nothing
+    # at most one call per run that runs a pass searches a table that marks
+    # nothing, and the run ends at its one call that runs no pass
     calls = []
 
     def recording_search(marked, *args):
         outcome = grover_search_marked(marked, *args)
-        calls.append((not marked.any(), outcome.iterations + outcome.measurements))
+        calls.append((not marked.any(), outcome.iterations + outcome.measurements,
+                      len(outcome.pass_ends)))
         return outcome
 
     monkeypatch.setattr(max_finding, "grover_search_marked", recording_search)
@@ -693,9 +705,10 @@ def test_search_calls_add_up_to_the_search_stage(monkeypatch):
                 rng = attack._trial_rng(2024, i, purpose=2 + 8)
                 res = find_max_subkey(ExactCounter(rng.permutation(256)), 8,
                                       MaxFindingConfig(4), rng)
-            assert sum(steps for _, steps in calls) == res.stages.search
-            assert len(res.trace) == res.loop_iterations
-            assert sum(empty for empty, _ in calls) <= 1
+            assert sum(steps for _, steps, _ in calls) == res.stages.search
+            assert len(res.trace) == res.loop_iterations == sum(p for _, _, p in calls)
+            assert sum(empty and passes > 0 for empty, _, passes in calls) <= 1
+            assert [passes > 0 for _, _, passes in calls] == [True] * (len(calls) - 1) + [False]
     # the tail is one call: fewer calls than passes
     assert attack_calls < attack_passes
 
@@ -813,15 +826,86 @@ def test_search_refuses_a_table_that_is_not_2_to_the_k(size):
     assert rng.bit_generator.state == state
 
 
-def test_a_pass_charge_without_a_budget_is_refused():
-    # the charge that starts a pass is charged to a budget: without one the
-    # search is refused before any draw, whatever the table marks
+def _tables(k):
+    """A table that marks nothing, one that marks one subkey, one that marks all."""
+    one = np.zeros(1 << k, dtype=bool)
+    one[(1 << k) // 3] = True
+    return np.zeros(1 << k, dtype=bool), one, np.ones(1 << k, dtype=bool)
+
+
+def test_a_pass_start_below_one_step_is_refused():
+    # a start of no step would let an empty tail admit start after start once
+    # the budget cannot pay a round, so it is refused before any draw or charge
     rng = _rng(18)
     state = rng.bit_generator.state
-    for fill in (False, True):
-        with pytest.raises(ValueError, match="a pass charge needs a budget"):
-            grover_search_marked(np.full(16, fill), 4, rng, None, StageSteps(init=8))
+    for start in (StageSteps(), StageSteps(init=1, observe=-1)):
+        for marked in _tables(4):
+            budget = SearchBudget(1, 200)
+            with pytest.raises(ValueError, match="at least one step"):
+                grover_search_marked(marked, 4, rng, budget, start)
+            assert budget.spent == 0 and budget.stages == StageSteps()
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("k", [1, 4, 8])
+def test_a_call_whose_start_does_not_fit_runs_no_pass(k):
+    # one step short of the start: nothing drawn, nothing charged, no pass;
+    # a start that fits exactly runs one pass of no round and charges the start
+    start = StageSteps(init=2 * k + 14, counting=172, oracle=172, observe=172)
+    limit = 10**6
+    started = StageSteps(init=start.init, counting=172, oracle=172,
+                         search=limit - start.total, observe=172)
+    for marked in _tables(k):
+        for room, expected, stages in (
+                (start.total - 1, SearchOutcome(None, 0, 0),
+                 StageSteps(search=limit - start.total + 1)),
+                (start.total, SearchOutcome(None, 0, 0, (limit,)), started)):
+            rng = _rng(19, k)
+            state = _state(rng)
+            budget = SearchBudget(1, limit // 2)
+            assert budget.try_charge(search=limit - room)
+            assert grover_search_marked(marked, k, rng, budget, start) == expected
+            assert _state(rng) == state
+            assert budget.stages == stages and budget.spent == stages.total
+
+
+def test_a_marking_pass_makes_one_charge_that_holds_its_start(monkeypatch):
+    # a marking pass's start and rounds are one try_charge; in a whole run the
+    # only charge made outside a search call is the initial threshold's
+    charges = []
+    charge, search = SearchBudget.try_charge, grover_search_marked
+    inside = [False]
+
+    def counted_charge(self, **steps):
+        charges.append((inside[0], steps))
+        return charge(self, **steps)
+
+    def spanned(*args):
+        inside[0] = True
+        try:
+            return search(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(SearchBudget, "try_charge", counted_charge)
+    k = 8
+    start = StageSteps(init=2 * k + 14, counting=172, oracle=172, observe=172)
+    marked = _tables(k)[1]
+    for seed in range(10):
+        charges.clear()
+        out = grover_search_marked(marked, k, _rng(20, seed), _roomy(), start)
+        assert len(out.pass_ends) == 1
+        assert charges == [(False, dict(init=start.init + k * out.measurements,
+                                        counting=172, oracle=172,
+                                        search=out.iterations + out.measurements,
+                                        observe=172))]
+    monkeypatch.setattr(max_finding, "grover_search_marked", spanned)
+    for seed in range(5):
+        charges.clear()
+        res = find_max_subkey(_priced_counter(_exact_counts(k, seed)), k, MaxFindingConfig(4),
+                              _rng(21, seed))
+        assert [steps for in_search, steps in charges if not in_search] == [dict(init=k)]
+        assert res.budget.spent == res.stages.total
 
 
 def test_a_count_vector_that_is_not_k_long_is_refused(planted):

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdca import max_finding, quantum_counting
-from qdca.max_finding import QuantumCounter, _class_grover_step, grover_search_marked
+from qdca.max_finding import (QuantumCounter, SearchBudget, _class_grover_step,
+                              grover_search_marked)
 from qdca.attack import AttackConfig
 from qdca.quantum_counting import (ClassLadders, CountingParams, coherent_counting_distribution,
                                    counting_distribution, counting_error_bound,
@@ -423,7 +424,7 @@ def test_class_state_gates_check_the_weighted_norm(monkeypatch):
         if cold:
             max_finding._round_plan.cache_clear()
         with pytest.raises(CorruptedStateError, match="norm drift"):
-            grover_search_marked(marked, 8, _rng(12))
+            grover_search_marked(marked, 8, _rng(12), SearchBudget(1, 10**6))
         # G^0|u>'s shared uniform CDF is built only on a cold cache
         assert len(built) == cold and all(np.ptp(probs) == 0.0 for probs in built)
 

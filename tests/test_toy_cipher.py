@@ -148,22 +148,22 @@ def test_key_schedule_rotates(cipher):
 
 
 def test_gen_pairs_plaintext_layout(cipher):
+    # pair j is the plaintexts (j, j ^ P'), held as their ciphertexts
     ps = gen_pairs(cipher, 0x09, 0x0B, 2)
-    assert ps.p1.tolist() == [0, 1, 2, 3]
-    assert ps.p2.tolist() == [0x0B, 0x0A, 0x09, 0x08]
+    assert ps.c1.tolist() == [cipher.encrypt(0x09, p) for p in (0, 1, 2, 3)]
+    assert ps.c2.tolist() == [cipher.encrypt(0x09, p) for p in (0x0B, 0x0A, 0x09, 0x08)]
 
 
 def test_gen_pairs_difference_invariant(cipher):
     ps = gen_pairs(cipher, 0x31, 0x1A, 5)
-    assert np.all(ps.p1 ^ ps.p2 == 0x1A)
-    for p, c in ((ps.p1, ps.c1), (ps.p2, ps.c2)):
-        assert all(cipher.encrypt(0x31, pt) == ct for pt, ct in zip(p.tolist(), c.tolist()))
+    for j, (c1, c2) in enumerate(zip(ps.c1.tolist(), ps.c2.tolist())):
+        assert (c1, c2) == (cipher.encrypt(0x31, j), cipher.encrypt(0x31, j ^ 0x1A))
 
 
 @pytest.mark.parametrize("width", [4, 8, 12, 16])
 def test_codebook_pairs_equal_two_encryptions(width):
     # a pair set gathered from one encryption of the codebook holds what
-    # encrypting both plaintext columns gives
+    # encrypting both plaintexts of every pair gives
     c = ToyCipher(block_width=width)
     rng = np.random.default_rng(width)
     for _ in range(4):
@@ -171,11 +171,11 @@ def test_codebook_pairs_equal_two_encryptions(width):
         p_diff = int(rng.integers(1, c.block_size))
         n = int(rng.integers(1, width + 1))
         p1 = np.arange(1 << n)
-        want = (p1, p1 ^ p_diff, c.encrypt(key, p1), c.encrypt(key, p1 ^ p_diff))
+        want = (c.encrypt(key, p1), c.encrypt(key, p1 ^ p_diff))
         for ps in (gen_pairs(c, key, p_diff, n),
                    codebook_pairs(c, encrypt_codebook(c, key), p_diff, n)):
             assert (ps.index_bits, ps.plaintext_diff) == (n, p_diff)
-            for col, expected in zip((ps.p1, ps.p2, ps.c1, ps.c2), want):
+            for col, expected in zip((ps.c1, ps.c2), want):
                 assert np.array_equal(col, expected)
 
 
@@ -189,11 +189,11 @@ def test_find_characteristic_encrypts_the_codebook_once(monkeypatch):
 
 
 def test_pair_columns_are_read_only_copies(cipher):
-    p1 = np.arange(4)
-    ps = PairSet(2, 0x0B, p1, p1 ^ 0x0B, p1, p1)
-    p1[0] = 7
-    assert ps.p1[0] == 0
-    for col in (ps.p1, ps.p2, ps.c1, ps.c2):
+    c1 = np.arange(4)
+    ps = PairSet(2, 0x0B, c1, c1 ^ 0x0B)
+    c1[0] = 7
+    assert ps.c1[0] == 0
+    for col in (ps.c1, ps.c2):
         assert col.dtype == np.int64
         with pytest.raises(ValueError, match="read-only"):
             col[0] = 1
@@ -202,12 +202,12 @@ def test_pair_columns_are_read_only_copies(cipher):
 
 
 @pytest.mark.parametrize("columns, match", [
-    ((range(4), [11, 10, 9, 8], range(4), range(3)), "equal length"),
-    ((range(4), [11, 10, 9], range(4), range(4)), "equal length"),
-    (([[0, 1], [2, 3]], [[11, 10], [9, 8]], range(4), range(4)), "1-D"),
-    ((range(4), [11, 10, 9, 9], range(4), range(4)), "difference"),
-    ((range(2), [11, 10], range(2), range(2)), "2\\*\\*index_bits"),
-    ((range(8), [v ^ 11 for v in range(8)], range(8), range(8)), "2\\*\\*index_bits"),
+    ((range(4), range(3)), "equal length"),
+    ((range(3), range(4)), "equal length"),
+    (([[0, 1], [2, 3]], [[11, 10], [9, 8]]), "1-D"),
+    # ids set by hand: these cases keep their names whatever is added above them
+    pytest.param((range(2), range(2)), "2\\*\\*index_bits", id="columns4-2\\*\\*index_bits"),
+    pytest.param((range(8), range(8)), "2\\*\\*index_bits", id="columns5-2\\*\\*index_bits"),
 ])
 def test_pair_set_refuses_malformed_columns(columns, match):
     with pytest.raises(ValueError, match=match):
@@ -315,8 +315,7 @@ def test_right_pair_table_agrees_with_scalar_on_random_instances(
 
 def test_right_pair_status_invariant_under_pair_swap(cipher, planted):
     _, ch, pairs, _ = planted
-    swapped = PairSet(pairs.index_bits, pairs.plaintext_diff,
-                      pairs.p2, pairs.p1, pairs.c2, pairs.c1)
+    swapped = PairSet(pairs.index_bits, pairs.plaintext_diff, pairs.c2, pairs.c1)
     for x in range(16):
         assert np.array_equal(right_pair_table(cipher, ch, pairs)[x],
                               right_pair_table(cipher, ch, swapped)[x])
@@ -384,7 +383,7 @@ def test_right_pair_counts_agree_with_scalar_on_random_instances(
 
 def test_right_pair_counts_are_a_read_only_int64_vector(cipher, planted):
     _, ch, pairs, ctx = planted
-    empty = PairSet(0, ch.plaintext_diff, (), (), (), ())
+    empty = PairSet(0, ch.plaintext_diff, (), ())
     for pair_set in (pairs, empty):
         counts = right_pair_counts(cipher, ch, pair_set)
         assert counts.shape == (16,) and counts.dtype == np.int64

@@ -106,8 +106,13 @@ def cmd_bound(args) -> int:
         raise ConfigError("bound needs a finite -M >= 0, -N >= 1 and -m >= 1")
     if acc is None:
         acc = default_accuracy_bits(math.log2(n_pairs))
-    general = counting_error_bound(m, n_pairs, acc)
+    try:
+        general = counting_error_bound(m, n_pairs, acc)
+    except OverflowError:   # N too large to convert to a float
+        general = math.inf
     profile = profile_error_bound(m)
+    if not (math.isfinite(general) and math.isfinite(profile)):
+        raise ConfigError("-M and -N (or -n) give a bound that is not a finite float")
     print(f"M={m} N={n_pairs} m={acc}")
     print(f"general bound : {general!r}  interval ({m - general!r}, {m + general!r})")
     print(f"profile bound : {profile!r}  interval ({m - profile!r}, {m + profile!r})")

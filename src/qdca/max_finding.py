@@ -14,16 +14,18 @@ function f(x, y) is fixed during one run and accepted thresholds increase strict
 A pass's marked table is fixed for its whole search, so each Grover power
 G^j|u> is a fixed state: two real class amplitudes, over the marked and the
 unmarked subkeys (Boyer-Brassard-Hoyer-Tapp, quant-ph/9605034), stepped by the
-counting ladder's recurrence. The search takes each step once per pass, keeps
-each power's amplitudes for every round that draws it, and builds each
-power's outcome CDF once; G^0|u> = |u> is uniform whatever the table marks,
-so its CDF is built once per k and shared. A round whose j range is 1 takes
-j = 0 without a draw. A search call charges every pass it runs, its start
-included: each round is admitted against the steps the budget had left at
-the call, less the start and the rounds before it, and a marking pass's
-start and rounds are charged in one ``try_charge``: the same stages, totals
-and refusal point as charging the start, then each round its own j steps.
-The threshold loop ends at the first call whose start does not fit.
+counting ladder's own step function, ``quantum_counting._class_grover_step``,
+on Python floats. The search takes each step once per pass, checks the new
+power's weighted norm before it keeps it, keeps each power's amplitudes for
+every round that draws it, and builds each power's outcome CDF once;
+G^0|u> = |u> is uniform whatever the table marks, so its CDF is built once
+per k and shared. A round whose j range is 1 takes j = 0 without a draw. A
+search call charges every pass it runs, its start included: each round is
+admitted against the steps the budget had left at the call, less the start
+and the rounds before it, and a marking pass's start and rounds are charged
+in one ``try_charge``: the same stages, totals and refusal point as charging
+the start, then each round its own j steps. The threshold loop ends at the
+first call whose start does not fit.
 
 Thresholds only go up, so once a pass marks nothing (the threshold holds the
 maximum) every later pass of the run marks nothing too. That pass's search
@@ -55,7 +57,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantum_counting import ClassLadders, CountEstimate, PhaseRow, count_marked
+from .quantum_counting import (ClassLadders, CountEstimate, PhaseRow, _class_grover_step,
+                               count_marked)
 from .statevector import _assert_unit_norm, draw_from_cdf, outcome_cdf
 from .toy_cipher import AttackContext
 
@@ -172,10 +175,15 @@ class QuantumCounter:
 
 
 class ExactCounter:
-    """Injected exact counts; isolates the threshold loop from counting noise."""
+    """Injected exact counts; isolates the threshold loop from counting noise.
+    Counts that are not a 1-D integer array are refused (ValueError): a cast
+    would truncate them and could tie distinct counts."""
 
     def __init__(self, counts):
-        self.counts = np.asarray(counts, dtype=np.int64)
+        counts = np.asarray(counts)
+        if counts.ndim != 1 or counts.dtype.kind not in "iu":
+            raise ValueError("exact counts must be a 1-D integer array")
+        self.counts = counts.astype(np.int64, copy=False)
         self._count_list = self.counts.tolist()   # Python ints: one list read per count
         self.subkeys = len(self._count_list)
         self.counting_cost = 0
@@ -228,18 +236,6 @@ def _round_plan(subkey_bits: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarr
     uniform = outcome_cdf(np.full(K, u * u))
     uniform.flags.writeable = False
     return tuple(ranges), bounds, uniform
-
-
-def _class_grover_step(n_unmarked: int, n_marked: int, scale: float,
-                       u: float, m: float) -> tuple[float, float]:
-    """One G step on a table's (unmarked, marked) class amplitudes, with
-    ``scale`` = 2/K: ``quantum_counting._lane_grover_step`` on Python floats,
-    bit for bit. The weighted norm of the result is checked against NORM_TOL
-    (NaN refused)."""
-    total = (n_unmarked * u - n_marked * m) * scale
-    u, m = total - u, total + m
-    _assert_unit_norm(n_unmarked * (u * u) + n_marked * (m * m))
-    return u, m
 
 
 def _replay_empty(subkey_bits: int, rng: np.random.Generator,
@@ -381,7 +377,9 @@ def grover_search_marked(marked, subkey_bits: int, rng: np.random.Generator,
             break
         remaining -= cost
         while len(powers) <= j:
-            powers.append(_class_grover_step(n_unmarked, n_marked, scale, *powers[-1]))
+            u, m = _class_grover_step(n_unmarked, n_marked, scale, *powers[-1])
+            _assert_unit_norm(n_unmarked * (u * u) + n_marked * (m * m))
+            powers.append((u, m))
         iterations += j
         if (cdf := cdfs.get(j)) is None:
             u, m = powers[j]

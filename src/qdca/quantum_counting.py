@@ -16,18 +16,17 @@ sum_b |b> (x) G^b|psi0> / sqrt(2**t). G keeps the uniform start inside the
 span of |u_M> and |u_U>, the uniform states over the M marked and the 2N - M
 unmarked indices (Brassard-Hoyer-Mosca-Tapp, quant-ph/0005055), so the index
 register is two real class amplitudes per table, u and m. G on them is one
-two-number recurrence: total = (n_u*u - n_m*m)*2/(2N), u' = total - u,
-m' = total + m, the oracle then the diffusion of the full state reduced to
-two classes. The max-finding search steps its subkey register with the same
-formula on Python floats (``max_finding._class_grover_step``).
-The recurrence reads a table through its class size M alone (BHMT's
-sin^2(theta) = M/2N), so ``grover_ladder`` takes an (L,) array of sizes and
-runs G 2**t - 1 times on all L lanes at once: six in-place array operations
-per step, each step applied to every lane and counted once. Row b of its
-(T, 2, L) record holds each lane's class amplitudes u_b, m_b of G^b|psi0>,
-and the weighted norm of every row of every lane is checked before the
-ladder returns. ``counting_distribution`` ladders a table's size [M] as one
-lane.
+two-number recurrence, ``_class_grover_step``: total = (n_u*u - n_m*m)*2/(2N),
+u' = total - u, m' = total + m, the oracle then the diffusion of the full
+state reduced to two classes. Written with plain operators, the one function
+steps numpy lanes and Python floats alike: the max-finding search steps its
+subkey register with it too. The recurrence reads a table through its class
+size M alone (BHMT's sin^2(theta) = M/2N), so ``grover_ladder`` takes an (L,)
+array of sizes and runs G 2**t - 1 times on all L lanes at once, each step
+applied to every lane and counted once. Row b of its (T, 2, L) record holds
+each lane's class amplitudes u_b, m_b of G^b|psi0>, and the weighted norm of
+every row of every lane is checked before the ladder returns.
+``counting_distribution`` ladders a table's size [M] as one lane.
 
 The inverse Fourier transform runs gate by gate on t+1 qubits, on
 |0> (x) sum_b sqrt((2N-M)/T) u_b|b> + |1> (x) sum_b sqrt(M/T) m_b|b>, whose
@@ -192,55 +191,48 @@ class Ladder:
     g_gates: int   # G steps applied to every lane, counted at the step
 
 
-def _lane_grover_step(n_unmarked: np.ndarray, n_marked: np.ndarray, scale: float,
-                      u: np.ndarray, m: np.ndarray, u_out: np.ndarray, m_out: np.ndarray,
-                      tu: np.ndarray, tm: np.ndarray) -> None:
-    """One G step on every lane's class amplitudes (u, m), written to (u_out,
-    m_out) through the scratch buffers tu, tm: total = (n_u*u - n_m*m)*scale,
-    u' = total - u, m' = total + m. It is bit for bit the oracle (m -> -m) then
-    the diffusion, total = (n_u*u + n_m*(-m))*scale, u' = total - u,
-    m' = total - (-m), as n_m*(-m) = -(n_m*m), a + (-b) = a - b and
-    t - (-m) = t + m hold exactly in IEEE arithmetic; the search's
-    ``max_finding._class_grover_step`` is the same formula on one table's
-    Python floats."""
-    np.multiply(n_unmarked, u, out=tu)
-    np.multiply(n_marked, m, out=tm)
-    np.subtract(tu, tm, out=tu)
-    tu *= scale
-    np.subtract(tu, u, out=u_out)
-    np.add(tu, m, out=m_out)
+def _class_grover_step(n_unmarked, n_marked, scale, u, m):
+    """One G step on class amplitudes (u, m) with ``scale`` = 2/size: total =
+    (n_u*u - n_m*m)*scale, u' = total - u, m' = total + m. It is bit for bit
+    the oracle (m -> -m) then the diffusion, total = (n_u*u + n_m*(-m))*scale,
+    u' = total - u, m' = total - (-m), as n_m*(-m) = -(n_m*m), a + (-b) = a - b
+    and t - (-m) = t + m hold exactly in IEEE arithmetic. Written with plain
+    operators, it steps the ladder's (L,) float64 lanes and the search's
+    Python floats alike; the caller checks the weighted norm."""
+    total = (n_unmarked * u - n_marked * m) * scale
+    return total - u, total + m
 
 
 def grover_ladder(sizes, params: CountingParams) -> Ladder:
     """Apply G 2**t - 1 times at once to the uniform index state of L lanes,
     lane i with ``sizes[i]`` of its 2N items marked, recording every power.
 
-    Each step is one lane recurrence on the two class amplitudes, written
-    straight into row b of the (T, 2, L) record and counted where it is
-    applied. After the last step the weighted norm n_u*u**2 + n_m*m**2 of
+    Each step is one ``_class_grover_step`` on every lane's two class
+    amplitudes at once, kept as row b of the (T, 2, L) record and counted
+    where it is applied. After the last step the weighted norm n_u*u**2 + n_m*m**2 of
     every recorded power of every lane is checked against NORM_TOL (NaN
     refused) in row chunks of at most ``LANE_BLOCK_AMPS`` elements; the
     oracle's output has the norm of the power before it, so every gate's
     output is checked before the ladder returns.
 
-    Sizes that are not an (L,) integer array in [0, 2N], or more lanes than
-    the (t+1+log2 L)-qubit record admits, are refused before the first step."""
+    Sizes that are not a non-empty (L,) integer array in [0, 2N], or more
+    lanes than the (t+1+log2 L)-qubit record admits, are refused before the
+    first step."""
     # float64 counts (exact below 2**53): the products need no cast
     n_marked = _check_sizes(sizes, params).astype(np.float64)
+    if not n_marked.size:
+        raise ValueError("a ladder runs over at least one class size")
     lanes, size = len(n_marked), 2 * params.num_pairs
     n_unmarked = size - n_marked
     scale = 2.0 / size
     T = 1 << params.phase_bits
     amps = np.empty((T, 2, lanes))
     amps[0] = 1.0 / math.sqrt(size)
-    tu, tm = np.empty(lanes), np.empty(lanes)
     g_gates = 0
     u, m = amps[0]
     for b in range(1, T):
-        u_out, m_out = amps[b]   # row by row: no list of all T row views
-        _lane_grover_step(n_unmarked, n_marked, scale, u, m, u_out, m_out, tu, tm)
+        u, m = amps[b] = _class_grover_step(n_unmarked, n_marked, scale, u, m)
         g_gates += 1
-        u, m = u_out, m_out
     rows = max(1, LANE_BLOCK_AMPS // lanes)
     for first in range(0, T, rows):
         u, m = amps[first:first + rows, 0], amps[first:first + rows, 1]

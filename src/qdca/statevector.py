@@ -24,10 +24,11 @@ normalized CDF (``outcome_cdf``) and places one uniform in it
 (``draw_from_cdf``).
 
 The attack's Grover steps do not run here: they keep the uniform start in
-the span of two classes, so the counting ladder and the search step two
-real class amplitudes per table (``quantum_counting.grover_ladder``,
-``max_finding.grover_search_marked``). A StateVector is the full-state
-reference those recurrences are tested against.
+the span of two classes, so the counting ladder
+(``quantum_counting.grover_ladder``) and the search
+(``max_finding.grover_search_marked``) step two real class amplitudes per
+table with one recurrence, ``quantum_counting._class_grover_step``. A
+StateVector is the full-state reference that recurrence is tested against.
 """
 
 from __future__ import annotations

@@ -686,6 +686,13 @@ def test_cli_rejects_bad_config(tmp_path):
     # a fixed key and a drawn key per trial, from flags or from the document
     ["attack", "--planted-key", "0x09", "--random-keys", "--trials", "1"],
     ["attack", "--random-keys", "--trials", "1", "--config", {"planted_key": 9}],
+    # a bound that is not a finite float: N too large to convert, or an
+    # infinite general bound
+    ["bound", "-M", "1", "-n", "1024"],
+    ["bound", "-M", "1", "-n", "2000"],
+    ["bound", "-M", "1", "-N", "1" + "0" * 400],
+    ["bound", "-M", "1", "-n", "1023"],
+    ["bound", "-M", "1e308", "-n", "6"],
 ])
 def test_cli_out_of_range_arguments_are_config_errors(argv, tmp_path, capsys):
     out_dir = tmp_path / "out"

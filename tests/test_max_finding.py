@@ -45,6 +45,16 @@ def _pass_tables(monkeypatch, counter, subkey_bits, rng):
     return list(zip(tables, res.trace))
 
 
+@pytest.mark.parametrize("counts", [[1.7, 2.2, 0.9, 3.99], np.array([1.0, 2.0, 3.0, 4.0]),
+                                    [True, False, True, True], [[1, 2], [3, 4]], np.array(3)],
+                         ids=["fractional", "float", "bool", "2-D", "0-D"])
+def test_exact_counter_refuses_counts_that_are_not_a_1d_integer_array(counts):
+    # a cast would truncate 1.7, 2.2, 0.9, 3.99 to 1, 2, 0, 3: distinct counts
+    # could tie and the maximum could move
+    with pytest.raises(ValueError, match="1-D integer array"):
+        ExactCounter(counts)
+
+
 def test_oracle_never_marks_the_threshold_itself(monkeypatch):
     # the pass's oracle O1(x, y) = [count(x) > count(y)] is 0 at x = y, so no
     # pass marks its own threshold, whichever subkey the threshold is

@@ -432,11 +432,11 @@ def test_class_state_gates_check_the_weighted_norm(monkeypatch):
 def test_gate_counts_are_observed_not_computed(monkeypatch, planted, table_estimate):
     # the reported counts equal the G steps and Fourier gates actually applied
     applied = {"g": 0, "qft": 0}
-    step = quantum_counting._lane_grover_step
+    step = quantum_counting._class_grover_step
 
     def counting_g(*args):
         applied["g"] += 1
-        step(*args)
+        return step(*args)
 
     def counting_gate(name):
         gate = getattr(StateVector, name)
@@ -446,7 +446,7 @@ def test_gate_counts_are_observed_not_computed(monkeypatch, planted, table_estim
             gate(self, *args)
         return wrapper
 
-    monkeypatch.setattr(quantum_counting, "_lane_grover_step", counting_g)
+    monkeypatch.setattr(quantum_counting, "_class_grover_step", counting_g)
     for name in ("_hadamard", "_controlled_phase", "_swap"):
         monkeypatch.setattr(StateVector, name, counting_gate(name))
     params = CountingParams.default(5)
@@ -481,7 +481,7 @@ def test_gate_counts_are_observed_not_computed(monkeypatch, planted, table_estim
 def test_width_is_checked_before_the_ladder(monkeypatch):
     # t = 17: 256 lanes make the record t+1+8 = 26 qubits, refused before any G step
     steps = []
-    monkeypatch.setattr(quantum_counting, "_lane_grover_step",
+    monkeypatch.setattr(quantum_counting, "_class_grover_step",
                         lambda *args: steps.append(args))
     params = CountingParams(1, 14, 0.1)
     assert params.phase_bits == 17
@@ -688,8 +688,8 @@ def test_a_counter_holds_its_memo_and_one_transform(monkeypatch, cipher, shared)
     estimates = 256 * 512   # about 220 bytes each
     memo = ClassLadders(params) if shared else None
     steps = []
-    real_step = quantum_counting._lane_grover_step
-    monkeypatch.setattr(quantum_counting, "_lane_grover_step",
+    real_step = quantum_counting._class_grover_step
+    monkeypatch.setattr(quantum_counting, "_class_grover_step",
                         lambda *args: steps.append(None) or real_step(*args))
     memory, transforms = [], []
     for trial in range(2):
@@ -725,7 +725,7 @@ def test_ladder_refuses_bad_sizes_before_any_step(monkeypatch):
     # [0, 16], and 2**21 lanes at t = 4 (t+1+21 = 26 qubits) are each refused
     # before the first G step
     steps = []
-    monkeypatch.setattr(quantum_counting, "_lane_grover_step",
+    monkeypatch.setattr(quantum_counting, "_class_grover_step",
                         lambda *args: steps.append(args))
     params = CountingParams(3, 1, 0.1)
     assert params.phase_bits == 4
@@ -742,6 +742,26 @@ def test_ladder_refuses_bad_sizes_before_any_step(monkeypatch):
     assert [c.shape for c in ladder.columns] == [(1 << params.phase_bits, 2)] * 2
 
 
+def test_a_ladder_of_no_lanes_is_refused_before_any_step(monkeypatch):
+    # an empty size array is refused with ValueError, not a division by its
+    # zero lanes; a memo asked for no sizes ladders nothing and returns {}
+    steps = []
+    monkeypatch.setattr(quantum_counting, "_class_grover_step",
+                        lambda *args: steps.append(args))
+    params = CountingParams.default(4)
+    with pytest.raises(ValueError, match="at least one class size"):
+        grover_ladder(np.array([], dtype=np.int64), params)
+    memo = ClassLadders(params)
+    assert memo.ladder(np.array([], dtype=np.int64)) == {} and memo.rows == {}
+    assert steps == []
+
+
+def test_the_ladder_and_the_search_share_one_grover_step():
+    # one function object steps the counting ladder's lanes and the search's
+    # Python floats
+    assert max_finding._class_grover_step is quantum_counting._class_grover_step
+
+
 @pytest.mark.parametrize("step, lane, amp, fault", [
     (1, 3, "unmarked", 1.01), (5, 0, "unmarked", 1.01), (15, 4095, "unmarked", 1.01),
     (8, 1, "marked", 1.01), (15, 7, "marked", np.nan), (2, 1, "unmarked", np.nan)])
@@ -756,16 +776,17 @@ def test_ladder_refuses_a_lane_off_the_unit_sphere(monkeypatch, table_estimate, 
     tables[1::3, 1] = tables[2::5] = True
     params = CountingParams(1, 1, 0.1)
     assert params.phase_bits == 4 and quantum_counting.LANE_BLOCK_AMPS // 4096 == 4
-    real_step = quantum_counting._lane_grover_step
+    real_step = quantum_counting._class_grover_step
     applied, at = [], {"lane": lane}
 
     def faulty_step(*args):
-        real_step(*args)
+        u, m = real_step(*args)
         applied.append(None)
-        if len(applied) == step:   # args: n_u, n_m, scale, u, m, u_out, m_out, ...
-            args[5 if amp == "unmarked" else 6][at["lane"]] *= fault
+        if len(applied) == step:
+            (u if amp == "unmarked" else m)[at["lane"]] *= fault
+        return u, m
 
-    monkeypatch.setattr(quantum_counting, "_lane_grover_step", faulty_step)
+    monkeypatch.setattr(quantum_counting, "_class_grover_step", faulty_step)
     sizes = np.count_nonzero(tables, axis=1)
     with pytest.raises(CorruptedStateError, match="norm drift"):
         grover_ladder(sizes, params)
@@ -778,7 +799,7 @@ def test_ladder_refuses_a_lane_off_the_unit_sphere(monkeypatch, table_estimate, 
         table_estimate(tables[lane], params, rng)
     assert rng.bit_generator.state == state
     # the same stack through the unpatched step passes
-    monkeypatch.setattr(quantum_counting, "_lane_grover_step", real_step)
+    monkeypatch.setattr(quantum_counting, "_class_grover_step", real_step)
     assert grover_ladder(sizes, params).g_gates == 15
 
 
@@ -1000,13 +1021,14 @@ def test_the_ladder_record_is_freed_when_ladder_returns(monkeypatch):
 def test_a_memo_stores_no_column_off_the_unit_sphere(monkeypatch):
     params = CountingParams.default(3)
     memo = ClassLadders(params)
-    real_step = quantum_counting._lane_grover_step
+    real_step = quantum_counting._class_grover_step
 
-    def drifting_step(n_u, n_m, scale, u, m, u_out, m_out, tu, tm):
-        real_step(n_u, n_m, scale, u, m, u_out, m_out, tu, tm)
-        m_out[-1] = np.nan
+    def drifting_step(n_u, n_m, scale, u, m):
+        u, m = real_step(n_u, n_m, scale, u, m)
+        m[-1] = np.nan
+        return u, m
 
-    monkeypatch.setattr(quantum_counting, "_lane_grover_step", drifting_step)
+    monkeypatch.setattr(quantum_counting, "_class_grover_step", drifting_step)
     with pytest.raises(CorruptedStateError):
         memo.ladder([2, 5])
     assert memo.rows == {}
@@ -1015,7 +1037,7 @@ def test_a_memo_stores_no_column_off_the_unit_sphere(monkeypatch):
 def test_a_memo_checks_the_whole_stack_before_the_ladder(monkeypatch):
     # 256 lanes of one size, but their (T, 2, 256) record is refused
     steps = []
-    monkeypatch.setattr(quantum_counting, "_lane_grover_step",
+    monkeypatch.setattr(quantum_counting, "_class_grover_step",
                         lambda *args: steps.append(args))
     params = CountingParams(1, 14, 0.1)
     memo = ClassLadders(params)

@@ -209,11 +209,12 @@ def grover_ladder(sizes, params: CountingParams) -> Ladder:
 
     Each step is one ``_class_grover_step`` on every lane's two class
     amplitudes at once, kept as row b of the (T, 2, L) record and counted
-    where it is applied. After the last step the weighted norm n_u*u**2 + n_m*m**2 of
-    every recorded power of every lane is checked against NORM_TOL (NaN
-    refused) in row chunks of at most ``LANE_BLOCK_AMPS`` elements; the
-    oracle's output has the norm of the power before it, so every gate's
-    output is checked before the ladder returns.
+    where it is applied. After the last step the weighted norm
+    n_u*u**2 + n_m*m**2 of every recorded power of every lane is checked
+    against NORM_TOL (NaN refused) in row chunks of at most
+    ``LANE_BLOCK_AMPS`` elements; the oracle's output has the norm of the
+    power before it, so every gate's output is checked before the ladder
+    returns.
 
     Sizes that are not a non-empty (L,) integer array in [0, 2N], or more
     lanes than the (t+1+log2 L)-qubit record admits, are refused before the
